@@ -174,6 +174,10 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_estimate(args) -> int:
+    try:
+        claims = [SlaClaim(c, args.alpha) for c in args.claim]
+    except ValueError as exc:
+        raise UsageError(f"--claim/--alpha: {exc}") from exc
     retry_max = None
     config_echo = None
     if args.config:
@@ -185,7 +189,6 @@ def cmd_estimate(args) -> int:
     counts = aggregate_counts(records, retry_max=retry_max)
     log_sha = logs.sha256_file(args.log)
 
-    claims = [SlaClaim(c, args.alpha) for c in args.claim]
     try:
         estimates = build_estimate_set(counts)
         results = [sla_test(counts, claim) for claim in claims]
@@ -201,6 +204,8 @@ def cmd_estimate(args) -> int:
 
 
 def cmd_detect(args) -> int:
+    if not args.threshold_s >= 0:
+        raise UsageError("--threshold-s must be >= 0")
     parsed = _load_campaign(args)
     campaign = parsed.campaign
 
@@ -211,7 +216,10 @@ def cmd_detect(args) -> int:
                 f"truth outage ending at {ev.end_s:.3f}s exceeds config horizon "
                 f"{campaign.horizon_s:.3f}s"
             )
-    timeline = Timeline(horizon_s=campaign.horizon_s, events=events)
+    try:
+        timeline = Timeline(horizon_s=campaign.horizon_s, events=events)
+    except ValueError as exc:
+        raise DataError(f"truth file {args.truth}: {exc}") from exc
     records = logs.read_attempt_log(args.log)
 
     rep = detection_report(timeline, records, campaign)

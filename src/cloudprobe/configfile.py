@@ -1,22 +1,27 @@
-"""INI campaign config: [campaign] mirrors CampaignConfig fields verbatim,
-[process] + [duration] describe the simulated outage process, [probe] carries
-live-probe options."""
+"""INI campaign config: [campaign] keys are the CampaignConfig fields and
+[probe] keys the ProbeTarget fields (its url is the campaign target), with the
+dataclass defaults; [process] + [duration] describe the simulated outage
+process."""
 from __future__ import annotations
 
 import configparser
-from dataclasses import dataclass
+from dataclasses import MISSING, asdict, dataclass, fields
 
 from .model import CampaignConfig, ConfigError
 from .prober import ProbeTarget
 from .simulate import DurationDistribution, NetworkBurst, OutageProcess
 
-_CAMPAIGN_KEYS = {
-    "probe_interval_s", "horizon_days", "vantage_points",
-    "retry_max", "retry_gap_s", "seed", "mode", "target",
-}
 _PROCESS_KEYS = {"up_mean_s", "network_fail_prob", "burst_rate_per_day", "burst_duration_s"}
-_DURATION_KEYS = {"kind", "value_s", "mean_s", "shape", "scale", "location", "values"}
-_PROBE_KEYS = {"timeout_ms", "success_statuses", "expected_body_hash"}
+
+# INI value parsers keyed by the field annotation (a string under postponed
+# annotations); None means an empty value, which leaves the field's default
+_PARSE = {
+    "float": float,
+    "int": int,
+    "str": str,
+    "str | None": lambda raw: raw or None,
+    "frozenset[int]": lambda raw: frozenset(int(s) for s in raw.replace(",", " ").split()) or None,
+}
 
 
 @dataclass(frozen=True)
@@ -29,13 +34,37 @@ class ParsedConfig:
 
 
 def _check_keys(section: str, present, allowed) -> None:
-    unknown = set(present) - allowed
+    unknown = set(present) - set(allowed)
     if unknown:
         raise ConfigError(f"[{section}] unknown keys: {', '.join(sorted(unknown))}")
 
 
+def _from_section(cls, name: str, section, **given):
+    """Build a config dataclass from an INI section whose keys are its fields.
+
+    Fields passed in `given` come from elsewhere and are not keys of the
+    section; absent keys take the dataclass default.
+    """
+    keys = [f for f in fields(cls) if f.name not in given]
+    _check_keys(name, section, [f.name for f in keys])
+    kwargs = dict(given)
+    for f in keys:
+        if f.name not in section:
+            if f.default is MISSING:
+                raise ConfigError(f"[{name}] missing required key {f.name}")
+            continue
+        try:
+            value = _PARSE[f.type](section[f.name])
+        except ValueError as exc:
+            raise ConfigError(f"[{name}] {f.name}: {exc}") from exc
+        if value is not None:
+            kwargs[f.name] = value
+    return cls(**kwargs)
+
+
 def read_config(path) -> ParsedConfig:
-    parser = configparser.ConfigParser(inline_comment_prefixes=("#", ";"))
+    # no interpolation: '%' is literal, as in percent-encoded target URLs
+    parser = configparser.ConfigParser(inline_comment_prefixes=("#", ";"), interpolation=None)
     try:
         with open(path, "r", encoding="utf-8") as f:
             parser.read_file(f)
@@ -44,23 +73,7 @@ def read_config(path) -> ParsedConfig:
 
     if "campaign" not in parser:
         raise ConfigError("config must have a [campaign] section")
-    camp = parser["campaign"]
-    _check_keys("campaign", camp.keys(), _CAMPAIGN_KEYS)
-    try:
-        campaign = CampaignConfig(
-            probe_interval_s=camp.getfloat("probe_interval_s"),
-            horizon_days=camp.getfloat("horizon_days"),
-            vantage_points=camp.getint("vantage_points", 1),
-            retry_max=camp.getint("retry_max", 9),
-            retry_gap_s=camp.getfloat("retry_gap_s", 1.0),
-            seed=camp.getint("seed", 0),
-            mode=camp.get("mode", "simulate"),
-            target=camp.get("target", None) or None,
-        )
-    except ConfigError:
-        raise
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"[campaign] {exc}") from exc
+    campaign = _from_section(CampaignConfig, "campaign", parser["campaign"])
 
     process = None
     if "process" in parser:
@@ -69,7 +82,7 @@ def read_config(path) -> ParsedConfig:
         if "duration" not in parser:
             raise ConfigError("[process] requires a [duration] section")
         dur = parser["duration"]
-        _check_keys("duration", dur.keys(), _DURATION_KEYS)
+        _check_keys("duration", dur.keys(), [f.name for f in fields(DurationDistribution)])
         try:
             burst = None
             if "burst_rate_per_day" in proc or "burst_duration_s" in proc:
@@ -92,25 +105,8 @@ def read_config(path) -> ParsedConfig:
 
     target = None
     if campaign.mode == "live":
-        has_probe = "probe" in parser
-        probe = parser["probe"] if has_probe else None
-        if has_probe:
-            _check_keys("probe", probe.keys(), _PROBE_KEYS)
-        statuses = frozenset({200})
-        raw = probe.get("success_statuses") if has_probe else None
-        if raw:
-            statuses = frozenset(int(s) for s in raw.replace(",", " ").split())
-        try:
-            target = ProbeTarget(
-                url=campaign.target,
-                timeout_ms=probe.getfloat("timeout_ms", 30000.0) if has_probe else 30000.0,
-                success_statuses=statuses,
-                expected_body_hash=(probe.get("expected_body_hash") or None) if has_probe else None,
-            )
-        except ConfigError:
-            raise
-        except ValueError as exc:
-            raise ConfigError(f"[probe] {exc}") from exc
+        probe = parser["probe"] if "probe" in parser else {}
+        target = _from_section(ProbeTarget, "probe", probe, url=campaign.target)
     elif "probe" in parser:
         raise ConfigError("[probe] section only applies to live mode")
 
@@ -140,37 +136,22 @@ def write_config(path, campaign: CampaignConfig,
                  process: OutageProcess | None = None,
                  target: ProbeTarget | None = None) -> None:
     """Emit a config file that read_config parses back identically."""
-    parser = configparser.ConfigParser()
-    camp = {
-        "probe_interval_s": _num(campaign.probe_interval_s),
-        "horizon_days": _num(campaign.horizon_days),
-        "vantage_points": str(campaign.vantage_points),
-        "retry_max": str(campaign.retry_max),
-        "retry_gap_s": _num(campaign.retry_gap_s),
-        "seed": str(campaign.seed),
-        "mode": campaign.mode,
-    }
-    if campaign.target:
-        camp["target"] = campaign.target
-    parser["campaign"] = camp
+    parser = configparser.ConfigParser(interpolation=None)
+    parser["campaign"] = _ini_section(campaign)
 
     if process is not None:
         proc = {
-            "up_mean_s": _num(process.up_mean_s),
-            "network_fail_prob": _num(process.network_fail_prob),
+            "up_mean_s": _ini(process.up_mean_s),
+            "network_fail_prob": _ini(process.network_fail_prob),
         }
         if process.network_burst is not None:
-            proc["burst_rate_per_day"] = _num(process.network_burst.rate_per_day)
-            proc["burst_duration_s"] = _num(process.network_burst.duration_s)
+            proc["burst_rate_per_day"] = _ini(process.network_burst.rate_per_day)
+            proc["burst_duration_s"] = _ini(process.network_burst.duration_s)
         parser["process"] = proc
         parser["duration"] = _duration_section(process.duration_dist)
 
     if target is not None:
-        probe = {"timeout_ms": _num(target.timeout_ms),
-                 "success_statuses": " ".join(str(s) for s in sorted(target.success_statuses))}
-        if target.expected_body_hash:
-            probe["expected_body_hash"] = target.expected_body_hash
-        parser["probe"] = probe
+        parser["probe"] = _ini_section(target, skip="url")
 
     with open(path, "w", encoding="utf-8") as f:
         parser.write(f)
@@ -178,28 +159,28 @@ def write_config(path, campaign: CampaignConfig,
 
 def _duration_section(dist: DurationDistribution) -> dict:
     if dist.kind == "fixed":
-        return {"kind": "fixed", "value_s": _num(dist.value_s)}
+        return {"kind": "fixed", "value_s": _ini(dist.value_s)}
     if dist.kind == "exponential":
-        return {"kind": "exponential", "mean_s": _num(dist.mean_s)}
+        return {"kind": "exponential", "mean_s": _ini(dist.mean_s)}
     if dist.kind == "generalized_pareto":
-        return {"kind": "generalized_pareto", "shape": _num(dist.shape),
-                "scale": _num(dist.scale), "location": _num(dist.location)}
-    return {"kind": "empirical", "values": " ".join(_num(v) for v in dist.values)}
+        return {"kind": "generalized_pareto", "shape": _ini(dist.shape),
+                "scale": _ini(dist.scale), "location": _ini(dist.location)}
+    return {"kind": "empirical", "values": " ".join(_ini(v) for v in dist.values)}
 
 
-def _num(x) -> str:
-    return repr(float(x)) if not float(x).is_integer() else str(int(x))
+def _ini_section(obj, skip: str = "") -> dict:
+    """A config dataclass as INI values; empty fields are left out."""
+    return {k: _ini(v) for k, v in asdict(obj).items() if k != skip and v not in (None, "")}
+
+
+def _ini(value) -> str:
+    if isinstance(value, str):
+        return value
+    if isinstance(value, frozenset):
+        return " ".join(str(v) for v in sorted(value))
+    return repr(float(value)) if not float(value).is_integer() else str(int(value))
 
 
 def config_echo(campaign: CampaignConfig) -> dict:
     """Campaign fields as a JSON-ready mapping for the report."""
-    return {
-        "probe_interval_s": campaign.probe_interval_s,
-        "horizon_days": campaign.horizon_days,
-        "vantage_points": campaign.vantage_points,
-        "retry_max": campaign.retry_max,
-        "retry_gap_s": campaign.retry_gap_s,
-        "seed": campaign.seed,
-        "mode": campaign.mode,
-        "target": campaign.target,
-    }
+    return asdict(campaign)

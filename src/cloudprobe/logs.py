@@ -45,9 +45,12 @@ def read_attempt_log(path, validate: bool = True) -> list[AttemptRecord]:
                 continue
             try:
                 obj = json.loads(line)
+                vantage = obj["vantage"]
+                if type(vantage) is not int:  # vantages are compared and sorted
+                    raise TypeError(f"vantage must be an integer, got {vantage!r}")
                 rec = AttemptRecord(
                     ts_s=float(obj["ts_s"]),
-                    vantage=obj["vantage"],
+                    vantage=vantage,
                     slot=int(obj["slot"]),
                     attempt=int(obj["attempt"]),
                     outcome=obj["outcome"],

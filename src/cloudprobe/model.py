@@ -1,13 +1,13 @@
 """Shared domain model: campaign config, outage timelines, attempt records and counts.
 
 Everything here is an immutable value object. The attempt log itself is just a
-sequence of AttemptRecord; persistence lives in logio.
+sequence of AttemptRecord; persistence lives in logs.
 """
 from __future__ import annotations
 
 import bisect
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 DAY_S = 86400.0
 
@@ -65,16 +65,16 @@ class CampaignConfig:
     target: str | None = None
 
     def __post_init__(self):
-        if self.probe_interval_s <= 0:
-            raise ConfigError("probe_interval_s must be > 0")
-        if self.horizon_days <= 0:
-            raise ConfigError("horizon_days must be > 0")
+        if not 0 < self.probe_interval_s < math.inf:
+            raise ConfigError("probe_interval_s must be finite and > 0")
+        if not 0 < self.horizon_days < math.inf:
+            raise ConfigError("horizon_days must be finite and > 0")
         if self.vantage_points < 1:
             raise ConfigError("vantage_points must be >= 1")
         if self.retry_max < 1:
             raise ConfigError("retry_max must be >= 1")
-        if self.retry_gap_s < 0:
-            raise ConfigError("retry_gap_s must be >= 0")
+        if not 0 <= self.retry_gap_s < math.inf:
+            raise ConfigError("retry_gap_s must be finite and >= 0")
         # a slot's retries must finish before the next slot starts
         if self.retry_gap_s * (self.retry_max - 1) >= self.probe_interval_s:
             raise ConfigError(
@@ -142,7 +142,6 @@ class Timeline:
 
     horizon_s: float
     events: tuple[OutageEvent, ...] = ()
-    _starts: dict = field(init=False, repr=False, compare=False, default_factory=dict)
 
     def __post_init__(self):
         if self.horizon_s <= 0:
@@ -160,14 +159,15 @@ class Timeline:
             starts, ends = index.setdefault(ev.cause, ([], []))
             starts.append(ev.start_s)
             ends.append(ev.end_s)
-        object.__setattr__(self, "_starts", index)
+        # per-cause (starts, ends) for in_outage; an attribute, not a field
+        object.__setattr__(self, "_index", index)
 
     def events_of(self, cause: str) -> tuple[OutageEvent, ...]:
         return tuple(e for e in self.events if e.cause == cause)
 
     def in_outage(self, t: float, cause: str) -> bool:
         """True iff time t falls inside a cause-matching outage interval."""
-        idx = self._starts.get(cause)
+        idx = self._index.get(cause)
         if not idx:
             return False
         starts, ends = idx
@@ -188,8 +188,8 @@ class AttemptRecord:
     reason: str | None = None
 
     def __post_init__(self):
-        if self.ts_s < 0:
-            raise ValueError("ts_s must be >= 0")
+        if not 0 <= self.ts_s < math.inf:
+            raise ValueError(f"ts_s must be finite and >= 0, got {self.ts_s}")
         if self.slot < 0:
             raise ValueError("slot must be >= 0")
         if self.attempt < 1:

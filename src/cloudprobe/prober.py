@@ -9,6 +9,7 @@ so outcomes are only success/fail plus a reason code.
 from __future__ import annotations
 
 import hashlib
+import math
 import os
 import socket
 import time
@@ -34,8 +35,8 @@ class ProbeTarget:
         scheme = urllib.parse.urlparse(self.url).scheme
         if scheme not in ("http", "https"):
             raise ConfigError(f"target URL must be http(s), got {self.url!r}")
-        if self.timeout_ms <= 0:
-            raise ConfigError("timeout_ms must be > 0")
+        if not 0 < self.timeout_ms < math.inf:
+            raise ConfigError("timeout_ms must be finite and > 0")
         if not self.success_statuses:
             raise ConfigError("success_statuses must be nonempty")
 

@@ -9,12 +9,12 @@ from __future__ import annotations
 
 import json
 import math
+from dataclasses import fields, is_dataclass
 from importlib import metadata, resources
 
 import jsonschema
 
 from .detection import DetectionReport, SlaMetrics
-from .estimators import SlaTestResult
 from .model import AttemptCounts, EstimateSet
 
 SCHEMA_VERSION = "1"
@@ -29,72 +29,15 @@ class ReportError(ValueError):
     """Fragments reference different inputs or violate the report schema."""
 
 
-def _finite(x: float | None) -> float | None:
-    if x is None or not math.isfinite(x):
+def _to_json(obj):
+    """Dataclass fields as JSON values: tuples become lists, non-finite floats null."""
+    if is_dataclass(obj):
+        return {f.name: _to_json(getattr(obj, f.name)) for f in fields(obj)}
+    if isinstance(obj, tuple):
+        return [_to_json(v) for v in obj]
+    if isinstance(obj, float) and not math.isfinite(obj):
         return None
-    return float(x)
-
-
-def counts_to_json(counts: AttemptCounts) -> dict:
-    return {
-        "retry_max": counts.retry_max,
-        "attempts": list(counts.attempts),
-        "successes": list(counts.successes),
-    }
-
-
-def estimates_to_json(est: EstimateSet, trials: int) -> dict:
-    return {
-        "first_try": est.first_try,
-        "per_attempt": est.per_attempt,
-        "retry_filtered": est.retry_filtered,
-        "std_error": est.std_error,
-        "nines": _finite(est.nines),
-        "ci_low": est.ci_low,
-        "ci_high": est.ci_high,
-        "first_attempts": trials,
-    }
-
-
-def sla_test_to_json(res: SlaTestResult) -> dict:
-    return {
-        "claimed_availability": res.claimed_availability,
-        "alpha": res.alpha,
-        "observed": res.observed,
-        "trials": res.trials,
-        "z": _finite(res.z),
-        "p_value": res.p_value,
-        "reject": res.reject,
-        "method": res.method,
-    }
-
-
-def detection_to_json(rep: DetectionReport) -> dict:
-    return {
-        "total_true_outages": rep.total_true_outages,
-        "detected": rep.detected,
-        "undetected": rep.undetected,
-        "per_duration_bins": [
-            {
-                "lo_s": b.lo_s,
-                "hi_s": b.hi_s,
-                "analytic_p_nodet": b.analytic_p_nodet,
-                "empirical_nodet": b.empirical_nodet,
-                "outages": b.outages,
-            }
-            for b in rep.per_duration_bins
-        ],
-        "duration_estimates": [[t, e] for t, e in rep.duration_estimates],
-    }
-
-
-def metrics_to_json(metrics: SlaMetrics, threshold_s: float) -> dict:
-    return {
-        "failure_count": metrics.failure_count,
-        "long_outage_count": metrics.long_outage_count,
-        "cumulative_outage_s": metrics.cumulative_outage_s,
-        "threshold_s": threshold_s,
-    }
+    return obj
 
 
 def _base(kind: str, provenance: dict, config_echo: dict | None) -> dict:
@@ -114,10 +57,10 @@ def estimate_fragment(log_sha256: str, counts: AttemptCounts | None,
     frag = _base("estimate", {"log_sha256": log_sha256}, config_echo)
     frag["insufficient_data"] = insufficient_data
     if counts is not None:
-        frag["counts"] = counts_to_json(counts)
+        frag["counts"] = _to_json(counts)
     if estimates is not None:
-        frag["estimates"] = estimates_to_json(estimates, counts.attempts[0])
-    frag["sla_tests"] = [sla_test_to_json(r) for r in sla_results]
+        frag["estimates"] = {**_to_json(estimates), "first_attempts": counts.attempts[0]}
+    frag["sla_tests"] = [_to_json(r) for r in sla_results]
     return frag
 
 
@@ -130,10 +73,10 @@ def detect_fragment(log_sha256: str, truth_sha256: str, config_sha256: str,
         "truth_sha256": truth_sha256,
         "config_sha256": config_sha256,
     }, config_echo)
-    frag["detection"] = detection_to_json(detection)
+    frag["detection"] = _to_json(detection)
     frag["sla_metrics"] = {
-        "detected": metrics_to_json(detected_metrics, threshold_s),
-        "true": metrics_to_json(true_metrics, threshold_s),
+        "detected": {**_to_json(detected_metrics), "threshold_s": threshold_s},
+        "true": {**_to_json(true_metrics), "threshold_s": threshold_s},
     }
     return frag
 

@@ -48,22 +48,24 @@ class DurationDistribution:
 
     @classmethod
     def fixed(cls, value_s: float) -> "DurationDistribution":
-        if value_s is None or value_s <= 0:
+        if value_s is None or not value_s > 0:
             raise ValueError("fixed duration must be > 0")
         return cls(kind="fixed", value_s=float(value_s))
 
     @classmethod
     def exponential(cls, mean_s: float) -> "DurationDistribution":
-        if mean_s is None or mean_s <= 0:
+        if mean_s is None or not mean_s > 0:
             raise ValueError("exponential mean must be > 0")
         return cls(kind="exponential", mean_s=float(mean_s))
 
     @classmethod
     def generalized_pareto(cls, shape: float, scale: float,
                            location: float = 0.0) -> "DurationDistribution":
-        if scale is None or scale <= 0:
+        if scale is None or not scale > 0:
             raise ValueError("generalized_pareto scale must be > 0")
-        if location < 0:
+        if not math.isfinite(shape):
+            raise ValueError("generalized_pareto shape must be finite")
+        if not location >= 0:
             raise ValueError("generalized_pareto location must be >= 0")
         return cls(kind="generalized_pareto", shape=float(shape), scale=float(scale),
                    location=float(location))
@@ -71,7 +73,7 @@ class DurationDistribution:
     @classmethod
     def empirical(cls, values) -> "DurationDistribution":
         vals = tuple(float(v) for v in values)
-        if not vals or any(v <= 0 for v in vals):
+        if not vals or any(not v > 0 for v in vals):
             raise ValueError("empirical values must be nonempty and > 0")
         return cls(kind="empirical", values=vals)
 
@@ -105,9 +107,9 @@ class NetworkBurst:
     duration_s: float
 
     def __post_init__(self):
-        if self.rate_per_day <= 0:
-            raise ValueError("burst rate_per_day must be > 0")
-        if self.duration_s <= 0:
+        if not 0 < self.rate_per_day < math.inf:
+            raise ValueError("burst rate_per_day must be finite and > 0")
+        if not self.duration_s > 0:
             raise ValueError("burst duration_s must be > 0")
 
 
@@ -121,7 +123,7 @@ class OutageProcess:
     network_burst: NetworkBurst | None = None
 
     def __post_init__(self):
-        if self.up_mean_s <= 0:
+        if not self.up_mean_s > 0:
             raise ValueError("up_mean_s must be > 0")
         if not 0.0 <= self.network_fail_prob < 1.0:
             raise ValueError("network_fail_prob must be in [0, 1)")

@@ -9,6 +9,8 @@ from cloudprobe.prober import ProbeTarget
 from cloudprobe.simulate import DurationDistribution, NetworkBurst, OutageProcess
 
 QUIET = OutageProcess(up_mean_s=1e12, duration_dist=DurationDistribution.fixed(1.0))
+LIVE = ("probe_interval_s = 600\nhorizon_days = 1\nmode = live\n"
+        "target = http://host.example/obj\n")
 
 
 def write_sim_config(path, campaign=None, process=None):
@@ -37,8 +39,9 @@ class TestConfigFile:
         assert parsed.process == process
 
     def test_live_round_trip(self, tmp_path):
+        # a percent-encoded URL must survive the INI round trip verbatim
         campaign = CampaignConfig(probe_interval_s=600.0, horizon_days=1.0,
-                                  mode="live", target="http://host.example/obj")
+                                  mode="live", target="http://host.example/my%20obj")
         target = ProbeTarget(url=campaign.target, timeout_ms=5000.0,
                              success_statuses=frozenset({200, 204}),
                              expected_body_hash="ab" * 32)
@@ -61,6 +64,35 @@ class TestConfigFile:
         with pytest.raises(ConfigError) as err:
             configfile.read_config(path)
         assert "probe_interval_s" in str(err.value)
+
+    @pytest.mark.parametrize("body, key", [
+        ("horizon_days = 1\n", "probe_interval_s"),
+        ("probe_interval_s = nan\nhorizon_days = 1\n", "probe_interval_s"),
+        ("probe_interval_s = 600\nhorizon_days = inf\n", "horizon_days"),
+        ("probe_interval_s = 600\nhorizon_days = 1\nseed =\n", "seed"),
+        ("probe_interval_s = 600\nhorizon_days = 1\n[process]\nup_mean_s = nan\n"
+         "[duration]\nkind = fixed\nvalue_s = 1\n", "up_mean_s"),
+        (LIVE + "[probe]\nsuccess_statuses = abc\n", "success_statuses"),
+        (LIVE + "[probe]\ntimeout_ms = nan\n", "timeout_ms"),
+        (LIVE + "[probe]\nurl = http://other.example/\n", "url"),
+    ], ids=["missing-interval", "nan-interval", "inf-horizon", "empty-seed", "nan-up-mean",
+            "bad-statuses", "nan-timeout", "url-in-probe"])
+    def test_bad_value_names_key_and_exits_one(self, tmp_path, capsys, body, key):
+        path = tmp_path / "c.ini"
+        path.write_text("[campaign]\n" + body)
+        with pytest.raises(ConfigError) as err:
+            configfile.read_config(path)
+        assert key in str(err.value)
+        assert main(["probe", "--config", str(path)]) == 1
+        assert capsys.readouterr().err.startswith("error:")
+
+    def test_empty_values_mean_defaults(self, tmp_path):
+        path = tmp_path / "c.ini"
+        path.write_text("[campaign]\n" + LIVE + "[probe]\nsuccess_statuses =\n"
+                        "expected_body_hash =\n")
+        assert configfile.read_config(path).target == ProbeTarget(url="http://host.example/obj")
+        path.write_text("[campaign]\nprobe_interval_s = 600\nhorizon_days = 1\ntarget =\n")
+        assert configfile.read_config(path).campaign == CampaignConfig(600.0, 1.0)
 
     def test_duration_requires_process(self, tmp_path):
         path = tmp_path / "c.ini"
@@ -391,6 +423,39 @@ class TestCmdProbe:
         config_path = tmp_path / "c.ini"
         write_sim_config(config_path)
         assert main(["probe", "--config", str(config_path)]) == 1
+
+
+class TestMalformedInput:
+    @pytest.mark.parametrize("argv, files, code, needle", [
+        (["estimate", "--log", "{log}", "--claim", "1.5"], {}, 1, "claimed_availability"),
+        (["estimate", "--log", "{log}", "--claim", "0.99", "--alpha", "0"], {}, 1, "alpha"),
+        (["detect", "--log", "{log}", "--truth", "{truth}", "--config", "{config}",
+          "--threshold-s", "-1"], {}, 1, "--threshold-s"),
+        (["detect", "--log", "{log}", "--truth", "{truth}", "--config", "{config}"],
+         {"truth.jsonl": '{"start_s":0,"duration_s":100,"cause":"cloud"}\n'
+                         '{"start_s":50,"duration_s":10,"cause":"cloud"}\n'},
+         2, "overlapping"),
+        (["detect", "--log", "{log}", "--truth", "{truth}", "--config", "{config}"],
+         {"attempts.jsonl": '{"ts_s":0,"vantage":"a","slot":0,"attempt":1,"outcome":"success"}\n'
+                            '{"ts_s":0,"vantage":0,"slot":0,"attempt":1,"outcome":"success"}\n'},
+         2, "vantage"),
+        (["estimate", "--log", "{log}"],
+         {"attempts.jsonl": '{"ts_s":NaN,"vantage":0,"slot":0,"attempt":1,"outcome":"success"}\n'},
+         2, "ts_s"),
+    ], ids=["claim-above-one", "alpha-zero", "negative-threshold", "overlapping-truth",
+            "string-vantage", "nan-ts"])
+    def test_documented_exit_code(self, tmp_path, capsys, argv, files, code, needle):
+        config = tmp_path / "c.ini"
+        write_sim_config(config, campaign=CampaignConfig(
+            probe_interval_s=600.0, horizon_days=1.0, retry_max=3, seed=3))
+        out = tmp_path / "out"
+        assert main(["simulate", "--config", str(config), "--out", str(out)]) == 0
+        for name, text in files.items():
+            (out / name).write_text(text)
+        paths = {"log": out / "attempts.jsonl", "truth": out / "truth.jsonl", "config": config}
+        capsys.readouterr()
+        assert main([arg.format(**paths) for arg in argv]) == code
+        assert needle in capsys.readouterr().err
 
 
 class TestUsage:

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -124,6 +126,9 @@ class TestCampaignConfig:
         {"probe_interval_s": 60, "horizon_days": 1, "vantage_points": 0},
         {"probe_interval_s": 60, "horizon_days": 1, "retry_max": 0},
         {"probe_interval_s": 60, "horizon_days": 1, "retry_gap_s": -1},
+        {"probe_interval_s": float("nan"), "horizon_days": 1},
+        {"probe_interval_s": 60, "horizon_days": float("inf")},
+        {"probe_interval_s": 60, "horizon_days": 1, "retry_gap_s": float("nan")},
         {"probe_interval_s": 60, "horizon_days": 1, "mode": "other"},
         {"probe_interval_s": 60, "horizon_days": 1, "mode": "live"},  # no target
         {"probe_interval_s": 60, "horizon_days": 1, "seed": -1},
@@ -138,6 +143,7 @@ class TestTimeline:
         tl = Timeline(horizon_s=1000, events=(
             OutageEvent(500, 10), OutageEvent(100, 50)))
         assert [e.start_s for e in tl.events] == [100, 500]
+        assert [f.name for f in dataclasses.fields(tl)] == ["horizon_s", "events"]
 
     def test_same_cause_overlap_rejected(self):
         with pytest.raises(ValueError):

@@ -43,6 +43,22 @@ def small_config(**kwargs):
 
 
 class TestDurationDistribution:
+    # a NaN parameter used to loop generate_timeline forever
+    @pytest.mark.parametrize("make", [
+        lambda: DurationDistribution.fixed(math.nan),
+        lambda: DurationDistribution.exponential(math.nan),
+        lambda: DurationDistribution.generalized_pareto(shape=math.nan, scale=1),
+        lambda: DurationDistribution.generalized_pareto(shape=0.1, scale=math.nan),
+        lambda: DurationDistribution.generalized_pareto(shape=0.1, scale=1, location=math.nan),
+        lambda: DurationDistribution.empirical([10.0, math.nan]),
+        lambda: NetworkBurst(rate_per_day=math.inf, duration_s=1.0),
+        lambda: NetworkBurst(rate_per_day=1.0, duration_s=math.nan),
+        lambda: OutageProcess(up_mean_s=math.nan, duration_dist=DurationDistribution.fixed(1.0)),
+    ])
+    def test_non_finite_parameters_rejected(self, make):
+        with pytest.raises(ValueError):
+            make()
+
     def test_fixed_zero_rejected(self):
         with pytest.raises(ValueError):
             DurationDistribution.fixed(0)
