@@ -4,7 +4,7 @@ Detection here mirrors the measurement methodology under study, including its
 flaws: consecutive failed slots merge into a single detected outage, durations
 quantize to whole probe intervals, and outages shorter than the interval can
 vanish entirely. The analytic miss probability is validated by a Monte Carlo
-harness that drives the real sampler.
+harness that drives the real sampler and scores its log with detection_report.
 """
 from __future__ import annotations
 
@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import CLOUD, SUCCESS, AttemptRecord, CampaignConfig, OutageEvent, Timeline
+from .model import CLOUD, DAY_S, SUCCESS, CampaignConfig, OutageEvent, Timeline
 from .simulate import sample_campaign
 
 
@@ -104,29 +104,18 @@ class SlaMetrics:
             raise ValueError("long_outage_count cannot exceed failure_count")
 
 
-def detect_outages(records, config: CampaignConfig,
-                   use_first_attempt: bool = False) -> list[DetectedOutage]:
-    """Group consecutive failed slots of a single-vantage log into outages.
+def detect_outages(records, config: CampaignConfig) -> list[DetectedOutage]:
+    """Group consecutive failed slots of the observer into outages.
 
-    A slot counts as failed when its final attempt failed (the post-retry view;
-    use_first_attempt switches to the raw first-attempt view). Estimated start
-    is the first failed slot epoch, estimated duration slot_count * T.
+    The observer is the lowest-numbered vantage point in the log. A slot counts
+    as failed when none of its attempts succeeded (the post-retry view).
+    Estimated start is the first failed slot epoch, estimated duration
+    slot_count * T.
     """
-    vantages = {rec.vantage for rec in records}
-    if len(vantages) > 1:
-        raise ValueError("detect_outages needs a single-vantage log; split by vantage first")
-
-    slot_failed: dict[int, bool] = {}
-    best_attempt: dict[int, int] = {}
-    for rec in records:
-        if use_first_attempt:
-            if rec.attempt == 1:
-                slot_failed[rec.slot] = rec.outcome != SUCCESS
-        elif rec.attempt >= best_attempt.get(rec.slot, 0):
-            best_attempt[rec.slot] = rec.attempt
-            slot_failed[rec.slot] = rec.outcome != SUCCESS
-
-    failed = sorted(slot for slot, bad in slot_failed.items() if bad)
+    observer = min((rec.vantage for rec in records), default=0)
+    mine = [rec for rec in records if rec.vantage == observer]
+    recovered = {rec.slot for rec in mine if rec.outcome == SUCCESS}
+    failed = sorted({rec.slot for rec in mine} - recovered)
     outages: list[DetectedOutage] = []
     run_start: int | None = None
     prev = None
@@ -170,7 +159,8 @@ def detection_report(truth: Timeline, records, config: CampaignConfig,
         bin_edges_s = [config.probe_interval_s * i / 4.0 for i in range(7)]
     bins = _bin_rates(cloud, flags, bin_edges_s, config.probe_interval_s)
 
-    estimates = _duration_estimates(cloud, flags, records, config)
+    runs = detect_outages(records, config)
+    estimates = _duration_estimates(cloud, flags, runs, config.probe_interval_s)
 
     return DetectionReport(
         total_true_outages=len(cloud),
@@ -196,20 +186,12 @@ def _bin_rates(events, flags, edges, interval_s) -> list[DurationBin]:
     return bins
 
 
-def _duration_estimates(cloud, flags, records, config):
-    by_vantage: dict[int, list[AttemptRecord]] = {}
-    for rec in records:
-        by_vantage.setdefault(rec.vantage, []).append(rec)
-    if not by_vantage:
-        return []
-    observer = min(by_vantage)
-    runs = detect_outages(by_vantage[observer], config)
+def _duration_estimates(cloud, flags, runs, interval):
     run_by_slot: dict[int, DetectedOutage] = {}
     for run in runs:
         for slot in range(run.first_slot, run.first_slot + run.slot_count):
             run_by_slot[slot] = run
 
-    interval = config.probe_interval_s
     estimates = []
     for ev, seen in zip(cloud, flags):
         if not seen:
@@ -251,31 +233,33 @@ def undetected_monte_carlo(duration_s: float, interval_s: float, trials: int,
     """Empirical miss rate for a single uniformly placed outage per trial.
 
     Each trial builds the one-outage-per-interval situation the analytic miss
-    probability assumes (outage start uniform after a probe epoch) and runs
-    the real sampler over it, so this validates the whole pipeline rather than
-    re-deriving the formula.
+    probability assumes (outage start uniform after a probe epoch). The trials
+    sit side by side in one campaign, trial i in its own window of
+    W = T * (floor(L/T) + 3) seconds with its outage at i*W + T + offset_i, so
+    each window holds the first probe after its own outage ends and no probe
+    of one trial can see another trial's outage. The real sampler probes that
+    campaign and detection_report scores it, so this validates the whole
+    pipeline rather than re-deriving the formula.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
     if duration_s <= 0 or interval_s <= 0:
         raise ValueError("duration_s and interval_s must be > 0")
     rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(9,)))
-    missed = 0
-    for _ in range(trials):
-        offset = float(rng.uniform(0.0, interval_s))
-        start = interval_s + offset
-        horizon = interval_s * (math.floor((start + duration_s) / interval_s) + 2)
-        timeline = Timeline(horizon_s=horizon, events=(
-            OutageEvent(start_s=start, duration_s=duration_s, cause=CLOUD),))
-        config = CampaignConfig(
-            probe_interval_s=interval_s,
-            horizon_days=horizon / 86400.0,
-            vantage_points=1,
-            retry_max=retry_max,
-            retry_gap_s=retry_gap_s,
-            seed=0,
-        )
-        records = sample_campaign(timeline, config)
-        if not any(start <= rec.ts_s < start + duration_s for rec in records):
-            missed += 1
-    return missed / trials
+    offsets = rng.uniform(0.0, interval_s, size=trials)
+    window = interval_s * (math.floor(duration_s / interval_s) + 3)
+    horizon = trials * window
+    timeline = Timeline(horizon_s=horizon, events=tuple(
+        OutageEvent(start_s=i * window + interval_s + float(offset), duration_s=duration_s,
+                    cause=CLOUD)
+        for i, offset in enumerate(offsets)))
+    config = CampaignConfig(
+        probe_interval_s=interval_s,
+        horizon_days=horizon / DAY_S,
+        vantage_points=1,
+        retry_max=retry_max,
+        retry_gap_s=retry_gap_s,
+        seed=0,
+    )
+    records = sample_campaign(timeline, config)
+    return detection_report(timeline, records, config).undetected / trials

@@ -228,17 +228,11 @@ def sla_test(counts: AttemptCounts, claim: SlaClaim, method: str = "auto") -> Sl
     )
 
 
-def build_estimate_set(counts: AttemptCounts, alpha: float = 0.05,
-                       interval: str = "wald") -> EstimateSet:
-    """Bundle the three availability estimates with error bars on first_try."""
+def build_estimate_set(counts: AttemptCounts, alpha: float = 0.05) -> EstimateSet:
+    """Bundle the three availability estimates with Wald error bars on first_try."""
     p1 = first_try_availability(counts)
     trials = counts.attempts[0]
-    if interval == "wald":
-        ci_low, ci_high = wald_interval(p1, trials, alpha)
-    elif interval == "clopper-pearson":
-        ci_low, ci_high = clopper_pearson_interval(counts.successes[0], trials, alpha)
-    else:
-        raise ValueError("interval must be wald or clopper-pearson")
+    ci_low, ci_high = wald_interval(p1, trials, alpha)
     if p1 <= 0.0:
         k = 0.0
     elif p1 >= 1.0:

@@ -34,7 +34,7 @@ def write_attempt_log(path, records) -> None:
             f.write("\n")
 
 
-def read_attempt_log(path, validate: bool = True) -> list[AttemptRecord]:
+def read_attempt_log(path) -> list[AttemptRecord]:
     """Parse an attempt log; enforces nondecreasing ts_s per vantage."""
     records: list[AttemptRecord] = []
     last_ts: dict = {}
@@ -45,27 +45,28 @@ def read_attempt_log(path, validate: bool = True) -> list[AttemptRecord]:
                 continue
             try:
                 obj = json.loads(line)
-                vantage = obj["vantage"]
-                if type(vantage) is not int:  # vantages are compared and sorted
-                    raise TypeError(f"vantage must be an integer, got {vantage!r}")
+                vantage, slot, attempt = obj["vantage"], obj["slot"], obj["attempt"]
+                # compared, sorted and matched exactly, so never truncated
+                if not type(vantage) is type(slot) is type(attempt) is int:
+                    raise TypeError("vantage, slot and attempt must be integers, got "
+                                    f"{vantage!r}, {slot!r}, {attempt!r}")
                 rec = AttemptRecord(
                     ts_s=float(obj["ts_s"]),
                     vantage=vantage,
-                    slot=int(obj["slot"]),
-                    attempt=int(obj["attempt"]),
+                    slot=slot,
+                    attempt=attempt,
                     outcome=obj["outcome"],
                     latency_ms=obj.get("latency_ms"),
                     reason=obj.get("reason"),
                 )
             except (KeyError, TypeError, ValueError) as exc:
                 raise MalformedLogError("?", f"line {lineno}", str(exc)) from exc
-            if validate:
-                prev = last_ts.get(rec.vantage)
-                if prev is not None and rec.ts_s < prev:
-                    raise MalformedLogError(
-                        rec.vantage, rec.slot, f"ts_s {rec.ts_s} decreases (line {lineno})"
-                    )
-                last_ts[rec.vantage] = rec.ts_s
+            prev = last_ts.get(rec.vantage)
+            if prev is not None and rec.ts_s < prev:
+                raise MalformedLogError(
+                    rec.vantage, rec.slot, f"ts_s {rec.ts_s} decreases (line {lineno})"
+                )
+            last_ts[rec.vantage] = rec.ts_s
             records.append(rec)
     return records
 

@@ -117,10 +117,10 @@ class OutageEvent:
     cause: str = CLOUD
 
     def __post_init__(self):
-        if self.start_s < 0:
-            raise ValueError("start_s must be >= 0")
-        if self.duration_s <= 0:
-            raise ValueError("duration_s must be > 0")
+        if not 0 <= self.start_s < math.inf:
+            raise ValueError(f"start_s must be finite and >= 0, got {self.start_s}")
+        if not 0 < self.duration_s < math.inf:
+            raise ValueError(f"duration_s must be finite and > 0, got {self.duration_s}")
         if self.cause not in CAUSES:
             raise ValueError(f"cause must be one of {sorted(CAUSES)}")
 

@@ -127,8 +127,7 @@ def _sleep_until(deadline_mono: float) -> None:
 
 
 def run_campaign(target: ProbeTarget, config: CampaignConfig, log_path,
-                 resume: bool = False, vantage: int = 0,
-                 probe_fn=probe_once) -> list[AttemptRecord]:
+                 resume: bool = False, probe_fn=probe_once) -> list[AttemptRecord]:
     """Run the live slot schedule against the target, appending to log_path.
 
     Slot epochs stay aligned to origin + k*T (drift from slow slots is never
@@ -172,7 +171,7 @@ def run_campaign(target: ProbeTarget, config: CampaignConfig, log_path,
                 ts = time.monotonic() - origin
                 result = probe_fn(target)
                 rec = AttemptRecord(
-                    ts_s=ts, vantage=vantage, slot=slot, attempt=attempt,
+                    ts_s=ts, vantage=0, slot=slot, attempt=attempt,
                     outcome=result.outcome, latency_ms=result.latency_ms,
                     reason=result.reason,
                 )

@@ -442,8 +442,17 @@ class TestMalformedInput:
         (["estimate", "--log", "{log}"],
          {"attempts.jsonl": '{"ts_s":NaN,"vantage":0,"slot":0,"attempt":1,"outcome":"success"}\n'},
          2, "ts_s"),
+        (["detect", "--log", "{log}", "--truth", "{truth}", "--config", "{config}"],
+         {"truth.jsonl": '{"start_s":NaN,"duration_s":100,"cause":"cloud"}\n'},
+         2, "start_s"),
+        (["estimate", "--log", "{log}"],
+         {"attempts.jsonl": '{"ts_s":0,"vantage":0,"slot":1.7,"attempt":1,"outcome":"success"}\n'},
+         2, "slot"),
+        (["detect", "--log", "{log}", "--truth", "{truth}", "--config", "{config}"],
+         {"truth.jsonl": '{"start_s":86000,"duration_s":1000,"cause":"cloud"}\n'},
+         2, "exceeds horizon"),
     ], ids=["claim-above-one", "alpha-zero", "negative-threshold", "overlapping-truth",
-            "string-vantage", "nan-ts"])
+            "string-vantage", "nan-ts", "nan-truth", "fractional-slot", "truth-beyond-horizon"])
     def test_documented_exit_code(self, tmp_path, capsys, argv, files, code, needle):
         config = tmp_path / "c.ini"
         write_sim_config(config, campaign=CampaignConfig(

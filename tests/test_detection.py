@@ -111,20 +111,22 @@ class TestDetectOutages:
         runs = detect_outages(slot_records(outcomes), config())
         assert [(r.first_slot, r.slot_count) for r in runs] == [(4, 2), (9, 1)]
 
-    def test_final_attempt_vs_first_attempt_view(self):
+    def test_slot_recovered_on_retry_is_not_a_run(self):
         cfg = config(retry_max=2)
         records = [
             AttemptRecord(ts_s=0.0, vantage=0, slot=0, attempt=1, outcome=CLOUD_FAIL),
             AttemptRecord(ts_s=1.0, vantage=0, slot=0, attempt=2, outcome=SUCCESS),
+            AttemptRecord(ts_s=T, vantage=0, slot=1, attempt=1, outcome=CLOUD_FAIL),
+            AttemptRecord(ts_s=T + 1.0, vantage=0, slot=1, attempt=2, outcome=CLOUD_FAIL),
         ]
-        assert detect_outages(records, cfg) == []
-        first_view = detect_outages(records, cfg, use_first_attempt=True)
-        assert len(first_view) == 1
+        assert [(r.first_slot, r.slot_count) for r in detect_outages(records, cfg)] == [(1, 1)]
 
-    def test_mixed_vantage_rejected(self):
-        records = slot_records([CLOUD_FAIL], vantage=0) + slot_records([CLOUD_FAIL], vantage=1)
-        with pytest.raises(ValueError):
-            detect_outages(records, config())
+    def test_multi_vantage_log_uses_lowest_vantage(self):
+        # vantage 1 comes first in the log and sees a different outage
+        v1 = slot_records([CLOUD_FAIL, CLOUD_FAIL, SUCCESS, SUCCESS], vantage=1)
+        v0 = slot_records([SUCCESS, SUCCESS, SUCCESS, CLOUD_FAIL], vantage=0)
+        runs = detect_outages(v1 + v0, config())
+        assert [(r.first_slot, r.slot_count) for r in runs] == [(3, 1)]
 
 
 class TestSlaMetrics:
@@ -243,7 +245,34 @@ class TestDetectionReport:
                             per_duration_bins=(), duration_estimates=())
 
 
+def per_trial_monte_carlo(duration_s, interval_s, trials, seed=0, retry_max=9,
+                          retry_gap_s=1.0):
+    """Reference: one Timeline, CampaignConfig and sampler run per trial."""
+    rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(9,)))
+    missed = 0
+    for _ in range(trials):
+        offset = float(rng.uniform(0.0, interval_s))
+        start = interval_s + offset
+        horizon = interval_s * (math.floor((start + duration_s) / interval_s) + 2)
+        timeline = Timeline(horizon_s=horizon, events=(
+            OutageEvent(start_s=start, duration_s=duration_s, cause=CLOUD),))
+        cfg = CampaignConfig(probe_interval_s=interval_s, horizon_days=horizon / 86400.0,
+                             vantage_points=1, retry_max=retry_max,
+                             retry_gap_s=retry_gap_s, seed=0)
+        records = sample_campaign(timeline, cfg)
+        if not any(start <= rec.ts_s < start + duration_s for rec in records):
+            missed += 1
+    return missed / trials
+
+
 class TestMonteCarloMissRate:
+    @pytest.mark.parametrize("retry_max", [1, 9])
+    @pytest.mark.parametrize("l_over_t", [0.1, 0.5, 0.9, 1.0, 1.7])
+    def test_equals_per_trial_reference(self, l_over_t, retry_max):
+        args = (l_over_t * T, T, 400)
+        kwargs = dict(seed=11, retry_max=retry_max)
+        assert undetected_monte_carlo(*args, **kwargs) == per_trial_monte_carlo(*args, **kwargs)
+
     def test_half_interval_quick(self):
         rate = undetected_monte_carlo(0.5 * T, T, trials=4000, seed=5)
         assert abs(rate - 0.5) < 0.03

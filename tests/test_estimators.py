@@ -297,10 +297,9 @@ class TestEstimateSet:
         assert math.isinf(est.nines)
         assert est.std_error == 0.0
 
-    def test_clopper_pearson_option(self):
-        est = build_estimate_set(HAND, interval="clopper-pearson")
-        lo, hi = clopper_pearson_interval(1, 4)
-        assert (est.ci_low, est.ci_high) == (lo, hi)
+    def test_interval_is_wald(self):
+        est = build_estimate_set(HAND, alpha=0.1)
+        assert (est.ci_low, est.ci_high) == wald_interval(0.25, 4, 0.1)
 
     def test_empty_counts_raise(self):
         with pytest.raises(InsufficientDataError):
