@@ -7,6 +7,7 @@ censoring of short outages, and the resulting SLA-compliance conclusions.
 """
 from .model import (
     AttemptCounts,
+    AttemptLog,
     AttemptRecord,
     CampaignConfig,
     ConfigError,

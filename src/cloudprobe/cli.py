@@ -216,8 +216,8 @@ def cmd_detect(args) -> int:
         raise DataError(f"truth file {args.truth}: {exc}") from exc
     records = logs.read_attempt_log(args.log)
 
-    rep = detection_report(timeline, records, campaign)
     runs = detect_outages(records, campaign)
+    rep = detection_report(timeline, records, campaign, runs)
     detected = sla_metrics(runs, args.threshold_s)
     truth_metrics = true_sla_metrics(timeline, args.threshold_s)
 

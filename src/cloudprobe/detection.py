@@ -8,14 +8,14 @@ harness that drives the real sampler and scores its log with detection_report.
 """
 from __future__ import annotations
 
-import bisect
 import csv
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .model import CLOUD, DAY_S, SUCCESS, CampaignConfig, OutageEvent, Timeline
+from .model import CLOUD, DAY_S, OUTCOMES, SUCCESS, AttemptLog, CampaignConfig, OutageEvent, \
+    Timeline
 from .simulate import sample_campaign
 
 
@@ -104,7 +104,7 @@ class SlaMetrics:
             raise ValueError("long_outage_count cannot exceed failure_count")
 
 
-def detect_outages(records, config: CampaignConfig) -> list[DetectedOutage]:
+def detect_outages(log: AttemptLog, config: CampaignConfig) -> list[DetectedOutage]:
     """Group consecutive failed slots of the observer into outages.
 
     The observer is the lowest-numbered vantage point in the log. A slot counts
@@ -112,54 +112,36 @@ def detect_outages(records, config: CampaignConfig) -> list[DetectedOutage]:
     Estimated start is the first failed slot epoch, estimated duration
     slot_count * T.
     """
-    observer = min((rec.vantage for rec in records), default=0)
-    mine = [rec for rec in records if rec.vantage == observer]
-    recovered = {rec.slot for rec in mine if rec.outcome == SUCCESS}
-    failed = sorted({rec.slot for rec in mine} - recovered)
-    outages: list[DetectedOutage] = []
-    run_start: int | None = None
-    prev = None
-    for slot in failed + [None]:
-        if run_start is not None and (slot is None or slot != prev + 1):
-            count = prev - run_start + 1
-            outages.append(DetectedOutage(
-                start_s=run_start * config.probe_interval_s,
-                duration_s=count * config.probe_interval_s,
-                first_slot=run_start,
-                slot_count=count,
-            ))
-            run_start = None
-        if slot is not None and run_start is None:
-            run_start = slot
-        prev = slot
-    return outages
+    mine = log.vantage == (log.vantage.min() if len(log) else 0)
+    recovered = log.slot[mine & (log.outcome == OUTCOMES.index(SUCCESS))]
+    failed = np.setdiff1d(log.slot[mine], recovered)
+    runs = np.split(failed, np.flatnonzero(np.diff(failed) != 1) + 1) if len(failed) else []
+    return [DetectedOutage(start_s=run[0] * config.probe_interval_s,
+                           duration_s=len(run) * config.probe_interval_s,
+                           first_slot=run[0], slot_count=len(run))
+            for run in map(np.ndarray.tolist, runs)]
 
 
-def detection_report(truth: Timeline, records, config: CampaignConfig,
-                     bin_edges_s=None) -> DetectionReport:
+def detection_report(truth: Timeline, log: AttemptLog, config: CampaignConfig,
+                     runs: list[DetectedOutage], bin_edges_s=None) -> DetectionReport:
     """Score the prober's view of the truth timeline.
 
     A true cloud outage is detected iff at least one attempt timestamp (any
     vantage, any attempt rank) falls inside it. Duration estimates pair each
-    detected outage with the run-length estimate from the lowest-numbered
-    vantage point; outages whose slots all recovered on retry have no run and
-    carry no estimate.
+    detected outage with its run from detect_outages(log, config), the
+    lowest-numbered vantage point's view; outages whose slots all recovered on
+    retry have no run and carry no estimate.
     """
     cloud = truth.events_of(CLOUD)
-    ts_sorted = sorted(rec.ts_s for rec in records)
-
-    def attempts_inside(ev: OutageEvent) -> bool:
-        i = bisect.bisect_left(ts_sorted, ev.start_s)
-        return i < len(ts_sorted) and ts_sorted[i] < ev.end_s
-
-    flags = [attempts_inside(ev) for ev in cloud]
+    ts = np.append(np.sort(log.ts_s), math.inf)
+    starts = np.array([ev.start_s for ev in cloud])
+    ends = np.array([ev.end_s for ev in cloud])
+    flags = (ts[np.searchsorted(ts, starts)] < ends).tolist()
     detected = sum(flags)
 
     if bin_edges_s is None:
         bin_edges_s = [config.probe_interval_s * i / 4.0 for i in range(7)]
     bins = _bin_rates(cloud, flags, bin_edges_s, config.probe_interval_s)
-
-    runs = detect_outages(records, config)
     estimates = _duration_estimates(cloud, flags, runs, config.probe_interval_s)
 
     return DetectionReport(
@@ -187,26 +169,15 @@ def _bin_rates(events, flags, edges, interval_s) -> list[DurationBin]:
 
 
 def _duration_estimates(cloud, flags, runs, interval):
-    run_by_slot: dict[int, DetectedOutage] = {}
-    for run in runs:
-        for slot in range(run.first_slot, run.first_slot + run.slot_count):
-            run_by_slot[slot] = run
-
+    lasts = np.array([run.first_slot + run.slot_count - 1 for run in runs], dtype=np.int64)
     estimates = []
     for ev, seen in zip(cloud, flags):
-        if not seen:
-            continue
         # also consider the slot before the outage start: its retries may have
         # been what detected the outage, or adjacency merged it into a run
         slot = max(0, math.ceil(ev.start_s / interval - 1e-9) - 1)
-        run = None
-        while slot * interval < ev.end_s:
-            run = run_by_slot.get(slot)
-            if run is not None:
-                break
-            slot += 1
-        if run is not None:
-            estimates.append((ev.duration_s, run.duration_s))
+        k = np.searchsorted(lasts, slot)  # the first run not over before that slot
+        if seen and k < len(runs) and max(slot, runs[k].first_slot) * interval < ev.end_s:
+            estimates.append((ev.duration_s, runs[k].duration_s))
     return estimates
 
 
@@ -261,5 +232,5 @@ def undetected_monte_carlo(duration_s: float, interval_s: float, trials: int,
         retry_gap_s=retry_gap_s,
         seed=0,
     )
-    records = sample_campaign(timeline, config)
-    return detection_report(timeline, records, config).undetected / trials
+    log = sample_campaign(timeline, config)
+    return detection_report(timeline, log, config, detect_outages(log, config)).undetected / trials

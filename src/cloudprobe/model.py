@@ -1,25 +1,27 @@
 """Shared domain model: campaign config, outage timelines, attempt records and counts.
 
-Everything here is an immutable value object. The attempt log itself is just a
-sequence of AttemptRecord; persistence lives in logs.
+Everything here is an immutable value object. The attempt log is an AttemptLog
+of numpy columns; persistence lives in logs.
 """
 from __future__ import annotations
 
-import bisect
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 DAY_S = 86400.0
 
-# attempt outcomes (exact strings used in the JSONL log format)
+# attempt outcomes (exact strings used in the JSONL log format); AttemptLog
+# stores each as its index in OUTCOMES
 SUCCESS = "success"
 CLOUD_FAIL = "cloud_fail"
 NETWORK_FAIL = "network_fail"
 FAIL = "fail"  # live mode: cause cannot be attributed
-OUTCOMES = frozenset({SUCCESS, CLOUD_FAIL, NETWORK_FAIL, FAIL})
+OUTCOMES = (SUCCESS, CLOUD_FAIL, NETWORK_FAIL, FAIL)
 
-# failure reason codes attached by the live prober
-FAIL_REASONS = frozenset({"dns", "connect", "timeout", "status", "digest"})
+# failure reason codes attached by the live prober, stored as their index
+FAIL_REASONS = ("dns", "connect", "timeout", "status", "digest")
 
 # outage causes
 CLOUD = "cloud"
@@ -128,9 +130,6 @@ class OutageEvent:
     def end_s(self) -> float:
         return self.start_s + self.duration_s
 
-    def covers(self, t: float) -> bool:
-        return self.start_s <= t < self.end_s
-
 
 @dataclass(frozen=True)
 class Timeline:
@@ -149,30 +148,29 @@ class Timeline:
         events = tuple(sorted(self.events, key=lambda e: (e.start_s, e.cause)))
         object.__setattr__(self, "events", events)
         last_end: dict[str, float] = {}
-        index: dict[str, tuple[list[float], list[float]]] = {}
+        # per-cause (starts, ends) for in_outage, led by a -inf sentinel interval
+        index = {cause: ([-math.inf], [-math.inf]) for cause in CAUSES}
         for ev in events:
             if ev.end_s > self.horizon_s:
                 raise ValueError(f"event ending at {ev.end_s} exceeds horizon {self.horizon_s}")
             if ev.start_s < last_end.get(ev.cause, 0.0):
                 raise ValueError(f"overlapping {ev.cause} events at {ev.start_s}")
             last_end[ev.cause] = ev.end_s
-            starts, ends = index.setdefault(ev.cause, ([], []))
+            starts, ends = index[ev.cause]
             starts.append(ev.start_s)
             ends.append(ev.end_s)
-        # per-cause (starts, ends) for in_outage; an attribute, not a field
-        object.__setattr__(self, "_index", index)
+        # an attribute, not a field
+        object.__setattr__(self, "_index", {cause: (np.array(starts), np.array(ends))
+                                            for cause, (starts, ends) in index.items()})
 
     def events_of(self, cause: str) -> tuple[OutageEvent, ...]:
         return tuple(e for e in self.events if e.cause == cause)
 
-    def in_outage(self, t: float, cause: str) -> bool:
-        """True iff time t falls inside a cause-matching outage interval."""
-        idx = self._index.get(cause)
-        if not idx:
-            return False
-        starts, ends = idx
-        i = bisect.bisect_right(starts, t) - 1
-        return i >= 0 and t < ends[i]
+    def in_outage(self, ts, cause: str) -> np.ndarray:
+        """Whether each time in ts (a scalar or an array) falls inside a
+        cause-matching outage interval."""
+        starts, ends = self._index[cause]
+        return ts < ends[np.searchsorted(starts, ts, side="right") - 1]
 
 
 @dataclass(frozen=True)
@@ -198,6 +196,65 @@ class AttemptRecord:
             raise ValueError(f"unknown outcome {self.outcome!r}")
         if self.reason is not None and self.reason not in FAIL_REASONS:
             raise ValueError(f"unknown failure reason {self.reason!r}")
+        if self.latency_ms is not None and not math.isfinite(self.latency_ms):
+            raise ValueError(f"latency_ms must be finite, got {self.latency_ms}")
+
+
+# AttemptLog columns, in AttemptRecord field order
+_COLUMNS = {"ts_s": np.float64, "vantage": np.int64, "slot": np.int64, "attempt": np.int64,
+            "outcome": np.int8, "latency_ms": np.float64, "reason": np.int8}
+
+
+@dataclass(frozen=True, eq=False)
+class AttemptLog:
+    """An attempt log as columns, one entry per attempt.
+
+    outcome holds indices into OUTCOMES, reason indices into FAIL_REASONS (-1
+    for none) and latency_ms NaN for none. Iterating yields AttemptRecord rows.
+    """
+
+    ts_s: np.ndarray
+    vantage: np.ndarray
+    slot: np.ndarray
+    attempt: np.ndarray
+    outcome: np.ndarray
+    latency_ms: np.ndarray
+    reason: np.ndarray
+
+    def __post_init__(self):
+        for name, dtype in _COLUMNS.items():
+            object.__setattr__(self, name, np.asarray(getattr(self, name), dtype=dtype))
+        if len({len(getattr(self, name)) for name in _COLUMNS}) != 1:
+            raise ValueError("attempt log columns differ in length")
+
+    def __len__(self) -> int:
+        return len(self.ts_s)
+
+    def __getitem__(self, rows) -> AttemptLog:
+        """The rows a slice, mask or index array selects, as a log."""
+        return AttemptLog(**{name: getattr(self, name)[rows] for name in _COLUMNS})
+
+    def __iter__(self):
+        reasons = (*FAIL_REASONS, None)  # code -1 is None
+        for ts, vantage, slot, attempt, outcome, latency, reason in zip(
+                *(getattr(self, name).tolist() for name in _COLUMNS)):
+            yield AttemptRecord(ts, vantage, slot, attempt, OUTCOMES[outcome],
+                                None if math.isnan(latency) else latency, reasons[reason])
+
+    @classmethod
+    def concat(cls, logs) -> AttemptLog:
+        logs = list(logs)
+        return cls(**{name: np.concatenate([getattr(log, name) for log in logs])
+                      for name in _COLUMNS})
+
+    @classmethod
+    def from_records(cls, rows) -> AttemptLog:
+        rows = list(rows)
+        cols = {name: [getattr(row, name) for row in rows] for name in _COLUMNS}
+        cols["outcome"] = [OUTCOMES.index(o) for o in cols["outcome"]]
+        cols["latency_ms"] = [math.nan if x is None else x for x in cols["latency_ms"]]
+        cols["reason"] = [-1 if r is None else FAIL_REASONS.index(r) for r in cols["reason"]]
+        return cls(**cols)
 
 
 @dataclass(frozen=True)
@@ -271,7 +328,7 @@ class EstimateSet:
             raise ValueError("confidence interval must bracket first_try")
 
 
-def aggregate_counts(records, retry_max: int | None = None) -> AttemptCounts:
+def aggregate_counts(log: AttemptLog, retry_max: int | None = None) -> AttemptCounts:
     """Tally per-rank attempt and success counts from an attempt log.
 
     Records may be interleaved across vantage points but must be in attempt
@@ -279,22 +336,28 @@ def aggregate_counts(records, retry_max: int | None = None) -> AttemptCounts:
     the largest attempt index seen. Raises MalformedLogError on attempt-index
     gaps, attempts after a success, indices beyond retry_max, or slots that end
     in failure before exhausting retries (the tallies would not be consistent).
+    Of several malformed slots, the one appearing first in the log is named.
     """
-    slots: dict[tuple, list] = {}
-    for rec in records:
-        slots.setdefault((rec.vantage, rec.slot), []).append(rec)
+    order = np.lexsort((log.slot, log.vantage))  # stable: keeps attempt order per slot
+    vantage, slot, attempt = log.vantage[order], log.slot[order], log.attempt[order]
+    success = log.outcome[order] == OUTCOMES.index(SUCCESS)
+    rows = len(order)
+    # first row of each slot; slots are >= 0, so row 0 always starts one
+    starts = np.flatnonzero(np.diff(vantage, prepend=-1) | np.diff(slot, prepend=-1))
+    sizes = np.diff(starts, append=rows)
+    lasts = starts + sizes - 1
+    rank = np.arange(1, rows + 1) - np.repeat(starts, sizes)  # 1-based place in its slot
+    seen = np.repeat(order[starts], sizes)  # where each row's slot first appears in the log
 
-    max_seen = 0
-    for (vantage, slot), seq in slots.items():
-        for i, rec in enumerate(seq):
-            if rec.attempt != i + 1:
-                raise MalformedLogError(
-                    vantage, slot, f"expected attempt {i + 1}, found {rec.attempt}"
-                )
-            if rec.outcome == SUCCESS and i + 1 < len(seq):
-                raise MalformedLogError(vantage, slot, f"attempt after success at attempt {i + 1}")
-        max_seen = max(max_seen, len(seq))
+    def malformed(bad_rows, reason):
+        i = bad_rows[np.lexsort((bad_rows, seen[bad_rows]))[0]]
+        raise MalformedLogError(int(vantage[i]), int(slot[i]), reason(i))
 
+    bad = np.flatnonzero((attempt != rank) | (success & (rank < np.repeat(sizes, sizes))))
+    if len(bad):
+        malformed(bad, lambda i: f"expected attempt {rank[i]}, found {attempt[i]}"
+                  if attempt[i] != rank[i] else f"attempt after success at attempt {rank[i]}")
+    max_seen = int(sizes.max(initial=0))
     if retry_max is None:
         n = max(max_seen, 1)
     else:
@@ -302,19 +365,10 @@ def aggregate_counts(records, retry_max: int | None = None) -> AttemptCounts:
             raise ValueError("retry_max must be >= 1")
         n = retry_max
         if max_seen > n:
-            offender = next(k for k, seq in slots.items() if len(seq) > n)
-            raise MalformedLogError(*offender, f"{max_seen} attempts exceed retry_max={n}")
-
-    attempts = [0] * n
-    successes = [0] * n
-    for (vantage, slot), seq in slots.items():
-        if seq[-1].outcome != SUCCESS and len(seq) < n:
-            raise MalformedLogError(
-                vantage, slot, f"slot ended after failed attempt {len(seq)} of {n}"
-            )
-        for i, rec in enumerate(seq):
-            attempts[i] += 1
-            if rec.outcome == SUCCESS:
-                successes[i] += 1
-
-    return AttemptCounts(retry_max=n, attempts=tuple(attempts), successes=tuple(successes))
+            malformed(starts[sizes > n], lambda i: f"{max_seen} attempts exceed retry_max={n}")
+    short = ~success[lasts] & (sizes < n)
+    if short.any():
+        malformed(lasts[short], lambda i: f"slot ended after failed attempt {rank[i]} of {n}")
+    return AttemptCounts(retry_max=n,
+                         attempts=tuple(np.bincount(attempt - 1, minlength=n).tolist()),
+                         successes=tuple(np.bincount(attempt[success] - 1, minlength=n).tolist()))

@@ -18,7 +18,7 @@ import urllib.parse
 import urllib.request
 from dataclasses import dataclass
 
-from .model import FAIL, SUCCESS, AttemptRecord, CampaignConfig, ConfigError
+from .model import FAIL, SUCCESS, AttemptLog, AttemptRecord, CampaignConfig, ConfigError
 from . import logs
 
 
@@ -127,13 +127,14 @@ def _sleep_until(deadline_mono: float) -> None:
 
 
 def run_campaign(target: ProbeTarget, config: CampaignConfig, log_path,
-                 resume: bool = False, probe_fn=probe_once) -> list[AttemptRecord]:
+                 resume: bool = False, probe_fn=probe_once) -> AttemptLog:
     """Run the live slot schedule against the target, appending to log_path.
 
     Slot epochs stay aligned to origin + k*T (drift from slow slots is never
     carried forward). On resume, records beyond the checkpointed slot (a
     partial slot from a crash) are dropped before continuing, and the origin is
     re-anchored so ts_s remains ~ slot*T and nondecreasing across the gap.
+    Returns the whole log as written, read back from log_path.
 
     probe_fn is the probe adapter seam: any callable mapping a ProbeTarget to
     a ProbeResult can stand in for the HTTP fetch; only HTTP ships.
@@ -144,16 +145,14 @@ def run_campaign(target: ProbeTarget, config: CampaignConfig, log_path,
         raise ConfigError("live campaigns are single-host; vantage_points must be 1")
 
     cp_path = checkpoint_path_for(log_path)
-    existing: list[AttemptRecord] = []
     last_done = -1
     if resume:
         last_done = read_checkpoint(cp_path)
         if os.path.exists(log_path):
             existing = logs.read_attempt_log(log_path)
-            kept = [rec for rec in existing if rec.slot <= last_done]
+            kept = existing[existing.slot <= last_done]
             if len(kept) != len(existing):
                 logs.write_attempt_log(log_path, kept)
-                existing = kept
     elif os.path.exists(log_path):
         os.remove(log_path)
         if os.path.exists(cp_path):
@@ -163,7 +162,6 @@ def run_campaign(target: ProbeTarget, config: CampaignConfig, log_path,
     start_slot = last_done + 1
     origin = time.monotonic() - start_slot * interval
 
-    records = list(existing)
     with open(log_path, "a", encoding="utf-8") as log:
         for slot in range(start_slot, config.slots):
             _sleep_until(origin + slot * interval)
@@ -176,13 +174,11 @@ def run_campaign(target: ProbeTarget, config: CampaignConfig, log_path,
                     reason=result.reason,
                 )
                 log.write(logs.attempt_line(rec))
-                log.write("\n")
                 log.flush()
                 os.fsync(log.fileno())
-                records.append(rec)
                 if result.outcome == SUCCESS:
                     break
                 if attempt < config.retry_max:
                     _sleep_until(origin + slot * interval + attempt * config.retry_gap_s)
             _write_checkpoint(cp_path, slot)
-    return records
+    return logs.read_attempt_log(log_path)

@@ -12,8 +12,6 @@ import math
 from dataclasses import fields, is_dataclass
 from importlib import metadata, resources
 
-import jsonschema
-
 from .detection import DetectionReport, SlaMetrics
 from .model import AttemptCounts, EstimateSet
 
@@ -118,6 +116,8 @@ def load_schema() -> dict:
 
 
 def validate_report(doc: dict) -> None:
+    import jsonschema  # deferred: only the report command validates, and it is slow to import
+
     try:
         jsonschema.validate(doc, load_schema())
     except jsonschema.ValidationError as exc:

@@ -17,8 +17,9 @@ from .model import (
     CLOUD_FAIL,
     NETWORK,
     NETWORK_FAIL,
+    OUTCOMES,
     SUCCESS,
-    AttemptRecord,
+    AttemptLog,
     CampaignConfig,
     OutageEvent,
     Timeline,
@@ -170,7 +171,7 @@ def generate_timeline(process: OutageProcess, horizon_s: float, seed: int) -> Ti
 
 def sample_campaign(timeline: Timeline, config: CampaignConfig,
                     network_fail_prob: float = 0.0,
-                    phase_offsets=None) -> list[AttemptRecord]:
+                    phase_offsets=None) -> AttemptLog:
     """Probe the timeline on the slot/retry schedule and return the merged log.
 
     Each vantage point fires attempt 1 at slot epochs k*T (plus its optional
@@ -188,41 +189,64 @@ def sample_campaign(timeline: Timeline, config: CampaignConfig,
     if not 0.0 <= network_fail_prob < 1.0:
         raise ValueError("network_fail_prob must be in [0, 1)")
 
-    records: list[AttemptRecord] = []
+    slots, retry_max = config.slots, config.retry_max
+    parts = []
     for vantage in range(config.vantage_points):
-        records.extend(_sample_vantage(timeline, config, vantage, network_fail_prob,
-                                       phase_offsets[vantage] if phase_offsets else 0.0))
-    records.sort(key=lambda r: (r.ts_s, r.vantage, r.attempt))
-    return records
+        offset = phase_offsets[vantage] if phase_offsets else 0.0
+        ts = ((np.arange(slots) * config.probe_interval_s + offset)[:, None]
+              + np.arange(retry_max) * config.retry_gap_s)
+        cloud = timeline.in_outage(ts, CLOUD)
+        blocked = cloud | timeline.in_outage(ts, NETWORK)
+        draws = None if network_fail_prob == 0.0 else (  # q = 0 draws nothing
+            _rng(config.seed, _TAG_VANTAGE, vantage).random(slots * retry_max) >= network_fail_prob)
+        made, ok = _retry_schedule(~blocked, draws)
+        outcome = np.where(ok, OUTCOMES.index(SUCCESS), np.where(
+            cloud, OUTCOMES.index(CLOUD_FAIL), OUTCOMES.index(NETWORK_FAIL)))
+        parts.append(_grid_log(ts, vantage, made, outcome))
+    log = AttemptLog.concat(parts)
+    return log[np.lexsort((log.attempt, log.vantage, log.ts_s))]
 
 
-def _sample_vantage(timeline: Timeline, config: CampaignConfig, vantage: int,
-                    q: float, offset: float) -> list[AttemptRecord]:
-    rng = _rng(config.seed, _TAG_VANTAGE, vantage)
-    out: list[AttemptRecord] = []
-    interval = config.probe_interval_s
-    gap = config.retry_gap_s
-    for slot in range(config.slots):
-        epoch = slot * interval + offset
-        for attempt in range(1, config.retry_max + 1):
-            ts = epoch + (attempt - 1) * gap
-            outcome = _attempt_outcome(timeline, ts, q, rng)
-            out.append(AttemptRecord(ts_s=ts, vantage=vantage, slot=slot,
-                                     attempt=attempt, outcome=outcome))
-            if outcome == SUCCESS:
-                break
-    return out
+def _grid_log(ts, vantage: int, made, outcome) -> AttemptLog:
+    """The attempts made in one vantage's slots x retry_max grid, as a log
+    without latencies or failure reasons."""
+    slot, attempt = np.nonzero(made)  # in (slot, attempt) order
+    rows = len(slot)
+    return AttemptLog(ts_s=ts[made], vantage=np.full(rows, vantage), slot=slot,
+                      attempt=attempt + 1, outcome=outcome[made],
+                      latency_ms=np.full(rows, np.nan), reason=np.full(rows, -1))
 
 
-def _attempt_outcome(timeline: Timeline, ts: float, q: float,
-                     rng: np.random.Generator) -> str:
-    if timeline.in_outage(ts, CLOUD):
-        return CLOUD_FAIL
-    if timeline.in_outage(ts, NETWORK):
-        return NETWORK_FAIL
-    if q > 0.0 and rng.random() < q:
-        return NETWORK_FAIL
-    return SUCCESS
+def _retry_schedule(free: np.ndarray, draws: np.ndarray | None):
+    """Walk one vantage's slots x retry_max grid of scheduled attempts.
+
+    A slot's attempts run in order until one succeeds. An attempt that is not
+    free fails without a draw; a free one succeeds when the next unused entry
+    of draws is True, or always when draws is None. Draws are used in (slot,
+    attempt) order. Returns the masks of attempts made and of successes.
+    """
+    slots, retry_max = free.shape
+    free_counts = free.sum(axis=1)
+    if draws is None:
+        used = np.minimum(free_counts, 1)
+        ok_slot = used > 0
+    else:
+        # next_ok[p]: index of the first True draw at or after p (len(draws) if none)
+        idx = np.where(draws, np.arange(draws.size), draws.size)
+        next_ok = np.minimum.accumulate(idx[::-1])[::-1].tolist() + [draws.size]
+        used_list, p = [], 0
+        for free_count in free_counts.tolist():
+            used_count = next_ok[p] - p + 1  # through the next True draw, at most free_count
+            used_count = used_count if used_count < free_count else free_count
+            used_list.append(used_count)
+            p += used_count
+        used = np.array(used_list, dtype=np.int64)
+        ok_slot = (used > 0) & draws[np.cumsum(used) - 1]
+    # the used-th free attempt of a successful slot is its success
+    success_at = np.argmax(free & (np.cumsum(free, axis=1) == used[:, None]), axis=1)
+    ok = ok_slot[:, None] & (np.arange(retry_max) == success_at[:, None])
+    made = np.arange(retry_max) < np.where(ok_slot, success_at + 1, retry_max)[:, None]
+    return made, ok
 
 
 def true_unavailability(timeline: Timeline, cause: str | None = None) -> float:
@@ -232,7 +256,7 @@ def true_unavailability(timeline: Timeline, cause: str | None = None) -> float:
 
 
 def iid_attempt_log(success_prob: float, slots: int, retry_max: int,
-                    seed: int, vantage: int = 0) -> list[AttemptRecord]:
+                    seed: int, vantage: int = 0) -> AttemptLog:
     """Validation hook: attempts succeed i.i.d. with success_prob, no timeline.
 
     This bypasses the renewal model entirely; it exists so the geometric
@@ -243,16 +267,8 @@ def iid_attempt_log(success_prob: float, slots: int, retry_max: int,
         raise ValueError("success_prob must be in [0, 1]")
     if slots < 0 or retry_max < 1:
         raise ValueError("need slots >= 0 and retry_max >= 1")
-    rng = _rng(seed, _TAG_HOOK)
-    out: list[AttemptRecord] = []
-    for slot in range(slots):
-        for attempt in range(1, retry_max + 1):
-            ok = rng.random() < success_prob
-            out.append(AttemptRecord(
-                ts_s=float(slot) + (attempt - 1) * 1e-3,
-                vantage=vantage, slot=slot, attempt=attempt,
-                outcome=SUCCESS if ok else CLOUD_FAIL,
-            ))
-            if ok:
-                break
-    return out
+    draws = _rng(seed, _TAG_HOOK).random(slots * retry_max) < success_prob
+    made, ok = _retry_schedule(np.ones((slots, retry_max), dtype=bool), draws)
+    ts = np.arange(slots)[:, None] + np.arange(retry_max) * 1e-3
+    return _grid_log(ts, vantage, made,
+                     np.where(ok, OUTCOMES.index(SUCCESS), OUTCOMES.index(CLOUD_FAIL)))

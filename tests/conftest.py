@@ -5,7 +5,7 @@ from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 import numpy as np
 import pytest
 
-from cloudprobe.model import CLOUD_FAIL, FAIL, NETWORK_FAIL, SUCCESS, AttemptRecord
+from cloudprobe.model import CLOUD_FAIL, FAIL, NETWORK_FAIL, SUCCESS, AttemptLog, AttemptRecord
 
 BODY = b"cloudprobe test object\n"
 
@@ -33,7 +33,7 @@ def make_random_log(rng: np.random.Generator, retry_max=None, slots=None, vantag
                     outcome=SUCCESS if ok else fails[int(rng.integers(3))],
                 ))
     records.sort(key=lambda r: (r.ts_s, r.vantage, r.attempt))
-    return records, n
+    return AttemptLog.from_records(records), n
 
 
 class _Handler(BaseHTTPRequestHandler):

@@ -1,7 +1,12 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import cloudprobe
 from cloudprobe import configfile, logs, report
 from cloudprobe.cli import main
 from cloudprobe.model import CampaignConfig, ConfigError
@@ -451,8 +456,18 @@ class TestMalformedInput:
         (["detect", "--log", "{log}", "--truth", "{truth}", "--config", "{config}"],
          {"truth.jsonl": '{"start_s":86000,"duration_s":1000,"cause":"cloud"}\n'},
          2, "exceeds horizon"),
+        (["estimate", "--log", "{log}"],
+         {"attempts.jsonl": '{"ts_s":0,"vantage":0,"slot":0,"attempt":1,"outcome":"success",'
+                            '"latency_ms":NaN}\n'},
+         2, "line 1: latency_ms"),
+        (["detect", "--log", "{log}", "--truth", "{truth}", "--config", "{config}"],
+         {"attempts.jsonl": '{"ts_s":0,"vantage":0,"slot":0,"attempt":1,"outcome":"success"}\n'
+                            '{"ts_s":600,"vantage":0,"slot":1,"attempt":1,"outcome":"fail",'
+                            '"latency_ms":Infinity,"reason":"timeout"}\n'},
+         2, "line 2: latency_ms"),
     ], ids=["claim-above-one", "alpha-zero", "negative-threshold", "overlapping-truth",
-            "string-vantage", "nan-ts", "nan-truth", "fractional-slot", "truth-beyond-horizon"])
+            "string-vantage", "nan-ts", "nan-truth", "fractional-slot", "truth-beyond-horizon",
+            "nan-latency", "infinite-latency"])
     def test_documented_exit_code(self, tmp_path, capsys, argv, files, code, needle):
         config = tmp_path / "c.ini"
         write_sim_config(config, campaign=CampaignConfig(
@@ -468,6 +483,14 @@ class TestMalformedInput:
 
 
 class TestUsage:
+    def test_import_leaves_jsonschema_unloaded(self):
+        # only `report` validates, so no other command pays for the import
+        code = "import sys, cloudprobe.cli; print('jsonschema' in sys.modules)"
+        env = {**os.environ, "PYTHONPATH": str(Path(cloudprobe.__file__).parents[1])}
+        out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                             env=env, check=True)
+        assert out.stdout.strip() == "False"
+
     def test_no_command_exits_one(self, capsys):
         assert main([]) == 1
 

@@ -19,6 +19,7 @@ from cloudprobe.model import (
     CLOUD,
     CLOUD_FAIL,
     SUCCESS,
+    AttemptLog,
     AttemptRecord,
     CampaignConfig,
     OutageEvent,
@@ -43,8 +44,13 @@ def config(**kwargs):
 
 def slot_records(outcomes, vantage=0, interval=T):
     """One attempt per slot with the given outcomes."""
-    return [AttemptRecord(ts_s=i * interval, vantage=vantage, slot=i, attempt=1, outcome=o)
-            for i, o in enumerate(outcomes)]
+    return AttemptLog.from_records(
+        AttemptRecord(ts_s=i * interval, vantage=vantage, slot=i, attempt=1, outcome=o)
+        for i, o in enumerate(outcomes))
+
+
+def report(truth, log, cfg, **kwargs):
+    return detection_report(truth, log, cfg, detect_outages(log, cfg), **kwargs)
 
 
 class TestUndetectedProbability:
@@ -113,19 +119,19 @@ class TestDetectOutages:
 
     def test_slot_recovered_on_retry_is_not_a_run(self):
         cfg = config(retry_max=2)
-        records = [
+        records = AttemptLog.from_records([
             AttemptRecord(ts_s=0.0, vantage=0, slot=0, attempt=1, outcome=CLOUD_FAIL),
             AttemptRecord(ts_s=1.0, vantage=0, slot=0, attempt=2, outcome=SUCCESS),
             AttemptRecord(ts_s=T, vantage=0, slot=1, attempt=1, outcome=CLOUD_FAIL),
             AttemptRecord(ts_s=T + 1.0, vantage=0, slot=1, attempt=2, outcome=CLOUD_FAIL),
-        ]
+        ])
         assert [(r.first_slot, r.slot_count) for r in detect_outages(records, cfg)] == [(1, 1)]
 
     def test_multi_vantage_log_uses_lowest_vantage(self):
         # vantage 1 comes first in the log and sees a different outage
         v1 = slot_records([CLOUD_FAIL, CLOUD_FAIL, SUCCESS, SUCCESS], vantage=1)
         v0 = slot_records([SUCCESS, SUCCESS, SUCCESS, CLOUD_FAIL], vantage=0)
-        runs = detect_outages(v1 + v0, config())
+        runs = detect_outages(AttemptLog.from_records([*v1, *v0]), config())
         assert [(r.first_slot, r.slot_count) for r in runs] == [(3, 1)]
 
 
@@ -161,7 +167,7 @@ class TestDetectionReport:
         cfg = config()
         tl = Timeline(horizon_s=cfg.horizon_s, events=(OutageEvent(1000.0, 2 * T),))
         records = sample_campaign(tl, cfg)
-        rep = detection_report(tl, records, cfg)
+        rep = report(tl, records, cfg)
         assert rep.total_true_outages == 1
         assert rep.detected == 1 and rep.undetected == 0
         (true_dur, est_dur), = rep.duration_estimates
@@ -174,7 +180,7 @@ class TestDetectionReport:
         cfg = config(horizon_days=5.0, seed=21)
         tl = generate_timeline(proc, cfg.horizon_s, cfg.seed)
         records = sample_campaign(tl, cfg)
-        rep = detection_report(tl, records, cfg)
+        rep = report(tl, records, cfg)
         assert rep.detected + rep.undetected == rep.total_true_outages == len(tl.events_of(CLOUD))
         for b in rep.per_duration_bins:
             if b.empirical_nodet is not None:
@@ -189,7 +195,7 @@ class TestDetectionReport:
         for seed in range(40):
             cfg = config(horizon_days=5.0, seed=seed)
             tl = generate_timeline(proc, cfg.horizon_s, cfg.seed)
-            rep = detection_report(tl, sample_campaign(tl, cfg), cfg, bin_edges_s=edges)
+            rep = report(tl, sample_campaign(tl, cfg), cfg, bin_edges_s=edges)
             for b in rep.per_duration_bins:
                 if b.empirical_nodet is None:
                     continue
@@ -222,7 +228,7 @@ class TestDetectionReport:
             start = float(rng.uniform(T, cfg.horizon_s - dur - T))
             tl = Timeline(horizon_s=cfg.horizon_s, events=(OutageEvent(start, dur),))
             records = sample_campaign(tl, cfg)
-            rep = detection_report(tl, records, cfg)
+            rep = report(tl, records, cfg)
             if not rep.duration_estimates:
                 continue
             (_, est), = rep.duration_estimates
@@ -235,7 +241,7 @@ class TestDetectionReport:
     def test_empty_log_reports_all_undetected(self):
         cfg = config()
         tl = Timeline(horizon_s=cfg.horizon_s, events=(OutageEvent(1000.0, 50.0),))
-        rep = detection_report(tl, [], cfg)
+        rep = report(tl, AttemptLog.from_records([]), cfg)
         assert rep.undetected == 1
         assert rep.duration_estimates == ()
 

@@ -1,4 +1,5 @@
 import dataclasses
+import json
 
 import numpy as np
 import pytest
@@ -7,6 +8,7 @@ from cloudprobe.model import (
     CLOUD_FAIL,
     SUCCESS,
     AttemptCounts,
+    AttemptLog,
     AttemptRecord,
     CampaignConfig,
     ConfigError,
@@ -36,55 +38,130 @@ def slots_to_records(patterns, retry_max):
     return records
 
 
+def log_of(records):
+    return AttemptLog.from_records(records)
+
+
+def dict_aggregate_counts(records, retry_max=None):
+    """Reference: the dict-of-lists tally, one Python pass per record."""
+    slots = {}
+    for r in records:
+        slots.setdefault((r.vantage, r.slot), []).append(r)
+    max_seen = 0
+    for (vantage, slot), seq in slots.items():
+        for i, r in enumerate(seq):
+            if r.attempt != i + 1:
+                raise MalformedLogError(vantage, slot,
+                                        f"expected attempt {i + 1}, found {r.attempt}")
+            if r.outcome == SUCCESS and i + 1 < len(seq):
+                raise MalformedLogError(vantage, slot, f"attempt after success at attempt {i + 1}")
+        max_seen = max(max_seen, len(seq))
+    n = max(max_seen, 1) if retry_max is None else retry_max
+    if max_seen > n:
+        offender = next(k for k, seq in slots.items() if len(seq) > n)
+        raise MalformedLogError(*offender, f"{max_seen} attempts exceed retry_max={n}")
+    attempts, successes = [0] * n, [0] * n
+    for (vantage, slot), seq in slots.items():
+        if seq[-1].outcome != SUCCESS and len(seq) < n:
+            raise MalformedLogError(vantage, slot,
+                                    f"slot ended after failed attempt {len(seq)} of {n}")
+        for i, r in enumerate(seq):
+            attempts[i] += 1
+            successes[i] += r.outcome == SUCCESS
+    return AttemptCounts(retry_max=n, attempts=tuple(attempts), successes=tuple(successes))
+
+
+def corrupt(records, rng):
+    """The records with one random structural fault (or none)."""
+    records = list(records)
+    if not records:
+        return records
+    i = int(rng.integers(len(records)))
+    kind = int(rng.integers(6))
+    if kind == 0:
+        del records[i]
+    elif kind == 1:
+        records.insert(i, records[i])
+    elif kind == 2:
+        records[i] = dataclasses.replace(records[i], attempt=int(rng.integers(1, 5)))
+    elif kind == 3:
+        records[i] = dataclasses.replace(
+            records[i], outcome=CLOUD_FAIL if records[i].outcome == SUCCESS else SUCCESS)
+    elif kind == 4:
+        j = int(rng.integers(len(records)))
+        records[i], records[j] = records[j], records[i]
+    return records
+
+
+def outcome_of(fn):
+    try:
+        return fn()
+    except MalformedLogError as exc:
+        return (exc.vantage, exc.slot, str(exc))
+
+
 class TestAggregateCounts:
     def test_empty_log(self):
-        counts = aggregate_counts([])
+        counts = aggregate_counts(log_of([]))
         assert counts.attempts == (0,) and counts.successes == (0,)
 
     def test_empty_log_with_retry_max(self):
-        counts = aggregate_counts([], retry_max=4)
+        counts = aggregate_counts(log_of([]), retry_max=4)
         assert counts.attempts == (0, 0, 0, 0)
         assert counts.successes == (0, 0, 0, 0)
 
     def test_all_first_attempts_succeed(self):
-        records = [rec(s, 1, SUCCESS) for s in range(10)]
+        records = log_of([rec(s, 1, SUCCESS) for s in range(10)])
         counts = aggregate_counts(records, retry_max=9)
         assert counts.attempts[0] == 10 and counts.successes[0] == 10
         assert all(a == 0 for a in counts.attempts[1:])
 
     def test_hand_counted_example(self):
         # slots (S), (F,S), (F,F,S), (F,F,F) with retry_max 3
-        records = slots_to_records(["S", "FS", "FFS", "FFF"], retry_max=3)
+        records = log_of(slots_to_records(["S", "FS", "FFS", "FFF"], retry_max=3))
         counts = aggregate_counts(records, retry_max=3)
         assert counts.attempts == (4, 3, 2)
         assert counts.successes == (1, 1, 1)
 
     def test_infers_retry_max(self):
-        records = slots_to_records(["S", "FS", "FFS", "FFF"], retry_max=3)
+        records = log_of(slots_to_records(["S", "FS", "FFS", "FFF"], retry_max=3))
         assert aggregate_counts(records).retry_max == 3
 
     def test_attempt_gap_rejected(self):
-        records = [rec(0, 1, CLOUD_FAIL), rec(0, 3, SUCCESS)]
+        records = log_of([rec(0, 1, CLOUD_FAIL), rec(0, 3, SUCCESS)])
         with pytest.raises(MalformedLogError) as err:
             aggregate_counts(records, retry_max=3)
         assert "slot=0" in str(err.value)
 
     def test_attempt_after_success_rejected(self):
-        records = [rec(0, 1, SUCCESS), rec(0, 2, SUCCESS)]
+        records = log_of([rec(0, 1, SUCCESS), rec(0, 2, SUCCESS)])
         with pytest.raises(MalformedLogError):
             aggregate_counts(records, retry_max=3)
 
     def test_attempts_beyond_retry_max_rejected(self):
-        records = slots_to_records(["FFS"], retry_max=3)
+        records = log_of(slots_to_records(["FFS"], retry_max=3))
         with pytest.raises(MalformedLogError):
             aggregate_counts(records, retry_max=2)
 
     def test_incomplete_slot_rejected(self):
         # a slot that gave up after one failure while another shows 3 ranks
-        records = slots_to_records(["FFS"], retry_max=3) + [rec(9, 1, CLOUD_FAIL)]
+        records = log_of(slots_to_records(["FFS"], retry_max=3) + [rec(9, 1, CLOUD_FAIL)])
         with pytest.raises(MalformedLogError) as err:
             aggregate_counts(records, retry_max=3)
         assert "slot=9" in str(err.value)
+
+    @pytest.mark.parametrize("retry_max", [None, "n", 2])
+    def test_equals_dict_reference(self, retry_max):
+        rng = np.random.default_rng(20261018)
+        raised = 0
+        for _ in range(300):
+            log, n = make_random_log(rng)
+            records = corrupt(log, rng)
+            cap = n if retry_max == "n" else retry_max
+            want = outcome_of(lambda: dict_aggregate_counts(records, retry_max=cap))
+            assert outcome_of(lambda: aggregate_counts(log_of(records), retry_max=cap)) == want
+            raised += isinstance(want, tuple)
+        assert 0 < raised < 300  # both outcomes are exercised
 
     def test_recurrence_identity_randomized(self):
         rng = np.random.default_rng(20240817)
@@ -203,18 +280,69 @@ class TestJsonlRoundTrip:
                           reason="timeout"),
         ]
         path = tmp_path / "log.jsonl"
-        logs.write_attempt_log(path, records)
-        assert logs.read_attempt_log(path) == records
+        logs.write_attempt_log(path, log_of(records))
+        assert list(logs.read_attempt_log(path)) == records
+
+    def test_attempt_log_columns_roundtrip(self, tmp_path):
+        rng = np.random.default_rng(11)
+        n = 2000
+        log = AttemptLog(
+            ts_s=np.sort(rng.uniform(0.0, 1.0, n) * 10.0 ** rng.integers(-6, 23, n)),
+            vantage=rng.integers(0, 4, n), slot=rng.integers(0, 10**6, n),
+            attempt=rng.integers(1, 10, n), outcome=rng.integers(0, 4, n),
+            latency_ms=np.where(rng.random(n) < 0.5, np.nan,
+                                rng.exponential(80.0, n) * rng.integers(0, 2, n)),
+            reason=rng.integers(-1, 5, n))
+        path = tmp_path / "log.jsonl"
+        logs.write_attempt_log(path, log)
+        # the same text json.dumps gives for each row, optional keys left out when unset
+        assert path.read_text() == "".join(
+            json.dumps({k: v for k, v in dataclasses.asdict(r).items() if v is not None},
+                       separators=(",", ":")) + "\n" for r in log)
+        back = logs.read_attempt_log(path)
+        for name in ("ts_s", "vantage", "slot", "attempt", "outcome", "latency_ms", "reason"):
+            a, b = getattr(log, name), getattr(back, name)
+            assert a.dtype == b.dtype and np.array_equal(a, b, equal_nan=a.dtype.kind == "f"), name
+
+    def test_pipeline_builds_no_attempt_records(self, tmp_path, monkeypatch):
+        from cloudprobe.detection import detect_outages, detection_report
+        from cloudprobe.simulate import (DurationDistribution, OutageProcess, generate_timeline,
+                                         iid_attempt_log, sample_campaign)
+
+        def refuse(self):
+            raise AssertionError("per-attempt AttemptRecord built")
+
+        config = CampaignConfig(probe_interval_s=600.0, horizon_days=3.0, vantage_points=2,
+                                seed=5)
+        proc = OutageProcess(up_mean_s=3600.0,
+                             duration_dist=DurationDistribution.exponential(300.0),
+                             network_fail_prob=0.05)
+        tl = generate_timeline(proc, config.horizon_s, config.seed)
+        monkeypatch.setattr(AttemptRecord, "__post_init__", refuse)
+        log = sample_campaign(tl, config, proc.network_fail_prob)
+        logs.write_attempt_log(tmp_path / "log.jsonl", log)
+        log = logs.read_attempt_log(tmp_path / "log.jsonl")
+        aggregate_counts(log, retry_max=config.retry_max)
+        detection_report(tl, log, config, detect_outages(log, config))
+        aggregate_counts(iid_attempt_log(0.7, 100, 3, seed=1), retry_max=3)
+
+    def test_lines_stripped_before_parsing(self, tmp_path):
+        # a form feed is whitespace to str.strip but not to JSON
+        path = tmp_path / "log.jsonl"
+        logs.write_attempt_log(path, log_of([rec(0, 1, SUCCESS), rec(1, 1, SUCCESS)]))
+        first, second = path.read_text().splitlines()
+        path.write_text(f"\x0c{first}\n \t\n{second}\x0c \n\n")
+        assert [r.slot for r in logs.read_attempt_log(path)] == [0, 1]
 
     def test_decreasing_ts_rejected(self, tmp_path):
-        records = [rec(1, 1, SUCCESS), rec(0, 1, SUCCESS)]
+        records = log_of([rec(1, 1, SUCCESS), rec(0, 1, SUCCESS)])
         path = tmp_path / "log.jsonl"
         logs.write_attempt_log(path, records)
         with pytest.raises(MalformedLogError):
             logs.read_attempt_log(path)
 
     def test_decreasing_ts_across_vantages_ok(self, tmp_path):
-        records = [rec(1, 1, SUCCESS, vantage=0), rec(0, 1, SUCCESS, vantage=1)]
+        records = log_of([rec(1, 1, SUCCESS, vantage=0), rec(0, 1, SUCCESS, vantage=1)])
         path = tmp_path / "log.jsonl"
         logs.write_attempt_log(path, records)
         assert len(logs.read_attempt_log(path)) == 2

@@ -1,3 +1,4 @@
+import bisect
 import math
 import statistics
 
@@ -10,6 +11,7 @@ from cloudprobe.model import (
     NETWORK,
     NETWORK_FAIL,
     SUCCESS,
+    AttemptRecord,
     CampaignConfig,
     OutageEvent,
     Timeline,
@@ -236,6 +238,75 @@ class TestSampleCampaign:
         config = small_config()
         with pytest.raises(ValueError):
             sample_campaign(Timeline(horizon_s=config.horizon_s / 2), config)
+
+
+def per_record_sample(timeline, config, q=0.0, phase_offsets=None):
+    """Reference: the per-record sampler, one scalar draw and two bisects per attempt."""
+    def inside(t, cause):
+        events = timeline.events_of(cause)
+        i = bisect.bisect_right([e.start_s for e in events], t) - 1
+        return i >= 0 and t < events[i].end_s
+
+    records = []
+    for vantage in range(config.vantage_points):
+        rng = np.random.default_rng(np.random.SeedSequence(entropy=config.seed,
+                                                           spawn_key=(1, vantage)))
+        offset = phase_offsets[vantage] if phase_offsets else 0.0
+        for slot in range(config.slots):
+            epoch = slot * config.probe_interval_s + offset
+            for attempt in range(1, config.retry_max + 1):
+                ts = epoch + (attempt - 1) * config.retry_gap_s
+                if inside(ts, CLOUD):
+                    outcome = CLOUD_FAIL
+                elif inside(ts, NETWORK) or (q > 0.0 and rng.random() < q):
+                    outcome = NETWORK_FAIL
+                else:
+                    outcome = SUCCESS
+                records.append(AttemptRecord(ts_s=ts, vantage=vantage, slot=slot,
+                                             attempt=attempt, outcome=outcome))
+                if outcome == SUCCESS:
+                    break
+    records.sort(key=lambda r: (r.ts_s, r.vantage, r.attempt))
+    return records
+
+
+def per_record_iid(success_prob, slots, retry_max, seed, vantage=0):
+    """Reference: the per-record i.i.d. hook."""
+    rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(3,)))
+    out = []
+    for slot in range(slots):
+        for attempt in range(1, retry_max + 1):
+            ok = rng.random() < success_prob
+            out.append(AttemptRecord(ts_s=float(slot) + (attempt - 1) * 1e-3, vantage=vantage,
+                                     slot=slot, attempt=attempt,
+                                     outcome=SUCCESS if ok else CLOUD_FAIL))
+            if ok:
+                break
+    return out
+
+
+class TestMatchesPerRecordReference:
+    @pytest.mark.parametrize("q", [0.0, 0.002, 0.5])
+    @pytest.mark.parametrize("bursts", [False, True])
+    @pytest.mark.parametrize("retry_max", [1, 9])
+    def test_sampler_columns_equal(self, q, bursts, retry_max):
+        proc = OutageProcess(
+            up_mean_s=2400.0, duration_dist=DurationDistribution.exponential(500.0),
+            network_burst=NetworkBurst(rate_per_day=30.0, duration_s=200.0) if bursts else None)
+        for seed, offsets in ((1, None), (2, [0.0, 17.5, 333.25]), (7, [2.0, 0.0, 1.0])):
+            config = small_config(horizon_days=2.0, vantage_points=3, retry_max=retry_max,
+                                  seed=seed)
+            tl = generate_timeline(proc, config.horizon_s, seed)
+            log = sample_campaign(tl, config, q, phase_offsets=offsets)
+            want = per_record_sample(tl, config, q, phase_offsets=offsets)
+            assert len(log) == len(want)
+            for name in ("ts_s", "vantage", "slot", "attempt", "outcome"):
+                assert [getattr(r, name) for r in log] == [getattr(r, name) for r in want], name
+
+    @pytest.mark.parametrize("p, retry_max", [(0.0, 3), (0.3, 1), (0.5, 9), (1.0, 4)])
+    def test_iid_hook_equal(self, p, retry_max):
+        assert list(iid_attempt_log(p, 500, retry_max, seed=4, vantage=2)) == \
+            per_record_iid(p, 500, retry_max, seed=4, vantage=2)
 
 
 class TestPersistenceExtreme:
