@@ -8,7 +8,6 @@ censoring of short outages, and the resulting SLA-compliance conclusions.
 from .model import (
     AttemptCounts,
     AttemptLog,
-    AttemptRecord,
     CampaignConfig,
     ConfigError,
     EstimateSet,

@@ -133,7 +133,7 @@ def _emit(args, doc: dict, default_name: str) -> None:
         sys.stdout.write(text)
 
 
-def _to_csv(doc, prefix: str = "") -> str:
+def _to_csv(doc) -> str:
     rows = []
 
     def walk(node, key):
@@ -146,7 +146,7 @@ def _to_csv(doc, prefix: str = "") -> str:
         else:
             rows.append(f"{key},{json.dumps(node)}")
 
-    walk(doc, prefix)
+    walk(doc, "")
     return "\n".join(rows) + "\n"
 
 
@@ -196,9 +196,7 @@ def cmd_estimate(args) -> int:
                                         config_echo=config_echo)
     except InsufficientDataError as exc:
         log.warning("insufficient data: %s", exc)
-        frag = report.estimate_fragment(log_sha, counts, None, [],
-                                        config_echo=config_echo,
-                                        insufficient_data=True)
+        frag = report.estimate_fragment(log_sha, counts, None, [], config_echo=config_echo)
     _emit(args, frag, "estimate.json")
     return EXIT_OK
 
@@ -272,8 +270,11 @@ def cmd_probe(args) -> int:
 def cmd_report(args) -> int:
     frags = []
     for path in args.fragments:
-        with open(path, "r", encoding="utf-8") as f:
-            frags.append(json.load(f))
+        try:
+            with open(path, "r", encoding="utf-8") as f:
+                frags.append(json.load(f))
+        except ValueError as exc:  # not JSON, or not UTF-8
+            raise DataError(f"fragment {path}: {exc}") from exc
     merged = report.merge_fragments(frags)
     _emit(args, merged, "report.json")
     return EXIT_OK
@@ -301,7 +302,7 @@ def main(argv=None) -> int:
     except (UsageError, ConfigError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except (MalformedLogError, DataError, report.ReportError, json.JSONDecodeError) as exc:
+    except (MalformedLogError, DataError, report.ReportError) as exc:
         print(f"data error: {exc}", file=sys.stderr)
         return EXIT_DATA
     except OSError as exc:

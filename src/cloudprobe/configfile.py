@@ -68,7 +68,7 @@ def read_config(path) -> ParsedConfig:
     try:
         with open(path, "r", encoding="utf-8") as f:
             parser.read_file(f)
-    except configparser.Error as exc:
+    except (configparser.Error, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot parse config {path}: {exc}") from exc
 
     if "campaign" not in parser:

@@ -13,33 +13,34 @@ from itertools import islice, repeat
 
 import numpy as np
 
-from .model import (FAIL_REASONS, OUTCOMES, AttemptLog, AttemptRecord, MalformedLogError,
-                    OutageEvent, Timeline)
+from .model import FAIL_REASONS, OUTCOMES, AttemptLog, MalformedLogError, OutageEvent, Timeline
 
-# the line's keys in AttemptLog column order; latency_ms and reason are optional
-_KEYS = ("ts_s", "vantage", "slot", "attempt", "outcome", "latency_ms", "reason")
 _OUTCOME_CODES = {name: code for code, name in enumerate(OUTCOMES)}
 _REASON_CODES = {None: -1, **{name: code for code, name in enumerate(FAIL_REASONS)}}
 _CHUNK = 1 << 13  # lines per read or write, so the whole text is never held at once
+_ERRORS = (KeyError, TypeError, ValueError, OverflowError)  # what a malformed line raises
+
+
+def attempt_line(ts_s, vantage, slot, attempt, outcome, latency_ms=None, reason=None) -> str:
+    """One record's line as json.dumps writes it, newline included; latency_ms
+    (written as a float) and reason are left out when None."""
+    line = (f'{{"ts_s":{ts_s!r},"vantage":{vantage},"slot":{slot},"attempt":{attempt},'
+            f'"outcome":"{outcome}"')
+    if latency_ms is not None:
+        line += f',"latency_ms":{float(latency_ms)!r}'
+    if reason is not None:
+        line += f',"reason":"{reason}"'
+    return line + "}\n"
 
 
 def _lines(log: AttemptLog):
-    """Each record's line as json.dumps writes it, leaving out a NaN latency_ms
-    and a reason of -1."""
-    for ts, vantage, slot, attempt, outcome, latency_ms, reason in zip(
-            *(getattr(log, key).tolist() for key in _KEYS)):
-        line = (f'{{"ts_s":{ts!r},"vantage":{vantage},"slot":{slot},"attempt":{attempt},'
-                f'"outcome":"{OUTCOMES[outcome]}"')
-        if latency_ms == latency_ms:
-            line += f',"latency_ms":{latency_ms!r}'
-        if reason >= 0:
-            line += f',"reason":"{FAIL_REASONS[reason]}"'
-        yield line + "}\n"
-
-
-def attempt_line(rec: AttemptRecord) -> str:
-    """One record's line, newline included."""
-    return next(_lines(AttemptLog.from_records([rec])))
+    """Each record's line, a NaN latency_ms and a reason of -1 left out."""
+    latency = log.latency_ms.astype(object)
+    latency[np.isnan(log.latency_ms)] = None
+    reasons = (*FAIL_REASONS, None)  # code -1 is None
+    return map(attempt_line, log.ts_s.tolist(), log.vantage.tolist(), log.slot.tolist(),
+               log.attempt.tolist(), map(OUTCOMES.__getitem__, log.outcome.tolist()),
+               latency.tolist(), map(reasons.__getitem__, log.reason.tolist()))
 
 
 def write_attempt_log(path, log: AttemptLog) -> None:
@@ -48,56 +49,79 @@ def write_attempt_log(path, log: AttemptLog) -> None:
             f.write("".join(_lines(log[lo:lo + _CHUNK])))
 
 
-def _columns(rows) -> AttemptLog:
-    """Parsed rows (values in _KEYS order) as a log. Raises TypeError,
-    ValueError or OverflowError exactly when _first_error finds a bad row."""
+def _named(name, make, *args):
+    """make(*args), with an error naming the field."""
+    try:
+        return make(*args)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise ValueError(f"{name}: {exc}") from None
+
+
+def _require(ok, values, name, rule) -> None:
+    """Raise naming the field and the first of its values for which ok is false."""
+    if not ok.all():
+        raise ValueError(f"{name} must be {rule}, got {values[int(np.argmin(ok))]!r}")
+
+
+def _columns(lines) -> AttemptLog:
+    """The non-blank lines as a log. Every per-record rule is checked here: the
+    first record to break one raises one of _ERRORS, naming the field."""
+    rows = [(obj["ts_s"], obj["vantage"], obj["slot"], obj["attempt"], obj["outcome"],
+             obj.get("latency_ms"), obj.get("reason"))
+            for obj in map(json.loads, filter(None, map(str.strip, lines)))]
     ts, vantage, slot, attempt, outcome, latency, reason = zip(*rows) if rows else ((),) * 7
     n = len(rows)
-    if not ({*map(type, vantage), *map(type, slot), *map(type, attempt)} <= {int}
-            and set(map(type, latency)) <= {int, float, bool, type(None)}):
-        raise TypeError("unexpected value type")
+    # vantage, slot and attempt are compared, sorted and matched exactly, so never truncated
+    for name, values, types, rule in (
+            ("vantage", vantage, {int}, "an integer"), ("slot", slot, {int}, "an integer"),
+            ("attempt", attempt, {int}, "an integer"),
+            ("latency_ms", latency, {int, float, bool, type(None)}, "a number")):
+        if not set(map(type, values)) <= types:
+            _require(np.array([type(v) in types for v in values]), values, name, rule)
     log = AttemptLog(
-        ts_s=np.fromiter(map(float, ts), np.float64, n),
-        vantage=np.fromiter(vantage, np.int64, n),
-        slot=np.fromiter(slot, np.int64, n),
-        attempt=np.fromiter(attempt, np.int64, n),
-        outcome=np.fromiter(map(_OUTCOME_CODES.get, outcome, repeat(-1)), np.int8, n),
-        latency_ms=np.array(latency, dtype=np.float64),  # None becomes NaN
-        reason=np.fromiter(map(_REASON_CODES.get, reason, repeat(-2)), np.int8, n))
-    if (np.count_nonzero(~np.isfinite(log.latency_ms)) > latency.count(None)
-            or not np.all((0 <= log.ts_s) & (log.ts_s < math.inf)) or np.any(log.slot < 0)
-            or np.any(log.attempt < 1) or np.any(log.outcome < 0) or np.any(log.reason < -1)):
-        raise ValueError("malformed record")
+        ts_s=_named("ts_s", np.fromiter, map(float, ts), np.float64, n),
+        vantage=_named("vantage", np.fromiter, vantage, np.int64, n),
+        slot=_named("slot", np.fromiter, slot, np.int64, n),
+        attempt=_named("attempt", np.fromiter, attempt, np.int64, n),
+        outcome=_named("outcome", np.fromiter, map(_OUTCOME_CODES.get, outcome, repeat(-1)),
+                       np.int8, n),
+        latency_ms=_named("latency_ms", np.array, latency, np.float64),  # None becomes NaN
+        reason=_named("reason", np.fromiter, map(_REASON_CODES.get, reason, repeat(-2)),
+                      np.int8, n))
+    _require((0 <= log.ts_s) & (log.ts_s < math.inf), ts, "ts_s", "finite and >= 0")
+    _require(log.slot >= 0, slot, "slot", ">= 0")
+    _require(log.attempt >= 1, attempt, "attempt", ">= 1")
+    _require(log.outcome >= 0, outcome, "outcome", "one of " + ", ".join(OUTCOMES))
+    _require(log.reason >= -1, reason, "reason", "one of " + ", ".join(FAIL_REASONS))
+    if np.count_nonzero(~np.isfinite(log.latency_ms)) > latency.count(None):
+        _require(np.array([x is None or math.isfinite(x) for x in latency]), latency,
+                 "latency_ms", "finite")
     return log
 
 
-def _first_error(path) -> MalformedLogError:
-    """The error of the first malformed line, found line by line."""
+def _decoded(line: str) -> str:
+    """A line read with errors="surrogateescape", decoded strictly, so that
+    bytes that are not UTF-8 raise on their own line."""
+    return line.encode("utf-8", "surrogateescape").decode("utf-8")
+
+
+def _first_error(path) -> MalformedLogError | None:
+    """The first malformed line's error: each line through _columns, then the
+    per-vantage ts_s order. None if no line is malformed (the file changed
+    since it was read)."""
     last_ts: dict = {}
-    with open(path, "r", encoding="utf-8") as f:
+    with open(path, "r", encoding="utf-8", errors="surrogateescape") as f:
         for lineno, line in enumerate(f, start=1):
-            line = line.strip()
-            if not line:
-                continue
             try:
-                obj = json.loads(line)
-                vantage, slot, attempt = obj["vantage"], obj["slot"], obj["attempt"]
-                # compared, sorted and matched exactly, so never truncated
-                if not type(vantage) is type(slot) is type(attempt) is int:
-                    raise TypeError("vantage, slot and attempt must be integers, got "
-                                    f"{vantage!r}, {slot!r}, {attempt!r}")
-                if not all(-2**63 <= x < 2**63 for x in (vantage, slot, attempt)):
-                    raise ValueError("vantage, slot and attempt must fit in 64 bits")
-                rec = AttemptRecord(ts_s=float(obj["ts_s"]), vantage=vantage, slot=slot,
-                                    attempt=attempt, outcome=obj["outcome"],
-                                    latency_ms=obj.get("latency_ms"), reason=obj.get("reason"))
-            except (KeyError, TypeError, ValueError, OverflowError) as exc:
+                row = _columns([_decoded(line)])
+            except _ERRORS as exc:
                 return MalformedLogError("?", f"line {lineno}", str(exc))
-            if rec.ts_s < last_ts.get(rec.vantage, rec.ts_s):
-                return MalformedLogError(
-                    rec.vantage, rec.slot, f"ts_s {rec.ts_s} decreases (line {lineno})")
-            last_ts[rec.vantage] = rec.ts_s
-    raise RuntimeError(f"{path}: the column checks and the line checks disagree")
+            for ts, vantage, slot in zip(row.ts_s.tolist(), row.vantage.tolist(),
+                                         row.slot.tolist()):
+                if ts < last_ts.get(vantage, ts):
+                    return MalformedLogError(vantage, slot, f"ts_s {ts} decreases (line {lineno})")
+                last_ts[vantage] = ts
+    return None
 
 
 def read_attempt_log(path) -> AttemptLog:
@@ -109,17 +133,14 @@ def read_attempt_log(path) -> AttemptLog:
     """
     try:
         with open(path, "r", encoding="utf-8") as f:
-            parts = [_columns([(obj["ts_s"], obj["vantage"], obj["slot"], obj["attempt"],
-                                obj["outcome"], obj.get("latency_ms"), obj.get("reason"))
-                               for obj in map(json.loads, filter(None, map(str.strip, chunk)))])
-                     for chunk in iter(lambda: list(islice(f, _CHUNK)), [])]
+            parts = [_columns(chunk) for chunk in iter(lambda: list(islice(f, _CHUNK)), [])]
         log = AttemptLog.concat(parts) if parts else _columns([])
         order = np.argsort(log.vantage, kind="stable")
         vantage, ts = log.vantage[order], log.ts_s[order]
         if np.any((vantage[1:] == vantage[:-1]) & (ts[1:] < ts[:-1])):
             raise ValueError("ts_s decreases")
-    except (KeyError, TypeError, ValueError, OverflowError):
-        raise _first_error(path) from None
+    except _ERRORS as exc:
+        raise _first_error(path) or MalformedLogError("?", "?", str(exc)) from None
     return log
 
 
@@ -136,13 +157,13 @@ def write_truth(path, timeline: Timeline) -> None:
 def read_truth(path) -> tuple[OutageEvent, ...]:
     """Ground-truth events only; the horizon comes from the campaign config."""
     events = []
-    with open(path, "r", encoding="utf-8") as f:
+    with open(path, "r", encoding="utf-8", errors="surrogateescape") as f:
         for lineno, line in enumerate(f, start=1):
             line = line.strip()
             if not line:
                 continue
             try:
-                obj = json.loads(line)
+                obj = json.loads(_decoded(line))
                 events.append(OutageEvent(
                     start_s=float(obj["start_s"]),
                     duration_s=float(obj["duration_s"]),

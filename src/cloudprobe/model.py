@@ -1,4 +1,4 @@
-"""Shared domain model: campaign config, outage timelines, attempt records and counts.
+"""Shared domain model: campaign config, outage timelines, attempt logs and counts.
 
 Everything here is an immutable value object. The attempt log is an AttemptLog
 of numpy columns; persistence lives in logs.
@@ -173,34 +173,7 @@ class Timeline:
         return ts < ends[np.searchsorted(starts, ts, side="right") - 1]
 
 
-@dataclass(frozen=True)
-class AttemptRecord:
-    """One probe attempt: slot epoch stream position, outcome, optional latency."""
-
-    ts_s: float
-    vantage: int
-    slot: int
-    attempt: int
-    outcome: str
-    latency_ms: float | None = None
-    reason: str | None = None
-
-    def __post_init__(self):
-        if not 0 <= self.ts_s < math.inf:
-            raise ValueError(f"ts_s must be finite and >= 0, got {self.ts_s}")
-        if self.slot < 0:
-            raise ValueError("slot must be >= 0")
-        if self.attempt < 1:
-            raise ValueError("attempt is 1-based")
-        if self.outcome not in OUTCOMES:
-            raise ValueError(f"unknown outcome {self.outcome!r}")
-        if self.reason is not None and self.reason not in FAIL_REASONS:
-            raise ValueError(f"unknown failure reason {self.reason!r}")
-        if self.latency_ms is not None and not math.isfinite(self.latency_ms):
-            raise ValueError(f"latency_ms must be finite, got {self.latency_ms}")
-
-
-# AttemptLog columns, in AttemptRecord field order
+# AttemptLog columns, in the order of an attempt-log line's keys
 _COLUMNS = {"ts_s": np.float64, "vantage": np.int64, "slot": np.int64, "attempt": np.int64,
             "outcome": np.int8, "latency_ms": np.float64, "reason": np.int8}
 
@@ -210,7 +183,7 @@ class AttemptLog:
     """An attempt log as columns, one entry per attempt.
 
     outcome holds indices into OUTCOMES, reason indices into FAIL_REASONS (-1
-    for none) and latency_ms NaN for none. Iterating yields AttemptRecord rows.
+    for none) and latency_ms NaN for none.
     """
 
     ts_s: np.ndarray
@@ -234,27 +207,11 @@ class AttemptLog:
         """The rows a slice, mask or index array selects, as a log."""
         return AttemptLog(**{name: getattr(self, name)[rows] for name in _COLUMNS})
 
-    def __iter__(self):
-        reasons = (*FAIL_REASONS, None)  # code -1 is None
-        for ts, vantage, slot, attempt, outcome, latency, reason in zip(
-                *(getattr(self, name).tolist() for name in _COLUMNS)):
-            yield AttemptRecord(ts, vantage, slot, attempt, OUTCOMES[outcome],
-                                None if math.isnan(latency) else latency, reasons[reason])
-
     @classmethod
     def concat(cls, logs) -> AttemptLog:
         logs = list(logs)
         return cls(**{name: np.concatenate([getattr(log, name) for log in logs])
                       for name in _COLUMNS})
-
-    @classmethod
-    def from_records(cls, rows) -> AttemptLog:
-        rows = list(rows)
-        cols = {name: [getattr(row, name) for row in rows] for name in _COLUMNS}
-        cols["outcome"] = [OUTCOMES.index(o) for o in cols["outcome"]]
-        cols["latency_ms"] = [math.nan if x is None else x for x in cols["latency_ms"]]
-        cols["reason"] = [-1 if r is None else FAIL_REASONS.index(r) for r in cols["reason"]]
-        return cls(**cols)
 
 
 @dataclass(frozen=True)

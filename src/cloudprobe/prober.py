@@ -9,6 +9,7 @@ so outcomes are only success/fail plus a reason code.
 from __future__ import annotations
 
 import hashlib
+import http.client
 import math
 import os
 import socket
@@ -18,7 +19,7 @@ import urllib.parse
 import urllib.request
 from dataclasses import dataclass
 
-from .model import FAIL, SUCCESS, AttemptLog, AttemptRecord, CampaignConfig, ConfigError
+from .model import FAIL, FAIL_REASONS, SUCCESS, AttemptLog, CampaignConfig, ConfigError
 from . import logs
 
 
@@ -43,9 +44,19 @@ class ProbeTarget:
 
 @dataclass(frozen=True)
 class ProbeResult:
+    """One attempt's outcome, success or fail, as the log records it."""
+
     outcome: str
     latency_ms: float | None = None
     reason: str | None = None
+
+    def __post_init__(self):
+        if self.outcome not in (SUCCESS, FAIL):
+            raise ValueError(f"probe outcome must be {SUCCESS} or {FAIL}, got {self.outcome!r}")
+        if self.reason is not None and self.reason not in FAIL_REASONS:
+            raise ValueError(f"unknown failure reason {self.reason!r}")
+        if self.latency_ms is not None and not math.isfinite(self.latency_ms):
+            raise ValueError(f"latency_ms must be finite, got {self.latency_ms}")
 
 
 class _NoRedirect(urllib.request.HTTPRedirectHandler):
@@ -63,25 +74,26 @@ def probe_once(target: ProbeTarget) -> ProbeResult:
     req = urllib.request.Request(target.url, headers={"User-Agent": "cloudprobe"})
     started = time.monotonic()
     try:
-        with _OPENER.open(req, timeout=target.timeout_ms / 1000.0) as resp:
+        try:
+            resp = _OPENER.open(req, timeout=target.timeout_ms / 1000.0)
+        except urllib.error.HTTPError as exc:
+            resp = exc  # a response too: its body is read when its status counts as success
+        with resp:
+            if resp.status not in target.success_statuses:
+                return ProbeResult(FAIL, reason="status")
             body = resp.read()
-            status = resp.status
-    except urllib.error.HTTPError as exc:
-        status = exc.code
-        if status in target.success_statuses:
-            body = exc.read()
-        else:
-            return ProbeResult(FAIL, reason="status")
     except urllib.error.URLError as exc:
         return ProbeResult(FAIL, reason=_classify(exc.reason))
     except (TimeoutError, socket.timeout):
         return ProbeResult(FAIL, reason="timeout")
     except OSError:
         return ProbeResult(FAIL, reason="connect")
+    except http.client.IncompleteRead:  # the connection closed mid-body, as after a reset
+        return ProbeResult(FAIL, reason="connect")
+    except http.client.HTTPException:  # a reply that is not HTTP
+        return ProbeResult(FAIL, reason="status")
 
     latency_ms = (time.monotonic() - started) * 1000.0
-    if status not in target.success_statuses:
-        return ProbeResult(FAIL, reason="status")
     if target.expected_body_hash is not None:
         if hashlib.sha256(body).hexdigest() != target.expected_body_hash.lower():
             return ProbeResult(FAIL, reason="digest")
@@ -168,12 +180,8 @@ def run_campaign(target: ProbeTarget, config: CampaignConfig, log_path,
             for attempt in range(1, config.retry_max + 1):
                 ts = time.monotonic() - origin
                 result = probe_fn(target)
-                rec = AttemptRecord(
-                    ts_s=ts, vantage=0, slot=slot, attempt=attempt,
-                    outcome=result.outcome, latency_ms=result.latency_ms,
-                    reason=result.reason,
-                )
-                log.write(logs.attempt_line(rec))
+                log.write(logs.attempt_line(ts, 0, slot, attempt, result.outcome,
+                                            result.latency_ms, result.reason))
                 log.flush()
                 os.fsync(log.fileno())
                 if result.outcome == SUCCESS:

@@ -48,14 +48,13 @@ def _base(kind: str, provenance: dict, config_echo: dict | None) -> dict:
     }
 
 
-def estimate_fragment(log_sha256: str, counts: AttemptCounts | None,
+def estimate_fragment(log_sha256: str, counts: AttemptCounts,
                       estimates: EstimateSet | None, sla_results,
-                      config_echo: dict | None = None,
-                      insufficient_data: bool = False) -> dict:
+                      config_echo: dict | None = None) -> dict:
+    """The estimate fragment; estimates is None when the log has too little data."""
     frag = _base("estimate", {"log_sha256": log_sha256}, config_echo)
-    frag["insufficient_data"] = insufficient_data
-    if counts is not None:
-        frag["counts"] = _to_json(counts)
+    frag["insufficient_data"] = estimates is None
+    frag["counts"] = _to_json(counts)
     if estimates is not None:
         frag["estimates"] = {**_to_json(estimates), "first_attempts": counts.attempts[0]}
     frag["sla_tests"] = [_to_json(r) for r in sla_results]

@@ -1,13 +1,38 @@
+import math
 import threading
 import time
+from collections import namedtuple
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
 import numpy as np
 import pytest
 
-from cloudprobe.model import CLOUD_FAIL, FAIL, NETWORK_FAIL, SUCCESS, AttemptLog, AttemptRecord
+from cloudprobe.model import (CLOUD_FAIL, FAIL, FAIL_REASONS, NETWORK_FAIL, OUTCOMES, SUCCESS,
+                              AttemptLog)
 
 BODY = b"cloudprobe test object\n"
+
+# one attempt as plain values, for building logs in tests and per-record oracles
+Row = namedtuple("Row", "ts_s vantage slot attempt outcome latency_ms reason",
+                 defaults=(None, None))
+
+
+def log_of(rows) -> AttemptLog:
+    """Rows (outcome and reason as names, None for no latency or reason) as a log."""
+    ts, vantage, slot, attempt, outcome, latency, reason = list(zip(*rows)) or [()] * 7
+    return AttemptLog(ts_s=ts, vantage=vantage, slot=slot, attempt=attempt,
+                      outcome=[OUTCOMES.index(o) for o in outcome],
+                      latency_ms=[math.nan if x is None else x for x in latency],
+                      reason=[-1 if r is None else FAIL_REASONS.index(r) for r in reason])
+
+
+def rows_of(log: AttemptLog) -> list:
+    """The log's records as Rows, the inverse of log_of."""
+    reasons = (*FAIL_REASONS, None)  # code -1 is None
+    return [Row(ts, vantage, slot, attempt, OUTCOMES[outcome],
+                None if math.isnan(latency) else latency, reasons[reason])
+            for ts, vantage, slot, attempt, outcome, latency, reason in zip(
+                *(getattr(log, name).tolist() for name in Row._fields))]
 
 
 def make_random_log(rng: np.random.Generator, retry_max=None, slots=None, vantages=None):
@@ -25,7 +50,7 @@ def make_random_log(rng: np.random.Generator, retry_max=None, slots=None, vantag
             last = n if all_fail else success_at
             for attempt in range(1, last + 1):
                 ok = (not all_fail) and attempt == success_at
-                records.append(AttemptRecord(
+                records.append(Row(
                     ts_s=slot * interval + (attempt - 1) * gap,
                     vantage=vantage,
                     slot=slot,
@@ -33,7 +58,7 @@ def make_random_log(rng: np.random.Generator, retry_max=None, slots=None, vantag
                     outcome=SUCCESS if ok else fails[int(rng.integers(3))],
                 ))
     records.sort(key=lambda r: (r.ts_s, r.vantage, r.attempt))
-    return AttemptLog.from_records(records), n
+    return log_of(records), n
 
 
 class _Handler(BaseHTTPRequestHandler):
@@ -62,6 +87,15 @@ class _Handler(BaseHTTPRequestHandler):
             self.send_header("Location", action[1])
             self.send_header("Content-Length", "0")
             self.end_headers()
+        elif kind == "truncated":  # the body stops short of its Content-Length
+            self.send_response(action[1] if len(action) > 1 else 200)
+            self.send_header("Content-Length", str(len(BODY) + 100))
+            self.end_headers()
+            self.wfile.write(BODY)
+            self.close_connection = True
+        elif kind == "garbage":  # a reply that is not HTTP
+            self.wfile.write(b"not http at all\r\n\r\n")
+            self.close_connection = True
 
     def log_message(self, *args):
         pass

@@ -400,7 +400,7 @@ class TestCmdProbe:
         assert rc == 0
         assert "slots completed: 3 of 3" in capsys.readouterr().out
         records = logs.read_attempt_log(out / "attempts.jsonl")
-        assert [r.slot for r in records] == [0, 1, 2]
+        assert records.slot.tolist() == [0, 1, 2]
 
         # longer campaign resumes from the checkpoint without duplicating slots
         longer = tmp_path / "longer.ini"
@@ -413,7 +413,7 @@ class TestCmdProbe:
         rc = main(["probe", "--config", str(longer), "--out", str(out), "--resume"])
         assert rc == 0
         records = logs.read_attempt_log(out / "attempts.jsonl")
-        assert [r.slot for r in records] == [0, 1, 2, 3, 4]
+        assert records.slot.tolist() == [0, 1, 2, 3, 4]
 
     def test_bad_scheme_rejected_before_probing(self, tmp_path, capsys):
         config_path = tmp_path / "live.ini"
@@ -465,9 +465,20 @@ class TestMalformedInput:
                             '{"ts_s":600,"vantage":0,"slot":1,"attempt":1,"outcome":"fail",'
                             '"latency_ms":Infinity,"reason":"timeout"}\n'},
          2, "line 2: latency_ms"),
+        (["estimate", "--log", "{log}"],
+         {"attempts.jsonl": b'{"ts_s":0,"vantage":0,"slot":0,"attempt":1,"outcome":"success"}\n'
+                            b'\xff\xfe\n'},
+         2, "line 2: 'utf-8' codec can't decode"),
+        (["detect", "--log", "{log}", "--truth", "{truth}", "--config", "{config}"],
+         {"truth.jsonl": b'\xff\xfe\n'}, 2, "line 1: 'utf-8' codec can't decode"),
+        (["report", "{out}/frag.json"], {"frag.json": b'\xff\xfe{}\n'},
+         2, "'utf-8' codec can't decode"),
+        (["estimate", "--log", "{log}", "--config", "{out}/bad.ini"],
+         {"bad.ini": b'[campaign]\n\xff\xfe\n'}, 1, "cannot parse config"),
     ], ids=["claim-above-one", "alpha-zero", "negative-threshold", "overlapping-truth",
             "string-vantage", "nan-ts", "nan-truth", "fractional-slot", "truth-beyond-horizon",
-            "nan-latency", "infinite-latency"])
+            "nan-latency", "infinite-latency", "non-utf8-log", "non-utf8-truth",
+            "non-utf8-fragment", "non-utf8-config"])
     def test_documented_exit_code(self, tmp_path, capsys, argv, files, code, needle):
         config = tmp_path / "c.ini"
         write_sim_config(config, campaign=CampaignConfig(
@@ -475,8 +486,9 @@ class TestMalformedInput:
         out = tmp_path / "out"
         assert main(["simulate", "--config", str(config), "--out", str(out)]) == 0
         for name, text in files.items():
-            (out / name).write_text(text)
-        paths = {"log": out / "attempts.jsonl", "truth": out / "truth.jsonl", "config": config}
+            (out / name).write_bytes(text if isinstance(text, bytes) else text.encode())
+        paths = {"log": out / "attempts.jsonl", "truth": out / "truth.jsonl", "config": config,
+                 "out": out}
         capsys.readouterr()
         assert main([arg.format(**paths) for arg in argv]) == code
         assert needle in capsys.readouterr().err

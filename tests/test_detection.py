@@ -20,7 +20,6 @@ from cloudprobe.model import (
     CLOUD_FAIL,
     SUCCESS,
     AttemptLog,
-    AttemptRecord,
     CampaignConfig,
     OutageEvent,
     Timeline,
@@ -31,6 +30,8 @@ from cloudprobe.simulate import (
     generate_timeline,
     sample_campaign,
 )
+
+from conftest import Row, log_of
 
 T = 600.0
 
@@ -44,9 +45,8 @@ def config(**kwargs):
 
 def slot_records(outcomes, vantage=0, interval=T):
     """One attempt per slot with the given outcomes."""
-    return AttemptLog.from_records(
-        AttemptRecord(ts_s=i * interval, vantage=vantage, slot=i, attempt=1, outcome=o)
-        for i, o in enumerate(outcomes))
+    return log_of(Row(ts_s=i * interval, vantage=vantage, slot=i, attempt=1, outcome=o)
+                  for i, o in enumerate(outcomes))
 
 
 def report(truth, log, cfg, **kwargs):
@@ -119,11 +119,11 @@ class TestDetectOutages:
 
     def test_slot_recovered_on_retry_is_not_a_run(self):
         cfg = config(retry_max=2)
-        records = AttemptLog.from_records([
-            AttemptRecord(ts_s=0.0, vantage=0, slot=0, attempt=1, outcome=CLOUD_FAIL),
-            AttemptRecord(ts_s=1.0, vantage=0, slot=0, attempt=2, outcome=SUCCESS),
-            AttemptRecord(ts_s=T, vantage=0, slot=1, attempt=1, outcome=CLOUD_FAIL),
-            AttemptRecord(ts_s=T + 1.0, vantage=0, slot=1, attempt=2, outcome=CLOUD_FAIL),
+        records = log_of([
+            Row(ts_s=0.0, vantage=0, slot=0, attempt=1, outcome=CLOUD_FAIL),
+            Row(ts_s=1.0, vantage=0, slot=0, attempt=2, outcome=SUCCESS),
+            Row(ts_s=T, vantage=0, slot=1, attempt=1, outcome=CLOUD_FAIL),
+            Row(ts_s=T + 1.0, vantage=0, slot=1, attempt=2, outcome=CLOUD_FAIL),
         ])
         assert [(r.first_slot, r.slot_count) for r in detect_outages(records, cfg)] == [(1, 1)]
 
@@ -131,7 +131,7 @@ class TestDetectOutages:
         # vantage 1 comes first in the log and sees a different outage
         v1 = slot_records([CLOUD_FAIL, CLOUD_FAIL, SUCCESS, SUCCESS], vantage=1)
         v0 = slot_records([SUCCESS, SUCCESS, SUCCESS, CLOUD_FAIL], vantage=0)
-        runs = detect_outages(AttemptLog.from_records([*v1, *v0]), config())
+        runs = detect_outages(AttemptLog.concat([v1, v0]), config())
         assert [(r.first_slot, r.slot_count) for r in runs] == [(3, 1)]
 
 
@@ -241,7 +241,7 @@ class TestDetectionReport:
     def test_empty_log_reports_all_undetected(self):
         cfg = config()
         tl = Timeline(horizon_s=cfg.horizon_s, events=(OutageEvent(1000.0, 50.0),))
-        rep = report(tl, AttemptLog.from_records([]), cfg)
+        rep = report(tl, log_of([]), cfg)
         assert rep.undetected == 1
         assert rep.duration_estimates == ()
 
@@ -266,7 +266,7 @@ def per_trial_monte_carlo(duration_s, interval_s, trials, seed=0, retry_max=9,
                              vantage_points=1, retry_max=retry_max,
                              retry_gap_s=retry_gap_s, seed=0)
         records = sample_campaign(timeline, cfg)
-        if not any(start <= rec.ts_s < start + duration_s for rec in records):
+        if not any(start <= ts < start + duration_s for ts in records.ts_s.tolist()):
             missed += 1
     return missed / trials
 

@@ -7,6 +7,7 @@ from cloudprobe.estimators import (
     SlaClaim,
     SlaTestResult,
     binom_cdf,
+    binom_sf,
     build_estimate_set,
     clopper_pearson_interval,
     first_try_availability,
@@ -214,6 +215,39 @@ class TestBinomialTail:
         assert binom_cdf(10, 10, 0.5) == 1.0
         assert binom_cdf(3, 10, 0.0) == 1.0
         assert binom_cdf(3, 10, 1.0) == 0.0
+
+
+# (n, p): small and large n, p near either end, and the paper's campaign scale
+ORACLE_CASES = [(1, 0.5), (7, 0.3), (50, 0.02), (1000, 0.5), (1000, 0.999),
+                (TRIALS, 0.00435), (TRIALS, 0.99783)]
+# set from the lgamma terms of the log-pmf at n = 639478 (about 8e6 each, so ~3e-9
+# relative error in a term), with margin; tails below 1e-290 may underflow either way
+ORACLE_RTOL, ORACLE_ATOL = 1e-7, 1e-290
+
+
+class TestScipyOracle:
+    @pytest.mark.parametrize("n, p", ORACLE_CASES)
+    def test_binomial_tails(self, n, p):
+        stats = pytest.importorskip("scipy.stats")
+        mean, sd = n * p, math.sqrt(n * p * (1 - p))
+        ks = {0, 1, math.floor(mean - 3 * sd), math.floor(mean), math.ceil(mean + 3 * sd),
+              n - 1, n}
+        for k in sorted(k for k in ks if 0 <= k <= n):
+            assert binom_cdf(k, n, p) == pytest.approx(
+                stats.binom.cdf(k, n, p), rel=ORACLE_RTOL, abs=ORACLE_ATOL), ("cdf", k)
+            # binom_sf(k) is P(X >= k), scipy's sf(k) is P(X > k)
+            assert binom_sf(k, n, p) == pytest.approx(
+                stats.binom.sf(k - 1, n, p), rel=ORACLE_RTOL, abs=ORACLE_ATOL), ("sf", k)
+
+    @pytest.mark.parametrize("k, n", [(0, 1), (1, 1), (0, 10), (3, 10), (9, 10), (10, 10),
+                                      (17, 50), (500, 1000), (636696, TRIALS)])
+    @pytest.mark.parametrize("alpha", [0.05, 0.01])
+    def test_clopper_pearson(self, k, n, alpha):
+        stats = pytest.importorskip("scipy.stats")
+        want = stats.binomtest(k, n).proportion_ci(confidence_level=1 - alpha, method="exact")
+        # an error of ~1e-8 relative in the tail moves the root by far less than 1e-9
+        assert clopper_pearson_interval(k, n, alpha) == pytest.approx(
+            (want.low, want.high), rel=0, abs=1e-9)
 
 
 class TestSlaTest:

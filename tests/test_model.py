@@ -9,7 +9,6 @@ from cloudprobe.model import (
     SUCCESS,
     AttemptCounts,
     AttemptLog,
-    AttemptRecord,
     CampaignConfig,
     ConfigError,
     MalformedLogError,
@@ -20,12 +19,12 @@ from cloudprobe.model import (
 )
 from cloudprobe import logs
 
-from conftest import make_random_log
+from conftest import Row, log_of, make_random_log, rows_of
 
 
 def rec(slot, attempt, outcome, vantage=0, gap=1.0, interval=60.0):
-    return AttemptRecord(ts_s=slot * interval + (attempt - 1) * gap, vantage=vantage,
-                         slot=slot, attempt=attempt, outcome=outcome)
+    return Row(ts_s=slot * interval + (attempt - 1) * gap, vantage=vantage,
+               slot=slot, attempt=attempt, outcome=outcome)
 
 
 def slots_to_records(patterns, retry_max):
@@ -36,10 +35,6 @@ def slots_to_records(patterns, retry_max):
         for i, ch in enumerate(pat):
             records.append(rec(slot, i + 1, SUCCESS if ch == "S" else CLOUD_FAIL))
     return records
-
-
-def log_of(records):
-    return AttemptLog.from_records(records)
 
 
 def dict_aggregate_counts(records, retry_max=None):
@@ -73,7 +68,7 @@ def dict_aggregate_counts(records, retry_max=None):
 
 def corrupt(records, rng):
     """The records with one random structural fault (or none)."""
-    records = list(records)
+    records = rows_of(records)
     if not records:
         return records
     i = int(rng.integers(len(records)))
@@ -83,10 +78,10 @@ def corrupt(records, rng):
     elif kind == 1:
         records.insert(i, records[i])
     elif kind == 2:
-        records[i] = dataclasses.replace(records[i], attempt=int(rng.integers(1, 5)))
+        records[i] = records[i]._replace(attempt=int(rng.integers(1, 5)))
     elif kind == 3:
-        records[i] = dataclasses.replace(
-            records[i], outcome=CLOUD_FAIL if records[i].outcome == SUCCESS else SUCCESS)
+        records[i] = records[i]._replace(
+            outcome=CLOUD_FAIL if records[i].outcome == SUCCESS else SUCCESS)
     elif kind == 4:
         j = int(rng.integers(len(records)))
         records[i], records[j] = records[j], records[i]
@@ -262,6 +257,9 @@ class TestAttemptCountsInvariants:
         assert counts.total_successes == 3
 
 
+GOOD = {"ts_s": 0.0, "vantage": 0, "slot": 0, "attempt": 1, "outcome": "success"}
+
+
 class TestJsonlRoundTrip:
     def test_counts_preserved(self, tmp_path):
         rng = np.random.default_rng(7)
@@ -274,14 +272,12 @@ class TestJsonlRoundTrip:
 
     def test_records_roundtrip_exactly(self, tmp_path):
         records = [
-            AttemptRecord(ts_s=0.125, vantage=0, slot=0, attempt=1, outcome="success",
-                          latency_ms=12.5),
-            AttemptRecord(ts_s=60.0, vantage=0, slot=1, attempt=1, outcome="fail",
-                          reason="timeout"),
+            Row(ts_s=0.125, vantage=0, slot=0, attempt=1, outcome="success", latency_ms=12.5),
+            Row(ts_s=60.0, vantage=0, slot=1, attempt=1, outcome="fail", reason="timeout"),
         ]
         path = tmp_path / "log.jsonl"
         logs.write_attempt_log(path, log_of(records))
-        assert list(logs.read_attempt_log(path)) == records
+        assert rows_of(logs.read_attempt_log(path)) == records
 
     def test_attempt_log_columns_roundtrip(self, tmp_path):
         rng = np.random.default_rng(11)
@@ -297,34 +293,12 @@ class TestJsonlRoundTrip:
         logs.write_attempt_log(path, log)
         # the same text json.dumps gives for each row, optional keys left out when unset
         assert path.read_text() == "".join(
-            json.dumps({k: v for k, v in dataclasses.asdict(r).items() if v is not None},
-                       separators=(",", ":")) + "\n" for r in log)
+            json.dumps({k: v for k, v in r._asdict().items() if v is not None},
+                       separators=(",", ":")) + "\n" for r in rows_of(log))
         back = logs.read_attempt_log(path)
         for name in ("ts_s", "vantage", "slot", "attempt", "outcome", "latency_ms", "reason"):
             a, b = getattr(log, name), getattr(back, name)
             assert a.dtype == b.dtype and np.array_equal(a, b, equal_nan=a.dtype.kind == "f"), name
-
-    def test_pipeline_builds_no_attempt_records(self, tmp_path, monkeypatch):
-        from cloudprobe.detection import detect_outages, detection_report
-        from cloudprobe.simulate import (DurationDistribution, OutageProcess, generate_timeline,
-                                         iid_attempt_log, sample_campaign)
-
-        def refuse(self):
-            raise AssertionError("per-attempt AttemptRecord built")
-
-        config = CampaignConfig(probe_interval_s=600.0, horizon_days=3.0, vantage_points=2,
-                                seed=5)
-        proc = OutageProcess(up_mean_s=3600.0,
-                             duration_dist=DurationDistribution.exponential(300.0),
-                             network_fail_prob=0.05)
-        tl = generate_timeline(proc, config.horizon_s, config.seed)
-        monkeypatch.setattr(AttemptRecord, "__post_init__", refuse)
-        log = sample_campaign(tl, config, proc.network_fail_prob)
-        logs.write_attempt_log(tmp_path / "log.jsonl", log)
-        log = logs.read_attempt_log(tmp_path / "log.jsonl")
-        aggregate_counts(log, retry_max=config.retry_max)
-        detection_report(tl, log, config, detect_outages(log, config))
-        aggregate_counts(iid_attempt_log(0.7, 100, 3, seed=1), retry_max=3)
 
     def test_lines_stripped_before_parsing(self, tmp_path):
         # a form feed is whitespace to str.strip but not to JSON
@@ -332,7 +306,7 @@ class TestJsonlRoundTrip:
         logs.write_attempt_log(path, log_of([rec(0, 1, SUCCESS), rec(1, 1, SUCCESS)]))
         first, second = path.read_text().splitlines()
         path.write_text(f"\x0c{first}\n \t\n{second}\x0c \n\n")
-        assert [r.slot for r in logs.read_attempt_log(path)] == [0, 1]
+        assert logs.read_attempt_log(path).slot.tolist() == [0, 1]
 
     def test_decreasing_ts_rejected(self, tmp_path):
         records = log_of([rec(1, 1, SUCCESS), rec(0, 1, SUCCESS)])
@@ -346,6 +320,40 @@ class TestJsonlRoundTrip:
         path = tmp_path / "log.jsonl"
         logs.write_attempt_log(path, records)
         assert len(logs.read_attempt_log(path)) == 2
+
+    @pytest.mark.parametrize("fields, needle", [
+        ({"ts_s": float("nan")}, "ts_s must be finite"),
+        ({"ts_s": -1.0}, "ts_s must be finite"),
+        ({"ts_s": "abc"}, "ts_s: "),
+        ({"vantage": "a"}, "vantage must be an integer"),
+        ({"slot": 1.7}, "slot must be an integer"),
+        ({"slot": -1}, "slot must be >= 0"),
+        ({"attempt": 0}, "attempt must be >= 1"),
+        ({"attempt": 2**64}, "attempt: "),
+        ({"outcome": "x"}, "outcome must be one of"),
+        ({"outcome": [1]}, "outcome: "),
+        ({"reason": "x"}, "reason must be one of"),
+        ({"latency_ms": "1"}, "latency_ms must be a number"),
+        ({"latency_ms": float("inf")}, "latency_ms must be finite"),
+        ({"slot": None}, "slot must be an integer"),
+    ])
+    def test_bad_record_names_line_and_field(self, tmp_path, fields, needle):
+        path = tmp_path / "log.jsonl"
+        path.write_text(f"{json.dumps(GOOD)}\n{json.dumps({**GOOD, **fields})}\n")
+        with pytest.raises(MalformedLogError) as err:
+            logs.read_attempt_log(path)
+        assert f"line 2: {needle}" in str(err.value)
+
+    def test_first_bad_line_in_file_order_past_first_chunk(self, tmp_path):
+        # an order fault comes before a record fault, both in the second chunk
+        n = logs._CHUNK + 3
+        lines = [json.dumps({**GOOD, "ts_s": 10.0})] * n + [json.dumps(GOOD)] * 3
+        lines.append(json.dumps({**GOOD, "ts_s": 20.0, "slot": -1}))
+        path = tmp_path / "log.jsonl"
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(MalformedLogError) as err:
+            logs.read_attempt_log(path)
+        assert f"ts_s 0.0 decreases (line {n + 1})" in str(err.value)
 
     def test_garbage_line_rejected(self, tmp_path):
         path = tmp_path / "log.jsonl"

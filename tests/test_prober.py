@@ -1,11 +1,14 @@
 import hashlib
+import math
 import socket
 
 import pytest
 
 from cloudprobe.estimators import first_try_availability, retry_filtered_availability
-from cloudprobe.model import FAIL, SUCCESS, CampaignConfig, ConfigError, aggregate_counts
+from cloudprobe.model import (CLOUD_FAIL, FAIL, SUCCESS, CampaignConfig, ConfigError,
+                              aggregate_counts)
 from cloudprobe.prober import (
+    ProbeResult,
     ProbeTarget,
     checkpoint_path_for,
     probe_once,
@@ -15,7 +18,7 @@ from cloudprobe.prober import (
 from cloudprobe.detection import detect_outages
 from cloudprobe import logs
 
-from conftest import BODY
+from conftest import BODY, rows_of
 
 
 def live_config(slots, interval=0.25, retry_max=2, gap=0.05, url="http://example.invalid/"):
@@ -65,6 +68,26 @@ class TestProbeOnce:
         bad = "0" * 64
         result = probe_once(ProbeTarget(url=http_fixture.url, expected_body_hash=bad))
         assert result.outcome == FAIL and result.reason == "digest"
+
+    @pytest.mark.parametrize("action, statuses, reason", [
+        (("truncated",), {200}, "connect"),
+        (("truncated", 404), {404}, "connect"),  # an error status whose body counts
+        (("garbage",), {200}, "status"),
+    ], ids=["truncated", "truncated-error-status", "not-http"])
+    def test_malformed_reply_is_a_fail(self, http_fixture, action, statuses, reason):
+        http_fixture.set_behavior(lambda i: action)
+        result = probe_once(ProbeTarget(url=http_fixture.url,
+                                        success_statuses=frozenset(statuses)))
+        assert result.outcome == FAIL and result.reason == reason
+
+    @pytest.mark.parametrize("kwargs", [
+        {"outcome": "bogus"}, {"outcome": CLOUD_FAIL}, {"outcome": FAIL, "reason": "nope"},
+        {"outcome": SUCCESS, "latency_ms": math.nan},
+        {"outcome": SUCCESS, "latency_ms": math.inf},
+    ])
+    def test_result_validation(self, kwargs):
+        with pytest.raises(ValueError):
+            ProbeResult(**kwargs)
 
     def test_connection_refused(self):
         with socket.socket() as s:
@@ -129,7 +152,28 @@ class TestRunCampaign:
         counts = aggregate_counts(records, retry_max=config.retry_max)
         assert counts.attempts == (3, 3)
         assert counts.total_successes == 0
-        assert all(r.reason == "connect" for r in records)
+        assert all(r.reason == "connect" for r in rows_of(records))
+
+    def test_campaign_continues_past_malformed_replies(self, http_fixture, tmp_path):
+        bad = {1: ("truncated",), 3: ("garbage",)}
+        http_fixture.set_behavior(lambda i: bad.get(i, ("ok",)))
+        config = live_config(slots=4, retry_max=2, url=http_fixture.url)
+        log_path = tmp_path / "attempts.jsonl"
+        records = run_campaign(ProbeTarget(url=http_fixture.url), config, log_path)
+        assert [(r.slot, r.attempt, r.outcome, r.reason) for r in rows_of(records)] == [
+            (0, 1, SUCCESS, None), (1, 1, FAIL, "connect"), (1, 2, SUCCESS, None),
+            (2, 1, FAIL, "status"), (2, 2, SUCCESS, None), (3, 1, SUCCESS, None)]
+        # the prober's lines are the ones write_attempt_log gives for the same records
+        logs.write_attempt_log(tmp_path / "rewritten.jsonl", records)
+        assert (tmp_path / "rewritten.jsonl").read_bytes() == log_path.read_bytes()
+
+    def test_bad_probe_result_fails_before_any_line(self, tmp_path):
+        config = live_config(slots=2)
+        log_path = tmp_path / "attempts.jsonl"
+        with pytest.raises(ValueError, match="bogus"):
+            run_campaign(ProbeTarget(url=config.target), config, log_path,
+                         probe_fn=lambda target: ProbeResult("bogus"))
+        assert log_path.read_text() == ""
 
     def test_checkpoint_tracks_last_slot(self, http_fixture, tmp_path):
         config = live_config(slots=4, url=http_fixture.url)
@@ -149,9 +193,9 @@ class TestRunCampaign:
 
         records = run_campaign(ProbeTarget(url=http_fixture.url), config, log_path,
                                resume=True)
-        slots = [r.slot for r in records if r.attempt == 1]
+        slots = [r.slot for r in rows_of(records) if r.attempt == 1]
         assert slots == sorted(set(slots)) == list(range(6))
-        reread = logs.read_attempt_log(log_path)
+        reread = rows_of(logs.read_attempt_log(log_path))
         assert [r.slot for r in reread if r.attempt == 1] == list(range(6))
         # the partial slot-3 record was truncated, then slot 3 was re-probed
         assert sum(1 for r in reread if r.slot == 3) == 1
@@ -163,7 +207,7 @@ class TestRunCampaign:
                              url=http_fixture.url)
         records = run_campaign(ProbeTarget(url=http_fixture.url), config,
                                tmp_path / "attempts.jsonl")
-        for rec in records:
+        for rec in rows_of(records):
             if rec.attempt == 1:
                 assert abs(rec.ts_s - rec.slot * interval) < 0.01 * interval
 

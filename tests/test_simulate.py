@@ -11,7 +11,6 @@ from cloudprobe.model import (
     NETWORK,
     NETWORK_FAIL,
     SUCCESS,
-    AttemptRecord,
     CampaignConfig,
     OutageEvent,
     Timeline,
@@ -33,6 +32,8 @@ from cloudprobe.simulate import (
     true_unavailability,
 )
 from cloudprobe import logs
+
+from conftest import Row, rows_of
 
 DAY = 86400.0
 
@@ -187,7 +188,7 @@ class TestSampleCampaign:
         tl = generate_timeline(proc, config.horizon_s, config.seed)
         a = sample_campaign(tl, config, proc.network_fail_prob)
         b = sample_campaign(tl, config, proc.network_fail_prob)
-        assert "\n".join(map(logs.attempt_line, a)) == "\n".join(map(logs.attempt_line, b))
+        assert [logs.attempt_line(*r) for r in rows_of(a)] == [logs.attempt_line(*r) for r in rows_of(b)]
 
     def test_slots_stop_at_first_success_or_retry_max(self):
         proc = OutageProcess(up_mean_s=1200.0,
@@ -196,7 +197,7 @@ class TestSampleCampaign:
         tl = generate_timeline(proc, config.horizon_s, config.seed)
         records = sample_campaign(tl, config)
         by_slot = {}
-        for r in records:
+        for r in rows_of(records):
             by_slot.setdefault(r.slot, []).append(r)
         for seq in by_slot.values():
             for r in seq[:-1]:
@@ -211,27 +212,27 @@ class TestSampleCampaign:
             OutageEvent(0.0, config.horizon_s, NETWORK),
         ))
         records = sample_campaign(tl, config, network_fail_prob=0.5)
-        assert {r.outcome for r in records} == {CLOUD_FAIL}
+        assert {r.outcome for r in rows_of(records)} == {CLOUD_FAIL}
 
     def test_burst_failures_marked_network(self):
         config = small_config(retry_max=1)
         tl = Timeline(horizon_s=config.horizon_s,
                       events=(OutageEvent(0.0, config.horizon_s, NETWORK),))
         records = sample_campaign(tl, config)
-        assert {r.outcome for r in records} == {NETWORK_FAIL}
+        assert {r.outcome for r in rows_of(records)} == {NETWORK_FAIL}
 
     def test_network_fail_prob_rate(self):
         config = small_config(horizon_days=10.0, retry_max=1, seed=8)
         tl = Timeline(horizon_s=config.horizon_s)
         records = sample_campaign(tl, config, network_fail_prob=0.2)
-        fails = sum(r.outcome == NETWORK_FAIL for r in records)
+        fails = sum(r.outcome == NETWORK_FAIL for r in rows_of(records))
         assert abs(fails / len(records) - 0.2) < 0.02
 
     def test_phase_offsets_shift_epochs(self):
         config = small_config(vantage_points=2, retry_max=1)
         tl = Timeline(horizon_s=config.horizon_s)
         records = sample_campaign(tl, config, phase_offsets=[0.0, 30.0])
-        first = {r.vantage: r.ts_s for r in records if r.slot == 0}
+        first = {r.vantage: r.ts_s for r in rows_of(records) if r.slot == 0}
         assert first == {0: 0.0, 1: 30.0}
 
     def test_short_timeline_rejected(self):
@@ -262,8 +263,8 @@ def per_record_sample(timeline, config, q=0.0, phase_offsets=None):
                     outcome = NETWORK_FAIL
                 else:
                     outcome = SUCCESS
-                records.append(AttemptRecord(ts_s=ts, vantage=vantage, slot=slot,
-                                             attempt=attempt, outcome=outcome))
+                records.append(Row(ts_s=ts, vantage=vantage, slot=slot, attempt=attempt,
+                                   outcome=outcome))
                 if outcome == SUCCESS:
                     break
     records.sort(key=lambda r: (r.ts_s, r.vantage, r.attempt))
@@ -277,9 +278,8 @@ def per_record_iid(success_prob, slots, retry_max, seed, vantage=0):
     for slot in range(slots):
         for attempt in range(1, retry_max + 1):
             ok = rng.random() < success_prob
-            out.append(AttemptRecord(ts_s=float(slot) + (attempt - 1) * 1e-3, vantage=vantage,
-                                     slot=slot, attempt=attempt,
-                                     outcome=SUCCESS if ok else CLOUD_FAIL))
+            out.append(Row(ts_s=float(slot) + (attempt - 1) * 1e-3, vantage=vantage,
+                           slot=slot, attempt=attempt, outcome=SUCCESS if ok else CLOUD_FAIL))
             if ok:
                 break
     return out
@@ -301,11 +301,11 @@ class TestMatchesPerRecordReference:
             want = per_record_sample(tl, config, q, phase_offsets=offsets)
             assert len(log) == len(want)
             for name in ("ts_s", "vantage", "slot", "attempt", "outcome"):
-                assert [getattr(r, name) for r in log] == [getattr(r, name) for r in want], name
+                assert [getattr(r, name) for r in rows_of(log)] == [getattr(r, name) for r in want], name
 
     @pytest.mark.parametrize("p, retry_max", [(0.0, 3), (0.3, 1), (0.5, 9), (1.0, 4)])
     def test_iid_hook_equal(self, p, retry_max):
-        assert list(iid_attempt_log(p, 500, retry_max, seed=4, vantage=2)) == \
+        assert rows_of(iid_attempt_log(p, 500, retry_max, seed=4, vantage=2)) == \
             per_record_iid(p, 500, retry_max, seed=4, vantage=2)
 
 
@@ -340,7 +340,7 @@ class TestPersistenceExtreme:
         config = small_config(horizon_days=7.0, retry_gap_s=1.0, seed=4)
         tl = generate_timeline(self.PROC, config.horizon_s, config.seed)
         records = sample_campaign(tl, config)
-        for rec in records:
+        for rec in rows_of(records):
             if tl.in_outage(rec.ts_s, CLOUD):
                 assert rec.outcome == CLOUD_FAIL
 
