@@ -19,6 +19,7 @@ from .detection import detect_outages, detection_report, sla_metrics, true_sla_m
 from .estimators import SlaClaim, build_estimate_set, sla_test
 from .model import (
     ConfigError,
+    DataError,
     InsufficientDataError,
     MalformedLogError,
     Timeline,
@@ -40,10 +41,6 @@ _LOG_LEVELS = {"error": logging.ERROR, "warn": logging.WARNING,
 
 
 class UsageError(Exception):
-    pass
-
-
-class DataError(Exception):
     pass
 
 
@@ -282,9 +279,7 @@ def cmd_report(args) -> int:
 
 def _setup_logging() -> None:
     raw = os.environ.get("CLOUDPROBE_LOG_LEVEL", "warn").lower()
-    level = _LOG_LEVELS.get(raw)
-    if level is None:
-        level = logging.WARNING
+    level = _LOG_LEVELS.get(raw, logging.WARNING)
     logging.basicConfig(level=level, format="%(levelname)s %(name)s: %(message)s")
     if raw not in _LOG_LEVELS:
         log.warning("unknown CLOUDPROBE_LOG_LEVEL %r; using warn", raw)

@@ -2,13 +2,16 @@
 
 Attempt log: one record per line with fields ts_s, vantage, slot, attempt,
 outcome, plus optional latency_ms and reason. A file is valid when ts_s is
-nondecreasing per vantage. Truth file: start_s, duration_s, cause per line.
+nondecreasing per vantage. A line in the exact form attempt_line writes is
+read by a fast path; any other valid JSON line is read to the same values by
+the general path, only slower. Truth file: start_s, duration_s, cause per line.
 """
 from __future__ import annotations
 
 import hashlib
 import json
 import math
+import re
 from itertools import islice, repeat
 
 import numpy as np
@@ -19,6 +22,13 @@ _OUTCOME_CODES = {name: code for code, name in enumerate(OUTCOMES)}
 _REASON_CODES = {None: -1, **{name: code for code, name in enumerate(FAIL_REASONS)}}
 _CHUNK = 1 << 13  # lines per read or write, so the whole text is never held at once
 _ERRORS = (KeyError, TypeError, ValueError, OverflowError)  # what a malformed line raises
+# attempt_line's exact form, by the JSON number grammar: a float has a fraction or an
+# exponent, and an integer has at most 18 digits, so it fits in 64 bits
+_INT = r"(-?(?:0|[1-9][0-9]{0,17}))"
+_FLOAT = r"(-?(?:0|[1-9][0-9]*)(?:\.[0-9]+(?:[eE][-+]?[0-9]+|)|[eE][-+]?[0-9]+))"
+_LINE = re.compile(rf'^\{{"ts_s":{_FLOAT},"vantage":{_INT},"slot":{_INT},"attempt":{_INT},'
+                   rf'"outcome":"([a-z_]+)"(?:,"latency_ms":{_FLOAT}|)(?:,"reason":"([a-z]+)"|)'
+                   r'\}$', re.M)
 
 
 def attempt_line(ts_s, vantage, slot, attempt, outcome, latency_ms=None, reason=None) -> str:
@@ -63,14 +73,25 @@ def _require(ok, values, name, rule) -> None:
         raise ValueError(f"{name} must be {rule}, got {values[int(np.argmin(ok))]!r}")
 
 
-def _columns(lines) -> AttemptLog:
-    """The non-blank lines as a log. Every per-record rule is checked here: the
-    first record to break one raises one of _ERRORS, naming the field."""
+def _values(lines):
+    """The seven value sequences of the non-blank lines (as a file yields them), as json
+    reads them: by one regex if every line is in attempt_line's exact form, else by json."""
+    found = _LINE.findall("".join(lines))
+    if found and len(found) == len(lines):
+        ts, vantage, slot, attempt, outcome, latency, reason = zip(*found)
+        return (list(map(float, ts)), *(list(map(int, c)) for c in (vantage, slot, attempt)),
+                outcome, [float(x) if x else None for x in latency], [x or None for x in reason])
     rows = [(obj["ts_s"], obj["vantage"], obj["slot"], obj["attempt"], obj["outcome"],
              obj.get("latency_ms"), obj.get("reason"))
             for obj in map(json.loads, filter(None, map(str.strip, lines)))]
-    ts, vantage, slot, attempt, outcome, latency, reason = zip(*rows) if rows else ((),) * 7
-    n = len(rows)
+    return tuple(zip(*rows)) if rows else ((),) * 7
+
+
+def _columns(lines) -> AttemptLog:
+    """The non-blank lines as a log. Every per-record rule is checked here: the
+    first record to break one raises one of _ERRORS, naming the field."""
+    ts, vantage, slot, attempt, outcome, latency, reason = _values(lines)
+    n = len(ts)
     # vantage, slot and attempt are compared, sorted and matched exactly, so never truncated
     for name, values, types, rule in (
             ("vantage", vantage, {int}, "an integer"), ("slot", slot, {int}, "an integer"),
@@ -105,22 +126,30 @@ def _decoded(line: str) -> str:
     return line.encode("utf-8", "surrogateescape").decode("utf-8")
 
 
-def _first_error(path) -> MalformedLogError | None:
-    """The first malformed line's error: each line through _columns, then the
-    per-vantage ts_s order. None if no line is malformed (the file changed
-    since it was read)."""
-    last_ts: dict = {}
-    with open(path, "r", encoding="utf-8", errors="surrogateescape") as f:
-        for lineno, line in enumerate(f, start=1):
-            try:
-                row = _columns([_decoded(line)])
-            except _ERRORS as exc:
-                return MalformedLogError("?", f"line {lineno}", str(exc))
-            for ts, vantage, slot in zip(row.ts_s.tolist(), row.vantage.tolist(),
-                                         row.slot.tolist()):
-                if ts < last_ts.get(vantage, ts):
-                    return MalformedLogError(vantage, slot, f"ts_s {ts} decreases (line {lineno})")
-                last_ts[vantage] = ts
+def _first_error(pieces, first: int, last_ts: dict) -> MalformedLogError | None:
+    """The first line among the pieces (lists of lines numbered from first) that
+    _columns rejects or whose ts_s decreases, carrying each vantage's last ts_s in
+    last_ts. Only a piece that fails as a whole is gone into, in smaller pieces.
+    None if no line is malformed (the file changed since it was read)."""
+    for piece in pieces:
+        after, error = dict(last_ts), None
+        try:
+            log = _columns(list(map(_decoded, piece)))
+        except _ERRORS as exc:
+            error = MalformedLogError("?", f"line {first}", str(exc))
+        else:
+            for ts, vantage, slot in zip(log.ts_s.tolist(), log.vantage.tolist(),
+                                         log.slot.tolist()):
+                if ts < after.get(vantage, ts):
+                    error = MalformedLogError(vantage, slot, f"ts_s {ts} decreases (line {first})")
+                    break
+                after[vantage] = ts
+        if error:
+            step = len(piece) // 128 or 1
+            return error if len(piece) == 1 else _first_error(
+                [piece[i:i + step] for i in range(0, len(piece), step)], first, last_ts)
+        last_ts.update(after)
+        first += len(piece)
     return None
 
 
@@ -128,8 +157,8 @@ def read_attempt_log(path) -> AttemptLog:
     """Parse an attempt log; enforces nondecreasing ts_s per vantage.
 
     Lines are parsed in chunks into columns and checked column by column.
-    Only when a check fails is the file read again line by line, to name the
-    first offending line.
+    Only when a check fails is the file read again, to name the first
+    offending line, and line by line only inside the chunk that fails.
     """
     try:
         with open(path, "r", encoding="utf-8") as f:
@@ -140,35 +169,30 @@ def read_attempt_log(path) -> AttemptLog:
         if np.any((vantage[1:] == vantage[:-1]) & (ts[1:] < ts[:-1])):
             raise ValueError("ts_s decreases")
     except _ERRORS as exc:
-        raise _first_error(path) or MalformedLogError("?", "?", str(exc)) from None
+        with open(path, "r", encoding="utf-8", errors="surrogateescape") as f:
+            error = _first_error(iter(lambda: list(islice(f, _CHUNK)), []), 1, {})
+        raise error or MalformedLogError("?", "?", str(exc)) from None
     return log
 
 
 def write_truth(path, timeline: Timeline) -> None:
     with open(path, "w", encoding="utf-8") as f:
         for ev in timeline.events:
-            f.write(json.dumps(
-                {"start_s": ev.start_s, "duration_s": ev.duration_s, "cause": ev.cause},
-                separators=(",", ":"),
-            ))
-            f.write("\n")
+            f.write(json.dumps({"start_s": ev.start_s, "duration_s": ev.duration_s,
+                                "cause": ev.cause}, separators=(",", ":")) + "\n")
 
 
 def read_truth(path) -> tuple[OutageEvent, ...]:
     """Ground-truth events only; the horizon comes from the campaign config."""
     events = []
     with open(path, "r", encoding="utf-8", errors="surrogateescape") as f:
-        for lineno, line in enumerate(f, start=1):
-            line = line.strip()
+        for lineno, line in enumerate(map(str.strip, f), start=1):
             if not line:
                 continue
             try:
                 obj = json.loads(_decoded(line))
-                events.append(OutageEvent(
-                    start_s=float(obj["start_s"]),
-                    duration_s=float(obj["duration_s"]),
-                    cause=obj.get("cause", "cloud"),
-                ))
+                events.append(OutageEvent(float(obj["start_s"]), float(obj["duration_s"]),
+                                          obj.get("cause", "cloud")))
             except (KeyError, TypeError, ValueError) as exc:
                 raise MalformedLogError("?", f"line {lineno}", str(exc)) from exc
     return tuple(events)

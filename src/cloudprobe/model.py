@@ -39,6 +39,10 @@ class InsufficientDataError(ValueError):
     """An estimator was asked to divide by an empty trial count."""
 
 
+class DataError(Exception):
+    """A malformed input file other than an attempt log, naming the file."""
+
+
 class MalformedLogError(ValueError):
     """Structurally invalid attempt log, naming the offending stream position."""
 

@@ -19,7 +19,7 @@ import urllib.parse
 import urllib.request
 from dataclasses import dataclass
 
-from .model import FAIL, FAIL_REASONS, SUCCESS, AttemptLog, CampaignConfig, ConfigError
+from .model import FAIL, FAIL_REASONS, SUCCESS, AttemptLog, CampaignConfig, ConfigError, DataError
 from . import logs
 
 
@@ -116,9 +116,11 @@ def read_checkpoint(path) -> int:
     """Last completed slot index, or -1 when no checkpoint exists."""
     try:
         with open(path, "r", encoding="utf-8") as f:
-            return int(f.read().strip())
+            return int(f.read())
     except FileNotFoundError:
         return -1
+    except ValueError as exc:  # not an integer, or not UTF-8
+        raise DataError(f"checkpoint {path}: {exc}") from None
 
 
 def _write_checkpoint(path, slot: int) -> None:

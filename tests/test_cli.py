@@ -475,10 +475,13 @@ class TestMalformedInput:
          2, "'utf-8' codec can't decode"),
         (["estimate", "--log", "{log}", "--config", "{out}/bad.ini"],
          {"bad.ini": b'[campaign]\n\xff\xfe\n'}, 1, "cannot parse config"),
+        (["probe", "--config", "{out}/live.ini", "--out", "{out}", "--resume"],
+         {"live.ini": "[campaign]\n" + LIVE, "attempts.jsonl.checkpoint": "abc\n"},
+         2, "attempts.jsonl.checkpoint: invalid literal"),
     ], ids=["claim-above-one", "alpha-zero", "negative-threshold", "overlapping-truth",
             "string-vantage", "nan-ts", "nan-truth", "fractional-slot", "truth-beyond-horizon",
             "nan-latency", "infinite-latency", "non-utf8-log", "non-utf8-truth",
-            "non-utf8-fragment", "non-utf8-config"])
+            "non-utf8-fragment", "non-utf8-config", "bad-checkpoint"])
     def test_documented_exit_code(self, tmp_path, capsys, argv, files, code, needle):
         config = tmp_path / "c.ini"
         write_sim_config(config, campaign=CampaignConfig(

@@ -1,11 +1,12 @@
 import hashlib
 import math
+import re
 import socket
 
 import pytest
 
 from cloudprobe.estimators import first_try_availability, retry_filtered_availability
-from cloudprobe.model import (CLOUD_FAIL, FAIL, SUCCESS, CampaignConfig, ConfigError,
+from cloudprobe.model import (CLOUD_FAIL, FAIL, SUCCESS, CampaignConfig, ConfigError, DataError,
                               aggregate_counts)
 from cloudprobe.prober import (
     ProbeResult,
@@ -180,6 +181,16 @@ class TestRunCampaign:
         log_path = tmp_path / "attempts.jsonl"
         run_campaign(ProbeTarget(url=http_fixture.url), config, log_path)
         assert read_checkpoint(checkpoint_path_for(log_path)) == 3
+
+    @pytest.mark.parametrize("text", [b"abc\n", b"", b"\xff\n", b"1.5\n"])
+    def test_unreadable_checkpoint_is_a_data_error(self, tmp_path, text):
+        config = live_config(slots=2)
+        log_path = tmp_path / "attempts.jsonl"
+        cp_path = tmp_path / "attempts.jsonl.checkpoint"
+        cp_path.write_bytes(text)
+        with pytest.raises(DataError, match=re.escape(f"checkpoint {cp_path}: ")):
+            run_campaign(ProbeTarget(url=config.target), config, log_path, resume=True,
+                         probe_fn=lambda target: pytest.fail("probed past a bad checkpoint"))
 
     def test_resume_never_duplicates_slots(self, http_fixture, tmp_path):
         config = live_config(slots=6, url=http_fixture.url)
