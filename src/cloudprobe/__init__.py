@@ -5,6 +5,8 @@ schedule (or probes a live HTTP target the same way), and quantifies what the
 methodology does to the numbers: retry inflation of availability estimates,
 censoring of short outages, and the resulting SLA-compliance conclusions.
 """
+__version__ = "0.1.0"  # pyproject.toml's version; a test keeps the two equal
+
 from .model import (
     AttemptCounts,
     AttemptLog,

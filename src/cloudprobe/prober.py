@@ -8,15 +8,12 @@ so outcomes are only success/fail plus a reason code.
 """
 from __future__ import annotations
 
+import functools
 import hashlib
-import http.client
 import math
 import os
-import socket
 import time
-import urllib.error
 import urllib.parse
-import urllib.request
 from dataclasses import dataclass
 
 from .model import FAIL, FAIL_REASONS, SUCCESS, AttemptLog, CampaignConfig, ConfigError, DataError
@@ -59,23 +56,32 @@ class ProbeResult:
             raise ValueError(f"latency_ms must be finite, got {self.latency_ms}")
 
 
-class _NoRedirect(urllib.request.HTTPRedirectHandler):
-    # a redirect masks whether the object itself is retrievable; treat as fail
-    def redirect_request(self, req, fp, code, msg, headers, newurl):
-        return None
+@functools.cache
+def _opener():
+    # built on first use, so only `probe` loads the HTTP stack
+    import urllib.request
 
+    class NoRedirect(urllib.request.HTTPRedirectHandler):
+        # a redirect masks whether the object itself is retrievable; treat as fail
+        def redirect_request(self, req, fp, code, msg, headers, newurl):
+            return None
 
-_OPENER = urllib.request.build_opener(_NoRedirect())
+    return urllib.request.build_opener(NoRedirect())
 
 
 def probe_once(target: ProbeTarget) -> ProbeResult:
     """Fetch the target once; success needs timely response, allowed status,
     and (when configured) a matching body digest."""
+    import http.client
+    import socket
+    import urllib.error
+    import urllib.request
+
     req = urllib.request.Request(target.url, headers={"User-Agent": "cloudprobe"})
     started = time.monotonic()
     try:
         try:
-            resp = _OPENER.open(req, timeout=target.timeout_ms / 1000.0)
+            resp = _opener().open(req, timeout=target.timeout_ms / 1000.0)
         except urllib.error.HTTPError as exc:
             resp = exc  # a response too: its body is read when its status counts as success
         with resp:
@@ -83,8 +89,11 @@ def probe_once(target: ProbeTarget) -> ProbeResult:
                 return ProbeResult(FAIL, reason="status")
             body = resp.read()
     except urllib.error.URLError as exc:
-        return ProbeResult(FAIL, reason=_classify(exc.reason))
-    except (TimeoutError, socket.timeout):
+        if isinstance(exc.reason, socket.gaierror):
+            return ProbeResult(FAIL, reason="dns")
+        timed_out = isinstance(exc.reason, TimeoutError)
+        return ProbeResult(FAIL, reason="timeout" if timed_out else "connect")
+    except TimeoutError:  # socket.timeout is an alias of it since Python 3.10
         return ProbeResult(FAIL, reason="timeout")
     except OSError:
         return ProbeResult(FAIL, reason="connect")
@@ -100,14 +109,6 @@ def probe_once(target: ProbeTarget) -> ProbeResult:
     return ProbeResult(SUCCESS, latency_ms=latency_ms)
 
 
-def _classify(reason) -> str:
-    if isinstance(reason, socket.gaierror):
-        return "dns"
-    if isinstance(reason, (TimeoutError, socket.timeout)):
-        return "timeout"
-    return "connect"
-
-
 def checkpoint_path_for(log_path) -> str:
     return str(log_path) + ".checkpoint"
 
@@ -116,11 +117,14 @@ def read_checkpoint(path) -> int:
     """Last completed slot index, or -1 when no checkpoint exists."""
     try:
         with open(path, "r", encoding="utf-8") as f:
-            return int(f.read())
+            slot = int(f.read())
     except FileNotFoundError:
         return -1
     except ValueError as exc:  # not an integer, or not UTF-8
         raise DataError(f"checkpoint {path}: {exc}") from None
+    if slot < 0:
+        raise DataError(f"checkpoint {path}: slot must be >= 0, got {slot}")
+    return slot
 
 
 def _write_checkpoint(path, slot: int) -> None:

@@ -1,9 +1,11 @@
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
 
+import jsonschema
 import pytest
 
 import cloudprobe
@@ -337,8 +339,32 @@ class TestCmdReport:
         assert rc == 0
         merged = json.loads(capsys.readouterr().out)
         report.validate_report(merged)
+        assert merged["tool"] == {"name": "cloudprobe", "version": cloudprobe.__version__}
         assert "estimates" in merged and "detection" in merged
         assert set(merged["provenance"]) == {"log_sha256", "truth_sha256", "config_sha256"}
+
+    def test_packaged_schema_is_valid(self):
+        # validate_report does not check the schema itself on each run, so it is checked here
+        schema = report.load_schema()
+        validator = jsonschema.validators.validator_for(schema)
+        assert validator is jsonschema.Draft202012Validator  # as its $schema names
+        validator.check_schema(schema)
+
+    def test_schema_violation_exits_two(self, tmp_path, capsys):
+        _, out = self.make_fragments(tmp_path)
+        frags = [json.loads((out / name).read_text()) for name in ("estimate.json", "detect.json")]
+        bad = json.loads((out / "estimate.json").read_text())
+        bad["counts"]["attempts"][0] = -1  # two errors, so the message is the best match
+        bad["estimates"]["first_try"] = 2.0
+        (out / "bad.json").write_text(json.dumps(bad))
+        doc = {**report.merge_fragments(frags), "counts": bad["counts"],
+               "estimates": bad["estimates"]}
+        with pytest.raises(jsonschema.ValidationError) as expected:
+            jsonschema.validate(doc, report.load_schema())
+        capsys.readouterr()  # drop fragment-step output
+        assert main(["report", str(out / "bad.json"), str(out / "detect.json")]) == 2
+        assert capsys.readouterr().err == \
+            f"data error: report does not match schema: {expected.value.message}\n"
 
     def test_single_fragment_pass_through(self, tmp_path, capsys):
         _, out = self.make_fragments(tmp_path)
@@ -498,13 +524,24 @@ class TestMalformedInput:
 
 
 class TestUsage:
-    def test_import_leaves_jsonschema_unloaded(self):
-        # only `report` validates, so no other command pays for the import
-        code = "import sys, cloudprobe.cli; print('jsonschema' in sys.modules)"
+    def test_import_leaves_unused_modules_unloaded(self):
+        # only `probe` uses the HTTP stack and only `report` validates, so no other
+        # command pays for their imports; what a fresh interpreter importing only numpy
+        # already loads (say, through a host's site hooks) is not cloudprobe's doing
+        names = ("jsonschema", "http.client", "urllib.request", "ssl", "email", "socket",
+                 "importlib.metadata")
         env = {**os.environ, "PYTHONPATH": str(Path(cloudprobe.__file__).parents[1])}
-        out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                             env=env, check=True)
-        assert out.stdout.strip() == "False"
+
+        def loaded_by(module):
+            code = f"import sys, {module}; print(*[n for n in {names!r} if n in sys.modules])"
+            return set(subprocess.run([sys.executable, "-c", code], capture_output=True,
+                                      text=True, env=env, check=True).stdout.split())
+
+        assert loaded_by("cloudprobe.cli") - loaded_by("numpy") == set()
+
+    def test_one_version_string(self):
+        text = (Path(__file__).parents[1] / "pyproject.toml").read_text(encoding="utf-8")
+        assert re.search(r'^version = "([^"]*)"$', text, re.M)[1] == cloudprobe.__version__
 
     def test_no_command_exits_one(self, capsys):
         assert main([]) == 1

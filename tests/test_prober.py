@@ -182,7 +182,7 @@ class TestRunCampaign:
         run_campaign(ProbeTarget(url=http_fixture.url), config, log_path)
         assert read_checkpoint(checkpoint_path_for(log_path)) == 3
 
-    @pytest.mark.parametrize("text", [b"abc\n", b"", b"\xff\n", b"1.5\n"])
+    @pytest.mark.parametrize("text", [b"abc\n", b"", b"\xff\n", b"1.5\n", b"-3\n", b"-1\n"])
     def test_unreadable_checkpoint_is_a_data_error(self, tmp_path, text):
         config = live_config(slots=2)
         log_path = tmp_path / "attempts.jsonl"
