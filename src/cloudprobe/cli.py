@@ -243,13 +243,14 @@ def cmd_probe(args) -> int:
 
     target = parsed.target or ProbeTarget(url=campaign.target)
     overrides = {}
-    if args.url:
+    # a given flag overrides even when empty or zero, so ProbeTarget rejects it
+    if args.url is not None:
         overrides["url"] = args.url
-    if args.timeout_ms:
+    if args.timeout_ms is not None:
         overrides["timeout_ms"] = args.timeout_ms
-    if args.success_status:
+    if args.success_status is not None:
         overrides["success_statuses"] = frozenset(args.success_status)
-    if args.expected_body_hash:
+    if args.expected_body_hash is not None:
         overrides["expected_body_hash"] = args.expected_body_hash
     if overrides:
         target = dataclasses.replace(target, **overrides)

@@ -26,8 +26,8 @@ def undetected_probability(duration_s: float, interval_s: float) -> float:
     length L is missed iff start + L stays short of the next probe: probability
     1 - L/T for L < T and 0 once L >= T.
     """
-    if duration_s <= 0 or interval_s <= 0:
-        raise ValueError("duration_s and interval_s must be > 0")
+    if not (0 < duration_s < math.inf and 0 < interval_s < math.inf):
+        raise ValueError("duration_s and interval_s must be finite and > 0")
     if interval_s <= duration_s:
         return 0.0
     return 1.0 - duration_s / interval_s
@@ -39,14 +39,14 @@ def undetected_curve(interval_s: float, durations_s=None) -> list[tuple[float, f
     The default grid spans (0, 1.5] so the flat zero region past L/T = 1 stays
     visible. Rows are (l_over_t, p_nodet) pairs ready for CSV plotting.
     """
-    if interval_s <= 0:
-        raise ValueError("interval_s must be > 0")
+    if not 0 < interval_s < math.inf:
+        raise ValueError("interval_s must be finite and > 0")
     if durations_s is None:
         durations_s = [interval_s * i / 40.0 for i in range(1, 61)]
     rows = []
     for dur in durations_s:
-        if dur <= 0:
-            raise ValueError("grid durations must be > 0")
+        if not 0 < dur < math.inf:
+            raise ValueError("grid durations must be finite and > 0")
         rows.append((dur / interval_s, undetected_probability(dur, interval_s)))
     return rows
 
@@ -115,11 +115,14 @@ def detect_outages(log: AttemptLog, config: CampaignConfig) -> list[DetectedOuta
     mine = log.vantage == (log.vantage.min() if len(log) else 0)
     recovered = log.slot[mine & (log.outcome == OUTCOMES.index(SUCCESS))]
     failed = np.setdiff1d(log.slot[mine], recovered)
-    runs = np.split(failed, np.flatnonzero(np.diff(failed) != 1) + 1) if len(failed) else []
-    return [DetectedOutage(start_s=run[0] * config.probe_interval_s,
-                           duration_s=len(run) * config.probe_interval_s,
-                           first_slot=run[0], slot_count=len(run))
-            for run in map(np.ndarray.tolist, runs)]
+    # a run starts where failed slots stop being consecutive; slots are >= 0,
+    # so the first failed slot always starts one
+    heads = np.flatnonzero(np.diff(failed, prepend=-2) != 1)
+    counts = np.diff(heads, append=len(failed))
+    interval = config.probe_interval_s
+    return [DetectedOutage(start_s=first * interval, duration_s=count * interval,
+                           first_slot=first, slot_count=count)
+            for first, count in zip(failed[heads].tolist(), counts.tolist())]
 
 
 def detection_report(truth: Timeline, log: AttemptLog, config: CampaignConfig,
@@ -132,53 +135,60 @@ def detection_report(truth: Timeline, log: AttemptLog, config: CampaignConfig,
     lowest-numbered vantage point's view; outages whose slots all recovered on
     retry have no run and carry no estimate.
     """
-    cloud = truth.events_of(CLOUD)
+    starts, ends, durations = truth.intervals(CLOUD)
     ts = np.append(np.sort(log.ts_s), math.inf)
-    starts = np.array([ev.start_s for ev in cloud])
-    ends = np.array([ev.end_s for ev in cloud])
-    flags = (ts[np.searchsorted(ts, starts)] < ends).tolist()
-    detected = sum(flags)
+    flags = ts[np.searchsorted(ts, starts)] < ends
+    detected = int(np.count_nonzero(flags))
 
     if bin_edges_s is None:
         bin_edges_s = [config.probe_interval_s * i / 4.0 for i in range(7)]
-    bins = _bin_rates(cloud, flags, bin_edges_s, config.probe_interval_s)
-    estimates = _duration_estimates(cloud, flags, runs, config.probe_interval_s)
+    bins = _bin_rates(durations, flags, bin_edges_s, config.probe_interval_s)
+    estimates = _duration_estimates(starts, ends, durations, flags, runs,
+                                    config.probe_interval_s)
 
     return DetectionReport(
-        total_true_outages=len(cloud),
+        total_true_outages=len(starts),
         detected=detected,
-        undetected=len(cloud) - detected,
+        undetected=len(starts) - detected,
         per_duration_bins=tuple(bins),
         duration_estimates=tuple(estimates),
     )
 
 
-def _bin_rates(events, flags, edges, interval_s) -> list[DurationBin]:
+def _bin_rates(durations, flags, edges, interval_s) -> list[DurationBin]:
+    """One bin per pair of adjacent sorted edges, half-open [lo, hi) on the
+    true duration."""
     edges = sorted(edges)
     if len(edges) < 2:
         raise ValueError("need at least two bin edges")
     bins = []
     for lo, hi in zip(edges, edges[1:]):
-        inside = [f for ev, f in zip(events, flags) if lo <= ev.duration_s < hi]
+        inside = (durations >= lo) & (durations < hi)
+        outages = int(np.count_nonzero(inside))
+        seen = int(np.count_nonzero(flags & inside))
         mid = 0.5 * (lo + hi)
-        analytic = undetected_probability(mid, interval_s) if mid > 0 else 1.0
-        rate = None if not inside else 1.0 - sum(inside) / len(inside)
+        # a bin open to an infinite edge has an infinite midpoint, never missed
+        analytic = undetected_probability(min(mid, interval_s), interval_s) if mid > 0 else 1.0
+        rate = None if not outages else 1.0 - seen / outages
         bins.append(DurationBin(lo_s=lo, hi_s=hi, analytic_p_nodet=analytic,
-                                empirical_nodet=rate, outages=len(inside)))
+                                empirical_nodet=rate, outages=outages))
     return bins
 
 
-def _duration_estimates(cloud, flags, runs, interval):
-    lasts = np.array([run.first_slot + run.slot_count - 1 for run in runs], dtype=np.int64)
-    estimates = []
-    for ev, seen in zip(cloud, flags):
-        # also consider the slot before the outage start: its retries may have
-        # been what detected the outage, or adjacency merged it into a run
-        slot = max(0, math.ceil(ev.start_s / interval - 1e-9) - 1)
-        k = np.searchsorted(lasts, slot)  # the first run not over before that slot
-        if seen and k < len(runs) and max(slot, runs[k].first_slot) * interval < ev.end_s:
-            estimates.append((ev.duration_s, runs[k].duration_s))
-    return estimates
+def _duration_estimates(starts, ends, durations, flags, runs, interval):
+    if not runs:
+        return []
+    firsts = np.array([run.first_slot for run in runs], dtype=np.int64)
+    lasts = firsts + np.array([run.slot_count for run in runs], dtype=np.int64) - 1
+    # also consider the slot before the outage start: its retries may have
+    # been what detected the outage, or adjacency merged it into a run
+    slots = np.maximum(0, np.ceil(starts / interval - 1e-9).astype(np.int64) - 1)
+    k = np.searchsorted(lasts, slots)  # the first run not over before that slot
+    has_run = k < len(runs)
+    k = np.minimum(k, len(runs) - 1)
+    paired = np.flatnonzero(flags & has_run & (np.maximum(slots, firsts[k]) * interval < ends))
+    return [(true_s, runs[i].duration_s)
+            for true_s, i in zip(durations[paired].tolist(), k[paired].tolist())]
 
 
 def sla_metrics(outages, threshold_s: float) -> SlaMetrics:
@@ -214,16 +224,16 @@ def undetected_monte_carlo(duration_s: float, interval_s: float, trials: int,
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
-    if duration_s <= 0 or interval_s <= 0:
-        raise ValueError("duration_s and interval_s must be > 0")
+    if not (0 < duration_s < math.inf and 0 < interval_s < math.inf):
+        raise ValueError("duration_s and interval_s must be finite and > 0")
     rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(9,)))
     offsets = rng.uniform(0.0, interval_s, size=trials)
     window = interval_s * (math.floor(duration_s / interval_s) + 3)
     horizon = trials * window
     timeline = Timeline(horizon_s=horizon, events=tuple(
-        OutageEvent(start_s=i * window + interval_s + float(offset), duration_s=duration_s,
+        OutageEvent(start_s=i * window + interval_s + offset, duration_s=duration_s,
                     cause=CLOUD)
-        for i, offset in enumerate(offsets)))
+        for i, offset in enumerate(offsets.tolist())))
     config = CampaignConfig(
         probe_interval_s=interval_s,
         horizon_days=horizon / DAY_S,

@@ -7,6 +7,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from operator import attrgetter
 
 import numpy as np
 
@@ -149,31 +150,46 @@ class Timeline:
     def __post_init__(self):
         if self.horizon_s <= 0:
             raise ValueError("horizon_s must be > 0")
-        events = tuple(sorted(self.events, key=lambda e: (e.start_s, e.cause)))
+        events = tuple(sorted(self.events, key=attrgetter("start_s", "cause")))
         object.__setattr__(self, "events", events)
-        last_end: dict[str, float] = {}
-        # per-cause (starts, ends) for in_outage, led by a -inf sentinel interval
-        index = {cause: ([-math.inf], [-math.inf]) for cause in CAUSES}
-        for ev in events:
+        start = np.array([ev.start_s for ev in events], dtype=np.float64)
+        duration = np.array([ev.duration_s for ev in events], dtype=np.float64)
+        end = start + duration
+        cause = np.array([ev.cause for ev in events], dtype=object)
+        # the first event that ends past the horizon or starts before the
+        # previous same-cause event ends; of both, the horizon is named
+        overlap = np.zeros(len(events), dtype=bool)
+        index = {}
+        for name in CAUSES:
+            rows = np.flatnonzero(cause == name)
+            overlap[rows[1:]] = start[rows[1:]] < end[rows[:-1]]
+            # starts and ends led by a -inf sentinel interval, for in_outage
+            columns = (np.append(-math.inf, start[rows]), np.append(-math.inf, end[rows]),
+                       duration[rows])
+            for column in columns:
+                column.flags.writeable = False
+            index[name] = columns
+        bad = np.flatnonzero((end > self.horizon_s) | overlap)
+        if len(bad):
+            ev = events[bad[0]]
             if ev.end_s > self.horizon_s:
                 raise ValueError(f"event ending at {ev.end_s} exceeds horizon {self.horizon_s}")
-            if ev.start_s < last_end.get(ev.cause, 0.0):
-                raise ValueError(f"overlapping {ev.cause} events at {ev.start_s}")
-            last_end[ev.cause] = ev.end_s
-            starts, ends = index[ev.cause]
-            starts.append(ev.start_s)
-            ends.append(ev.end_s)
-        # an attribute, not a field
-        object.__setattr__(self, "_index", {cause: (np.array(starts), np.array(ends))
-                                            for cause, (starts, ends) in index.items()})
+            raise ValueError(f"overlapping {ev.cause} events at {ev.start_s}")
+        object.__setattr__(self, "_index", index)  # an attribute, not a field
 
     def events_of(self, cause: str) -> tuple[OutageEvent, ...]:
         return tuple(e for e in self.events if e.cause == cause)
 
+    def intervals(self, cause: str) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Read-only (starts, ends, durations) arrays of the cause's events, in
+        start order; durations are the events' duration_s values."""
+        starts, ends, durations = self._index[cause]
+        return starts[1:], ends[1:], durations
+
     def in_outage(self, ts, cause: str) -> np.ndarray:
         """Whether each time in ts (a scalar or an array) falls inside a
         cause-matching outage interval."""
-        starts, ends = self._index[cause]
+        starts, ends, _ = self._index[cause]
         return ts < ends[np.searchsorted(starts, ts, side="right") - 1]
 
 

@@ -12,6 +12,7 @@ import functools
 import hashlib
 import math
 import os
+import re
 import time
 import urllib.parse
 from dataclasses import dataclass
@@ -37,6 +38,10 @@ class ProbeTarget:
             raise ConfigError("timeout_ms must be finite and > 0")
         if not self.success_statuses:
             raise ConfigError("success_statuses must be nonempty")
+        if self.expected_body_hash is not None and not re.fullmatch(
+                "[0-9a-fA-F]{64}", self.expected_body_hash):
+            raise ConfigError("expected_body_hash must be 64 hex digits (a sha256), "
+                              f"got {self.expected_body_hash!r}")
 
 
 @dataclass(frozen=True)

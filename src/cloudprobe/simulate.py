@@ -190,13 +190,16 @@ def sample_campaign(timeline: Timeline, config: CampaignConfig,
         raise ValueError("network_fail_prob must be in [0, 1)")
 
     slots, retry_max = config.slots, config.retry_max
+    grids = {}  # phase offset -> its (ts, cloud, blocked) grids, shared by its vantages
     parts = []
     for vantage in range(config.vantage_points):
         offset = phase_offsets[vantage] if phase_offsets else 0.0
-        ts = ((np.arange(slots) * config.probe_interval_s + offset)[:, None]
-              + np.arange(retry_max) * config.retry_gap_s)
-        cloud = timeline.in_outage(ts, CLOUD)
-        blocked = cloud | timeline.in_outage(ts, NETWORK)
+        if offset not in grids:
+            ts = ((np.arange(slots) * config.probe_interval_s + offset)[:, None]
+                  + np.arange(retry_max) * config.retry_gap_s)
+            cloud = timeline.in_outage(ts, CLOUD)
+            grids[offset] = ts, cloud, cloud | timeline.in_outage(ts, NETWORK)
+        ts, cloud, blocked = grids[offset]
         draws = None if network_fail_prob == 0.0 else (  # q = 0 draws nothing
             _rng(config.seed, _TAG_VANTAGE, vantage).random(slots * retry_max) >= network_fail_prob)
         made, ok = _retry_schedule(~blocked, draws)
@@ -204,7 +207,10 @@ def sample_campaign(timeline: Timeline, config: CampaignConfig,
             cloud, OUTCOMES.index(CLOUD_FAIL), OUTCOMES.index(NETWORK_FAIL)))
         parts.append(_grid_log(ts, vantage, made, outcome))
     log = AttemptLog.concat(parts)
-    return log[np.lexsort((log.attempt, log.vantage, log.ts_s))]
+    # each part is in (slot, attempt) order, which is ts_s order because a
+    # slot's retries end before the next slot, so a stable sort on ts_s of the
+    # vantage-major parts breaks ties by vantage, then attempt
+    return log[np.argsort(log.ts_s, kind="stable")]
 
 
 def _grid_log(ts, vantage: int, made, outcome) -> AttemptLog:

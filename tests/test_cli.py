@@ -455,6 +455,20 @@ class TestCmdProbe:
         write_sim_config(config_path)
         assert main(["probe", "--config", str(config_path)]) == 1
 
+    @pytest.mark.parametrize("flag, value, needle", [
+        ("--timeout-ms", "0", "timeout_ms"), ("--url", "", "http"),
+        ("--expected-body-hash", "", "expected_body_hash")])
+    def test_empty_or_zero_flag_rejected_before_probing(self, http_fixture, tmp_path, capsys,
+                                                         flag, value, needle):
+        config_path = tmp_path / "live.ini"
+        configfile.write_config(config_path, CampaignConfig(
+            probe_interval_s=0.25, horizon_days=0.25 / 86400.0, retry_max=1, retry_gap_s=0.0,
+            mode="live", target=http_fixture.url))
+        out = tmp_path / "out"
+        assert main(["probe", "--config", str(config_path), "--out", str(out), flag, value]) == 1
+        assert needle in capsys.readouterr().err
+        assert http_fixture.count == 0 and not (out / "attempts.jsonl").exists()
+
 
 class TestMalformedInput:
     @pytest.mark.parametrize("argv, files, code, needle", [

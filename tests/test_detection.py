@@ -2,9 +2,13 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from cloudprobe.detection import (
+    DetectedOutage,
     DetectionReport,
+    DurationBin,
     SlaMetrics,
     detect_outages,
     detection_report,
@@ -18,6 +22,9 @@ from cloudprobe.detection import (
 from cloudprobe.model import (
     CLOUD,
     CLOUD_FAIL,
+    NETWORK,
+    NETWORK_FAIL,
+    OUTCOMES,
     SUCCESS,
     AttemptLog,
     CampaignConfig,
@@ -73,6 +80,13 @@ class TestUndetectedProbability:
         with pytest.raises(ValueError):
             undetected_probability(60.0, 0.0)
 
+    @pytest.mark.parametrize("duration_s, interval_s", [
+        (math.nan, 600.0), (60.0, math.nan), (math.inf, 600.0), (60.0, math.inf),
+        (-math.inf, 600.0), (60.0, -1.0)])
+    def test_non_finite_rejected(self, duration_s, interval_s):
+        with pytest.raises(ValueError, match="finite"):
+            undetected_probability(duration_s, interval_s)
+
 
 class TestUndetectedCurve:
     def test_boundary_and_linear_points(self):
@@ -87,6 +101,16 @@ class TestUndetectedCurve:
         values = [p for _, p in rows]
         assert all(b <= a for a, b in zip(values, values[1:]))
         assert rows[-1][0] == pytest.approx(1.5)
+
+    @pytest.mark.parametrize("interval_s", [math.nan, math.inf, 0.0, -600.0])
+    def test_bad_interval_rejected(self, interval_s):
+        with pytest.raises(ValueError, match="finite"):
+            undetected_curve(interval_s)
+
+    @pytest.mark.parametrize("duration_s", [math.nan, math.inf, 0.0])
+    def test_bad_grid_duration_rejected(self, duration_s):
+        with pytest.raises(ValueError, match="finite"):
+            undetected_curve(T, [0.5 * T, duration_s])
 
     def test_csv_header_exact(self, tmp_path):
         path = tmp_path / "curve.csv"
@@ -286,7 +310,195 @@ class TestMonteCarloMissRate:
     def test_interval_length_outage_never_missed(self):
         assert undetected_monte_carlo(T, T, trials=500, seed=6) == 0.0
 
+    @pytest.mark.parametrize("duration_s, interval_s", [
+        (math.inf, T), (60.0, math.inf), (math.nan, T), (60.0, math.nan), (0.0, T),
+        (60.0, -T)])
+    def test_non_finite_rejected(self, duration_s, interval_s):
+        with pytest.raises(ValueError, match="finite"):
+            undetected_monte_carlo(duration_s, interval_s, trials=10)
+
     def test_retries_do_not_change_detection_without_network_noise(self):
         lean = undetected_monte_carlo(0.3 * T, T, trials=3000, seed=7, retry_max=1)
         deep = undetected_monte_carlo(0.3 * T, T, trials=3000, seed=7, retry_max=9)
         assert abs(lean - deep) < 1e-12
+
+
+# Per-event oracles: the scoring as it was before it became array operations.
+# The array versions must give the same report, byte for byte.
+
+def oracle_detect_outages(log, config):
+    mine = log.vantage == (log.vantage.min() if len(log) else 0)
+    recovered = log.slot[mine & (log.outcome == OUTCOMES.index(SUCCESS))]
+    failed = np.setdiff1d(log.slot[mine], recovered)
+    runs = np.split(failed, np.flatnonzero(np.diff(failed) != 1) + 1) if len(failed) else []
+    return [DetectedOutage(start_s=run[0] * config.probe_interval_s,
+                           duration_s=len(run) * config.probe_interval_s,
+                           first_slot=run[0], slot_count=len(run))
+            for run in map(np.ndarray.tolist, runs)]
+
+
+def oracle_detection_report(truth, log, config, runs, bin_edges_s=None):
+    cloud = truth.events_of(CLOUD)
+    ts = np.append(np.sort(log.ts_s), math.inf)
+    starts = np.array([ev.start_s for ev in cloud])
+    ends = np.array([ev.end_s for ev in cloud])
+    flags = (ts[np.searchsorted(ts, starts)] < ends).tolist()
+    detected = sum(flags)
+    if bin_edges_s is None:
+        bin_edges_s = [config.probe_interval_s * i / 4.0 for i in range(7)]
+    return DetectionReport(
+        total_true_outages=len(cloud), detected=detected, undetected=len(cloud) - detected,
+        per_duration_bins=tuple(oracle_bin_rates(cloud, flags, bin_edges_s,
+                                                 config.probe_interval_s)),
+        duration_estimates=tuple(oracle_duration_estimates(cloud, flags, runs,
+                                                           config.probe_interval_s)))
+
+
+def oracle_bin_rates(events, flags, edges, interval_s):
+    edges = sorted(edges)
+    if len(edges) < 2:
+        raise ValueError("need at least two bin edges")
+    bins = []
+    for lo, hi in zip(edges, edges[1:]):
+        inside = [f for ev, f in zip(events, flags) if lo <= ev.duration_s < hi]
+        mid = 0.5 * (lo + hi)
+        analytic = (0.0 if interval_s <= mid else 1.0 - mid / interval_s) if mid > 0 else 1.0
+        rate = None if not inside else 1.0 - sum(inside) / len(inside)
+        bins.append(DurationBin(lo_s=lo, hi_s=hi, analytic_p_nodet=analytic,
+                                empirical_nodet=rate, outages=len(inside)))
+    return bins
+
+
+def oracle_duration_estimates(cloud, flags, runs, interval):
+    lasts = np.array([run.first_slot + run.slot_count - 1 for run in runs], dtype=np.int64)
+    estimates = []
+    for ev, seen in zip(cloud, flags):
+        slot = max(0, math.ceil(ev.start_s / interval - 1e-9) - 1)
+        k = np.searchsorted(lasts, slot)
+        if seen and k < len(runs) and max(slot, runs[k].first_slot) * interval < ev.end_s:
+            estimates.append((ev.duration_s, runs[k].duration_s))
+    return estimates
+
+
+def assert_matches_oracle(truth, log, cfg, bin_edges_s=None):
+    runs = detect_outages(log, cfg)
+    want_runs = oracle_detect_outages(log, cfg)
+    assert repr(runs) == repr(want_runs)
+    got = detection_report(truth, log, cfg, runs, bin_edges_s=bin_edges_s)
+    want = oracle_detection_report(truth, log, cfg, want_runs, bin_edges_s=bin_edges_s)
+    assert repr(got) == repr(want)  # also pins float vs int vs numpy scalar types
+    return got
+
+
+def _events(draw, cause, horizon, interval):
+    """Disjoint events of one cause, often starting and ending on slot epochs."""
+    lengths = st.one_of(st.sampled_from([0.5, 1.0, 2.0, 3.0]).map(lambda m: m * interval),
+                        st.floats(1e-3 * interval, 3 * interval))
+    events, t = [], 0.0
+    for gap, duration in draw(st.lists(st.tuples(st.one_of(st.just(0.0), lengths), lengths),
+                                       max_size=12)):
+        start = t + gap
+        if start + duration > horizon:
+            break
+        events.append(OutageEvent(start, duration, cause))
+        t = start + duration
+    return events
+
+
+@st.composite
+def scored_campaigns(draw):
+    interval = draw(st.sampled_from([7.5, 60.0, 600.0]))
+    retry_max = draw(st.integers(1, 4))
+    gap = draw(st.sampled_from([0.0, 1.0, interval / 8]))
+    vantages = draw(st.integers(1, 3))
+    slots = draw(st.integers(1, 30))
+    cfg = CampaignConfig(probe_interval_s=interval, horizon_days=slots * interval / 86400.0,
+                         vantage_points=vantages, retry_max=retry_max, retry_gap_s=gap,
+                         seed=draw(st.integers(0, 9)))
+    horizon = slots * interval
+    events = []
+    if draw(st.booleans()):
+        events += _events(draw, CLOUD, horizon, interval)
+    if draw(st.booleans()):
+        events += _events(draw, NETWORK, horizon, interval)
+    truth = Timeline(horizon_s=horizon, events=tuple(events))
+    if draw(st.booleans()):
+        # the real sampler; network noise leaves slots recovered on retry
+        offsets = draw(st.none() | st.lists(st.sampled_from([0.0, 1.0, interval / 2]),
+                                            min_size=vantages, max_size=vantages))
+        q = draw(st.sampled_from([0.0, 0.3, 0.7]))
+        log = sample_campaign(truth, cfg, q, phase_offsets=offsets)
+    else:
+        # attempts placed and failed at random, unrelated to the truth
+        log = log_of(Row(ts_s=draw(st.floats(0.0, horizon)), vantage=draw(st.integers(0, 2)),
+                         slot=draw(st.integers(0, slots)), attempt=1,
+                         outcome=draw(st.sampled_from([SUCCESS, CLOUD_FAIL, NETWORK_FAIL])))
+                     for _ in range(draw(st.integers(0, 40))))
+    edges = draw(st.none() | st.lists(
+        st.sampled_from([0, 0.0, 0.25, 0.5, 1.0, 1.5, 3.0, math.inf]).map(lambda m: m * interval)
+        | st.floats(0.0, 4 * interval), min_size=2, max_size=6))
+    return truth, log, cfg, edges
+
+
+class TestMatchesPerEventOracle:
+    @settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(campaign=scored_campaigns())
+    def test_random_campaigns(self, campaign):
+        assert_matches_oracle(*campaign)
+
+    def test_events_on_slot_boundaries(self):
+        cfg = config(retry_max=3)
+        tl = Timeline(horizon_s=cfg.horizon_s, events=(
+            OutageEvent(T, T), OutageEvent(3 * T, 2 * T), OutageEvent(5 * T, 0.5 * T),
+            OutageEvent(10 * T - 1.0, 1.0)))
+        rep = assert_matches_oracle(tl, sample_campaign(tl, cfg), cfg)
+        assert rep.total_true_outages == 4 and rep.undetected == 1
+        # back-to-back outages merge into one run, paired with both
+        assert rep.duration_estimates == ((T, T), (2 * T, 3 * T), (0.5 * T, 3 * T))
+
+    @pytest.mark.parametrize("events", [(), (OutageEvent(1000.0, 300.0, NETWORK),)],
+                             ids=["no-events", "network-only"])
+    def test_no_cloud_events(self, events):
+        cfg = config()
+        tl = Timeline(horizon_s=cfg.horizon_s, events=events)
+        rep = assert_matches_oracle(tl, sample_campaign(tl, cfg, 0.2), cfg)
+        assert rep.total_true_outages == 0 and rep.duration_estimates == ()
+        assert all(b.outages == 0 and b.empirical_nodet is None for b in rep.per_duration_bins)
+
+    def test_multi_vantage_log(self):
+        cfg = config(vantage_points=3)
+        tl = Timeline(horizon_s=cfg.horizon_s, events=(
+            OutageEvent(250.0, 100.0), OutageEvent(2 * T + 10.0, 3 * T)))
+        log = sample_campaign(tl, cfg, phase_offsets=[0.0, 300.0, 300.0])
+        rep = assert_matches_oracle(tl, log, cfg)
+        # only the offset vantages see the short outage, so it has no run
+        assert rep.detected == 2 and len(rep.duration_estimates) == 1
+
+    def test_slots_recovered_on_retry(self):
+        cfg = config(retry_max=3, retry_gap_s=5.0)
+        # a long outage makes a run over slots 1-2; each later one ends
+        # between a slot's first attempt and its retry, after every run
+        tl = Timeline(horizon_s=cfg.horizon_s, events=(OutageEvent(T / 2, 2.5 * T),) + tuple(
+            OutageEvent(k * T - 20.0, 22.0) for k in range(5, 10)))
+        log = sample_campaign(tl, cfg)
+        rep = assert_matches_oracle(tl, log, cfg)
+        assert [(r.first_slot, r.slot_count) for r in detect_outages(log, cfg)] == [(1, 2)]
+        assert rep.detected == 6 and rep.duration_estimates == ((2.5 * T, 2 * T),)
+
+    @pytest.mark.parametrize("edges", [[T, 0.0, T / 2], [0.0, T / 2, T / 2, T],
+                                       [0.0, 0.0], [T, math.inf, 0.0]],
+                             ids=["unsorted", "duplicate", "all-equal", "infinite"])
+    def test_bin_edges(self, edges):
+        cfg = config()
+        tl = Timeline(horizon_s=cfg.horizon_s, events=(
+            OutageEvent(100.0, T / 2), OutageEvent(2000.0, T / 4), OutageEvent(9000.0, 2 * T)))
+        rep = assert_matches_oracle(tl, sample_campaign(tl, cfg), cfg, bin_edges_s=edges)
+        assert [b.lo_s for b in rep.per_duration_bins] == sorted(edges)[:-1]
+        assert sum(b.outages for b in rep.per_duration_bins) == sum(
+            min(edges) <= d < max(edges) for d in (T / 2, T / 4, 2 * T))
+
+    def test_too_few_edges_rejected(self):
+        cfg = config()
+        tl = Timeline(horizon_s=cfg.horizon_s)
+        with pytest.raises(ValueError, match="two bin edges"):
+            report(tl, log_of([]), cfg, bin_edges_s=[T])

@@ -3,8 +3,11 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from cloudprobe.model import (
+    CAUSES,
     CLOUD_FAIL,
     SUCCESS,
     AttemptCounts,
@@ -240,6 +243,75 @@ class TestTimeline:
     def test_zero_duration_event_rejected(self):
         with pytest.raises(ValueError):
             OutageEvent(0, 0)
+
+    def test_intervals_are_read_only_and_per_cause(self):
+        tl = Timeline(horizon_s=1000, events=(
+            OutageEvent(500, 0.1), OutageEvent(100.3, 0.2), OutageEvent(50, 10, "network")))
+        starts, ends, durations = tl.intervals("cloud")
+        assert starts.tolist() == [100.3, 500]
+        assert ends.tolist() == [100.3 + 0.2, 500.1]
+        # the stored durations, not end - start, which rounds differently
+        assert durations.tolist() == [0.2, 0.1] != (ends - starts).tolist()
+        assert [a.tolist() for a in tl.intervals("network")] == [[50], [60], [10]]
+        with pytest.raises(ValueError):
+            starts[0] = 0.0
+        assert [a.tolist() for a in Timeline(horizon_s=1).intervals("cloud")] == [[], [], []]
+
+    @pytest.mark.parametrize("events, message", [
+        ((OutageEvent(0, 100), OutageEvent(50, 10)), "overlapping cloud events at 50"),
+        ((OutageEvent(90, 20),), "event ending at 110 exceeds horizon 100"),
+        # both faults at one event: the horizon is named
+        ((OutageEvent(0, 50, "network"), OutageEvent(40, 70, "network")),
+         "event ending at 110 exceeds horizon 100"),
+        # the first faulty event in start order, whatever the input order
+        ((OutageEvent(80, 30), OutageEvent(10, 20), OutageEvent(20, 5)),
+         "overlapping cloud events at 20"),
+    ])
+    def test_first_fault_named(self, events, message):
+        with pytest.raises(ValueError) as err:
+            Timeline(horizon_s=100, events=events)
+        assert str(err.value) == message == oracle_timeline(100, events)
+
+
+def oracle_timeline(horizon_s, events):
+    """The per-event validation loop the Timeline replaced: its error message,
+    or the sorted events and each cause's (starts, ends, durations)."""
+    events = tuple(sorted(events, key=lambda e: (e.start_s, e.cause)))
+    last_end = {}
+    columns = {cause: ([], [], []) for cause in CAUSES}
+    for ev in events:
+        if ev.end_s > horizon_s:
+            return f"event ending at {ev.end_s} exceeds horizon {horizon_s}"
+        if ev.start_s < last_end.get(ev.cause, 0.0):
+            return f"overlapping {ev.cause} events at {ev.start_s}"
+        last_end[ev.cause] = ev.end_s
+        for column, value in zip(columns[ev.cause], (ev.start_s, ev.end_s, ev.duration_s)):
+            column.append(value)
+    return events, columns
+
+
+_TIMES = st.sampled_from([0.0, 10.0, 50.0, 60.0, 100.0]) | st.floats(0.0, 120.0)
+
+
+@settings(max_examples=500, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(horizon_s=st.sampled_from([60.0, 100.0, 150.0]), events=st.lists(st.builds(
+    OutageEvent, start_s=_TIMES, duration_s=_TIMES.filter(lambda d: d > 0),
+    cause=st.sampled_from(sorted(CAUSES))), max_size=8))
+def test_timeline_matches_validation_loop(horizon_s, events):
+    want = oracle_timeline(horizon_s, events)
+    try:
+        tl = Timeline(horizon_s=horizon_s, events=tuple(events))
+    except ValueError as exc:
+        assert str(exc) == want
+        return
+    assert not isinstance(want, str), want
+    assert tl.events == want[0]
+    for cause, columns in want[1].items():
+        assert [a.tolist() for a in tl.intervals(cause)] == list(columns)
+        starts, ends, _ = tl.intervals(cause)
+        probes = np.linspace(-1.0, horizon_s + 1.0, 257)
+        assert tl.in_outage(probes, cause).tolist() == [
+            any(s <= t < e for s, e in zip(starts.tolist(), ends.tolist())) for t in probes.tolist()]
 
 
 class TestAttemptCountsInvariants:

@@ -110,6 +110,12 @@ class TestProbeOnce:
         with pytest.raises(ConfigError):
             ProbeTarget(url="http://host/", success_statuses=frozenset())
 
+    @pytest.mark.parametrize("digest", ["", "ab" * 31, "ab" * 33, "g" * 64, " " + "a" * 63])
+    def test_expected_body_hash_must_be_a_sha256(self, digest):
+        with pytest.raises(ConfigError, match="expected_body_hash"):
+            ProbeTarget(url="http://host/", expected_body_hash=digest)
+        assert ProbeTarget(url="http://host/", expected_body_hash="aB" * 32).expected_body_hash
+
 
 class TestRunCampaign:
     def test_always_up_fixture(self, http_fixture, tmp_path):

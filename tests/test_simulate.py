@@ -293,7 +293,8 @@ class TestMatchesPerRecordReference:
         proc = OutageProcess(
             up_mean_s=2400.0, duration_dist=DurationDistribution.exponential(500.0),
             network_burst=NetworkBurst(rate_per_day=30.0, duration_s=200.0) if bursts else None)
-        for seed, offsets in ((1, None), (2, [0.0, 17.5, 333.25]), (7, [2.0, 0.0, 1.0])):
+        for seed, offsets in ((1, None), (2, [0.0, 17.5, 333.25]), (7, [2.0, 0.0, 1.0]),
+                              (3, [5.0, 0.0, 5.0])):  # vantages sharing an offset
             config = small_config(horizon_days=2.0, vantage_points=3, retry_max=retry_max,
                                   seed=seed)
             tl = generate_timeline(proc, config.horizon_s, seed)
@@ -302,6 +303,18 @@ class TestMatchesPerRecordReference:
             assert len(log) == len(want)
             for name in ("ts_s", "vantage", "slot", "attempt", "outcome"):
                 assert [getattr(r, name) for r in rows_of(log)] == [getattr(r, name) for r in want], name
+
+    @pytest.mark.parametrize("q", [0.0, 0.5])
+    def test_zero_gap_ties_equal(self, q):
+        # every attempt of a slot, and of vantages sharing an offset, has one ts_s
+        proc = OutageProcess(up_mean_s=2400.0,
+                             duration_dist=DurationDistribution.exponential(500.0))
+        config = small_config(horizon_days=1.0, vantage_points=4, retry_max=4,
+                              retry_gap_s=0.0, seed=5)
+        tl = generate_timeline(proc, config.horizon_s, 5)
+        for offsets in (None, [3.0, 0.0, 3.0, 0.0]):
+            log = sample_campaign(tl, config, q, phase_offsets=offsets)
+            assert rows_of(log) == per_record_sample(tl, config, q, phase_offsets=offsets)
 
     @pytest.mark.parametrize("p, retry_max", [(0.0, 3), (0.3, 1), (0.5, 9), (1.0, 4)])
     def test_iid_hook_equal(self, p, retry_max):
