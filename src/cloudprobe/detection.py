@@ -14,8 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import CLOUD, DAY_S, OUTCOMES, SUCCESS, AttemptLog, CampaignConfig, OutageEvent, \
-    Timeline
+from .model import CLOUD, DAY_S, OUTCOMES, SUCCESS, AttemptLog, CampaignConfig, Timeline
 from .simulate import sample_campaign
 
 
@@ -133,7 +132,8 @@ def detection_report(truth: Timeline, log: AttemptLog, config: CampaignConfig,
     vantage, any attempt rank) falls inside it. Duration estimates pair each
     detected outage with its run from detect_outages(log, config), the
     lowest-numbered vantage point's view; outages whose slots all recovered on
-    retry have no run and carry no estimate.
+    retry have no run and carry no estimate. With runs empty there are no
+    estimates, and the counts and bins are unchanged.
     """
     starts, ends, durations = truth.intervals(CLOUD)
     ts = np.append(np.sort(log.ts_s), math.inf)
@@ -218,22 +218,21 @@ def undetected_monte_carlo(duration_s: float, interval_s: float, trials: int,
     sit side by side in one campaign, trial i in its own window of
     W = T * (floor(L/T) + 3) seconds with its outage at i*W + T + offset_i, so
     each window holds the first probe after its own outage ends and no probe
-    of one trial can see another trial's outage. The real sampler probes that
-    campaign and detection_report scores it, so this validates the whole
-    pipeline rather than re-deriving the formula.
+    of one trial can see another trial's outage. The truth is built from
+    arrays with Timeline.from_intervals. The real sampler probes that campaign
+    and detection_report scores it, with no runs to pair, so this validates the
+    whole pipeline rather than re-deriving the formula.
     """
-    if trials < 1:
-        raise ValueError("trials must be >= 1")
+    if isinstance(trials, bool) or not isinstance(trials, (int, np.integer)) or trials < 1:
+        raise ValueError(f"trials must be an integer >= 1, got {trials!r}")
     if not (0 < duration_s < math.inf and 0 < interval_s < math.inf):
         raise ValueError("duration_s and interval_s must be finite and > 0")
     rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(9,)))
     offsets = rng.uniform(0.0, interval_s, size=trials)
     window = interval_s * (math.floor(duration_s / interval_s) + 3)
     horizon = trials * window
-    timeline = Timeline(horizon_s=horizon, events=tuple(
-        OutageEvent(start_s=i * window + interval_s + offset, duration_s=duration_s,
-                    cause=CLOUD)
-        for i, offset in enumerate(offsets.tolist())))
+    timeline = Timeline.from_intervals(horizon, np.arange(trials) * window + interval_s + offsets,
+                                       np.full(trials, duration_s))
     config = CampaignConfig(
         probe_interval_s=interval_s,
         horizon_days=horizon / DAY_S,
@@ -243,4 +242,5 @@ def undetected_monte_carlo(duration_s: float, interval_s: float, trials: int,
         seed=0,
     )
     log = sample_campaign(timeline, config)
-    return detection_report(timeline, log, config, detect_outages(log, config)).undetected / trials
+    # no runs: only the undetected count is read, and it does not depend on them
+    return detection_report(timeline, log, config, []).undetected / trials

@@ -52,7 +52,7 @@ def overestimation_factor(p: float, max_attempts: int) -> float:
 
 def overestimation_factor_from_nines(k: float, max_attempts: int) -> float:
     """Same inflation factor parameterized by availability nines k."""
-    if k <= 0:
+    if not k > 0:  # also NaN
         raise ValueError("k must be > 0")
     if max_attempts < 1:
         raise ValueError("max_attempts must be >= 1")
@@ -77,6 +77,8 @@ def nines(p: float) -> float:
 
 def from_nines(k: float) -> float:
     """Inverse of nines(): 1 - 10^-k."""
+    if not k > 0:  # also NaN
+        raise ValueError("k must be > 0")
     return 1.0 - 10.0 ** -k
 
 

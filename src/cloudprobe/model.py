@@ -6,7 +6,7 @@ of numpy columns; persistence lives in logs.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from operator import attrgetter
 
 import numpy as np
@@ -145,37 +145,79 @@ class Timeline:
     """
 
     horizon_s: float
-    events: tuple[OutageEvent, ...] = ()
+    # a default_factory leaves the class without an events attribute, so a
+    # timeline from from_intervals can build its events on first read
+    events: tuple[OutageEvent, ...] = field(default_factory=tuple)
 
     def __post_init__(self):
-        if self.horizon_s <= 0:
-            raise ValueError("horizon_s must be > 0")
         events = tuple(sorted(self.events, key=attrgetter("start_s", "cause")))
         object.__setattr__(self, "events", events)
-        start = np.array([ev.start_s for ev in events], dtype=np.float64)
-        duration = np.array([ev.duration_s for ev in events], dtype=np.float64)
-        end = start + duration
         cause = np.array([ev.cause for ev in events], dtype=object)
+        self._index_intervals(np.array([ev.start_s for ev in events], dtype=np.float64),
+                              np.array([ev.duration_s for ev in events], dtype=np.float64),
+                              {name: np.flatnonzero(cause == name) for name in CAUSES},
+                              events.__getitem__)
+
+    @classmethod
+    def from_intervals(cls, horizon_s: float, start_s, duration_s, cause: str = CLOUD) -> Timeline:
+        """The timeline Timeline(horizon_s, events) gives for the events
+        OutageEvent(start_s[i], duration_s[i], cause) of the float64 values,
+        raising the same errors, built from the arrays: its events are made
+        only when first read."""
+        start = np.asarray(start_s, dtype=np.float64)
+        duration = np.asarray(duration_s, dtype=np.float64)
+        if start.ndim != 1 or start.shape != duration.shape:
+            raise ValueError("start_s and duration_s must be 1-D and of equal length")
+        bad = (np.arange(len(start)) if cause not in CAUSES else np.flatnonzero(
+            ~((0 <= start) & (start < math.inf) & (0 < duration) & (duration < math.inf))))
+        if len(bad):
+            OutageEvent(start[bad[0]].item(), duration[bad[0]].item(), cause)  # raises
+        order = np.argsort(start, kind="stable")
+        start, duration = start[order], duration[order]
+        timeline = object.__new__(cls)
+        object.__setattr__(timeline, "horizon_s", horizon_s)
+        timeline._index_intervals(start, duration, {cause: np.arange(len(start))},
+                                  lambda i: OutageEvent(start[i].item(), duration[i].item(), cause))
+        return timeline
+
+    def _index_intervals(self, start, duration, rows, event):
+        """Check the start-sorted intervals and index them by cause. rows maps
+        a cause to its rows; event(i) is row i as an OutageEvent, to name it
+        in an error."""
+        if self.horizon_s <= 0:
+            raise ValueError("horizon_s must be > 0")
+        end = start + duration
         # the first event that ends past the horizon or starts before the
         # previous same-cause event ends; of both, the horizon is named
-        overlap = np.zeros(len(events), dtype=bool)
+        overlap = np.zeros(len(start), dtype=bool)
         index = {}
         for name in CAUSES:
-            rows = np.flatnonzero(cause == name)
-            overlap[rows[1:]] = start[rows[1:]] < end[rows[:-1]]
+            mine = rows.get(name, np.arange(0))
+            overlap[mine[1:]] = start[mine[1:]] < end[mine[:-1]]
             # starts and ends led by a -inf sentinel interval, for in_outage
-            columns = (np.append(-math.inf, start[rows]), np.append(-math.inf, end[rows]),
-                       duration[rows])
+            columns = (np.append(-math.inf, start[mine]), np.append(-math.inf, end[mine]),
+                       duration[mine])
             for column in columns:
                 column.flags.writeable = False
             index[name] = columns
         bad = np.flatnonzero((end > self.horizon_s) | overlap)
         if len(bad):
-            ev = events[bad[0]]
+            ev = event(bad[0])
             if ev.end_s > self.horizon_s:
                 raise ValueError(f"event ending at {ev.end_s} exceeds horizon {self.horizon_s}")
             raise ValueError(f"overlapping {ev.cause} events at {ev.start_s}")
         object.__setattr__(self, "_index", index)  # an attribute, not a field
+
+    def __getattr__(self, name):
+        # only a timeline from from_intervals lacks events: build them once
+        if name != "events":
+            raise AttributeError(name)
+        events = tuple(sorted((OutageEvent(start, duration, cause)
+                               for cause, (starts, _, durations) in self._index.items()
+                               for start, duration in zip(starts[1:].tolist(), durations.tolist())),
+                              key=attrgetter("start_s", "cause")))
+        object.__setattr__(self, "events", events)
+        return events
 
     def events_of(self, cause: str) -> tuple[OutageEvent, ...]:
         return tuple(e for e in self.events if e.cause == cause)
@@ -190,6 +232,8 @@ class Timeline:
         """Whether each time in ts (a scalar or an array) falls inside a
         cause-matching outage interval."""
         starts, ends, _ = self._index[cause]
+        if len(starts) == 1:  # only the sentinel: no time is inside
+            return np.zeros(np.shape(ts), dtype=bool) if np.ndim(ts) else np.False_
         return ts < ends[np.searchsorted(starts, ts, side="right") - 1]
 
 

@@ -297,11 +297,28 @@ def per_trial_monte_carlo(duration_s, interval_s, trials, seed=0, retry_max=9,
 
 class TestMonteCarloMissRate:
     @pytest.mark.parametrize("retry_max", [1, 9])
-    @pytest.mark.parametrize("l_over_t", [0.1, 0.5, 0.9, 1.0, 1.7])
+    @pytest.mark.parametrize("l_over_t", [0.1, 0.5, 0.9, 1.0, 1.2, 1.7])
     def test_equals_per_trial_reference(self, l_over_t, retry_max):
-        args = (l_over_t * T, T, 400)
-        kwargs = dict(seed=11, retry_max=retry_max)
-        assert undetected_monte_carlo(*args, **kwargs) == per_trial_monte_carlo(*args, **kwargs)
+        for interval_s in (T, 60.0):  # the benchmark's two intervals
+            args = (l_over_t * interval_s, interval_s, 400)
+            kwargs = dict(seed=11, retry_max=retry_max)
+            assert undetected_monte_carlo(*args, **kwargs) == per_trial_monte_carlo(
+                *args, **kwargs), interval_s
+
+    def test_builds_no_event_or_run_objects(self, monkeypatch):
+        want = per_trial_monte_carlo(0.5 * T, T, 50, seed=3)
+
+        def refuse(self, *args, **kwargs):
+            raise AssertionError(f"{type(self).__name__} built")
+
+        monkeypatch.setattr(OutageEvent, "__post_init__", refuse)
+        monkeypatch.setattr(DetectedOutage, "__init__", refuse)
+        assert undetected_monte_carlo(0.5 * T, T, trials=50, seed=3) == want
+
+    @pytest.mark.parametrize("trials", [10.5, 2.0, True, "3", 0, -1])
+    def test_trials_must_be_a_positive_integer(self, trials):
+        with pytest.raises(ValueError, match="trials"):
+            undetected_monte_carlo(60.0, T, trials)
 
     def test_half_interval_quick(self):
         rate = undetected_monte_carlo(0.5 * T, T, trials=4000, seed=5)

@@ -126,6 +126,11 @@ class TestOverestimationFactor:
         with pytest.raises(ValueError):
             overestimation_factor_from_nines(0.0, 9)
 
+    @pytest.mark.parametrize("k", [math.nan, -1.0, -math.inf])
+    def test_nan_or_negative_nines_rejected(self, k):
+        with pytest.raises(ValueError, match="k must be > 0"):
+            overestimation_factor_from_nines(k, 9)
+
 
 class TestStandardError:
     def test_published_sigmas_within_two_percent(self):
@@ -167,6 +172,11 @@ class TestNines:
         for p in (0.0, 1.0, -0.1, 1.1):
             with pytest.raises(ValueError):
                 nines(p)
+
+    @pytest.mark.parametrize("k", [math.nan, 0.0, -1.0, -math.inf])
+    def test_from_nines_rejects_nan_and_non_positive(self, k):
+        with pytest.raises(ValueError, match="k must be > 0"):
+            from_nines(k)
 
 
 class TestIntervals:

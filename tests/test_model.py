@@ -1,5 +1,6 @@
 import dataclasses
 import json
+import math
 
 import numpy as np
 import pytest
@@ -312,6 +313,70 @@ def test_timeline_matches_validation_loop(horizon_s, events):
         probes = np.linspace(-1.0, horizon_s + 1.0, 257)
         assert tl.in_outage(probes, cause).tolist() == [
             any(s <= t < e for s, e in zip(starts.tolist(), ends.tolist())) for t in probes.tolist()]
+
+
+_VALUES = _TIMES | st.sampled_from([-1.0, -0.0, math.nan, math.inf])
+
+
+@settings(max_examples=500, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(horizon_s=st.sampled_from([60.0, 100.0, 150.0]),
+       cause=st.sampled_from(sorted(CAUSES) + ["power"]),
+       intervals=st.lists(st.tuples(_VALUES, _VALUES), max_size=8))
+def test_from_intervals_matches_events(horizon_s, cause, intervals):
+    try:
+        events = tuple(OutageEvent(start, duration, cause) for start, duration in intervals)
+        want = oracle_timeline(horizon_s, events)
+    except ValueError as exc:
+        want = str(exc)
+    try:
+        tl = Timeline.from_intervals(horizon_s, [start for start, _ in intervals],
+                                     [duration for _, duration in intervals], cause)
+    except ValueError as exc:
+        assert str(exc) == want
+        return
+    assert not isinstance(want, str), want
+    probes = np.linspace(-1.0, horizon_s + 1.0, 257)
+    for name, columns in want[1].items():
+        assert [a.tolist() for a in tl.intervals(name)] == list(columns)
+        starts, ends, _ = columns
+        assert tl.in_outage(probes, name).tolist() == [
+            any(s <= t < e for s, e in zip(starts, ends)) for t in probes.tolist()]
+    assert "events" not in vars(tl)  # built on first read
+    assert tl.events == want[0]
+    assert tl == Timeline(horizon_s=horizon_s, events=events)
+
+
+class TestFromIntervals:
+    def test_fields_and_constructor_unchanged(self):
+        assert [f.name for f in dataclasses.fields(Timeline)] == ["horizon_s", "events"]
+        assert Timeline(horizon_s=10).events == ()
+        assert Timeline.from_intervals(10, [], []).events == ()
+
+    @pytest.mark.parametrize("horizon_s, starts, durations, message", [
+        (0, [], [], "horizon_s must be > 0"),
+        # an event's own fault is raised before the horizon's, as OutageEvent
+        # would raise it while the events are built
+        (-1, [1.0, math.nan], [1.0, 1.0], "start_s must be finite and >= 0, got nan"),
+        (10, [1.0, 2.0], [1.0], "start_s and duration_s must be 1-D and of equal length"),
+        (10, [[1.0]], [[1.0]], "start_s and duration_s must be 1-D and of equal length"),
+    ])
+    def test_errors(self, horizon_s, starts, durations, message):
+        with pytest.raises(ValueError) as err:
+            Timeline.from_intervals(horizon_s, starts, durations)
+        assert str(err.value) == message
+
+
+@pytest.mark.parametrize("ts", [5.0, 5, np.float64(5.0), np.array(5.0), [1.0, 2.0],
+                                np.zeros((3, 2)), np.array([math.nan])])
+def test_in_outage_without_events_matches_search(ts):
+    """A cause with no events skips the search; the result is what the search
+    over the lone -inf sentinel gives, down to its type."""
+    sentinel = np.array([-math.inf])
+    want = ts < sentinel[np.searchsorted(sentinel, ts, side="right") - 1]
+    got = Timeline(horizon_s=10, events=(OutageEvent(1, 2),)).in_outage(ts, "network")
+    assert type(got) is type(want)
+    assert np.shape(got) == np.shape(want) and got.dtype == want.dtype
+    assert not np.any(got)
 
 
 class TestAttemptCountsInvariants:
