@@ -159,25 +159,25 @@ class Timeline:
                               events.__getitem__)
 
     @classmethod
-    def from_intervals(cls, horizon_s: float, start_s, duration_s, cause: str = CLOUD) -> Timeline:
-        """The timeline Timeline(horizon_s, events) gives for the events
-        OutageEvent(start_s[i], duration_s[i], cause) of the float64 values,
-        raising the same errors, built from the arrays: its events are made
-        only when first read."""
+    def from_intervals(cls, horizon_s: float, start_s, duration_s) -> Timeline:
+        """The timeline Timeline(horizon_s, events) gives for the cloud events
+        OutageEvent(start_s[i], duration_s[i]) of the float64 values, raising
+        the same errors, built from the arrays: its events are made only when
+        first read."""
         start = np.asarray(start_s, dtype=np.float64)
         duration = np.asarray(duration_s, dtype=np.float64)
         if start.ndim != 1 or start.shape != duration.shape:
             raise ValueError("start_s and duration_s must be 1-D and of equal length")
-        bad = (np.arange(len(start)) if cause not in CAUSES else np.flatnonzero(
-            ~((0 <= start) & (start < math.inf) & (0 < duration) & (duration < math.inf))))
+        bad = np.flatnonzero(
+            ~((0 <= start) & (start < math.inf) & (0 < duration) & (duration < math.inf)))
         if len(bad):
-            OutageEvent(start[bad[0]].item(), duration[bad[0]].item(), cause)  # raises
+            OutageEvent(start[bad[0]].item(), duration[bad[0]].item())  # raises
         order = np.argsort(start, kind="stable")
         start, duration = start[order], duration[order]
         timeline = object.__new__(cls)
         object.__setattr__(timeline, "horizon_s", horizon_s)
-        timeline._index_intervals(start, duration, {cause: np.arange(len(start))},
-                                  lambda i: OutageEvent(start[i].item(), duration[i].item(), cause))
+        timeline._index_intervals(start, duration, {CLOUD: np.arange(len(start))},
+                                  lambda i: OutageEvent(start[i].item(), duration[i].item()))
         return timeline
 
     def _index_intervals(self, start, duration, rows, event):
@@ -211,7 +211,8 @@ class Timeline:
     def __getattr__(self, name):
         # only a timeline from from_intervals lacks events: build them once
         if name != "events":
-            raise AttributeError(name)
+            raise AttributeError(f"'{type(self).__name__}' object has no attribute '{name}'",
+                                 name=name, obj=self)
         events = tuple(sorted((OutageEvent(start, duration, cause)
                                for cause, (starts, _, durations) in self._index.items()
                                for start, duration in zip(starts[1:].tolist(), durations.tolist())),
@@ -232,8 +233,6 @@ class Timeline:
         """Whether each time in ts (a scalar or an array) falls inside a
         cause-matching outage interval."""
         starts, ends, _ = self._index[cause]
-        if len(starts) == 1:  # only the sentinel: no time is inside
-            return np.zeros(np.shape(ts), dtype=bool) if np.ndim(ts) else np.False_
         return ts < ends[np.searchsorted(starts, ts, side="right") - 1]
 
 

@@ -320,17 +320,16 @@ _VALUES = _TIMES | st.sampled_from([-1.0, -0.0, math.nan, math.inf])
 
 @settings(max_examples=500, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 @given(horizon_s=st.sampled_from([60.0, 100.0, 150.0]),
-       cause=st.sampled_from(sorted(CAUSES) + ["power"]),
        intervals=st.lists(st.tuples(_VALUES, _VALUES), max_size=8))
-def test_from_intervals_matches_events(horizon_s, cause, intervals):
+def test_from_intervals_matches_events(horizon_s, intervals):
     try:
-        events = tuple(OutageEvent(start, duration, cause) for start, duration in intervals)
+        events = tuple(OutageEvent(start, duration) for start, duration in intervals)
         want = oracle_timeline(horizon_s, events)
     except ValueError as exc:
         want = str(exc)
     try:
         tl = Timeline.from_intervals(horizon_s, [start for start, _ in intervals],
-                                     [duration for _, duration in intervals], cause)
+                                     [duration for _, duration in intervals])
     except ValueError as exc:
         assert str(exc) == want
         return
@@ -352,6 +351,13 @@ class TestFromIntervals:
         assert Timeline(horizon_s=10).events == ()
         assert Timeline.from_intervals(10, [], []).events == ()
 
+    def test_missing_attribute_keeps_standard_message(self):
+        for tl in (Timeline(horizon_s=10), Timeline.from_intervals(10, [1.0], [2.0])):
+            with pytest.raises(AttributeError) as err:
+                tl.event
+            assert str(err.value) == "'Timeline' object has no attribute 'event'"
+            assert err.value.name == "event" and err.value.obj is tl
+
     @pytest.mark.parametrize("horizon_s, starts, durations, message", [
         (0, [], [], "horizon_s must be > 0"),
         # an event's own fault is raised before the horizon's, as OutageEvent
@@ -364,19 +370,6 @@ class TestFromIntervals:
         with pytest.raises(ValueError) as err:
             Timeline.from_intervals(horizon_s, starts, durations)
         assert str(err.value) == message
-
-
-@pytest.mark.parametrize("ts", [5.0, 5, np.float64(5.0), np.array(5.0), [1.0, 2.0],
-                                np.zeros((3, 2)), np.array([math.nan])])
-def test_in_outage_without_events_matches_search(ts):
-    """A cause with no events skips the search; the result is what the search
-    over the lone -inf sentinel gives, down to its type."""
-    sentinel = np.array([-math.inf])
-    want = ts < sentinel[np.searchsorted(sentinel, ts, side="right") - 1]
-    got = Timeline(horizon_s=10, events=(OutageEvent(1, 2),)).in_outage(ts, "network")
-    assert type(got) is type(want)
-    assert np.shape(got) == np.shape(want) and got.dtype == want.dtype
-    assert not np.any(got)
 
 
 class TestAttemptCountsInvariants:
