@@ -206,7 +206,7 @@ def cmd_detect(args) -> int:
 
     events = logs.read_truth(args.truth)
     try:
-        timeline = Timeline(horizon_s=campaign.horizon_s, events=events)
+        timeline = Timeline.from_events(campaign.horizon_s, events)
     except ValueError as exc:
         raise DataError(f"truth file {args.truth}: {exc}") from exc
     records = logs.read_attempt_log(args.log)

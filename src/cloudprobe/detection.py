@@ -205,7 +205,7 @@ def sla_metrics(outages, threshold_s: float) -> SlaMetrics:
 
 def true_sla_metrics(truth: Timeline, threshold_s: float, cause: str = CLOUD) -> SlaMetrics:
     """Same metrics over the ground-truth timeline, for distortion comparison."""
-    return sla_metrics(truth.events_of(cause), threshold_s)
+    return sla_metrics([e for e in truth.events if e.cause == cause], threshold_s)
 
 
 def undetected_monte_carlo(duration_s: float, interval_s: float, trials: int,
@@ -218,10 +218,11 @@ def undetected_monte_carlo(duration_s: float, interval_s: float, trials: int,
     sit side by side in one campaign, trial i in its own window of
     W = T * (floor(L/T) + 3) seconds with its outage at i*W + T + offset_i, so
     each window holds the first probe after its own outage ends and no probe
-    of one trial can see another trial's outage. The truth is built from
-    arrays with Timeline.from_intervals. The real sampler probes that campaign
-    and detection_report scores it, with no runs to pair, so this validates the
-    whole pipeline rather than re-deriving the formula.
+    of one trial can see another trial's outage. The truth is one Timeline
+    built from the start and duration arrays, with no per-trial object. The
+    real sampler probes that campaign and detection_report scores it, with no
+    runs to pair, so this validates the whole pipeline rather than re-deriving
+    the formula.
     """
     if isinstance(trials, bool) or not isinstance(trials, (int, np.integer)) or trials < 1:
         raise ValueError(f"trials must be an integer >= 1, got {trials!r}")
@@ -231,8 +232,8 @@ def undetected_monte_carlo(duration_s: float, interval_s: float, trials: int,
     offsets = rng.uniform(0.0, interval_s, size=trials)
     window = interval_s * (math.floor(duration_s / interval_s) + 3)
     horizon = trials * window
-    timeline = Timeline.from_intervals(horizon, np.arange(trials) * window + interval_s + offsets,
-                                       np.full(trials, duration_s))
+    timeline = Timeline(horizon, np.arange(trials) * window + interval_s + offsets,
+                        np.full(trials, duration_s))
     config = CampaignConfig(
         probe_interval_s=interval_s,
         horizon_days=horizon / DAY_S,

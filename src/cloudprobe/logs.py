@@ -16,7 +16,8 @@ from itertools import islice, repeat
 
 import numpy as np
 
-from .model import FAIL_REASONS, OUTCOMES, AttemptLog, MalformedLogError, OutageEvent, Timeline
+from .model import (CAUSES, CLOUD, FAIL_REASONS, OUTCOMES, AttemptLog, MalformedLogError,
+                    OutageEvent, Timeline)
 
 _OUTCOME_CODES = {name: code for code, name in enumerate(OUTCOMES)}
 _REASON_CODES = {None: -1, **{name: code for code, name in enumerate(FAIL_REASONS)}}
@@ -94,6 +95,7 @@ def _columns(lines) -> AttemptLog:
     n = len(ts)
     # vantage, slot and attempt are compared, sorted and matched exactly, so never truncated
     for name, values, types, rule in (
+            ("ts_s", ts, {int, float}, "a number"),
             ("vantage", vantage, {int}, "an integer"), ("slot", slot, {int}, "an integer"),
             ("attempt", attempt, {int}, "an integer"),
             ("latency_ms", latency, {int, float, bool, type(None)}, "a number")):
@@ -177,9 +179,10 @@ def read_attempt_log(path) -> AttemptLog:
 
 def write_truth(path, timeline: Timeline) -> None:
     with open(path, "w", encoding="utf-8") as f:
-        for ev in timeline.events:
-            f.write(json.dumps({"start_s": ev.start_s, "duration_s": ev.duration_s,
-                                "cause": ev.cause}, separators=(",", ":")) + "\n")
+        for start, duration, cause in zip(timeline.start_s.tolist(), timeline.duration_s.tolist(),
+                                          timeline.cause.tolist()):
+            f.write(json.dumps({"start_s": start, "duration_s": duration, "cause": CAUSES[cause]},
+                               separators=(",", ":")) + "\n")
 
 
 def read_truth(path) -> tuple[OutageEvent, ...]:
@@ -191,9 +194,12 @@ def read_truth(path) -> tuple[OutageEvent, ...]:
                 continue
             try:
                 obj = json.loads(_decoded(line))
-                events.append(OutageEvent(float(obj["start_s"]), float(obj["duration_s"]),
-                                          obj.get("cause", "cloud")))
-            except (KeyError, TypeError, ValueError) as exc:
+                start, duration = obj["start_s"], obj["duration_s"]
+                for name, value in (("start_s", start), ("duration_s", duration)):
+                    if type(value) not in (int, float):
+                        raise ValueError(f"{name} must be a number, got {value!r}")
+                events.append(OutageEvent(float(start), float(duration), obj.get("cause", CLOUD)))
+            except _ERRORS as exc:
                 raise MalformedLogError("?", f"line {lineno}", str(exc)) from exc
     return tuple(events)
 

@@ -6,8 +6,7 @@ of numpy columns; persistence lives in logs.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from operator import attrgetter
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -27,7 +26,7 @@ FAIL_REASONS = ("dns", "connect", "timeout", "status", "digest")
 # outage causes
 CLOUD = "cloud"
 NETWORK = "network"
-CAUSES = frozenset({CLOUD, NETWORK})
+CAUSES = (CLOUD, NETWORK)  # Timeline stores each as its index
 
 MODES = ("simulate", "live")
 
@@ -136,92 +135,78 @@ class OutageEvent:
         return self.start_s + self.duration_s
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Timeline:
-    """Ground-truth outage sequence over a campaign horizon.
+    """Ground-truth outages over a campaign horizon, as columns, one entry per
+    outage.
 
-    Events are kept sorted by start; same-cause events must be disjoint and lie
-    within [0, horizon_s).
+    Outage i is the half-open interval [start_s[i], start_s[i] + duration_s[i])
+    of cause CAUSES[cause[i]]; cause defaults to all cloud. The columns are
+    kept sorted by (start, cause) and read-only; same-cause outages must be
+    disjoint and lie within [0, horizon_s).
     """
 
     horizon_s: float
-    # a default_factory leaves the class without an events attribute, so a
-    # timeline from from_intervals can build its events on first read
-    events: tuple[OutageEvent, ...] = field(default_factory=tuple)
+    start_s: np.ndarray
+    duration_s: np.ndarray
+    cause: np.ndarray | None = None
 
     def __post_init__(self):
-        events = tuple(sorted(self.events, key=attrgetter("start_s", "cause")))
-        object.__setattr__(self, "events", events)
-        cause = np.array([ev.cause for ev in events], dtype=object)
-        self._index_intervals(np.array([ev.start_s for ev in events], dtype=np.float64),
-                              np.array([ev.duration_s for ev in events], dtype=np.float64),
-                              {name: np.flatnonzero(cause == name) for name in CAUSES},
-                              events.__getitem__)
-
-    @classmethod
-    def from_intervals(cls, horizon_s: float, start_s, duration_s) -> Timeline:
-        """The timeline Timeline(horizon_s, events) gives for the cloud events
-        OutageEvent(start_s[i], duration_s[i]) of the float64 values, raising
-        the same errors, built from the arrays: its events are made only when
-        first read."""
-        start = np.asarray(start_s, dtype=np.float64)
-        duration = np.asarray(duration_s, dtype=np.float64)
-        if start.ndim != 1 or start.shape != duration.shape:
-            raise ValueError("start_s and duration_s must be 1-D and of equal length")
-        bad = np.flatnonzero(
-            ~((0 <= start) & (start < math.inf) & (0 < duration) & (duration < math.inf)))
+        start = np.asarray(self.start_s, dtype=np.float64)
+        duration = np.asarray(self.duration_s, dtype=np.float64)
+        # codes are checked before the cast to int8, which would wrap or truncate
+        cause = np.asarray(np.zeros(start.shape, dtype=np.int8) if self.cause is None
+                           else self.cause)
+        if start.ndim != 1 or start.shape != duration.shape or start.shape != cause.shape:
+            raise ValueError("start_s, duration_s and cause must be 1-D and of equal length")
+        bad = np.flatnonzero(~((0 <= start) & (start < math.inf) & (0 < duration)
+                               & (duration < math.inf) & np.isin(cause, range(len(CAUSES)))))
         if len(bad):
-            OutageEvent(start[bad[0]].item(), duration[bad[0]].item())  # raises
-        order = np.argsort(start, kind="stable")
-        start, duration = start[order], duration[order]
-        timeline = object.__new__(cls)
-        object.__setattr__(timeline, "horizon_s", horizon_s)
-        timeline._index_intervals(start, duration, {CLOUD: np.arange(len(start))},
-                                  lambda i: OutageEvent(start[i].item(), duration[i].item()))
-        return timeline
-
-    def _index_intervals(self, start, duration, rows, event):
-        """Check the start-sorted intervals and index them by cause. rows maps
-        a cause to its rows; event(i) is row i as an OutageEvent, to name it
-        in an error."""
-        if self.horizon_s <= 0:
-            raise ValueError("horizon_s must be > 0")
+            # raises, naming the row's start or duration if bad, else its cause
+            # code, which as no cause name OutageEvent refuses
+            OutageEvent(start[bad[0]].item(), duration[bad[0]].item(), cause[bad[0]].item())
+        if not 0 < self.horizon_s < math.inf:
+            raise ValueError("horizon_s must be finite and > 0")
+        cause = cause.astype(np.int8)
+        order = np.lexsort((cause, start))  # stable
+        start, duration, cause = start[order], duration[order], cause[order]
         end = start + duration
-        # the first event that ends past the horizon or starts before the
-        # previous same-cause event ends; of both, the horizon is named
+        # the first outage that ends past the horizon or starts before the
+        # previous same-cause outage ends; of both, the horizon is named
         overlap = np.zeros(len(start), dtype=bool)
         index = {}
-        for name in CAUSES:
-            mine = rows.get(name, np.arange(0))
+        for code, name in enumerate(CAUSES):
+            mine = np.flatnonzero(cause == code)
             overlap[mine[1:]] = start[mine[1:]] < end[mine[:-1]]
             # starts and ends led by a -inf sentinel interval, for in_outage
-            columns = (np.append(-math.inf, start[mine]), np.append(-math.inf, end[mine]),
-                       duration[mine])
-            for column in columns:
-                column.flags.writeable = False
-            index[name] = columns
+            index[name] = (np.append(-math.inf, start[mine]), np.append(-math.inf, end[mine]),
+                           duration[mine])
         bad = np.flatnonzero((end > self.horizon_s) | overlap)
         if len(bad):
-            ev = event(bad[0])
-            if ev.end_s > self.horizon_s:
-                raise ValueError(f"event ending at {ev.end_s} exceeds horizon {self.horizon_s}")
-            raise ValueError(f"overlapping {ev.cause} events at {ev.start_s}")
+            i = bad[0]
+            if end[i] > self.horizon_s:
+                raise ValueError(
+                    f"event ending at {end[i].item()} exceeds horizon {self.horizon_s}")
+            raise ValueError(f"overlapping {CAUSES[cause[i]]} events at {start[i].item()}")
+        for column in (start, duration, cause, *(c for columns in index.values() for c in columns)):
+            column.flags.writeable = False
+        object.__setattr__(self, "start_s", start)
+        object.__setattr__(self, "duration_s", duration)
+        object.__setattr__(self, "cause", cause)
         object.__setattr__(self, "_index", index)  # an attribute, not a field
 
-    def __getattr__(self, name):
-        # only a timeline from from_intervals lacks events: build them once
-        if name != "events":
-            raise AttributeError(f"'{type(self).__name__}' object has no attribute '{name}'",
-                                 name=name, obj=self)
-        events = tuple(sorted((OutageEvent(start, duration, cause)
-                               for cause, (starts, _, durations) in self._index.items()
-                               for start, duration in zip(starts[1:].tolist(), durations.tolist())),
-                              key=attrgetter("start_s", "cause")))
-        object.__setattr__(self, "events", events)
-        return events
+    @classmethod
+    def from_events(cls, horizon_s: float, events) -> Timeline:
+        """The timeline of the OutageEvents."""
+        events = tuple(events)
+        return cls(horizon_s, [e.start_s for e in events], [e.duration_s for e in events],
+                   [CAUSES.index(e.cause) for e in events])
 
-    def events_of(self, cause: str) -> tuple[OutageEvent, ...]:
-        return tuple(e for e in self.events if e.cause == cause)
+    @property
+    def events(self) -> tuple[OutageEvent, ...]:
+        """The outages as OutageEvents, in (start, cause) order."""
+        return tuple(map(OutageEvent, self.start_s.tolist(), self.duration_s.tolist(),
+                         map(CAUSES.__getitem__, self.cause.tolist())))
 
     def intervals(self, cause: str) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Read-only (starts, ends, durations) arrays of the cause's events, in

@@ -13,6 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .model import (
+    CAUSES,
     CLOUD,
     CLOUD_FAIL,
     NETWORK,
@@ -21,7 +22,6 @@ from .model import (
     SUCCESS,
     AttemptLog,
     CampaignConfig,
-    OutageEvent,
     Timeline,
 )
 
@@ -137,8 +137,10 @@ def generate_timeline(process: OutageProcess, horizon_s: float, seed: int) -> Ti
     Network bursts (if configured) are a Poisson process with fixed burst
     length; overlapping bursts merge to keep same-cause events disjoint.
     """
+    if not 0 < horizon_s < math.inf:  # else the draw loop below never ends
+        raise ValueError("horizon_s must be finite and > 0")
     rng = _rng(seed, _TAG_TIMELINE)
-    events: list[OutageEvent] = []
+    starts, durations = [], []
     t = 0.0
     while True:
         start = t + rng.exponential(process.up_mean_s)
@@ -147,15 +149,16 @@ def generate_timeline(process: OutageProcess, horizon_s: float, seed: int) -> Ti
         dur = process.duration_dist.sample(rng)
         end = min(start + dur, horizon_s)
         if end > start:
-            events.append(OutageEvent(start_s=start, duration_s=end - start, cause=CLOUD))
+            starts.append(start)
+            durations.append(end - start)
         t = start + dur
+    causes = [CAUSES.index(CLOUD)] * len(starts)
 
     if process.network_burst is not None:
         burst = process.network_burst
         count = int(rng.poisson(burst.rate_per_day * horizon_s / 86400.0))
-        starts = sorted(float(s) for s in rng.uniform(0.0, horizon_s, size=count))
         merged: list[list[float]] = []
-        for s in starts:
+        for s in sorted(float(s) for s in rng.uniform(0.0, horizon_s, size=count)):
             e = min(s + burst.duration_s, horizon_s)
             if e <= s:
                 continue
@@ -163,10 +166,12 @@ def generate_timeline(process: OutageProcess, horizon_s: float, seed: int) -> Ti
                 merged[-1][1] = max(merged[-1][1], e)
             else:
                 merged.append([s, e])
-        events.extend(OutageEvent(start_s=s, duration_s=e - s, cause=NETWORK)
-                      for s, e in merged)
+        for s, e in merged:
+            starts.append(s)
+            durations.append(e - s)
+        causes += [CAUSES.index(NETWORK)] * len(merged)
 
-    return Timeline(horizon_s=horizon_s, events=tuple(events))
+    return Timeline(horizon_s, starts, durations, causes)
 
 
 def sample_campaign(timeline: Timeline, config: CampaignConfig,
@@ -257,8 +262,8 @@ def _retry_schedule(free: np.ndarray, draws: np.ndarray | None):
 
 def true_unavailability(timeline: Timeline, cause: str | None = None) -> float:
     """Ground-truth unavailable fraction: filtered outage time over the horizon."""
-    total = sum(e.duration_s for e in timeline.events if cause is None or e.cause == cause)
-    return total / timeline.horizon_s
+    durations = timeline.duration_s if cause is None else timeline.intervals(cause)[2]
+    return sum(durations.tolist()) / timeline.horizon_s
 
 
 def iid_attempt_log(success_prob: float, slots: int, retry_max: int,

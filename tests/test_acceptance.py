@@ -218,7 +218,7 @@ def test_criterion_8_censoring_distortion():
         run_total += len(runs)
         runs_below &= len(runs) < rep.total_true_outages
         miss_probs.extend(undetected_probability(ev.duration_s, interval)
-                          for ev in tl.events_of("cloud"))
+                          for ev in tl.events if ev.cause == "cloud")
 
     shortfall = (true_total - detected_total) / true_total
     oracle = sum(miss_probs) / len(miss_probs)

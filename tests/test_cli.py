@@ -518,10 +518,24 @@ class TestMalformedInput:
         (["probe", "--config", "{out}/live.ini", "--out", "{out}", "--resume"],
          {"live.ini": "[campaign]\n" + LIVE, "attempts.jsonl.checkpoint": "abc\n"},
          2, "attempts.jsonl.checkpoint: invalid literal"),
+        (["estimate", "--log", "{log}"],
+         {"attempts.jsonl": '{"ts_s":"5","vantage":0,"slot":0,"attempt":1,"outcome":"success"}\n'},
+         2, "line 1: ts_s must be a number, got '5'"),
+        (["detect", "--log", "{log}", "--truth", "{truth}", "--config", "{config}"],
+         {"truth.jsonl": '{"start_s":0,"duration_s":10,"cause":"cloud"}\n'
+                         '{"start_s":"5","duration_s":10,"cause":"cloud"}\n'},
+         2, "line 2: start_s must be a number, got '5'"),
+        (["detect", "--log", "{log}", "--truth", "{truth}", "--config", "{config}"],
+         {"truth.jsonl": '{"start_s":5,"duration_s":true,"cause":"cloud"}\n'},
+         2, "line 1: duration_s must be a number, got True"),
+        (["detect", "--log", "{log}", "--truth", "{truth}", "--config", "{config}"],
+         {"truth.jsonl": '{"start_s":' + "1" * 400 + ',"duration_s":10,"cause":"cloud"}\n'},
+         2, "line 1: int too large to convert to float"),
     ], ids=["claim-above-one", "alpha-zero", "negative-threshold", "overlapping-truth",
             "string-vantage", "nan-ts", "nan-truth", "fractional-slot", "truth-beyond-horizon",
             "nan-latency", "infinite-latency", "non-utf8-log", "non-utf8-truth",
-            "non-utf8-fragment", "non-utf8-config", "bad-checkpoint"])
+            "non-utf8-fragment", "non-utf8-config", "bad-checkpoint", "string-ts",
+            "string-truth", "bool-truth", "huge-int-truth"])
     def test_documented_exit_code(self, tmp_path, capsys, argv, files, code, needle):
         config = tmp_path / "c.ini"
         write_sim_config(config, campaign=CampaignConfig(

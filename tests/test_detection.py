@@ -175,7 +175,7 @@ class TestSlaMetrics:
         assert metrics.long_outage_count == metrics.failure_count == 2
 
     def test_true_metrics_filter_cloud(self):
-        tl = Timeline(horizon_s=86400.0, events=(
+        tl = Timeline.from_events(86400.0, (
             OutageEvent(0, 1800.0, "cloud"), OutageEvent(40000, 30.0, "network")))
         metrics = true_sla_metrics(tl, 600.0)
         assert metrics.failure_count == 1
@@ -189,7 +189,7 @@ class TestSlaMetrics:
 class TestDetectionReport:
     def test_long_outage_always_detected(self):
         cfg = config()
-        tl = Timeline(horizon_s=cfg.horizon_s, events=(OutageEvent(1000.0, 2 * T),))
+        tl = Timeline.from_events(cfg.horizon_s, (OutageEvent(1000.0, 2 * T),))
         records = sample_campaign(tl, cfg)
         rep = report(tl, records, cfg)
         assert rep.total_true_outages == 1
@@ -205,7 +205,8 @@ class TestDetectionReport:
         tl = generate_timeline(proc, cfg.horizon_s, cfg.seed)
         records = sample_campaign(tl, cfg)
         rep = report(tl, records, cfg)
-        assert rep.detected + rep.undetected == rep.total_true_outages == len(tl.events_of(CLOUD))
+        assert (rep.detected + rep.undetected == rep.total_true_outages
+                == len(tl.intervals(CLOUD)[0]))
         for b in rep.per_duration_bins:
             if b.empirical_nodet is not None:
                 assert 0.0 <= b.empirical_nodet <= 1.0
@@ -240,7 +241,7 @@ class TestDetectionReport:
             tl = generate_timeline(proc, cfg.horizon_s, cfg.seed)
             records = sample_campaign(tl, cfg)
             runs = detect_outages(records, cfg)
-            assert len(runs) <= len(tl.events_of(CLOUD))
+            assert len(runs) <= len(tl.intervals(CLOUD)[0])
 
     def test_duration_quantization_bound(self):
         # single outage, randomized length and placement, retries inside slot
@@ -250,7 +251,7 @@ class TestDetectionReport:
         for _ in range(300):
             dur = float(rng.uniform(0.1, 3.0)) * T
             start = float(rng.uniform(T, cfg.horizon_s - dur - T))
-            tl = Timeline(horizon_s=cfg.horizon_s, events=(OutageEvent(start, dur),))
+            tl = Timeline.from_events(cfg.horizon_s, (OutageEvent(start, dur),))
             records = sample_campaign(tl, cfg)
             rep = report(tl, records, cfg)
             if not rep.duration_estimates:
@@ -264,7 +265,7 @@ class TestDetectionReport:
 
     def test_empty_log_reports_all_undetected(self):
         cfg = config()
-        tl = Timeline(horizon_s=cfg.horizon_s, events=(OutageEvent(1000.0, 50.0),))
+        tl = Timeline.from_events(cfg.horizon_s, (OutageEvent(1000.0, 50.0),))
         rep = report(tl, log_of([]), cfg)
         assert rep.undetected == 1
         assert rep.duration_estimates == ()
@@ -284,7 +285,7 @@ def per_trial_monte_carlo(duration_s, interval_s, trials, seed=0, retry_max=9,
         offset = float(rng.uniform(0.0, interval_s))
         start = interval_s + offset
         horizon = interval_s * (math.floor((start + duration_s) / interval_s) + 2)
-        timeline = Timeline(horizon_s=horizon, events=(
+        timeline = Timeline.from_events(horizon, (
             OutageEvent(start_s=start, duration_s=duration_s, cause=CLOUD),))
         cfg = CampaignConfig(probe_interval_s=interval_s, horizon_days=horizon / 86400.0,
                              vantage_points=1, retry_max=retry_max,
@@ -355,7 +356,7 @@ def oracle_detect_outages(log, config):
 
 
 def oracle_detection_report(truth, log, config, runs, bin_edges_s=None):
-    cloud = truth.events_of(CLOUD)
+    cloud = [ev for ev in truth.events if ev.cause == CLOUD]
     ts = np.append(np.sort(log.ts_s), math.inf)
     starts = np.array([ev.start_s for ev in cloud])
     ends = np.array([ev.end_s for ev in cloud])
@@ -438,7 +439,7 @@ def scored_campaigns(draw):
         events += _events(draw, CLOUD, horizon, interval)
     if draw(st.booleans()):
         events += _events(draw, NETWORK, horizon, interval)
-    truth = Timeline(horizon_s=horizon, events=tuple(events))
+    truth = Timeline.from_events(horizon, tuple(events))
     if draw(st.booleans()):
         # the real sampler; network noise leaves slots recovered on retry
         offsets = draw(st.none() | st.lists(st.sampled_from([0.0, 1.0, interval / 2]),
@@ -465,7 +466,7 @@ class TestMatchesPerEventOracle:
 
     def test_events_on_slot_boundaries(self):
         cfg = config(retry_max=3)
-        tl = Timeline(horizon_s=cfg.horizon_s, events=(
+        tl = Timeline.from_events(cfg.horizon_s, (
             OutageEvent(T, T), OutageEvent(3 * T, 2 * T), OutageEvent(5 * T, 0.5 * T),
             OutageEvent(10 * T - 1.0, 1.0)))
         rep = assert_matches_oracle(tl, sample_campaign(tl, cfg), cfg)
@@ -477,14 +478,14 @@ class TestMatchesPerEventOracle:
                              ids=["no-events", "network-only"])
     def test_no_cloud_events(self, events):
         cfg = config()
-        tl = Timeline(horizon_s=cfg.horizon_s, events=events)
+        tl = Timeline.from_events(cfg.horizon_s, events)
         rep = assert_matches_oracle(tl, sample_campaign(tl, cfg, 0.2), cfg)
         assert rep.total_true_outages == 0 and rep.duration_estimates == ()
         assert all(b.outages == 0 and b.empirical_nodet is None for b in rep.per_duration_bins)
 
     def test_multi_vantage_log(self):
         cfg = config(vantage_points=3)
-        tl = Timeline(horizon_s=cfg.horizon_s, events=(
+        tl = Timeline.from_events(cfg.horizon_s, (
             OutageEvent(250.0, 100.0), OutageEvent(2 * T + 10.0, 3 * T)))
         log = sample_campaign(tl, cfg, phase_offsets=[0.0, 300.0, 300.0])
         rep = assert_matches_oracle(tl, log, cfg)
@@ -495,7 +496,7 @@ class TestMatchesPerEventOracle:
         cfg = config(retry_max=3, retry_gap_s=5.0)
         # a long outage makes a run over slots 1-2; each later one ends
         # between a slot's first attempt and its retry, after every run
-        tl = Timeline(horizon_s=cfg.horizon_s, events=(OutageEvent(T / 2, 2.5 * T),) + tuple(
+        tl = Timeline.from_events(cfg.horizon_s, (OutageEvent(T / 2, 2.5 * T),) + tuple(
             OutageEvent(k * T - 20.0, 22.0) for k in range(5, 10)))
         log = sample_campaign(tl, cfg)
         rep = assert_matches_oracle(tl, log, cfg)
@@ -507,7 +508,7 @@ class TestMatchesPerEventOracle:
                              ids=["unsorted", "duplicate", "all-equal", "infinite"])
     def test_bin_edges(self, edges):
         cfg = config()
-        tl = Timeline(horizon_s=cfg.horizon_s, events=(
+        tl = Timeline.from_events(cfg.horizon_s, (
             OutageEvent(100.0, T / 2), OutageEvent(2000.0, T / 4), OutageEvent(9000.0, 2 * T)))
         rep = assert_matches_oracle(tl, sample_campaign(tl, cfg), cfg, bin_edges_s=edges)
         assert [b.lo_s for b in rep.per_duration_bins] == sorted(edges)[:-1]
@@ -516,6 +517,6 @@ class TestMatchesPerEventOracle:
 
     def test_too_few_edges_rejected(self):
         cfg = config()
-        tl = Timeline(horizon_s=cfg.horizon_s)
+        tl = Timeline(cfg.horizon_s, [], [])
         with pytest.raises(ValueError, match="two bin edges"):
             report(tl, log_of([]), cfg, bin_edges_s=[T])

@@ -49,6 +49,7 @@ def _reference_columns(lines) -> AttemptLog:
     ts, vantage, slot, attempt, outcome, latency, reason = zip(*rows) if rows else ((),) * 7
     n = len(rows)
     for name, values, types, rule in (
+            ("ts_s", ts, {int, float}, "a number"),
             ("vantage", vantage, {int}, "an integer"), ("slot", slot, {int}, "an integer"),
             ("attempt", attempt, {int}, "an integer"),
             ("latency_ms", latency, {int, float, bool, type(None)}, "a number")):
@@ -147,6 +148,11 @@ CORPUS = {
     "ts-300-digits-fraction": line(ts="1" * 300 + ".5"),
     "ts-long-fraction": line(ts="0." + "3" * 400),
     "ts-true": line(ts="true"),
+    "ts-false": line(ts="false"),
+    "ts-null": line(ts="null"),
+    "ts-string": line(ts='"5"'),
+    "ts-string-spaces": line(ts='" 7 "'),
+    "ts-string-then-bad-slot": line(ts='"5"', slot="-1"),
     "latency-true": line(tail=',"latency_ms":true'),
     "latency-false": line(tail=',"latency_ms":false'),
     "latency-null": line(tail=',"latency_ms":null'),

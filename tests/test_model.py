@@ -216,26 +216,41 @@ class TestCampaignConfig:
 
 class TestTimeline:
     def test_events_sorted_and_validated(self):
-        tl = Timeline(horizon_s=1000, events=(
+        tl = Timeline.from_events(1000, (
             OutageEvent(500, 10), OutageEvent(100, 50)))
         assert [e.start_s for e in tl.events] == [100, 500]
-        assert [f.name for f in dataclasses.fields(tl)] == ["horizon_s", "events"]
+        assert [f.name for f in dataclasses.fields(tl)] == [
+            "horizon_s", "start_s", "duration_s", "cause"]
+
+    @pytest.mark.parametrize("code", [np.int64(256), 0.5, -1],
+                             ids=["wraps", "fraction", "negative"])
+    def test_cause_code_checked_before_the_cast(self, code):
+        with pytest.raises(ValueError, match="cause must be one of"):
+            Timeline(10, [1.0], [1.0], np.array([code]))
+
+    def test_columns_default_to_cloud_and_are_read_only(self):
+        tl = Timeline(1000, [500.0, 100.0], [10.0, 50.0])
+        assert tl.cause.tolist() == [CAUSES.index("cloud")] * 2
+        assert tl.events == (OutageEvent(100.0, 50.0), OutageEvent(500.0, 10.0))
+        for column in (tl.start_s, tl.duration_s, tl.cause):
+            with pytest.raises(ValueError):
+                column[0] = 1
 
     def test_same_cause_overlap_rejected(self):
         with pytest.raises(ValueError):
-            Timeline(horizon_s=1000, events=(OutageEvent(0, 100), OutageEvent(50, 10)))
+            Timeline.from_events(1000, (OutageEvent(0, 100), OutageEvent(50, 10)))
 
     def test_different_cause_overlap_allowed(self):
-        tl = Timeline(horizon_s=1000, events=(
+        tl = Timeline.from_events(1000, (
             OutageEvent(0, 100, "cloud"), OutageEvent(50, 10, "network")))
         assert len(tl.events) == 2
 
     def test_event_beyond_horizon_rejected(self):
         with pytest.raises(ValueError):
-            Timeline(horizon_s=100, events=(OutageEvent(90, 20),))
+            Timeline.from_events(100, (OutageEvent(90, 20),))
 
     def test_half_open_membership(self):
-        tl = Timeline(horizon_s=1000, events=(OutageEvent(100, 50),))
+        tl = Timeline.from_events(1000, (OutageEvent(100, 50),))
         assert tl.in_outage(100, "cloud")
         assert tl.in_outage(149.999, "cloud")
         assert not tl.in_outage(150, "cloud")  # probe at outage end succeeds
@@ -246,7 +261,7 @@ class TestTimeline:
             OutageEvent(0, 0)
 
     def test_intervals_are_read_only_and_per_cause(self):
-        tl = Timeline(horizon_s=1000, events=(
+        tl = Timeline.from_events(1000, (
             OutageEvent(500, 0.1), OutageEvent(100.3, 0.2), OutageEvent(50, 10, "network")))
         starts, ends, durations = tl.intervals("cloud")
         assert starts.tolist() == [100.3, 500]
@@ -256,27 +271,37 @@ class TestTimeline:
         assert [a.tolist() for a in tl.intervals("network")] == [[50], [60], [10]]
         with pytest.raises(ValueError):
             starts[0] = 0.0
-        assert [a.tolist() for a in Timeline(horizon_s=1).intervals("cloud")] == [[], [], []]
+        assert [a.tolist() for a in Timeline(1, [], []).intervals("cloud")] == [[], [], []]
 
     @pytest.mark.parametrize("events, message", [
-        ((OutageEvent(0, 100), OutageEvent(50, 10)), "overlapping cloud events at 50"),
-        ((OutageEvent(90, 20),), "event ending at 110 exceeds horizon 100"),
+        ((OutageEvent(0.0, 100.0), OutageEvent(50.0, 10.0)), "overlapping cloud events at 50.0"),
+        ((OutageEvent(90.0, 20.0),), "event ending at 110.0 exceeds horizon 100"),
         # both faults at one event: the horizon is named
-        ((OutageEvent(0, 50, "network"), OutageEvent(40, 70, "network")),
-         "event ending at 110 exceeds horizon 100"),
+        ((OutageEvent(0.0, 50.0, "network"), OutageEvent(40.0, 70.0, "network")),
+         "event ending at 110.0 exceeds horizon 100"),
         # the first faulty event in start order, whatever the input order
-        ((OutageEvent(80, 30), OutageEvent(10, 20), OutageEvent(20, 5)),
-         "overlapping cloud events at 20"),
-    ])
+        ((OutageEvent(80.0, 30.0), OutageEvent(10.0, 20.0), OutageEvent(20.0, 5.0)),
+         "overlapping cloud events at 20.0"),
+    ], ids=["overlap", "overrun", "overrun-and-overlap", "first-in-start-order"])
     def test_first_fault_named(self, events, message):
         with pytest.raises(ValueError) as err:
-            Timeline(horizon_s=100, events=events)
+            Timeline.from_events(100, events)
         assert str(err.value) == message == oracle_timeline(100, events)
+
+    @pytest.mark.parametrize("columns", [([1.0, 2.0], [1.0]), ([[1.0]], [[1.0]]),
+                                         ([1.0], [1.0], [0, 1]), (1.0, 1.0)],
+                             ids=["lengths", "2-D", "cause-length", "scalars"])
+    def test_columns_must_be_1d_and_equal_length(self, columns):
+        with pytest.raises(ValueError) as err:
+            Timeline(10, *columns)
+        assert str(err.value) == "start_s, duration_s and cause must be 1-D and of equal length"
 
 
 def oracle_timeline(horizon_s, events):
     """The per-event validation loop the Timeline replaced: its error message,
     or the sorted events and each cause's (starts, ends, durations)."""
+    if not 0 < horizon_s < math.inf:
+        return "horizon_s must be finite and > 0"
     events = tuple(sorted(events, key=lambda e: (e.start_s, e.cause)))
     last_end = {}
     columns = {cause: ([], [], []) for cause in CAUSES}
@@ -292,84 +317,47 @@ def oracle_timeline(horizon_s, events):
 
 
 _TIMES = st.sampled_from([0.0, 10.0, 50.0, 60.0, 100.0]) | st.floats(0.0, 120.0)
+_HORIZONS = st.sampled_from([60.0, 100.0, 150.0])
+# values valid nowhere, but for -0.0, a valid start and no valid horizon or duration
+_BAD = st.sampled_from([-1.0, -0.0, math.nan, math.inf])
+# half the cases are outages every row of which is valid, half columns that
+# may hold bad values, and cause codes past CAUSES, anywhere
+_CASES = (st.tuples(_HORIZONS, st.lists(st.tuples(
+    _TIMES, _TIMES.filter(lambda d: d > 0), st.sampled_from([0, 1])), max_size=8))
+    | st.tuples(_HORIZONS | _BAD, st.lists(st.tuples(
+        _TIMES | _BAD, _TIMES | _BAD, st.sampled_from([0, 1, 2, -1])), max_size=8)))
 
 
-@settings(max_examples=500, deadline=None, suppress_health_check=[HealthCheck.too_slow])
-@given(horizon_s=st.sampled_from([60.0, 100.0, 150.0]), events=st.lists(st.builds(
-    OutageEvent, start_s=_TIMES, duration_s=_TIMES.filter(lambda d: d > 0),
-    cause=st.sampled_from(sorted(CAUSES))), max_size=8))
-def test_timeline_matches_validation_loop(horizon_s, events):
-    want = oracle_timeline(horizon_s, events)
+@settings(max_examples=1000, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(case=_CASES)
+def test_timeline_matches_validation_loop(case):
+    horizon_s, rows = case
+    start_s, duration_s, cause = (list(column) for column in zip(*rows)) if rows else ([],) * 3
     try:
-        tl = Timeline(horizon_s=horizon_s, events=tuple(events))
+        # a code past CAUSES is a cause name OutageEvent refuses
+        events = [OutageEvent(start, duration, (*CAUSES, "none")[code])
+                  for start, duration, code in rows]
     except ValueError as exc:
-        assert str(exc) == want
-        return
-    assert not isinstance(want, str), want
-    assert tl.events == want[0]
-    for cause, columns in want[1].items():
-        assert [a.tolist() for a in tl.intervals(cause)] == list(columns)
-        starts, ends, _ = tl.intervals(cause)
-        probes = np.linspace(-1.0, horizon_s + 1.0, 257)
-        assert tl.in_outage(probes, cause).tolist() == [
-            any(s <= t < e for s, e in zip(starts.tolist(), ends.tolist())) for t in probes.tolist()]
-
-
-_VALUES = _TIMES | st.sampled_from([-1.0, -0.0, math.nan, math.inf])
-
-
-@settings(max_examples=500, deadline=None, suppress_health_check=[HealthCheck.too_slow])
-@given(horizon_s=st.sampled_from([60.0, 100.0, 150.0]),
-       intervals=st.lists(st.tuples(_VALUES, _VALUES), max_size=8))
-def test_from_intervals_matches_events(horizon_s, intervals):
-    try:
-        events = tuple(OutageEvent(start, duration) for start, duration in intervals)
+        events, want = None, str(exc)
+    else:
         want = oracle_timeline(horizon_s, events)
-    except ValueError as exc:
-        want = str(exc)
-    try:
-        tl = Timeline.from_intervals(horizon_s, [start for start, _ in intervals],
-                                     [duration for _, duration in intervals])
-    except ValueError as exc:
-        assert str(exc) == want
-        return
-    assert not isinstance(want, str), want
-    probes = np.linspace(-1.0, horizon_s + 1.0, 257)
-    for name, columns in want[1].items():
-        assert [a.tolist() for a in tl.intervals(name)] == list(columns)
-        starts, ends, _ = columns
-        assert tl.in_outage(probes, name).tolist() == [
-            any(s <= t < e for s, e in zip(starts, ends)) for t in probes.tolist()]
-    assert "events" not in vars(tl)  # built on first read
-    assert tl.events == want[0]
-    assert tl == Timeline(horizon_s=horizon_s, events=events)
-
-
-class TestFromIntervals:
-    def test_fields_and_constructor_unchanged(self):
-        assert [f.name for f in dataclasses.fields(Timeline)] == ["horizon_s", "events"]
-        assert Timeline(horizon_s=10).events == ()
-        assert Timeline.from_intervals(10, [], []).events == ()
-
-    def test_missing_attribute_keeps_standard_message(self):
-        for tl in (Timeline(horizon_s=10), Timeline.from_intervals(10, [1.0], [2.0])):
-            with pytest.raises(AttributeError) as err:
-                tl.event
-            assert str(err.value) == "'Timeline' object has no attribute 'event'"
-            assert err.value.name == "event" and err.value.obj is tl
-
-    @pytest.mark.parametrize("horizon_s, starts, durations, message", [
-        (0, [], [], "horizon_s must be > 0"),
-        # an event's own fault is raised before the horizon's, as OutageEvent
-        # would raise it while the events are built
-        (-1, [1.0, math.nan], [1.0, 1.0], "start_s must be finite and >= 0, got nan"),
-        (10, [1.0, 2.0], [1.0], "start_s and duration_s must be 1-D and of equal length"),
-        (10, [[1.0]], [[1.0]], "start_s and duration_s must be 1-D and of equal length"),
-    ])
-    def test_errors(self, horizon_s, starts, durations, message):
-        with pytest.raises(ValueError) as err:
-            Timeline.from_intervals(horizon_s, starts, durations)
-        assert str(err.value) == message
+    builds = [lambda: Timeline(horizon_s, start_s, duration_s, cause)]
+    if events is not None:
+        builds.append(lambda: Timeline.from_events(horizon_s, events))
+    probes = np.linspace(-1.0, 151.0, 257)
+    for build in builds:
+        try:
+            tl = build()
+        except ValueError as exc:
+            assert str(exc) == want
+            continue
+        assert not isinstance(want, str), want
+        assert tl.events == want[0]
+        for name, columns in want[1].items():
+            assert [a.tolist() for a in tl.intervals(name)] == list(columns)
+            starts, ends, _ = columns
+            assert tl.in_outage(probes, name).tolist() == [
+                any(s <= t < e for s, e in zip(starts, ends)) for t in probes.tolist()]
 
 
 class TestAttemptCountsInvariants:
@@ -454,7 +442,7 @@ class TestJsonlRoundTrip:
     @pytest.mark.parametrize("fields, needle", [
         ({"ts_s": float("nan")}, "ts_s must be finite"),
         ({"ts_s": -1.0}, "ts_s must be finite"),
-        ({"ts_s": "abc"}, "ts_s: "),
+        ({"ts_s": "abc"}, "ts_s must be a number"),
         ({"vantage": "a"}, "vantage must be an integer"),
         ({"slot": 1.7}, "slot must be an integer"),
         ({"slot": -1}, "slot must be >= 0"),
@@ -492,7 +480,7 @@ class TestJsonlRoundTrip:
             logs.read_attempt_log(path)
 
     def test_truth_roundtrip(self, tmp_path):
-        tl = Timeline(horizon_s=1000, events=(
+        tl = Timeline.from_events(1000, (
             OutageEvent(100, 50, "cloud"), OutageEvent(400, 5, "network")))
         path = tmp_path / "truth.jsonl"
         logs.write_truth(path, tl)
