@@ -320,18 +320,17 @@ _TIMES = st.sampled_from([0.0, 10.0, 50.0, 60.0, 100.0]) | st.floats(0.0, 120.0)
 _HORIZONS = st.sampled_from([60.0, 100.0, 150.0])
 # values valid nowhere, but for -0.0, a valid start and no valid horizon or duration
 _BAD = st.sampled_from([-1.0, -0.0, math.nan, math.inf])
-# half the cases are outages every row of which is valid, half columns that
-# may hold bad values, and cause codes past CAUSES, anywhere
-_CASES = (st.tuples(_HORIZONS, st.lists(st.tuples(
+# outages every row of which is valid
+_VALID = st.tuples(_HORIZONS, st.lists(st.tuples(
     _TIMES, _TIMES.filter(lambda d: d > 0), st.sampled_from([0, 1])), max_size=8))
-    | st.tuples(_HORIZONS | _BAD, st.lists(st.tuples(
-        _TIMES | _BAD, _TIMES | _BAD, st.sampled_from([0, 1, 2, -1])), max_size=8)))
+# columns that may hold bad values, and cause codes past CAUSES, anywhere
+_ANY_ROWS = st.tuples(_HORIZONS | _BAD, st.lists(st.tuples(
+    _TIMES | _BAD, _TIMES | _BAD, st.sampled_from([0, 1, 2, -1])), max_size=8))
 
 
-@settings(max_examples=1000, deadline=None, suppress_health_check=[HealthCheck.too_slow])
-@given(case=_CASES)
-def test_timeline_matches_validation_loop(case):
-    horizon_s, rows = case
+def check_builds(horizon_s, rows):
+    """Timeline built from the rows' columns, and from their OutageEvents where
+    those build, raises what the validation loop would, or holds its outages."""
     start_s, duration_s, cause = (list(column) for column in zip(*rows)) if rows else ([],) * 3
     try:
         # a code past CAUSES is a cause name OutageEvent refuses
@@ -358,6 +357,33 @@ def test_timeline_matches_validation_loop(case):
             starts, ends, _ = columns
             assert tl.in_outage(probes, name).tolist() == [
                 any(s <= t < e for s, e in zip(starts, ends)) for t in probes.tolist()]
+
+
+@settings(max_examples=500, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(case=_VALID)
+def test_timeline_matches_validation_loop(case):
+    check_builds(*case)
+
+
+@settings(max_examples=500, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(case=_ANY_ROWS)
+def test_from_intervals_matches_events(case):
+    check_builds(*case)
+
+
+class TestFromIntervals:
+    """Timeline built from start and duration columns, cause defaulting to cloud."""
+
+    @pytest.mark.parametrize("horizon_s, starts, durations, message", [
+        (0, [], [], "horizon_s must be finite and > 0"),
+        # a row's own fault is raised before the horizon's, as OutageEvent
+        # would raise it while the events are built
+        (-1, [1.0, math.nan], [1.0, 1.0], "start_s must be finite and >= 0, got nan"),
+    ])
+    def test_errors(self, horizon_s, starts, durations, message):
+        with pytest.raises(ValueError) as err:
+            Timeline(horizon_s, starts, durations)
+        assert str(err.value) == message
 
 
 class TestAttemptCountsInvariants:
