@@ -15,7 +15,6 @@ from .model import (
     EstimateSet,
     InsufficientDataError,
     MalformedLogError,
-    OutageEvent,
     Timeline,
     aggregate_counts,
     expected_tries,
@@ -25,7 +24,6 @@ from .simulate import (
     NetworkBurst,
     OutageProcess,
     generate_timeline,
-    iid_attempt_log,
     sample_campaign,
     true_unavailability,
 )
@@ -46,7 +44,6 @@ from .estimators import (
     wald_interval,
 )
 from .detection import (
-    DetectedOutage,
     DetectionReport,
     SlaMetrics,
     detect_outages,

@@ -22,7 +22,6 @@ from .model import (
     DataError,
     InsufficientDataError,
     MalformedLogError,
-    Timeline,
     aggregate_counts,
     expected_tries,
 )
@@ -204,16 +203,12 @@ def cmd_detect(args) -> int:
     parsed = _load_campaign(args)
     campaign = parsed.campaign
 
-    events = logs.read_truth(args.truth)
-    try:
-        timeline = Timeline.from_events(campaign.horizon_s, events)
-    except ValueError as exc:
-        raise DataError(f"truth file {args.truth}: {exc}") from exc
+    timeline = logs.read_truth(args.truth, campaign.horizon_s)
     records = logs.read_attempt_log(args.log)
 
     runs = detect_outages(records, campaign)
     rep = detection_report(timeline, records, campaign, runs)
-    detected = sla_metrics(runs, args.threshold_s)
+    detected = sla_metrics(runs[:, 1] * campaign.probe_interval_s, args.threshold_s)
     truth_metrics = true_sla_metrics(timeline, args.threshold_s)
 
     out = _out_dir(args)

@@ -59,16 +59,6 @@ def write_undetected_curve(path, rows) -> None:
 
 
 @dataclass(frozen=True)
-class DetectedOutage:
-    """A maximal run of consecutive failed slots, as the prober perceives it."""
-
-    start_s: float
-    duration_s: float
-    first_slot: int
-    slot_count: int
-
-
-@dataclass(frozen=True)
 class DurationBin:
     lo_s: float
     hi_s: float
@@ -103,13 +93,13 @@ class SlaMetrics:
             raise ValueError("long_outage_count cannot exceed failure_count")
 
 
-def detect_outages(log: AttemptLog, config: CampaignConfig) -> list[DetectedOutage]:
+def detect_outages(log: AttemptLog, config: CampaignConfig) -> np.ndarray:
     """Group consecutive failed slots of the observer into outages.
 
     The observer is the lowest-numbered vantage point in the log. A slot counts
-    as failed when none of its attempts succeeded (the post-retry view).
-    Estimated start is the first failed slot epoch, estimated duration
-    slot_count * T.
+    as failed when none of its attempts succeeded (the post-retry view). Returns
+    one int64 row (first_slot, slot_count) per run, in slot order: the
+    estimated start is first_slot * T and the estimated duration slot_count * T.
     """
     mine = log.vantage == (log.vantage.min() if len(log) else 0)
     recovered = log.slot[mine & (log.outcome == OUTCOMES.index(SUCCESS))]
@@ -118,14 +108,11 @@ def detect_outages(log: AttemptLog, config: CampaignConfig) -> list[DetectedOuta
     # so the first failed slot always starts one
     heads = np.flatnonzero(np.diff(failed, prepend=-2) != 1)
     counts = np.diff(heads, append=len(failed))
-    interval = config.probe_interval_s
-    return [DetectedOutage(start_s=first * interval, duration_s=count * interval,
-                           first_slot=first, slot_count=count)
-            for first, count in zip(failed[heads].tolist(), counts.tolist())]
+    return np.stack((failed[heads], counts), axis=1)
 
 
 def detection_report(truth: Timeline, log: AttemptLog, config: CampaignConfig,
-                     runs: list[DetectedOutage], bin_edges_s=None) -> DetectionReport:
+                     runs: np.ndarray, bin_edges_s=None) -> DetectionReport:
     """Score the prober's view of the truth timeline.
 
     A true cloud outage is detected iff at least one attempt timestamp (any
@@ -176,10 +163,10 @@ def _bin_rates(durations, flags, edges, interval_s) -> list[DurationBin]:
 
 
 def _duration_estimates(starts, ends, durations, flags, runs, interval):
-    if not runs:
+    if not len(runs):
         return []
-    firsts = np.array([run.first_slot for run in runs], dtype=np.int64)
-    lasts = firsts + np.array([run.slot_count for run in runs], dtype=np.int64) - 1
+    firsts, counts = runs.T
+    lasts = firsts + counts - 1
     # also consider the slot before the outage start: its retries may have
     # been what detected the outage, or adjacency merged it into a run
     slots = np.maximum(0, np.ceil(starts / interval - 1e-9).astype(np.int64) - 1)
@@ -187,15 +174,15 @@ def _duration_estimates(starts, ends, durations, flags, runs, interval):
     has_run = k < len(runs)
     k = np.minimum(k, len(runs) - 1)
     paired = np.flatnonzero(flags & has_run & (np.maximum(slots, firsts[k]) * interval < ends))
-    return [(true_s, runs[i].duration_s)
-            for true_s, i in zip(durations[paired].tolist(), k[paired].tolist())]
+    return list(zip(durations[paired].tolist(), (counts[k[paired]] * interval).tolist()))
 
 
-def sla_metrics(outages, threshold_s: float) -> SlaMetrics:
-    """Counts and cumulative downtime over detected outages."""
+def sla_metrics(durations_s, threshold_s: float) -> SlaMetrics:
+    """Counts and cumulative downtime over outages of the given durations."""
     if threshold_s < 0:
         raise ValueError("threshold_s must be >= 0")
-    durations = [o.duration_s for o in outages]
+    # Python's sum, in order, so the total does not depend on numpy's summation
+    durations = np.asarray(durations_s, dtype=np.float64).tolist()
     return SlaMetrics(
         failure_count=len(durations),
         long_outage_count=sum(1 for d in durations if d > threshold_s),
@@ -205,7 +192,7 @@ def sla_metrics(outages, threshold_s: float) -> SlaMetrics:
 
 def true_sla_metrics(truth: Timeline, threshold_s: float, cause: str = CLOUD) -> SlaMetrics:
     """Same metrics over the ground-truth timeline, for distortion comparison."""
-    return sla_metrics([e for e in truth.events if e.cause == cause], threshold_s)
+    return sla_metrics(truth.intervals(cause)[2], threshold_s)
 
 
 def undetected_monte_carlo(duration_s: float, interval_s: float, trials: int,

@@ -16,8 +16,8 @@ from itertools import islice, repeat
 
 import numpy as np
 
-from .model import (CAUSES, CLOUD, FAIL_REASONS, OUTCOMES, AttemptLog, MalformedLogError,
-                    OutageEvent, Timeline)
+from .model import (CAUSES, CLOUD, FAIL_REASONS, OUTCOMES, AttemptLog, DataError,
+                    MalformedLogError, Timeline, row_fault)
 
 _OUTCOME_CODES = {name: code for code, name in enumerate(OUTCOMES)}
 _REASON_CODES = {None: -1, **{name: code for code, name in enumerate(FAIL_REASONS)}}
@@ -185,23 +185,36 @@ def write_truth(path, timeline: Timeline) -> None:
                                separators=(",", ":")) + "\n")
 
 
-def read_truth(path) -> tuple[OutageEvent, ...]:
-    """Ground-truth events only; the horizon comes from the campaign config."""
-    events = []
+def read_truth(path, horizon_s: float) -> Timeline:
+    """The ground-truth outages over the campaign's horizon, which the file does
+    not hold. A bad line, an overlap or an overrun raises DataError."""
+    rows, error = [], None
     with open(path, "r", encoding="utf-8", errors="surrogateescape") as f:
         for lineno, line in enumerate(map(str.strip, f), start=1):
             if not line:
                 continue
             try:
                 obj = json.loads(_decoded(line))
-                start, duration = obj["start_s"], obj["duration_s"]
-                for name, value in (("start_s", start), ("duration_s", duration)):
+                row = obj["start_s"], obj["duration_s"], obj.get("cause", CLOUD)
+                for name, value in zip(("start_s", "duration_s"), row):
                     if type(value) not in (int, float):
                         raise ValueError(f"{name} must be a number, got {value!r}")
-                events.append(OutageEvent(float(start), float(duration), obj.get("cause", CLOUD)))
+                if row[2] not in CAUSES:
+                    raise ValueError(f"cause must be one of {', '.join(CAUSES)}, got {row[2]!r}")
+                rows.append((lineno, float(row[0]), float(row[1]), CAUSES.index(row[2])))
             except _ERRORS as exc:
-                raise MalformedLogError("?", f"line {lineno}", str(exc)) from exc
-    return tuple(events)
+                error = lineno, exc
+                break
+    lines, *columns = zip(*rows) if rows else ((),) * 4
+    start, duration, cause = map(np.array, columns, (np.float64, np.float64, np.int8))
+    if fault := row_fault(start, duration, cause):  # on a line before any parse error
+        error = lines[fault[0]], fault[1]
+    if error:
+        raise DataError(f"truth file {path} line {error[0]}: {error[1]}")
+    try:
+        return Timeline(horizon_s, start, duration, cause)
+    except ValueError as exc:
+        raise DataError(f"truth file {path}: {exc}") from exc
 
 
 def sha256_file(path) -> str:

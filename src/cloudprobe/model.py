@@ -114,25 +114,23 @@ def expected_tries(config: CampaignConfig) -> int:
     return config.vantage_points * config.slots
 
 
-@dataclass(frozen=True)
-class OutageEvent:
-    """One ground-truth outage interval, half-open [start_s, start_s + duration_s)."""
-
-    start_s: float
-    duration_s: float
-    cause: str = CLOUD
-
-    def __post_init__(self):
-        if not 0 <= self.start_s < math.inf:
-            raise ValueError(f"start_s must be finite and >= 0, got {self.start_s}")
-        if not 0 < self.duration_s < math.inf:
-            raise ValueError(f"duration_s must be finite and > 0, got {self.duration_s}")
-        if self.cause not in CAUSES:
-            raise ValueError(f"cause must be one of {sorted(CAUSES)}")
-
-    @property
-    def end_s(self) -> float:
-        return self.start_s + self.duration_s
+def row_fault(start_s, duration_s, cause) -> tuple[int, str] | None:
+    """The first outage row, in input order, with a start, duration or cause
+    code that no Timeline accepts, and what is wrong with it; None if every
+    row is good. The arguments are 1-D arrays of equal length."""
+    valid_cause = (np.isin(cause, range(len(CAUSES))) if cause.dtype.kind in "biuf"
+                   else np.zeros(cause.shape, dtype=bool))
+    bad = np.flatnonzero(~((0 <= start_s) & (start_s < math.inf) & (0 < duration_s)
+                           & (duration_s < math.inf) & valid_cause))
+    if not len(bad):
+        return None
+    i = int(bad[0])
+    if not 0 <= start_s[i] < math.inf:
+        return i, f"start_s must be finite and >= 0, got {start_s.item(i)}"
+    if not 0 < duration_s[i] < math.inf:
+        return i, f"duration_s must be finite and > 0, got {duration_s.item(i)}"
+    codes = ", ".join(f"{code} ({name})" for code, name in enumerate(CAUSES))
+    return i, f"cause must be one of the codes {codes}, got {cause.item(i)!r}"
 
 
 @dataclass(frozen=True, eq=False)
@@ -159,12 +157,8 @@ class Timeline:
                            else self.cause)
         if start.ndim != 1 or start.shape != duration.shape or start.shape != cause.shape:
             raise ValueError("start_s, duration_s and cause must be 1-D and of equal length")
-        bad = np.flatnonzero(~((0 <= start) & (start < math.inf) & (0 < duration)
-                               & (duration < math.inf) & np.isin(cause, range(len(CAUSES)))))
-        if len(bad):
-            # raises, naming the row's start or duration if bad, else its cause
-            # code, which as no cause name OutageEvent refuses
-            OutageEvent(start[bad[0]].item(), duration[bad[0]].item(), cause[bad[0]].item())
+        if fault := row_fault(start, duration, cause):
+            raise ValueError(fault[1])
         if not 0 < self.horizon_s < math.inf:
             raise ValueError("horizon_s must be finite and > 0")
         cause = cause.astype(np.int8)
@@ -195,22 +189,13 @@ class Timeline:
         object.__setattr__(self, "cause", cause)
         object.__setattr__(self, "_index", index)  # an attribute, not a field
 
-    @classmethod
-    def from_events(cls, horizon_s: float, events) -> Timeline:
-        """The timeline of the OutageEvents."""
-        events = tuple(events)
-        return cls(horizon_s, [e.start_s for e in events], [e.duration_s for e in events],
-                   [CAUSES.index(e.cause) for e in events])
-
-    @property
-    def events(self) -> tuple[OutageEvent, ...]:
-        """The outages as OutageEvents, in (start, cause) order."""
-        return tuple(map(OutageEvent, self.start_s.tolist(), self.duration_s.tolist(),
-                         map(CAUSES.__getitem__, self.cause.tolist())))
+    def __len__(self) -> int:
+        """The number of outages."""
+        return len(self.start_s)
 
     def intervals(self, cause: str) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Read-only (starts, ends, durations) arrays of the cause's events, in
-        start order; durations are the events' duration_s values."""
+        """Read-only (starts, ends, durations) arrays of the cause's outages, in
+        start order; durations are the outages' duration_s values."""
         starts, ends, durations = self._index[cause]
         return starts[1:], ends[1:], durations
 

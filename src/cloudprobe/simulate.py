@@ -25,10 +25,9 @@ from .model import (
     Timeline,
 )
 
-# substream tags: keep the timeline, vantage, and hook draws independent
+# substream tags: keep the timeline and vantage draws independent
 _TAG_TIMELINE = 0
 _TAG_VANTAGE = 1
-_TAG_HOOK = 3
 
 
 def _rng(seed: int, *key: int) -> np.random.Generator:
@@ -264,22 +263,3 @@ def true_unavailability(timeline: Timeline, cause: str | None = None) -> float:
     """Ground-truth unavailable fraction: filtered outage time over the horizon."""
     durations = timeline.duration_s if cause is None else timeline.intervals(cause)[2]
     return sum(durations.tolist()) / timeline.horizon_s
-
-
-def iid_attempt_log(success_prob: float, slots: int, retry_max: int,
-                    seed: int, vantage: int = 0) -> AttemptLog:
-    """Validation hook: attempts succeed i.i.d. with success_prob, no timeline.
-
-    This bypasses the renewal model entirely; it exists so the geometric
-    retry-inflation predictions (which assume independent attempts) can be
-    checked against sampled logs. Not used by any production path.
-    """
-    if not 0.0 <= success_prob <= 1.0:
-        raise ValueError("success_prob must be in [0, 1]")
-    if slots < 0 or retry_max < 1:
-        raise ValueError("need slots >= 0 and retry_max >= 1")
-    draws = _rng(seed, _TAG_HOOK).random(slots * retry_max) < success_prob
-    made, ok = _retry_schedule(np.ones((slots, retry_max), dtype=bool), draws)
-    ts = np.arange(slots)[:, None] + np.arange(retry_max) * 1e-3
-    return _grid_log(ts, vantage, made,
-                     np.where(ok, OUTCOMES.index(SUCCESS), OUTCOMES.index(CLOUD_FAIL)))

@@ -7,8 +7,9 @@ from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 import numpy as np
 import pytest
 
-from cloudprobe.model import (CLOUD_FAIL, FAIL, FAIL_REASONS, NETWORK_FAIL, OUTCOMES, SUCCESS,
-                              AttemptLog)
+from cloudprobe.model import (CAUSES, CLOUD, CLOUD_FAIL, FAIL, FAIL_REASONS, NETWORK_FAIL,
+                              OUTCOMES, SUCCESS, AttemptLog, Timeline)
+from cloudprobe.simulate import _grid_log, _retry_schedule, _rng
 
 BODY = b"cloudprobe test object\n"
 
@@ -33,6 +34,44 @@ def rows_of(log: AttemptLog) -> list:
                 None if math.isnan(latency) else latency, reasons[reason])
             for ts, vantage, slot, attempt, outcome, latency, reason in zip(
                 *(getattr(log, name).tolist() for name in Row._fields))]
+
+
+# one ground-truth outage as plain values, for building timelines in tests and oracles
+Outage = namedtuple("Outage", "start_s duration_s cause", defaults=(CLOUD,))
+
+
+def timeline_of(horizon_s, outages) -> Timeline:
+    """Outages (cause as a name) as a timeline."""
+    start, duration, cause = list(zip(*outages)) or [()] * 3
+    return Timeline(horizon_s, start, duration, [CAUSES.index(c) for c in cause])
+
+
+def outages_of(timeline: Timeline) -> list:
+    """The timeline's outages as Outages, in (start, cause) order, the inverse of
+    timeline_of."""
+    return [Outage(start, duration, CAUSES[cause]) for start, duration, cause in zip(
+        timeline.start_s.tolist(), timeline.duration_s.tolist(), timeline.cause.tolist())]
+
+
+def iid_attempt_log(success_prob: float, slots: int, retry_max: int,
+                    seed: int, vantage: int = 0) -> AttemptLog:
+    """Attempts that succeed i.i.d. with success_prob, with no timeline, one slot
+    a second.
+
+    This bypasses the renewal model entirely, so the geometric retry-inflation
+    predictions (which assume independent attempts) can be checked against
+    sampled logs. Its draws come from the seed's substream 3, which the
+    simulator leaves unused.
+    """
+    if not 0.0 <= success_prob <= 1.0:
+        raise ValueError("success_prob must be in [0, 1]")
+    if slots < 0 or retry_max < 1:
+        raise ValueError("need slots >= 0 and retry_max >= 1")
+    draws = _rng(seed, 3).random(slots * retry_max) < success_prob
+    made, ok = _retry_schedule(np.ones((slots, retry_max), dtype=bool), draws)
+    ts = np.arange(slots)[:, None] + np.arange(retry_max) * 1e-3
+    return _grid_log(ts, vantage, made,
+                     np.where(ok, OUTCOMES.index(SUCCESS), OUTCOMES.index(CLOUD_FAIL)))
 
 
 def make_random_log(rng: np.random.Generator, retry_max=None, slots=None, vantages=None):

@@ -29,11 +29,10 @@ from cloudprobe.simulate import (
     DurationDistribution,
     OutageProcess,
     generate_timeline,
-    iid_attempt_log,
     sample_campaign,
 )
 
-from conftest import make_random_log
+from conftest import iid_attempt_log, make_random_log
 
 TRIALS = 639478
 
@@ -217,8 +216,8 @@ def test_criterion_8_censoring_distortion():
         detected_total += rep.detected
         run_total += len(runs)
         runs_below &= len(runs) < rep.total_true_outages
-        miss_probs.extend(undetected_probability(ev.duration_s, interval)
-                          for ev in tl.events if ev.cause == "cloud")
+        miss_probs.extend(undetected_probability(duration, interval)
+                          for duration in tl.intervals("cloud")[2].tolist())
 
     shortfall = (true_total - detected_total) / true_total
     oracle = sum(miss_probs) / len(miss_probs)

@@ -1,3 +1,4 @@
+import importlib.util
 import json
 import os
 import re
@@ -11,9 +12,10 @@ import pytest
 import cloudprobe
 from cloudprobe import configfile, logs, report
 from cloudprobe.cli import main
-from cloudprobe.model import CampaignConfig, ConfigError
+from cloudprobe.detection import detect_outages
+from cloudprobe.model import CampaignConfig, ConfigError, Timeline
 from cloudprobe.prober import ProbeTarget
-from cloudprobe.simulate import DurationDistribution, NetworkBurst, OutageProcess
+from cloudprobe.simulate import DurationDistribution, NetworkBurst, OutageProcess, sample_campaign
 
 QUIET = OutageProcess(up_mean_s=1e12, duration_dist=DurationDistribution.fixed(1.0))
 LIVE = ("probe_interval_s = 600\nhorizon_days = 1\nmode = live\n"
@@ -531,11 +533,15 @@ class TestMalformedInput:
         (["detect", "--log", "{log}", "--truth", "{truth}", "--config", "{config}"],
          {"truth.jsonl": '{"start_s":' + "1" * 400 + ',"duration_s":10,"cause":"cloud"}\n'},
          2, "line 1: int too large to convert to float"),
+        (["detect", "--log", "{log}", "--truth", "{truth}", "--config", "{config}"],
+         {"truth.jsonl": '{"start_s":0,"duration_s":10}\n'
+                         '{"start_s":50,"duration_s":10,"cause":"storm"}\n'},
+         2, "line 2: cause must be one of cloud, network, got 'storm'"),
     ], ids=["claim-above-one", "alpha-zero", "negative-threshold", "overlapping-truth",
             "string-vantage", "nan-ts", "nan-truth", "fractional-slot", "truth-beyond-horizon",
             "nan-latency", "infinite-latency", "non-utf8-log", "non-utf8-truth",
             "non-utf8-fragment", "non-utf8-config", "bad-checkpoint", "string-ts",
-            "string-truth", "bool-truth", "huge-int-truth"])
+            "string-truth", "bool-truth", "huge-int-truth", "unknown-cause-truth"])
     def test_documented_exit_code(self, tmp_path, capsys, argv, files, code, needle):
         config = tmp_path / "c.ini"
         write_sim_config(config, campaign=CampaignConfig(
@@ -548,7 +554,10 @@ class TestMalformedInput:
                  "out": out}
         capsys.readouterr()
         assert main([arg.format(**paths) for arg in argv]) == code
-        assert needle in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert needle in err
+        if "truth.jsonl" in files:
+            assert f"truth file {paths['truth']}" in err and "attempt log" not in err
 
 
 class TestUsage:
@@ -582,3 +591,35 @@ class TestUsage:
         log_path = tmp_path / "empty.jsonl"
         log_path.write_text("")
         assert main(["estimate", "--log", str(log_path)]) == 0
+
+
+class TestBenchmarkContract:
+    """perfbench/run.py patches the layer functions cloudprobe.cli calls by
+    module and name, and counts what some of them return, so a renamed layer
+    function or a result without len() breaks the traced benchmark run."""
+
+    @pytest.fixture
+    def targets(self, monkeypatch):
+        bench = Path(__file__).resolve().parents[1] / "perfbench"
+        monkeypatch.syspath_prepend(str(bench))  # run.py imports its siblings by name
+        monkeypatch.setattr(sys, "dont_write_bytecode", True)  # leave perfbench/ as it is
+        spec = importlib.util.spec_from_file_location("perfbench_run", bench / "run.py")
+        run = importlib.util.module_from_spec(spec)
+        monkeypatch.setitem(sys.modules, spec.name, run)  # its dataclasses look it up
+        spec.loader.exec_module(run)
+        return run.layer_targets(cloudprobe)
+
+    def test_every_target_resolves(self, targets):
+        assert targets
+        for module, attr, _, _ in targets:
+            assert callable(getattr(module, attr, None)), f"{module.__name__}.{attr}"
+
+    def test_counts_read_the_results(self, targets, tmp_path):
+        count = {name: fn for _, _, name, fn in targets}
+        path = tmp_path / "truth.jsonl"
+        logs.write_truth(path, Timeline(1000.0, [100.0, 500.0], [50.0, 2.0], [0, 1]))
+        assert count["logs.read_truth"](logs.read_truth(path, 1000.0)) == {"events": 2}
+        config = CampaignConfig(probe_interval_s=600.0, horizon_days=1.0, retry_max=1)
+        runs = detect_outages(sample_campaign(Timeline(config.horizon_s, [0.0], [1200.0]),
+                                              config), config)
+        assert count["detection.detect_outages"](runs) == {"runs": 1}

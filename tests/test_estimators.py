@@ -22,9 +22,8 @@ from cloudprobe.estimators import (
     wald_interval,
 )
 from cloudprobe.model import AttemptCounts, InsufficientDataError, aggregate_counts
-from cloudprobe.simulate import iid_attempt_log
 
-from conftest import make_random_log
+from conftest import iid_attempt_log, make_random_log
 
 HAND = AttemptCounts(retry_max=3, attempts=(4, 3, 2), successes=(1, 1, 1))
 EMPTY = AttemptCounts(retry_max=1, attempts=(0,), successes=(0,))

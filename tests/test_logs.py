@@ -18,7 +18,7 @@ from hypothesis import strategies as st
 
 from cloudprobe import logs
 from cloudprobe.model import (FAIL, FAIL_REASONS, OUTCOMES, AttemptLog, CampaignConfig,
-                              MalformedLogError)
+                              DataError, MalformedLogError)
 from cloudprobe.simulate import DurationDistribution, OutageProcess, generate_timeline, \
     sample_campaign
 
@@ -387,3 +387,43 @@ def test_other_json_forms_take_the_general_path(tmp_path, monkeypatch):
     calls = _count_json_loads(monkeypatch)
     assert logs.read_attempt_log(path).ts_s.tolist() == [0.0, 5.0]
     assert len(calls) == 2
+
+
+class TestReadTruth:
+    def read(self, tmp_path, text, horizon_s=1000.0):
+        path = tmp_path / "truth.jsonl"
+        path.write_text(text)
+        return path, lambda: logs.read_truth(path, horizon_s)
+
+    @pytest.mark.parametrize("lines, message", [
+        (['{"start_s":0,"duration_s":1}', '{"start_s":-1,"duration_s":1}', "not json"],
+         " line 2: start_s must be finite and >= 0, got -1.0"),
+        (['{"start_s":0,"duration_s":1}', "not json", '{"start_s":-1,"duration_s":1}'],
+         " line 2: Expecting value"),
+        (["", '{"start_s":0,"duration_s":1}', " ", '{"start_s":5,"duration_s":0}'],
+         " line 4: duration_s must be finite and > 0, got 0.0"),
+        (['{"start_s":0,"duration_s":1,"cause":["cloud"]}'],
+         " line 1: cause must be one of cloud, network, got ['cloud']"),
+        (['[0, 1]'], " line 1: list indices must be integers"),
+        (['{"start_s":0,"duration_s":100}', '{"start_s":50,"duration_s":10}'],
+         ": overlapping cloud events at 50.0"),
+        (['{"start_s":990,"duration_s":100}'], ": event ending at 1090.0 exceeds horizon 1000.0"),
+    ], ids=["fault-before-parse-error", "parse-error-before-fault", "blank-lines-counted",
+            "unhashable-cause", "not-an-object", "overlap", "overrun"])
+    def test_first_fault_named_with_its_line(self, tmp_path, lines, message):
+        path, read = self.read(tmp_path, "\n".join(lines) + "\n")
+        with pytest.raises(DataError) as err:
+            read()
+        assert str(err.value).startswith(f"truth file {path}{message}")
+
+    def test_columns_and_default_cause(self, tmp_path):
+        _, read = self.read(tmp_path, '{"start_s":500,"duration_s":2,"cause":"network"}\n'
+                                      '{"start_s":100,"duration_s":50}\n')
+        tl = read()
+        assert len(tl) == 2 and tl.horizon_s == 1000.0
+        assert [tl.start_s.tolist(), tl.duration_s.tolist(), tl.cause.tolist()] == [
+            [100.0, 500.0], [50.0, 2.0], [0, 1]]
+
+    def test_empty_file_is_an_empty_timeline(self, tmp_path):
+        _, read = self.read(tmp_path, "\n")
+        assert len(read()) == 0

@@ -16,14 +16,13 @@ from cloudprobe.model import (
     CampaignConfig,
     ConfigError,
     MalformedLogError,
-    OutageEvent,
     Timeline,
     aggregate_counts,
     expected_tries,
 )
 from cloudprobe import logs
 
-from conftest import Row, log_of, make_random_log, rows_of
+from conftest import Outage, Row, log_of, make_random_log, outages_of, rows_of, timeline_of
 
 
 def rec(slot, attempt, outcome, vantage=0, gap=1.0, interval=60.0):
@@ -216,53 +215,54 @@ class TestCampaignConfig:
 
 class TestTimeline:
     def test_events_sorted_and_validated(self):
-        tl = Timeline.from_events(1000, (
-            OutageEvent(500, 10), OutageEvent(100, 50)))
-        assert [e.start_s for e in tl.events] == [100, 500]
+        tl = timeline_of(1000, (Outage(500, 10), Outage(100, 50)))
+        assert tl.start_s.tolist() == [100, 500] and len(tl) == 2
         assert [f.name for f in dataclasses.fields(tl)] == [
             "horizon_s", "start_s", "duration_s", "cause"]
 
-    @pytest.mark.parametrize("code", [np.int64(256), 0.5, -1],
-                             ids=["wraps", "fraction", "negative"])
+    @pytest.mark.parametrize("code", [np.int64(256), 0.5, -1, "network", None],
+                             ids=["wraps", "fraction", "negative", "name", "none"])
     def test_cause_code_checked_before_the_cast(self, code):
-        with pytest.raises(ValueError, match="cause must be one of"):
-            Timeline(10, [1.0], [1.0], np.array([code]))
+        cause = np.array([code])
+        with pytest.raises(ValueError) as err:
+            Timeline(10, [1.0], [1.0], cause)
+        assert str(err.value) == (
+            f"cause must be one of the codes 0 (cloud), 1 (network), got {cause.item(0)!r}")
 
     def test_columns_default_to_cloud_and_are_read_only(self):
         tl = Timeline(1000, [500.0, 100.0], [10.0, 50.0])
         assert tl.cause.tolist() == [CAUSES.index("cloud")] * 2
-        assert tl.events == (OutageEvent(100.0, 50.0), OutageEvent(500.0, 10.0))
+        assert outages_of(tl) == [Outage(100.0, 50.0), Outage(500.0, 10.0)]
         for column in (tl.start_s, tl.duration_s, tl.cause):
             with pytest.raises(ValueError):
                 column[0] = 1
 
     def test_same_cause_overlap_rejected(self):
         with pytest.raises(ValueError):
-            Timeline.from_events(1000, (OutageEvent(0, 100), OutageEvent(50, 10)))
+            timeline_of(1000, (Outage(0, 100), Outage(50, 10)))
 
     def test_different_cause_overlap_allowed(self):
-        tl = Timeline.from_events(1000, (
-            OutageEvent(0, 100, "cloud"), OutageEvent(50, 10, "network")))
-        assert len(tl.events) == 2
+        tl = timeline_of(1000, (Outage(0, 100, "cloud"), Outage(50, 10, "network")))
+        assert len(tl) == 2
 
     def test_event_beyond_horizon_rejected(self):
         with pytest.raises(ValueError):
-            Timeline.from_events(100, (OutageEvent(90, 20),))
+            timeline_of(100, (Outage(90, 20),))
 
     def test_half_open_membership(self):
-        tl = Timeline.from_events(1000, (OutageEvent(100, 50),))
+        tl = timeline_of(1000, (Outage(100, 50),))
         assert tl.in_outage(100, "cloud")
         assert tl.in_outage(149.999, "cloud")
         assert not tl.in_outage(150, "cloud")  # probe at outage end succeeds
         assert not tl.in_outage(99.999, "cloud")
 
     def test_zero_duration_event_rejected(self):
-        with pytest.raises(ValueError):
-            OutageEvent(0, 0)
+        with pytest.raises(ValueError, match="duration_s must be finite and > 0, got 0.0"):
+            Timeline(1000, [0.0], [0.0])
 
     def test_intervals_are_read_only_and_per_cause(self):
-        tl = Timeline.from_events(1000, (
-            OutageEvent(500, 0.1), OutageEvent(100.3, 0.2), OutageEvent(50, 10, "network")))
+        tl = timeline_of(1000, (
+            Outage(500, 0.1), Outage(100.3, 0.2), Outage(50, 10, "network")))
         starts, ends, durations = tl.intervals("cloud")
         assert starts.tolist() == [100.3, 500]
         assert ends.tolist() == [100.3 + 0.2, 500.1]
@@ -273,20 +273,21 @@ class TestTimeline:
             starts[0] = 0.0
         assert [a.tolist() for a in Timeline(1, [], []).intervals("cloud")] == [[], [], []]
 
-    @pytest.mark.parametrize("events, message", [
-        ((OutageEvent(0.0, 100.0), OutageEvent(50.0, 10.0)), "overlapping cloud events at 50.0"),
-        ((OutageEvent(90.0, 20.0),), "event ending at 110.0 exceeds horizon 100"),
-        # both faults at one event: the horizon is named
-        ((OutageEvent(0.0, 50.0, "network"), OutageEvent(40.0, 70.0, "network")),
+    @pytest.mark.parametrize("outages, message", [
+        ((Outage(0.0, 100.0), Outage(50.0, 10.0)), "overlapping cloud events at 50.0"),
+        ((Outage(90.0, 20.0),), "event ending at 110.0 exceeds horizon 100"),
+        # both faults at one outage: the horizon is named
+        ((Outage(0.0, 50.0, "network"), Outage(40.0, 70.0, "network")),
          "event ending at 110.0 exceeds horizon 100"),
-        # the first faulty event in start order, whatever the input order
-        ((OutageEvent(80.0, 30.0), OutageEvent(10.0, 20.0), OutageEvent(20.0, 5.0)),
+        # the first faulty outage in start order, whatever the input order
+        ((Outage(80.0, 30.0), Outage(10.0, 20.0), Outage(20.0, 5.0)),
          "overlapping cloud events at 20.0"),
     ], ids=["overlap", "overrun", "overrun-and-overlap", "first-in-start-order"])
-    def test_first_fault_named(self, events, message):
+    def test_first_fault_named(self, outages, message):
         with pytest.raises(ValueError) as err:
-            Timeline.from_events(100, events)
-        assert str(err.value) == message == oracle_timeline(100, events)
+            timeline_of(100, outages)
+        rows = [(start, duration, CAUSES.index(cause)) for start, duration, cause in outages]
+        assert str(err.value) == message == oracle_timeline(100, rows)
 
     @pytest.mark.parametrize("columns", [([1.0, 2.0], [1.0]), ([[1.0]], [[1.0]]),
                                          ([1.0], [1.0], [0, 1]), (1.0, 1.0)],
@@ -297,23 +298,34 @@ class TestTimeline:
         assert str(err.value) == "start_s, duration_s and cause must be 1-D and of equal length"
 
 
-def oracle_timeline(horizon_s, events):
-    """The per-event validation loop the Timeline replaced: its error message,
-    or the sorted events and each cause's (starts, ends, durations)."""
+def oracle_timeline(horizon_s, rows):
+    """The per-outage validation loop the Timeline replaced, over (start_s,
+    duration_s, cause code) rows: its error message, or the outages sorted and
+    each cause's (starts, ends, durations)."""
+    codes = ", ".join(f"{code} ({name})" for code, name in enumerate(CAUSES))
+    for start, duration, code in rows:
+        if not 0 <= start < math.inf:
+            return f"start_s must be finite and >= 0, got {start}"
+        if not 0 < duration < math.inf:
+            return f"duration_s must be finite and > 0, got {duration}"
+        if code not in range(len(CAUSES)):
+            return f"cause must be one of the codes {codes}, got {code!r}"
     if not 0 < horizon_s < math.inf:
         return "horizon_s must be finite and > 0"
-    events = tuple(sorted(events, key=lambda e: (e.start_s, e.cause)))
+    outages = sorted((Outage(start, duration, CAUSES[code]) for start, duration, code in rows),
+                     key=lambda o: (o.start_s, o.cause))
     last_end = {}
     columns = {cause: ([], [], []) for cause in CAUSES}
-    for ev in events:
-        if ev.end_s > horizon_s:
-            return f"event ending at {ev.end_s} exceeds horizon {horizon_s}"
-        if ev.start_s < last_end.get(ev.cause, 0.0):
-            return f"overlapping {ev.cause} events at {ev.start_s}"
-        last_end[ev.cause] = ev.end_s
-        for column, value in zip(columns[ev.cause], (ev.start_s, ev.end_s, ev.duration_s)):
+    for start, duration, cause in outages:
+        end = start + duration
+        if end > horizon_s:
+            return f"event ending at {end} exceeds horizon {horizon_s}"
+        if start < last_end.get(cause, 0.0):
+            return f"overlapping {cause} events at {start}"
+        last_end[cause] = end
+        for column, value in zip(columns[cause], (start, end, duration)):
             column.append(value)
-    return events, columns
+    return outages, columns
 
 
 _TIMES = st.sampled_from([0.0, 10.0, 50.0, 60.0, 100.0]) | st.floats(0.0, 120.0)
@@ -329,34 +341,22 @@ _ANY_ROWS = st.tuples(_HORIZONS | _BAD, st.lists(st.tuples(
 
 
 def check_builds(horizon_s, rows):
-    """Timeline built from the rows' columns, and from their OutageEvents where
-    those build, raises what the validation loop would, or holds its outages."""
-    start_s, duration_s, cause = (list(column) for column in zip(*rows)) if rows else ([],) * 3
+    """Timeline built from the rows' columns raises what the validation loop
+    would, or holds its outages."""
+    want = oracle_timeline(horizon_s, rows)
     try:
-        # a code past CAUSES is a cause name OutageEvent refuses
-        events = [OutageEvent(start, duration, (*CAUSES, "none")[code])
-                  for start, duration, code in rows]
+        tl = Timeline(horizon_s, *((list(column) for column in zip(*rows)) if rows else ([],) * 3))
     except ValueError as exc:
-        events, want = None, str(exc)
-    else:
-        want = oracle_timeline(horizon_s, events)
-    builds = [lambda: Timeline(horizon_s, start_s, duration_s, cause)]
-    if events is not None:
-        builds.append(lambda: Timeline.from_events(horizon_s, events))
+        assert str(exc) == want
+        return
+    assert not isinstance(want, str), want
+    assert outages_of(tl) == want[0] and len(tl) == len(rows)
     probes = np.linspace(-1.0, 151.0, 257)
-    for build in builds:
-        try:
-            tl = build()
-        except ValueError as exc:
-            assert str(exc) == want
-            continue
-        assert not isinstance(want, str), want
-        assert tl.events == want[0]
-        for name, columns in want[1].items():
-            assert [a.tolist() for a in tl.intervals(name)] == list(columns)
-            starts, ends, _ = columns
-            assert tl.in_outage(probes, name).tolist() == [
-                any(s <= t < e for s, e in zip(starts, ends)) for t in probes.tolist()]
+    for name, columns in want[1].items():
+        assert [a.tolist() for a in tl.intervals(name)] == list(columns)
+        starts, ends, _ = columns
+        assert tl.in_outage(probes, name).tolist() == [
+            any(s <= t < e for s, e in zip(starts, ends)) for t in probes.tolist()]
 
 
 @settings(max_examples=500, deadline=None, suppress_health_check=[HealthCheck.too_slow])
@@ -376,8 +376,7 @@ class TestFromIntervals:
 
     @pytest.mark.parametrize("horizon_s, starts, durations, message", [
         (0, [], [], "horizon_s must be finite and > 0"),
-        # a row's own fault is raised before the horizon's, as OutageEvent
-        # would raise it while the events are built
+        # a row's own fault is raised before the horizon's
         (-1, [1.0, math.nan], [1.0, 1.0], "start_s must be finite and >= 0, got nan"),
     ])
     def test_errors(self, horizon_s, starts, durations, message):
@@ -506,8 +505,8 @@ class TestJsonlRoundTrip:
             logs.read_attempt_log(path)
 
     def test_truth_roundtrip(self, tmp_path):
-        tl = Timeline.from_events(1000, (
-            OutageEvent(100, 50, "cloud"), OutageEvent(400, 5, "network")))
+        outages = [Outage(100.0, 50.0, "cloud"), Outage(400.0, 5.0, "network")]
         path = tmp_path / "truth.jsonl"
-        logs.write_truth(path, tl)
-        assert logs.read_truth(path) == tl.events
+        logs.write_truth(path, timeline_of(1000, outages))
+        back = logs.read_truth(path, 1000)
+        assert back.horizon_s == 1000 and outages_of(back) == outages

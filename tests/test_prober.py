@@ -136,8 +136,7 @@ class TestRunCampaign:
         records = run_campaign(ProbeTarget(url=http_fixture.url), config,
                                tmp_path / "attempts.jsonl")
         runs = detect_outages(records, config)
-        assert [(r.first_slot, r.slot_count) for r in runs] == [(3, 3)]
-        assert runs[0].duration_s == pytest.approx(3 * config.probe_interval_s)
+        assert runs.tolist() == [[3, 3]]  # first_slot, slot_count
 
     def test_flaky_first_attempt_inflates_retry_filtered(self, http_fixture, tmp_path):
         # every slot: attempt 1 fails, attempt 2 succeeds

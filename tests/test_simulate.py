@@ -12,7 +12,6 @@ from cloudprobe.model import (
     NETWORK_FAIL,
     SUCCESS,
     CampaignConfig,
-    OutageEvent,
     Timeline,
     aggregate_counts,
     expected_tries,
@@ -27,13 +26,12 @@ from cloudprobe.simulate import (
     NetworkBurst,
     OutageProcess,
     generate_timeline,
-    iid_attempt_log,
     sample_campaign,
     true_unavailability,
 )
 from cloudprobe import logs
 
-from conftest import Row, rows_of
+from conftest import Outage, Row, iid_attempt_log, outages_of, rows_of, timeline_of
 
 DAY = 86400.0
 
@@ -117,7 +115,7 @@ class TestGenerateTimeline:
         horizon = 1000.0
         proc = OutageProcess(up_mean_s=horizon * 1e6,
                              duration_dist=DurationDistribution.fixed(10))
-        total = sum(len(generate_timeline(proc, horizon, seed).events) for seed in range(1000))
+        total = sum(len(generate_timeline(proc, horizon, seed)) for seed in range(1000))
         # total event count is ~Poisson(1000 * horizon/up_mean) = Poisson(1e-3)
         assert total <= 1e-3 + 3 * math.sqrt(1e-3) + 1
 
@@ -125,7 +123,7 @@ class TestGenerateTimeline:
         proc = OutageProcess(up_mean_s=3600.0,
                              duration_dist=DurationDistribution.fixed(120.0))
         horizon = 30 * DAY
-        counts = [len(generate_timeline(proc, horizon, seed).events) for seed in range(30)]
+        counts = [len(generate_timeline(proc, horizon, seed)) for seed in range(30)]
         lam = horizon / 3720.0  # one event per up+down cycle
         assert abs(statistics.mean(counts) - lam) < 3 * math.sqrt(lam / 30)
 
@@ -142,7 +140,7 @@ class TestGenerateTimeline:
                              network_burst=NetworkBurst(rate_per_day=4.0, duration_s=5.0))
         a = generate_timeline(proc, 5 * DAY, 42)
         b = generate_timeline(proc, 5 * DAY, 42)
-        assert a.events == b.events
+        assert outages_of(a) == outages_of(b)
 
     @pytest.mark.parametrize("horizon_s", [math.nan, math.inf, 0.0, -1.0])
     def test_horizon_must_be_finite_and_positive(self, horizon_s):
@@ -155,17 +153,17 @@ class TestGenerateTimeline:
         proc = OutageProcess(up_mean_s=600.0,
                              duration_dist=DurationDistribution.exponential(4000.0))
         tl = generate_timeline(proc, DAY, 11)
-        assert all(e.end_s <= DAY for e in tl.events)
+        assert np.all(tl.start_s + tl.duration_s <= DAY)
 
     def test_bursts_disjoint_after_merge(self):
         proc = OutageProcess(up_mean_s=1e12,
                              duration_dist=DurationDistribution.fixed(1),
                              network_burst=NetworkBurst(rate_per_day=2000.0, duration_s=120.0))
         tl = generate_timeline(proc, DAY, 5)
-        bursts = [e for e in tl.events if e.cause == NETWORK]
+        bursts = [e for e in outages_of(tl) if e.cause == NETWORK]
         assert bursts
         for a, b in zip(bursts, bursts[1:]):
-            assert a.end_s <= b.start_s
+            assert a.start_s + a.duration_s <= b.start_s
 
 
 class TestSampleCampaign:
@@ -179,7 +177,7 @@ class TestSampleCampaign:
 
     def test_total_outage_campaign(self):
         config = small_config()
-        tl = Timeline.from_events(config.horizon_s, (OutageEvent(0.0, config.horizon_s),))
+        tl = timeline_of(config.horizon_s, (Outage(0.0, config.horizon_s),))
         records = sample_campaign(tl, config)
         counts = aggregate_counts(records, retry_max=config.retry_max)
         assert counts.attempts == tuple([config.slots] * config.retry_max)
@@ -213,16 +211,16 @@ class TestSampleCampaign:
 
     def test_cloud_outage_dominates_network_overlay(self):
         config = small_config(retry_max=1)
-        tl = Timeline.from_events(config.horizon_s, (
-            OutageEvent(0.0, config.horizon_s, CLOUD),
-            OutageEvent(0.0, config.horizon_s, NETWORK),
+        tl = timeline_of(config.horizon_s, (
+            Outage(0.0, config.horizon_s, CLOUD),
+            Outage(0.0, config.horizon_s, NETWORK),
         ))
         records = sample_campaign(tl, config, network_fail_prob=0.5)
         assert {r.outcome for r in rows_of(records)} == {CLOUD_FAIL}
 
     def test_burst_failures_marked_network(self):
         config = small_config(retry_max=1)
-        tl = Timeline.from_events(config.horizon_s, (OutageEvent(0.0, config.horizon_s, NETWORK),))
+        tl = timeline_of(config.horizon_s, (Outage(0.0, config.horizon_s, NETWORK),))
         records = sample_campaign(tl, config)
         assert {r.outcome for r in rows_of(records)} == {NETWORK_FAIL}
 
@@ -248,10 +246,12 @@ class TestSampleCampaign:
 
 def per_record_sample(timeline, config, q=0.0, phase_offsets=None):
     """Reference: the per-record sampler, one scalar draw and two bisects per attempt."""
+    outages = outages_of(timeline)
+
     def inside(t, cause):
-        events = [e for e in timeline.events if e.cause == cause]
+        events = [e for e in outages if e.cause == cause]
         i = bisect.bisect_right([e.start_s for e in events], t) - 1
-        return i >= 0 and t < events[i].end_s
+        return i >= 0 and t < events[i].start_s + events[i].duration_s
 
     records = []
     for vantage in range(config.vantage_points):
@@ -400,16 +400,15 @@ class TestTrueUnavailability:
         assert true_unavailability(Timeline(1000.0, [], [])) == 0.0
 
     def test_full_horizon_outage(self):
-        tl = Timeline.from_events(1000.0, (OutageEvent(0.0, 1000.0),))
+        tl = timeline_of(1000.0, (Outage(0.0, 1000.0),))
         assert true_unavailability(tl) == 1.0
 
     def test_hand_sum(self):
-        tl = Timeline.from_events(10000.0, (OutageEvent(100.0, 100.0), OutageEvent(5000.0, 200.0)))
+        tl = timeline_of(10000.0, (Outage(100.0, 100.0), Outage(5000.0, 200.0)))
         assert true_unavailability(tl) == pytest.approx(0.03)
 
     def test_cause_filter(self):
-        tl = Timeline.from_events(10000.0, (
-            OutageEvent(100.0, 100.0, CLOUD), OutageEvent(5000.0, 300.0, NETWORK)))
+        tl = timeline_of(10000.0, (Outage(100.0, 100.0, CLOUD), Outage(5000.0, 300.0, NETWORK)))
         assert true_unavailability(tl, CLOUD) == pytest.approx(0.01)
         assert true_unavailability(tl, NETWORK) == pytest.approx(0.03)
         assert true_unavailability(tl) == pytest.approx(0.04)
