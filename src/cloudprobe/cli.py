@@ -206,7 +206,7 @@ def cmd_detect(args) -> int:
     timeline = logs.read_truth(args.truth, campaign.horizon_s)
     records = logs.read_attempt_log(args.log)
 
-    runs = detect_outages(records, campaign)
+    runs = detect_outages(records)
     rep = detection_report(timeline, records, campaign, runs)
     detected = sla_metrics(runs[:, 1] * campaign.probe_interval_s, args.threshold_s)
     truth_metrics = true_sla_metrics(timeline, args.threshold_s)

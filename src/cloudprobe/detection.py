@@ -93,7 +93,7 @@ class SlaMetrics:
             raise ValueError("long_outage_count cannot exceed failure_count")
 
 
-def detect_outages(log: AttemptLog, config: CampaignConfig) -> np.ndarray:
+def detect_outages(log: AttemptLog) -> np.ndarray:
     """Group consecutive failed slots of the observer into outages.
 
     The observer is the lowest-numbered vantage point in the log. A slot counts
@@ -117,7 +117,7 @@ def detection_report(truth: Timeline, log: AttemptLog, config: CampaignConfig,
 
     A true cloud outage is detected iff at least one attempt timestamp (any
     vantage, any attempt rank) falls inside it. Duration estimates pair each
-    detected outage with its run from detect_outages(log, config), the
+    detected outage with its run from detect_outages(log), the
     lowest-numbered vantage point's view; outages whose slots all recovered on
     retry have no run and carry no estimate. With runs empty there are no
     estimates, and the counts and bins are unchanged.

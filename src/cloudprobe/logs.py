@@ -2,9 +2,15 @@
 
 Attempt log: one record per line with fields ts_s, vantage, slot, attempt,
 outcome, plus optional latency_ms and reason. A file is valid when ts_s is
-nondecreasing per vantage. A line in the exact form attempt_line writes is
-read by a fast path; any other valid JSON line is read to the same values by
-the general path, only slower. Truth file: start_s, duration_s, cause per line.
+nondecreasing per vantage. A chunk of lines that are all in the exact form
+attempt_line writes, and all keep the per-record rules, is read by one numpy
+scan of its bytes; any other chunk is read by json.loads, line by line, to the
+same values. The scan finds the line ends and colons, checks each key where
+it must end (at a colon), reads an integer by int64 digit arithmetic, and a
+float -?D+.D+ of at most 18 digits, 15 of them significant, as one division of
+two exact doubles, which rounds as float() does. Every other float (an
+exponent, more digits) is checked against the JSON number grammar and read by
+float(). Truth file: start_s, duration_s, cause per line.
 """
 from __future__ import annotations
 
@@ -23,13 +29,14 @@ _OUTCOME_CODES = {name: code for code, name in enumerate(OUTCOMES)}
 _REASON_CODES = {None: -1, **{name: code for code, name in enumerate(FAIL_REASONS)}}
 _CHUNK = 1 << 13  # lines per read or write, so the whole text is never held at once
 _ERRORS = (KeyError, TypeError, ValueError, OverflowError)  # what a malformed line raises
-# attempt_line's exact form, by the JSON number grammar: a float has a fraction or an
-# exponent, and an integer has at most 18 digits, so it fits in 64 bits
-_INT = r"(-?(?:0|[1-9][0-9]{0,17}))"
-_FLOAT = r"(-?(?:0|[1-9][0-9]*)(?:\.[0-9]+(?:[eE][-+]?[0-9]+|)|[eE][-+]?[0-9]+))"
-_LINE = re.compile(rf'^\{{"ts_s":{_FLOAT},"vantage":{_INT},"slot":{_INT},"attempt":{_INT},'
-                   rf'"outcome":"([a-z_]+)"(?:,"latency_ms":{_FLOAT}|)(?:,"reason":"([a-z]+)"|)'
-                   r'\}$', re.M)
+# attempt_line's exact form: these keys in this order, each ending at a colon, an
+# integer of at most 18 digits (so it fits in 64 bits) and a float by the JSON number
+# grammar with a fraction or an exponent
+_KEYS = (b'{"ts_s":', b',"vantage":', b',"slot":', b',"attempt":', b',"outcome":')
+_LATENCY, _REASON = b',"latency_ms":', b',"reason":'
+_FLOAT = re.compile(rb"-?(?:0|[1-9][0-9]*)(?:\.[0-9]+(?:[eE][-+]?[0-9]+)?|[eE][-+]?[0-9]+)")
+_POW10_F = np.array([float(10 ** k) for k in range(18)])  # exact doubles, as 5**17 < 2**53
+_PAD = 32  # zero bytes around a chunk, so that every key or token read stays inside
 
 
 def attempt_line(ts_s, vantage, slot, attempt, outcome, latency_ms=None, reason=None) -> str:
@@ -74,25 +81,149 @@ def _require(ok, values, name, rule) -> None:
         raise ValueError(f"{name} must be {rule}, got {values[int(np.argmin(ok))]!r}")
 
 
-def _values(lines):
-    """The seven value sequences of the non-blank lines (as a file yields them), as json
-    reads them: by one regex if every line is in attempt_line's exact form, else by json."""
-    found = _LINE.findall("".join(lines))
-    if found and len(found) == len(lines):
-        ts, vantage, slot, attempt, outcome, latency, reason = zip(*found)
-        return (list(map(float, ts)), *(list(map(int, c)) for c in (vantage, slot, attempt)),
-                outcome, [float(x) if x else None for x in latency], [x or None for x in reason])
-    rows = [(obj["ts_s"], obj["vantage"], obj["slot"], obj["attempt"], obj["outcome"],
-             obj.get("latency_ms"), obj.get("reason"))
-            for obj in map(json.loads, filter(None, map(str.strip, lines)))]
-    return tuple(zip(*rows)) if rows else ((),) * 7
+def _ends_with(words, end, text):
+    """Whether the bytes before each end are text (8 to 16 bytes): its first and last 8."""
+    head, tail = np.frombuffer(text[:8] + text[-8:], "<u8")
+    match = words[end - 8] == tail
+    return match & (words[end - len(text)] == head) if len(text) > 8 else match
+
+
+def _digits(buf, lo, hi, width):
+    """The tokens buf[lo:hi], read right-aligned in width columns: the int64 value of
+    each one's digits by Horner's rule (exact up to 18 digits), its count of bytes that
+    are not digits, and the column of the last of those (-1 if none)."""
+    at = (hi - width) + np.arange(width)[:, None]
+    digit = buf[at] - np.uint8(ord("0"))  # a byte that is not a digit wraps past 9
+    inside = at >= lo
+    is_digit = inside & (digit <= 9)
+    other = inside & ~is_digit
+    value = np.zeros(len(lo), np.int64)
+    for j in range(width):
+        value = np.where(is_digit[j], value * 10 + digit[j], value)
+    return value, other.sum(axis=0), np.where(other, np.arange(width)[:, None], -1).max(axis=0)
+
+
+def _ints(buf, lo, hi):
+    """The int64 values of the tokens buf[lo:hi], and whether each is -?(0|[1-9][0-9]{0,17})."""
+    length = hi - lo
+    value, others, _ = _digits(buf, lo, hi, int(np.clip(length.max(), 1, 19)))
+    neg = buf[lo] == ord("-")
+    count = length - neg
+    ok = ((others == neg) & (1 <= count) & (count <= 18)
+          & ((count == 1) | (buf[lo + neg] != ord("0"))))
+    return np.where(neg, -value, value), ok
+
+
+def _floats(buf, raw, lo, hi):
+    """The float64 values of the tokens buf[lo:hi] as float() reads them, and whether
+    each is a JSON number with a fraction or an exponent.
+
+    A token -?(0|[1-9][0-9]*)\\.[0-9]+ of at most 18 digits, whose digits m form an
+    integer below 10**15, is m / 10**decimals: both are exact doubles, so the one
+    correctly rounded division gives what float() does. Any other token that is in
+    the JSON grammar is read by float()."""
+    length = hi - lo
+    width = int(np.clip(length.max(), 1, 20))  # a sign, 18 digits and the point
+    mantissa, others, last = _digits(buf, lo, hi, width)
+    neg = buf[lo] == ord("-")
+    point = hi - width + last
+    decimals = hi - 1 - point
+    before = point - lo - neg  # digits before the point
+    decimal = ((length <= width) & (length - neg <= 19) & (others == 1 + neg)
+               & (buf[point] == ord(".")) & (before >= 1) & (decimals >= 1)
+               & ((before == 1) | (buf[lo + neg] != ord("0"))))
+    exact = decimal & (mantissa < 10 ** 15)
+    value = mantissa / _POW10_F[np.where(exact, decimals, 0)]
+    value = np.where(neg, -value, value)
+    if not exact.all():
+        rows = np.flatnonzero(~exact)
+        tokens = [raw[a:b] for a, b in zip(lo[rows].tolist(), hi[rows].tolist())]
+        ok = [known or _FLOAT.fullmatch(token) is not None
+              for known, token in zip(decimal[rows].tolist(), tokens)]
+        value[rows] = [float(token) if good else 0.0 for token, good in zip(tokens, ok)]
+        exact[rows] = ok
+    return value, exact
+
+
+def _codes(words, lo, hi, key, names):
+    """Each token buf[lo:hi], which follows key, as its index in names, the token
+    being a name in double quotes; -1 if it is none of them."""
+    head, tail = words[lo], words[hi - 8]
+    code = np.full(len(lo), -1, np.int8)
+    for i, name in enumerate(names):
+        quoted = f'"{name}"'.encode()
+        want = (key + quoted)[-max(8, len(quoted)):]
+        match = (hi - lo == len(quoted)) & (tail == np.frombuffer(want[-8:], "<u8")[0])
+        if len(quoted) > 8:
+            match &= head == np.frombuffer(want[:8], "<u8")[0]
+        code[match] = i
+    return code
+
+
+def _scan(lines) -> AttemptLog | None:
+    """The lines as a log, by one scan of their bytes, if every line is in
+    attempt_line's exact form and keeps every per-record rule; else None."""
+    text = "".join(lines)
+    if not text.isascii() or not text:
+        return None
+    if not text.endswith("\n"):
+        text += "\n"
+    raw = bytes(_PAD) + text.encode("ascii") + bytes(_PAD)
+    buf = np.frombuffer(raw, np.uint8)
+    words = np.ndarray((len(raw) - 7,), "<u8", raw, 0, (1,))  # the 8 bytes from each byte
+    ends = np.flatnonzero(buf == ord("\n"))
+    if len(ends) != len(lines):
+        return None
+    starts = np.concatenate(([_PAD], ends[:-1] + 1))
+    colons = np.flatnonzero(buf == ord(":"))
+    first = np.searchsorted(colons, starts)
+    count = np.diff(first, append=len(colons))  # per line: one per key, 5 to 7
+    if count.min() < 5 or count.max() > 7:
+        return None
+    # c[k] is each line's k-th colon; c[5] and c[6] only where the line has them
+    c = np.append(colons, np.zeros(7, colons.dtype))[first + np.arange(7)[:, None]]
+    close = ends - 1
+    has_latency = (count > 5) & _ends_with(words, c[5] + 1, _LATENCY)
+    reason_colon = np.where(has_latency, c[6], c[5])
+    has_reason = (count > 5 + has_latency) & _ends_with(words, reason_colon + 1, _REASON)
+    ok = ((count == 5 + has_latency + has_reason) & (buf[close] == ord("}"))
+          & _ends_with(words, starts + len(_KEYS[0]), _KEYS[0]))
+    for k in range(1, 5):
+        ok &= _ends_with(words, c[k] + 1, _KEYS[k])
+    if not ok.all():
+        return None
+    ts, ok = _floats(buf, raw, c[0] + 1, c[1] + 1 - len(_KEYS[1]))
+    (vantage, v_ok), (slot, s_ok), (attempt, a_ok) = (
+        _ints(buf, c[k] + 1, c[k + 1] + 1 - len(_KEYS[k + 1])) for k in (1, 2, 3))
+    after = np.where(has_latency, c[5] + 1 - len(_LATENCY),
+                     np.where(has_reason, c[5] + 1 - len(_REASON), close))
+    outcome = _codes(words, c[4] + 1, after, _KEYS[4], OUTCOMES)
+    ok &= (v_ok & s_ok & a_ok & (0 <= ts) & (ts < math.inf) & (slot >= 0) & (attempt >= 1)
+           & (outcome >= 0))
+    latency, reason = np.full(len(ends), np.nan), np.full(len(ends), -1, np.int8)
+    if has_latency.any():
+        rows = np.flatnonzero(has_latency)
+        end = np.where(has_reason, c[6] + 1 - len(_REASON), close)[rows]
+        latency[rows], exact = _floats(buf, raw, c[5, rows] + 1, end)
+        ok[rows] &= exact & np.isfinite(latency[rows])
+    if has_reason.any():
+        rows = np.flatnonzero(has_reason)
+        reason[rows] = _codes(words, reason_colon[rows] + 1, close[rows], _REASON, FAIL_REASONS)
+        ok[rows] &= reason[rows] >= 0
+    return AttemptLog(ts, vantage, slot, attempt, outcome, latency, reason) if ok.all() else None
 
 
 def _columns(lines) -> AttemptLog:
     """The non-blank lines as a log. Every per-record rule is checked here: the
     first record to break one raises one of _ERRORS, naming the field."""
-    ts, vantage, slot, attempt, outcome, latency, reason = _values(lines)
-    n = len(ts)
+    log = _scan(lines)
+    if log is not None:
+        return log
+    rows = [(obj["ts_s"], obj["vantage"], obj["slot"], obj["attempt"], obj["outcome"],
+             obj.get("latency_ms"), obj.get("reason"))
+            for obj in map(json.loads, filter(None, map(str.strip, lines)))]
+    ts, vantage, slot, attempt, outcome, latency, reason = zip(*rows) if rows else ((),) * 7
+    n = len(rows)
     # vantage, slot and attempt are compared, sorted and matched exactly, so never truncated
     for name, values, types, rule in (
             ("ts_s", ts, {int, float}, "a number"),

@@ -81,7 +81,13 @@ def merge_fragments(fragments) -> dict:
         raise ReportError("no fragments to merge")
     if not all(isinstance(f, dict) for f in frags):
         raise ReportError("fragments must be JSON objects")
-    digests = {f.get("provenance", {}).get("log_sha256") for f in frags}
+    provenances = [f.get("provenance", {}) for f in frags]
+    if not all(isinstance(p, dict) for p in provenances):
+        raise ReportError("fragment provenance must be a JSON object")
+    for digest in (p["log_sha256"] for p in provenances if "log_sha256" in p):
+        if not isinstance(digest, str):
+            raise ReportError(f"fragment log_sha256 must be a string, got {digest!r}")
+    digests = {p.get("log_sha256") for p in provenances}
     if len(digests) != 1 or None in digests:
         raise ReportError(f"fragments reference different logs: {sorted(map(str, digests))}")
 

@@ -210,7 +210,7 @@ def test_criterion_8_censoring_distortion():
         config = CampaignConfig(probe_interval_s=interval, horizon_days=30.0, seed=seed)
         tl = generate_timeline(proc, config.horizon_s, config.seed)
         records = sample_campaign(tl, config)
-        runs = detect_outages(records, config)
+        runs = detect_outages(records)
         rep = detection_report(tl, records, config, runs)
         true_total += rep.total_true_outages
         detected_total += rep.detected

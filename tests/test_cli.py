@@ -537,11 +537,17 @@ class TestMalformedInput:
          {"truth.jsonl": '{"start_s":0,"duration_s":10}\n'
                          '{"start_s":50,"duration_s":10,"cause":"storm"}\n'},
          2, "line 2: cause must be one of cloud, network, got 'storm'"),
+        (["report", "{out}/frag.json"], {"frag.json": '{"provenance": [1]}'},
+         2, "provenance must be a JSON object"),
+        (["report", "{out}/frag.json"],
+         {"frag.json": '{"schema_version":"1","provenance":{"log_sha256":["a"]}}'},
+         2, "log_sha256 must be a string, got ['a']"),
     ], ids=["claim-above-one", "alpha-zero", "negative-threshold", "overlapping-truth",
             "string-vantage", "nan-ts", "nan-truth", "fractional-slot", "truth-beyond-horizon",
             "nan-latency", "infinite-latency", "non-utf8-log", "non-utf8-truth",
             "non-utf8-fragment", "non-utf8-config", "bad-checkpoint", "string-ts",
-            "string-truth", "bool-truth", "huge-int-truth", "unknown-cause-truth"])
+            "string-truth", "bool-truth", "huge-int-truth", "unknown-cause-truth",
+            "provenance-not-object", "digest-not-string"])
     def test_documented_exit_code(self, tmp_path, capsys, argv, files, code, needle):
         config = tmp_path / "c.ini"
         write_sim_config(config, campaign=CampaignConfig(
@@ -621,5 +627,5 @@ class TestBenchmarkContract:
         assert count["logs.read_truth"](logs.read_truth(path, 1000.0)) == {"events": 2}
         config = CampaignConfig(probe_interval_s=600.0, horizon_days=1.0, retry_max=1)
         runs = detect_outages(sample_campaign(Timeline(config.horizon_s, [0.0], [1200.0]),
-                                              config), config)
+                                              config))
         assert count["detection.detect_outages"](runs) == {"runs": 1}

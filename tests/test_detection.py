@@ -56,7 +56,7 @@ def slot_records(outcomes, vantage=0, interval=T):
 
 
 def report(truth, log, cfg, **kwargs):
-    return detection_report(truth, log, cfg, detect_outages(log, cfg), **kwargs)
+    return detection_report(truth, log, cfg, detect_outages(log), **kwargs)
 
 
 class TestUndetectedProbability:
@@ -123,36 +123,35 @@ class TestUndetectedCurve:
 class TestDetectOutages:
     def test_no_failures(self):
         records = slot_records([SUCCESS] * 8)
-        runs = detect_outages(records, config())
+        runs = detect_outages(records)
         assert runs.shape == (0, 2) and runs.dtype == np.int64
 
     def test_three_consecutive_failed_slots(self):
         outcomes = [SUCCESS, SUCCESS, CLOUD_FAIL, CLOUD_FAIL, CLOUD_FAIL, SUCCESS]
-        runs = detect_outages(slot_records(outcomes), config())
+        runs = detect_outages(slot_records(outcomes))
         assert runs.dtype == np.int64 and runs.tolist() == [[2, 3]]  # first_slot, slot_count
 
     def test_run_splitting(self):
         outcomes = [SUCCESS] * 10
         for slot in (4, 5, 9):
             outcomes[slot] = CLOUD_FAIL
-        runs = detect_outages(slot_records(outcomes), config())
+        runs = detect_outages(slot_records(outcomes))
         assert runs.tolist() == [[4, 2], [9, 1]]
 
     def test_slot_recovered_on_retry_is_not_a_run(self):
-        cfg = config(retry_max=2)
         records = log_of([
             Row(ts_s=0.0, vantage=0, slot=0, attempt=1, outcome=CLOUD_FAIL),
             Row(ts_s=1.0, vantage=0, slot=0, attempt=2, outcome=SUCCESS),
             Row(ts_s=T, vantage=0, slot=1, attempt=1, outcome=CLOUD_FAIL),
             Row(ts_s=T + 1.0, vantage=0, slot=1, attempt=2, outcome=CLOUD_FAIL),
         ])
-        assert detect_outages(records, cfg).tolist() == [[1, 1]]
+        assert detect_outages(records).tolist() == [[1, 1]]
 
     def test_multi_vantage_log_uses_lowest_vantage(self):
         # vantage 1 comes first in the log and sees a different outage
         v1 = slot_records([CLOUD_FAIL, CLOUD_FAIL, SUCCESS, SUCCESS], vantage=1)
         v0 = slot_records([SUCCESS, SUCCESS, SUCCESS, CLOUD_FAIL], vantage=0)
-        runs = detect_outages(AttemptLog.concat([v1, v0]), config())
+        runs = detect_outages(AttemptLog.concat([v1, v0]))
         assert runs.tolist() == [[3, 1]]
 
 
@@ -241,7 +240,7 @@ class TestDetectionReport:
             cfg = config(horizon_days=3.0, seed=seed)
             tl = generate_timeline(proc, cfg.horizon_s, cfg.seed)
             records = sample_campaign(tl, cfg)
-            runs = detect_outages(records, cfg)
+            runs = detect_outages(records)
             assert len(runs) <= len(tl.intervals(CLOUD)[0])
 
     def test_duration_quantization_bound(self):
@@ -339,7 +338,7 @@ class TestMonteCarloMissRate:
 # Per-event oracles: the scoring as it was before it became array operations.
 # The array versions must give the same report, byte for byte.
 
-def oracle_detect_outages(log, config):
+def oracle_detect_outages(log):
     """[first_slot, slot_count] of each run."""
     mine = log.vantage == (log.vantage.min() if len(log) else 0)
     recovered = log.slot[mine & (log.outcome == OUTCOMES.index(SUCCESS))]
@@ -393,8 +392,8 @@ def oracle_duration_estimates(cloud, flags, runs, interval):
 
 
 def assert_matches_oracle(truth, log, cfg, bin_edges_s=None):
-    runs = detect_outages(log, cfg)
-    want_runs = oracle_detect_outages(log, cfg)
+    runs = detect_outages(log)
+    want_runs = oracle_detect_outages(log)
     assert runs.dtype == np.int64 and runs.shape == (len(want_runs), 2)
     assert runs.tolist() == want_runs
     got = detection_report(truth, log, cfg, runs, bin_edges_s=bin_edges_s)
@@ -493,7 +492,7 @@ class TestMatchesPerEventOracle:
             Outage(k * T - 20.0, 22.0) for k in range(5, 10)])
         log = sample_campaign(tl, cfg)
         rep = assert_matches_oracle(tl, log, cfg)
-        assert detect_outages(log, cfg).tolist() == [[1, 2]]
+        assert detect_outages(log).tolist() == [[1, 2]]
         assert rep.detected == 6 and rep.duration_estimates == ((2.5 * T, 2 * T),)
 
     @pytest.mark.parametrize("edges", [[T, 0.0, T / 2], [0.0, T / 2, T / 2, T],

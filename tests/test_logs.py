@@ -224,6 +224,12 @@ CORPUS = {
     "non-utf8": GOOD.encode() + b"\xff\xfe\n",
     "non-utf8-in-extra-key": GOOD.encode()[:-2] + b',"x":"\xff"}\n',
     "surrogate-escape-json": line(tail=',"x":"\\udcff"'),
+    "ts-16-significant": line(ts="1234567890.123456") + line(ts="9007199254740993.0"),
+    "ts-23-digit-fraction": line(ts="0.12345678901234567890123", tail=',"latency_ms":1.'
+                                 + "0" * 23),
+    "ts-exponent-16": line(ts="1e+16"),
+    "outcome-with-colon": line(outcome='"a:b"'),
+    "extra-key-8-colons": line(outcome='"fail"', tail=',"latency_ms":1.0,"reason":"dns","x":1'),
 }
 
 
@@ -312,6 +318,43 @@ def mutated_logs(draw):
     return text
 
 
+@st.composite
+def decimal_tokens(draw):
+    """-?D+.D+ with 1 to 17 significant digits and 1 to 25 decimals, or a zero."""
+    decimals = draw(st.integers(1, 25))
+    significant = draw(st.integers(0, 17))
+    digits = draw(st.text("123456789", min_size=1, max_size=1)) if significant else ""
+    digits += draw(st.text("0123456789", min_size=max(significant - 1, 0),
+                           max_size=max(significant - 1, 0)))
+    digits = digits.rjust(decimals + 1, "0")
+    return draw(st.sampled_from(["", "-"])) + digits[:-decimals] + "." + digits[-decimals:]
+
+
+_FLOAT_TOKENS = st.one_of(decimal_tokens(),
+                          st.sampled_from(["-0.0", "0.0", "1e+16", "1E-7", "1e5", "5E1",
+                                           "99999999999999.9", "100000000000000.0"]),
+                          st.floats(allow_nan=False, allow_infinity=False).map(repr))
+_INT_TOKENS = st.one_of(st.integers(-(10 ** 18) + 1, 10 ** 18 - 1).map(str), st.just("-0"))
+
+
+@settings(max_examples=300, deadline=None)
+@given(floats=st.lists(_FLOAT_TOKENS, min_size=1, max_size=30),
+       ints=st.lists(_INT_TOKENS, min_size=1, max_size=30))
+def test_scan_converts_as_float_and_int_do(floats, ints):
+    # ts_s and slot must be >= 0, so the signed tokens go to latency_ms and vantage
+    rows = list(zip(floats, ints * len(floats)))
+    log = logs._scan([line(ts=f.lstrip("-"), vantage=i, slot=i.lstrip("-"),
+                           tail=f',"latency_ms":{f}') for f, i in rows])
+    assert log is not None
+    want = {"ts_s": [float(f.lstrip("-")) for f, _ in rows],
+            "latency_ms": [float(f) for f, _ in rows],
+            "vantage": [int(i) for _, i in rows],
+            "slot": [int(i.lstrip("-")) for _, i in rows]}
+    for name, values in want.items():
+        column = getattr(log, name)
+        assert column.tobytes() == np.array(values, column.dtype).tobytes(), name
+
+
 @settings(max_examples=400, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 @given(text=mutated_logs(), chunk=st.sampled_from([1, 2, 3, logs._CHUNK]))
 def test_mutated_logs_match_reference(tmp_path_factory, text, chunk):
@@ -367,10 +410,14 @@ def test_writer_output_takes_the_fast_path(tmp_path, monkeypatch):
     live = log_of([Row(float(i), 0, i, 1, FAIL if r else "success", lat, r)
                    for i, (lat, r) in enumerate(
                        (lat, r) for lat in latencies for r in (None, *FAIL_REASONS))])
+    # the live prober's ts_s is wall-clock time: 16 or 17 significant digits, which
+    # the scan reads by float() one token at a time
+    wall_clock = log_of([Row(1729270000.1234567 + 0.37 * i, 0, i, 1, "success", 87.654321 + i)
+                         for i in range(200)])
     assert {"success", "cloud_fail", "network_fail"} <= {OUTCOMES[o] for o in
                                                          simulated.outcome.tolist()}
     calls = _count_json_loads(monkeypatch)
-    for name, log in (("simulated", simulated), ("live", live)):
+    for name, log in (("simulated", simulated), ("live", live), ("wall-clock", wall_clock)):
         path = tmp_path / f"{name}.jsonl"
         logs.write_attempt_log(path, log)
         back = logs.read_attempt_log(path)

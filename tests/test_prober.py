@@ -135,7 +135,7 @@ class TestRunCampaign:
         config = live_config(slots=8, retry_max=1, gap=0.0, url=http_fixture.url)
         records = run_campaign(ProbeTarget(url=http_fixture.url), config,
                                tmp_path / "attempts.jsonl")
-        runs = detect_outages(records, config)
+        runs = detect_outages(records)
         assert runs.tolist() == [[3, 3]]  # first_slot, slot_count
 
     def test_flaky_first_attempt_inflates_retry_filtered(self, http_fixture, tmp_path):
