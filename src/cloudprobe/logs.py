@@ -2,21 +2,25 @@
 
 Attempt log: one record per line with fields ts_s, vantage, slot, attempt,
 outcome, plus optional latency_ms and reason. A file is valid when ts_s is
-nondecreasing per vantage. A chunk of lines that are all in the exact form
-attempt_line writes, and all keep the per-record rules, is read by one numpy
-scan of its bytes; any other chunk is read by json.loads, line by line, to the
-same values. The scan finds the line ends and colons, checks each key where
-it must end (at a colon), reads an integer by int64 digit arithmetic, and a
-float -?D+.D+ of at most 18 digits, 15 of them significant, as one division of
-two exact doubles, which rounds as float() does. Every other float (an
-exponent, more digits) is checked against the JSON number grammar and read by
-float(). Truth file: start_s, duration_s, cause per line.
+nondecreasing per vantage. Lines are written, and read where they can be, in
+attempt_line's exact form, 8,192 at a time as numpy bytes, integers by int64
+digit arithmetic. The writer fills a byte matrix, a block of columns per field;
+a float that is integral, finite, not -0.0 and below 2**53 in magnitude is its
+digits and ".0" (as repr gives it), and any other float is repr()'s own text.
+The reader scans a chunk in that form for its line ends and colons, checks each
+key where it must end (at a colon), and reads a float -?D+.D+ of at most 18
+digits, 15 of them significant, as one division of two exact doubles, which
+rounds as float() does; any other float is checked against the JSON number
+grammar and read by float(). A chunk with any other line, or a line breaking a
+per-record rule, is read by json.loads, line by line, to the same values. Truth
+file: start_s, duration_s, cause per line.
 """
 from __future__ import annotations
 
 import hashlib
 import json
 import math
+import os
 import re
 from itertools import islice, repeat
 
@@ -51,20 +55,72 @@ def attempt_line(ts_s, vantage, slot, attempt, outcome, latency_ms=None, reason=
     return line + "}\n"
 
 
-def _lines(log: AttemptLog):
-    """Each record's line, a NaN latency_ms and a reason of -1 left out."""
-    latency = log.latency_ms.astype(object)
-    latency[np.isnan(log.latency_ms)] = None
-    reasons = (*FAIL_REASONS, None)  # code -1 is None
-    return map(attempt_line, log.ts_s.tolist(), log.vantage.tolist(), log.slot.tolist(),
-               log.attempt.tolist(), map(OUTCOMES.__getitem__, log.outcome.tolist()),
-               latency.tolist(), map(reasons.__getitem__, log.reason.tolist()))
+def _text(key: bytes, rows: int):
+    """The bytes of key as a broadcast block of rows rows."""
+    return np.broadcast_to(np.frombuffer(key, np.uint8), (rows, len(key)))
+
+
+def _int_block(values):
+    """Each int64 as str() writes it, a row each: a "-" column, then the digits."""
+    neg = values < 0
+    rest = np.where(neg, ~values, values).astype(np.uint64) + neg  # |v|, for -2**63 too
+    width = len(str(int(rest.max(initial=0))))
+    block = np.zeros((len(values), width + 1), np.uint8)
+    block[:, 0] = neg * ord("-")
+    for j in range(width, 0, -1):  # the last digit first; a leading zero stays 0
+        quotient = rest // 10
+        block[:, j] = (rest - quotient * 10 + ord("0")) * ((rest > 0) | (j == width))
+        rest = quotient
+    return block
+
+
+def _float_block(values, written=True):
+    """Each written float as repr() writes it (D.0 by _int_block where repr gives
+    that), a row each; the other rows and unused bytes are 0."""
+    fast = written & ((np.abs(values) < 2.0 ** 53) & (np.floor(values) == values)
+                      & ((values != 0) | ~np.signbit(values)))
+    block = np.hstack((_int_block(np.where(fast, values, 0).astype(np.int64)),
+                       _text(b".0", len(values)))) * fast[:, None]
+    rows = np.flatnonzero(written & ~fast)
+    if len(rows):
+        tokens = np.array(list(map(repr, values[rows].tolist())), "S")
+        block = np.hstack((block, np.zeros((len(values), tokens.itemsize), np.uint8)))
+        block[rows, -tokens.itemsize:] = tokens.view(np.uint8).reshape(len(rows), -1)
+    return block
+
+
+_OUTCOME_TEXT, _REASON_TEXT = (  # the reason row for code -1, the last, is empty
+    np.array(names, "S").view(np.uint8).reshape(len(names), -1)
+    for names in ([f'"{o}"' for o in OUTCOMES], [f',"reason":"{r}"' for r in FAIL_REASONS] + [""]))
+
+
+def _chunk_text(log: AttemptLog) -> bytes:
+    """The log's lines as attempt_line writes them: the bytes that are not 0 (JSON
+    text holds none) of a matrix of a row per record and a block per field."""
+    rows = len(log)
+    blocks = [_text(_KEYS[0], rows), _float_block(log.ts_s)]
+    for key, column in zip(_KEYS[1:4], (log.vantage, log.slot, log.attempt)):
+        blocks += [_text(key, rows), _int_block(column)]
+    blocks += [_text(_KEYS[4], rows), _OUTCOME_TEXT[log.outcome]]
+    has = ~np.isnan(log.latency_ms)
+    if has.any():  # the key and value, 0 where there is no latency
+        blocks += [_text(_LATENCY, rows) * has[:, None], _float_block(log.latency_ms, has)]
+    blocks += [_REASON_TEXT[log.reason], _text(b"}\n", rows)]
+    matrix = np.hstack(blocks)
+    return matrix[matrix != 0].tobytes()
 
 
 def write_attempt_log(path, log: AttemptLog) -> None:
-    with open(path, "w", encoding="utf-8") as f:
-        for lo in range(0, len(log), _CHUNK):
-            f.write("".join(_lines(log[lo:lo + _CHUNK])))
+    """Write the log, a chunk at a time, to a temporary file in the same directory
+    that then replaces path, so a failure part-way leaves path as it was."""
+    tmp = f"{path}.tmp"
+    try:
+        with open(tmp, "wb") as f:
+            f.writelines(_chunk_text(log[lo:lo + _CHUNK]) for lo in range(0, len(log), _CHUNK))
+        os.replace(tmp, path)
+    finally:
+        if os.path.exists(tmp):
+            os.remove(tmp)
 
 
 def _named(name, make, *args):

@@ -188,16 +188,22 @@ def sample_campaign(timeline: Timeline, config: CampaignConfig,
     """
     if timeline.horizon_s < config.horizon_s - 1e-9:
         raise ValueError("timeline horizon shorter than campaign horizon")
-    if phase_offsets is not None and len(phase_offsets) != config.vantage_points:
+    offsets = np.zeros(config.vantage_points) if phase_offsets is None else np.asarray(
+        phase_offsets, np.float64)
+    if offsets.shape != (config.vantage_points,):
         raise ValueError("need one phase offset per vantage point")
+    bound = config.probe_interval_s - config.retry_gap_s * (config.retry_max - 1)
+    bad = offsets[~((offsets >= 0) & (offsets < bound))]  # a slot's retries end before the next
+    if len(bad):
+        raise ValueError(f"phase_offsets must be finite, >= 0 and < probe_interval_s - "
+                         f"retry_gap_s * (retry_max - 1) = {bound}, got {bad.tolist()}")
     if not 0.0 <= network_fail_prob < 1.0:
         raise ValueError("network_fail_prob must be in [0, 1)")
 
     slots, retry_max = config.slots, config.retry_max
     grids = {}  # phase offset -> its (ts, cloud, blocked) grids, shared by its vantages
     parts = []
-    for vantage in range(config.vantage_points):
-        offset = phase_offsets[vantage] if phase_offsets else 0.0
+    for vantage, offset in enumerate(offsets.tolist()):
         if offset not in grids:
             ts = ((np.arange(slots) * config.probe_interval_s + offset)[:, None]
                   + np.arange(retry_max) * config.retry_gap_s)
@@ -234,23 +240,31 @@ def _retry_schedule(free: np.ndarray, draws: np.ndarray | None):
     free fails without a draw; a free one succeeds when the next unused entry
     of draws is True, or always when draws is None. Draws are used in (slot,
     attempt) order. Returns the masks of attempts made and of successes.
+
+    A slot with a free attempt uses one draw unless it is False, so only the
+    False draws are walked: one at free slot j's first draw (j plus the extra
+    draws of the slots before) makes it use the draws through the next True one,
+    capped at its free count.
     """
-    slots, retry_max = free.shape
+    retry_max = free.shape[1]
     free_counts = free.sum(axis=1)
+    used = np.minimum(free_counts, 1)
     if draws is None:
-        used = np.minimum(free_counts, 1)
         ok_slot = used > 0
     else:
-        # next_ok[p]: index of the first True draw at or after p (len(draws) if none)
-        idx = np.where(draws, np.arange(draws.size), draws.size)
-        next_ok = np.minimum.accumulate(idx[::-1])[::-1].tolist() + [draws.size]
-        used_list, p = [], 0
-        for free_count in free_counts.tolist():
-            used_count = next_ok[p] - p + 1  # through the next True draw, at most free_count
-            used_count = used_count if used_count < free_count else free_count
-            used_list.append(used_count)
-            p += used_count
-        used = np.array(used_list, dtype=np.int64)
+        false, true = np.flatnonzero(~draws), np.flatnonzero(draws)
+        # next_ok[i]: index of the first True draw after False draw false[i] (len(draws) if none)
+        next_ok = np.append(true, draws.size)[np.searchsorted(true, false)]
+        counts = free_counts[free_counts > 0].tolist()
+        walked, shift, end = {}, 0, 0  # free slot -> draws used; extra draws; first unwalked draw
+        for f, run in zip(false.tolist(), (next_ok - false + 1).tolist()):
+            j = f - shift
+            if j >= len(counts):
+                break  # the unused tail of the draws
+            if f >= end:  # else inside the last slot walked
+                walked[j] = min(run, counts[j])
+                shift, end = shift + walked[j] - 1, f + walked[j]
+        used[np.flatnonzero(free_counts)[list(walked)]] = list(walked.values())
         ok_slot = (used > 0) & draws[np.cumsum(used) - 1]
     # the used-th free attempt of a successful slot is its success
     success_at = np.argmax(free & (np.cumsum(free, axis=1) == used[:, None]), axis=1)

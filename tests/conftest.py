@@ -74,6 +74,33 @@ def iid_attempt_log(success_prob: float, slots: int, retry_max: int,
                      np.where(ok, OUTCOMES.index(SUCCESS), OUTCOMES.index(CLOUD_FAIL)))
 
 
+def loop_retry_schedule(free: np.ndarray, draws: np.ndarray | None):
+    """Reference for simulate._retry_schedule: the same walk with one Python step
+    per slot, as the sampler had it before its walk over the False draws."""
+    slots, retry_max = free.shape
+    free_counts = free.sum(axis=1)
+    if draws is None:
+        used = np.minimum(free_counts, 1)
+        ok_slot = used > 0
+    else:
+        # next_ok[p]: index of the first True draw at or after p (len(draws) if none)
+        idx = np.where(draws, np.arange(draws.size), draws.size)
+        next_ok = np.minimum.accumulate(idx[::-1])[::-1].tolist() + [draws.size]
+        used_list, p = [], 0
+        for free_count in free_counts.tolist():
+            used_count = next_ok[p] - p + 1  # through the next True draw, at most free_count
+            used_count = used_count if used_count < free_count else free_count
+            used_list.append(used_count)
+            p += used_count
+        used = np.array(used_list, dtype=np.int64)
+        ok_slot = (used > 0) & draws[np.cumsum(used) - 1]
+    # the used-th free attempt of a successful slot is its success
+    success_at = np.argmax(free & (np.cumsum(free, axis=1) == used[:, None]), axis=1)
+    ok = ok_slot[:, None] & (np.arange(retry_max) == success_at[:, None])
+    made = np.arange(retry_max) < np.where(ok_slot, success_at + 1, retry_max)[:, None]
+    return made, ok
+
+
 def make_random_log(rng: np.random.Generator, retry_max=None, slots=None, vantages=None):
     """A structurally valid attempt log with mixed success ranks and all-fail slots."""
     n = int(retry_max if retry_max is not None else rng.integers(1, 6))

@@ -22,7 +22,7 @@ from cloudprobe.model import (FAIL, FAIL_REASONS, OUTCOMES, AttemptLog, Campaign
 from cloudprobe.simulate import DurationDistribution, OutageProcess, generate_timeline, \
     sample_campaign
 
-from conftest import Row, log_of
+from conftest import Row, log_of, rows_of
 
 COLUMNS = ("ts_s", "vantage", "slot", "attempt", "outcome", "latency_ms", "reason")
 _ERRORS = (KeyError, TypeError, ValueError, OverflowError)
@@ -434,6 +434,52 @@ def test_other_json_forms_take_the_general_path(tmp_path, monkeypatch):
     calls = _count_json_loads(monkeypatch)
     assert logs.read_attempt_log(path).ts_s.tolist() == [0.0, 5.0]
     assert len(calls) == 2
+
+
+# floats on each side of every rule the writer has: integral or not, -0.0, 2**53,
+# the switch to exponents at 1e16, infinities, NaN and subnormals
+_EDGE_FLOATS = [0.0, -0.0, 1.0, -7.0, 0.5, -2.5, 600.0, 1e-05, 0.1, 123456.789,
+                2.0 ** 53 - 1, -(2.0 ** 53 - 1), 2.0 ** 53, -(2.0 ** 53), 2.0 ** 53 + 2,
+                1e15, 1e16, -1e16, 1e22, 7.0e22, 3e-300, 5e-324, 2.2250738585072014e-308,
+                math.inf, -math.inf, math.nan, 1729270000.1234567]
+_WRITER_FLOATS = st.sampled_from(_EDGE_FLOATS) | st.floats() | st.integers(
+    -(2 ** 60), 2 ** 60).map(float)
+_WRITER_ROWS = st.builds(
+    Row, _WRITER_FLOATS, st.integers(-(2 ** 63), 2 ** 63 - 1), st.integers(-(2 ** 63), 2 ** 63 - 1),
+    st.integers(-(2 ** 63), 2 ** 63 - 1), st.sampled_from(OUTCOMES),
+    st.none() | _WRITER_FLOATS.filter(lambda x: not math.isnan(x)),
+    st.none() | st.sampled_from(FAIL_REASONS))
+
+
+def _lines_of(log) -> bytes:
+    """The log as attempt_line writes it, one call per record."""
+    return "".join(logs.attempt_line(*row) for row in rows_of(log)).encode()
+
+
+def _written(tmp_path, log) -> bytes:
+    path = tmp_path / "log.jsonl"
+    logs.write_attempt_log(path, log)
+    return path.read_bytes()
+
+
+@settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(pool=st.lists(_WRITER_ROWS, min_size=1, max_size=12),
+       length=st.sampled_from([0, 1, 2, 7, logs._CHUNK - 1, logs._CHUNK, logs._CHUNK + 1]),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_writer_matches_attempt_line(tmp_path_factory, pool, length, seed):
+    # length records drawn from the pool, so long logs still mix every kind of row
+    picks = np.random.default_rng(seed).integers(0, len(pool), length)
+    log = log_of([pool[i] for i in picks.tolist()])
+    assert _written(tmp_path_factory.mktemp("log"), log) == _lines_of(log)
+
+
+@pytest.mark.parametrize("length", [0, 1, logs._CHUNK - 1, logs._CHUNK, logs._CHUNK + 1])
+def test_writer_integral_and_without_latency(tmp_path, monkeypatch, length):
+    # every float is integral and every latency missing: no value goes through repr
+    log = log_of([Row(float(i // 2), i % 3, i // 2, 1 + i % 2, OUTCOMES[i % 4], None,
+                      FAIL_REASONS[i % 5] if i % 4 else None) for i in range(length)])
+    monkeypatch.setattr(logs, "repr", lambda x: pytest.fail(f"repr({x!r})"), raising=False)
+    assert _written(tmp_path, log) == _lines_of(log)
 
 
 class TestReadTruth:

@@ -217,6 +217,31 @@ class TestRunCampaign:
         assert sum(1 for r in reread if r.slot == 3) == 1
         assert all(r.outcome == SUCCESS for r in reread if r.slot == 3)
 
+    def test_failed_resume_rewrite_keeps_the_log(self, tmp_path, monkeypatch):
+        # slots 0-1 checkpointed, slot 2 partial: resume rewrites the log without it
+        config = live_config(slots=4)
+        log_path = tmp_path / "attempts.jsonl"
+        log_path.write_text("".join(logs.attempt_line(0.5 * i, 0, i, 1, FAIL, 1.25, "connect")
+                                    for i in range(3)))
+        (tmp_path / "attempts.jsonl.checkpoint").write_text("1\n")
+        before = sorted(tmp_path.iterdir()), log_path.read_bytes()
+        chunk_text = logs._chunk_text
+        written = []
+
+        def crash_after_first_chunk(log):
+            if written:
+                raise RuntimeError("disk gone")
+            written.append(len(log))
+            return chunk_text(log)
+
+        monkeypatch.setattr(logs, "_CHUNK", 1)
+        monkeypatch.setattr(logs, "_chunk_text", crash_after_first_chunk)
+        with pytest.raises(RuntimeError, match="disk gone"):
+            run_campaign(ProbeTarget(url=config.target), config, log_path, resume=True,
+                         probe_fn=lambda target: pytest.fail("probed before the log was kept"))
+        assert written == [1]
+        assert (sorted(tmp_path.iterdir()), log_path.read_bytes()) == before
+
     def test_schedule_fidelity_within_one_percent(self, http_fixture, tmp_path):
         interval = 1.0
         config = live_config(slots=4, interval=interval, retry_max=1, gap=0.0,

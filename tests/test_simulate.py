@@ -4,6 +4,8 @@ import statistics
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cloudprobe.model import (
     CLOUD,
@@ -25,13 +27,15 @@ from cloudprobe.simulate import (
     DurationDistribution,
     NetworkBurst,
     OutageProcess,
+    _retry_schedule,
     generate_timeline,
     sample_campaign,
     true_unavailability,
 )
 from cloudprobe import logs
 
-from conftest import Outage, Row, iid_attempt_log, outages_of, rows_of, timeline_of
+from conftest import (Outage, Row, iid_attempt_log, loop_retry_schedule, outages_of, rows_of,
+                      timeline_of)
 
 DAY = 86400.0
 
@@ -238,6 +242,36 @@ class TestSampleCampaign:
         first = {r.vantage: r.ts_s for r in rows_of(records) if r.slot == 0}
         assert first == {0: 0.0, 1: 30.0}
 
+    def test_phase_offsets_any_sequence(self):
+        config = small_config(vantage_points=2, retry_max=3, seed=4)
+        tl = Timeline(config.horizon_s, [], [])
+        want = rows_of(sample_campaign(tl, config, 0.3, phase_offsets=[0.0, 5.0]))
+        for offsets in ((0.0, 5.0), np.array([0.0, 5.0]), np.array([0, 5])):
+            assert rows_of(sample_campaign(tl, config, 0.3, phase_offsets=offsets)) == want
+
+    @pytest.mark.parametrize("offsets", [[math.nan, 0.0], [0.0, math.inf], [-5.0, 0.0],
+                                         [0.0, -1e-300], [0.0, 598.0], [700.0, 0.0]],
+                             ids=["nan", "inf", "negative", "tiny-negative",
+                                  "last-retry-at-next-slot", "past-interval"])
+    def test_phase_offsets_outside_the_slot_rejected(self, offsets):
+        # retry_max 3 with 1 s gaps: the last retry of offset 598 would land on the next epoch
+        config = small_config(vantage_points=2, retry_max=3)
+        with pytest.raises(ValueError, match="^phase_offsets must be finite, >= 0 and < "
+                                             r"probe_interval_s .* = 598\.0, got \["):
+            sample_campaign(Timeline(config.horizon_s, [], []), config, phase_offsets=offsets)
+
+    def test_phase_offset_just_inside_the_slot(self):
+        config = small_config(vantage_points=1, retry_max=3)
+        log = sample_campaign(timeline_of(config.horizon_s, (Outage(0.0, config.horizon_s),)),
+                              config, phase_offsets=[597.5])
+        assert log.ts_s.max() == (config.slots - 1) * 600.0 + 599.5 < config.horizon_s
+
+    @pytest.mark.parametrize("offsets", [[0.0], [0.0, 1.0, 2.0], [[0.0], [1.0]], 5.0])
+    def test_phase_offsets_one_per_vantage(self, offsets):
+        config = small_config(vantage_points=2)
+        with pytest.raises(ValueError, match="^need one phase offset per vantage point$"):
+            sample_campaign(Timeline(config.horizon_s, [], []), config, phase_offsets=offsets)
+
     def test_short_timeline_rejected(self):
         config = small_config()
         with pytest.raises(ValueError):
@@ -325,6 +359,37 @@ class TestMatchesPerRecordReference:
     def test_iid_hook_equal(self, p, retry_max):
         assert rows_of(iid_attempt_log(p, 500, retry_max, seed=4, vantage=2)) == \
             per_record_iid(p, 500, retry_max, seed=4, vantage=2)
+
+
+class TestRetryWalk:
+    """_retry_schedule, which walks only the False draws, against the loop over
+    every slot that it replaced."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(slots=st.integers(0, 60), retry_max=st.integers(1, 9),
+           free_density=st.sampled_from([0.0, 0.1, 0.5, 0.9, 1.0]),
+           draw_density=st.sampled_from([0.0, 0.05, 0.5, 0.95, 1.0]),
+           tail=st.integers(0, 20), seed=st.integers(0, 2 ** 32 - 1))
+    def test_matches_per_slot_loop(self, slots, retry_max, free_density, draw_density, tail,
+                                   seed):
+        rng = np.random.default_rng(seed)
+        free = rng.random((slots, retry_max)) < free_density
+        # draws past slots * retry_max are never reached: a tail the walk must leave alone
+        for draws in (rng.random(slots * retry_max + tail) < draw_density, None):
+            made, ok = _retry_schedule(free, draws)
+            want_made, want_ok = loop_retry_schedule(free, draws)
+            assert made.tolist() == want_made.tolist() and ok.tolist() == want_ok.tolist()
+
+    def test_long_false_runs_cross_slots(self):
+        # slot 0 uses draws 0-2 (two False, then True); slot 1 starts on the
+        # False draw 3 and uses all 3 of its free attempts; slot 2 has none free
+        free = np.array([[True, True, True], [True, True, True], [False, False, False],
+                         [True, False, True]])
+        draws = np.array([False, False, True, False, False, False, True, False, True])
+        made, ok = _retry_schedule(free, draws)
+        assert made.sum(axis=1).tolist() == [3, 3, 3, 1]
+        assert ok.any(axis=1).tolist() == [True, False, False, True]
+        assert made.tolist() == loop_retry_schedule(free, draws)[0].tolist()
 
 
 class TestPersistenceExtreme:
