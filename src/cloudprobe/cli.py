@@ -7,26 +7,44 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import importlib
 import json
 import logging
 import os
 import sys
 from pathlib import Path
 
-from . import configfile, logs, report
-from .detection import detect_outages, detection_report, sla_metrics, true_sla_metrics, \
-    undetected_curve, write_undetected_curve
-from .estimators import SlaClaim, build_estimate_set, sla_test
-from .model import (
-    ConfigError,
-    DataError,
-    InsufficientDataError,
-    MalformedLogError,
-    aggregate_counts,
-    expected_tries,
-)
-from .prober import ProbeTarget, run_campaign
-from .simulate import generate_timeline, sample_campaign
+from . import report
+from .errors import ConfigError, DataError, InsufficientDataError, MalformedLogError
+
+# each layer name the commands call -> the module that defines it; a module maps to itself
+_LAYERS = {name: module for module, names in (
+    ("configfile", "configfile"),
+    ("logs", "logs"),
+    ("detection", "detect_outages detection_report sla_metrics true_sla_metrics "
+                  "undetected_curve write_undetected_curve"),
+    ("estimators", "SlaClaim build_estimate_set sla_test"),
+    ("model", "aggregate_counts expected_tries"),
+    ("prober", "ProbeTarget run_campaign"),
+    ("simulate", "generate_timeline sample_campaign"),
+) for name in names.split()}
+
+
+def _load_layers() -> None:
+    """Bind every layer name as a global of this module, importing the layers
+    (and numpy) on first use. A name already bound, as by a caller's patch, stays."""
+    for name, module_name in _LAYERS.items():
+        module = importlib.import_module(f".{module_name}", __package__)
+        globals().setdefault(name, module if name == module_name else getattr(module, name))
+
+
+def __getattr__(name):
+    # only a layer name loads the layers; a probe such as __path__ must not load numpy
+    if name not in _LAYERS:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    _load_layers()
+    return globals()[name]
+
 
 log = logging.getLogger("cloudprobe")
 
@@ -120,13 +138,14 @@ def _load_campaign(args, need_process: bool = False) -> configfile.ParsedConfig:
 
 
 def _emit(args, doc: dict, default_name: str) -> None:
-    text = report.dumps(doc) if args.format == "json" else _to_csv(doc)
+    """The document to stdout in --format, or with --out to a JSON file, whose path
+    goes to stdout; a fragment file stays JSON, so that report can read it."""
     if args.out:
         path = _out_dir(args) / default_name
-        path.write_text(text, encoding="utf-8")
+        path.write_text(report.dumps(doc), encoding="utf-8")
         print(str(path))
     else:
-        sys.stdout.write(text)
+        sys.stdout.write(report.dumps(doc) if args.format == "json" else _to_csv(doc))
 
 
 def _to_csv(doc) -> str:
@@ -266,7 +285,7 @@ def cmd_report(args) -> int:
         try:
             with open(path, "r", encoding="utf-8") as f:
                 frags.append(json.load(f))
-        except ValueError as exc:  # not JSON, or not UTF-8
+        except (ValueError, RecursionError) as exc:  # not JSON, not UTF-8, or nested too deep
             raise DataError(f"fragment {path}: {exc}") from exc
     merged = report.merge_fragments(frags)
     _emit(args, merged, "report.json")
@@ -289,6 +308,8 @@ def main(argv=None) -> int:
         if not getattr(args, "func", None):
             parser.print_help(sys.stderr)
             return EXIT_USAGE
+        if args.command != "report":  # report touches no array, so it loads no numpy
+            _load_layers()
         return args.func(args)
     except (UsageError, ConfigError) as exc:
         print(f"error: {exc}", file=sys.stderr)

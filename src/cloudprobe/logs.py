@@ -32,7 +32,8 @@ from .model import (CAUSES, CLOUD, FAIL_REASONS, OUTCOMES, AttemptLog, DataError
 _OUTCOME_CODES = {name: code for code, name in enumerate(OUTCOMES)}
 _REASON_CODES = {None: -1, **{name: code for code, name in enumerate(FAIL_REASONS)}}
 _CHUNK = 1 << 13  # lines per read or write, so the whole text is never held at once
-_ERRORS = (KeyError, TypeError, ValueError, OverflowError)  # what a malformed line raises
+# what a malformed line raises; json raises RecursionError on a line nested too deep
+_ERRORS = (KeyError, TypeError, ValueError, OverflowError, RecursionError)
 # attempt_line's exact form: these keys in this order, each ending at a colon, an
 # integer of at most 18 digits (so it fits in 64 bits) and a float by the JSON number
 # grammar with a fraction or an exponent

@@ -10,6 +10,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import ConfigError, DataError, InsufficientDataError, MalformedLogError  # re-exported
+
 DAY_S = 86400.0
 
 # attempt outcomes (exact strings used in the JSONL log format); AttemptLog
@@ -29,27 +31,6 @@ NETWORK = "network"
 CAUSES = (CLOUD, NETWORK)  # Timeline stores each as its index
 
 MODES = ("simulate", "live")
-
-
-class ConfigError(ValueError):
-    """Invalid campaign or probe configuration."""
-
-
-class InsufficientDataError(ValueError):
-    """An estimator was asked to divide by an empty trial count."""
-
-
-class DataError(Exception):
-    """A malformed input file other than an attempt log, naming the file."""
-
-
-class MalformedLogError(ValueError):
-    """Structurally invalid attempt log, naming the offending stream position."""
-
-    def __init__(self, vantage, slot, reason: str):
-        self.vantage = vantage
-        self.slot = slot
-        super().__init__(f"malformed attempt log at vantage={vantage} slot={slot}: {reason}")
 
 
 def _floor_slots(horizon_s: float, interval_s: float) -> int:

@@ -11,10 +11,13 @@ import json
 import math
 from dataclasses import fields, is_dataclass
 from importlib import resources
+from typing import TYPE_CHECKING
 
 from . import __version__
-from .detection import DetectionReport, SlaMetrics
-from .model import AttemptCounts, EstimateSet
+
+if TYPE_CHECKING:  # annotations only: the report command loads no numpy
+    from .detection import DetectionReport, SlaMetrics
+    from .model import AttemptCounts, EstimateSet
 
 SCHEMA_VERSION = "1"
 

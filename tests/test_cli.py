@@ -10,7 +10,7 @@ import jsonschema
 import pytest
 
 import cloudprobe
-from cloudprobe import configfile, logs, report
+from cloudprobe import cli, configfile, logs, report
 from cloudprobe.cli import main
 from cloudprobe.detection import detect_outages
 from cloudprobe.model import CampaignConfig, ConfigError, Timeline
@@ -20,6 +20,7 @@ from cloudprobe.simulate import DurationDistribution, NetworkBurst, OutageProces
 QUIET = OutageProcess(up_mean_s=1e12, duration_dist=DurationDistribution.fixed(1.0))
 LIVE = ("probe_interval_s = 600\nhorizon_days = 1\nmode = live\n"
         "target = http://host.example/obj\n")
+DEEP = "[" * 100_000 + "]" * 100_000 + "\n"  # nested past any recursion limit
 
 
 def write_sim_config(path, campaign=None, process=None):
@@ -390,6 +391,23 @@ class TestCmdReport:
         assert rc == 2
         assert "different logs" in capsys.readouterr().err
 
+    def test_csv_format_writes_json_files(self, tmp_path, capsys):
+        # --format is the stdout format; a file written with --out stays JSON, so
+        # that report can read the fragments back
+        config_path, out = self.make_fragments(tmp_path)
+        csv_out = tmp_path / "csv"
+        log, truth = str(out / "attempts.jsonl"), str(out / "truth.jsonl")
+        for argv in (["estimate", "--log", log, "--claim", "0.999"],
+                     ["detect", "--log", log, "--truth", truth, "--threshold-s", "600"]):
+            assert main([*argv, "--config", str(config_path), "--format", "csv",
+                         "--out", str(csv_out)]) == 0
+        frags = [str(csv_out / name) for name in ("estimate.json", "detect.json")]
+        assert main(["report", *frags, "--format", "csv", "--out", str(csv_out)]) == 0
+        assert main(["report", str(out / "estimate.json"), str(out / "detect.json"),
+                     "--out", str(out)]) == 0
+        for name in ("estimate.json", "detect.json", "report.json"):
+            assert (csv_out / name).read_bytes() == (out / name).read_bytes()
+
     def test_end_to_end_determinism(self, tmp_path):
         texts = []
         for name in ("r1", "r2"):
@@ -542,12 +560,19 @@ class TestMalformedInput:
         (["report", "{out}/frag.json"],
          {"frag.json": '{"schema_version":"1","provenance":{"log_sha256":["a"]}}'},
          2, "log_sha256 must be a string, got ['a']"),
+        (["report", "{out}/frag.json"], {"frag.json": DEEP},
+         2, "frag.json: maximum recursion depth exceeded"),
+        (["estimate", "--log", "{log}"], {"attempts.jsonl": DEEP},
+         2, "line 1: maximum recursion depth exceeded"),
+        (["detect", "--log", "{log}", "--truth", "{truth}", "--config", "{config}"],
+         {"truth.jsonl": DEEP}, 2, "line 1: maximum recursion depth exceeded"),
     ], ids=["claim-above-one", "alpha-zero", "negative-threshold", "overlapping-truth",
             "string-vantage", "nan-ts", "nan-truth", "fractional-slot", "truth-beyond-horizon",
             "nan-latency", "infinite-latency", "non-utf8-log", "non-utf8-truth",
             "non-utf8-fragment", "non-utf8-config", "bad-checkpoint", "string-ts",
             "string-truth", "bool-truth", "huge-int-truth", "unknown-cause-truth",
-            "provenance-not-object", "digest-not-string"])
+            "provenance-not-object", "digest-not-string", "deep-fragment", "deep-log",
+            "deep-truth"])
     def test_documented_exit_code(self, tmp_path, capsys, argv, files, code, needle):
         config = tmp_path / "c.ini"
         write_sim_config(config, campaign=CampaignConfig(
@@ -581,6 +606,54 @@ class TestUsage:
                                       text=True, env=env, check=True).stdout.split())
 
         assert loaded_by("cloudprobe.cli") - loaded_by("numpy") == set()
+
+    def test_startup_loads_no_numpy(self, tmp_path):
+        # the package and the CLI import their layers on first use, and report
+        # touches no array, so none of these pays for numpy
+        env = {**os.environ, "PYTHONPATH": str(Path(cloudprobe.__file__).parents[1])}
+        for module in ("cloudprobe", "cloudprobe.cli"):
+            code = f"import sys, {module}; print(*sorted(sys.modules))"
+            loaded = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                                    text=True, env=env, check=True).stdout.split()
+            assert {"numpy", "jsonschema"}.isdisjoint(loaded), module
+        config = tmp_path / "c.ini"
+        write_sim_config(config)
+        out = tmp_path / "out"
+        log = str(out / "attempts.jsonl")
+        assert main(["simulate", "--config", str(config), "--out", str(out)]) == 0
+        assert main(["estimate", "--log", log, "--out", str(out)]) == 0
+        assert main(["detect", "--log", log, "--truth", str(out / "truth.jsonl"),
+                     "--config", str(config), "--out", str(out)]) == 0
+        # -X importtime names each module the run imports, on stderr
+        run = subprocess.run([sys.executable, "-X", "importtime", "-m", "cloudprobe", "report",
+                              str(out / "estimate.json"), str(out / "detect.json")],
+                             capture_output=True, text=True, env=env)
+        assert run.returncode == 0, run.stderr
+        imported = {line.rsplit("|", 1)[1].strip() for line in run.stderr.splitlines()
+                    if line.startswith("import time:")}
+        assert "cloudprobe.report" in imported and "jsonschema" in imported
+        assert "numpy" not in imported
+
+    def test_public_names(self):
+        assert sorted(cloudprobe.__all__) == [
+            "AttemptCounts", "AttemptLog", "CampaignConfig", "ConfigError", "DetectionReport",
+            "DurationDistribution", "EstimateSet", "InsufficientDataError", "MalformedLogError",
+            "NetworkBurst", "OutageProcess", "ProbeTarget", "SlaClaim", "SlaMetrics",
+            "SlaTestResult", "Timeline", "aggregate_counts", "build_estimate_set",
+            "clopper_pearson_interval", "detect_outages", "detection", "detection_report",
+            "estimators", "expected_tries", "first_try_availability", "from_nines",
+            "generate_timeline", "logs", "model", "nines", "overestimation_factor",
+            "overestimation_factor_from_nines", "per_attempt_availability", "probe_once",
+            "prober", "retry_filtered_availability", "run_campaign", "sample_campaign",
+            "simulate", "sla_metrics", "sla_test", "standard_error", "true_sla_metrics",
+            "true_unavailability", "undetected_curve", "undetected_monte_carlo",
+            "undetected_probability", "wald_interval"]
+        for name in cloudprobe.__all__:
+            assert getattr(cloudprobe, name) is not None, name
+        assert set(cloudprobe.__all__) <= set(dir(cloudprobe))
+        assert cloudprobe.ConfigError is cloudprobe.model.ConfigError
+        with pytest.raises(AttributeError):
+            cloudprobe.no_such_name
 
     def test_one_version_string(self):
         text = (Path(__file__).parents[1] / "pyproject.toml").read_text(encoding="utf-8")
@@ -619,6 +692,45 @@ class TestBenchmarkContract:
         assert targets
         for module, attr, _, _ in targets:
             assert callable(getattr(module, attr, None)), f"{module.__name__}.{attr}"
+
+    @pytest.fixture
+    def fresh_cli(self):
+        """A new cloudprobe.cli module, which has bound no layer name yet."""
+        spec = importlib.util.find_spec("cloudprobe.cli")
+        module = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(module)
+        assert "sample_campaign" not in vars(module)
+        return module
+
+    def test_cli_targets_resolve_on_a_fresh_module(self, targets, fresh_cli):
+        names = [attr for module, attr, _, _ in targets if module is cli]
+        assert names
+        for attr in names:
+            assert callable(getattr(fresh_cli, attr)), attr
+
+    @pytest.mark.parametrize("command, attr", [("simulate", "sample_campaign"),
+                                               ("detect", "detect_outages")])
+    def test_patched_layer_is_called(self, tmp_path, monkeypatch, fresh_cli, command, attr):
+        # the traced benchmark patches cli's layer names by setattr before main runs
+        calls = []
+        original = getattr(fresh_cli, attr)
+
+        def spy(*args, **kwargs):
+            calls.append(attr)
+            return original(*args, **kwargs)
+
+        config = tmp_path / "c.ini"
+        write_sim_config(config)
+        out = tmp_path / "out"
+        if command == "detect":
+            assert main(["simulate", "--config", str(config), "--out", str(out)]) == 0
+        monkeypatch.setattr(fresh_cli, attr, spy)
+        argv = {"simulate": ["simulate", "--config", str(config), "--out", str(out)],
+                "detect": ["detect", "--log", str(out / "attempts.jsonl"),
+                           "--truth", str(out / "truth.jsonl"), "--config", str(config),
+                           "--out", str(out)]}[command]
+        assert fresh_cli.main(argv) == 0
+        assert calls == [attr]
 
     def test_counts_read_the_results(self, targets, tmp_path):
         count = {name: fn for _, _, name, fn in targets}
