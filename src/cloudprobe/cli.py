@@ -7,7 +7,6 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
-import importlib
 import json
 import logging
 import os
@@ -28,14 +27,26 @@ _LAYERS = {name: module for module, names in (
     ("prober", "ProbeTarget run_campaign"),
     ("simulate", "generate_timeline sample_campaign"),
 ) for name in names.split()}
+# the layers each command calls; report touches no array, so it loads no numpy
+_COMMAND_LAYERS = {
+    "simulate": ("configfile", "logs", "model", "simulate"),
+    "estimate": ("configfile", "logs", "model", "estimators"),
+    "detect": ("configfile", "logs", "model", "detection"),
+    "probe": ("configfile", "logs", "model", "prober"),
+    "report": (),
+}
 
 
-def _load_layers() -> None:
-    """Bind every layer name as a global of this module, importing the layers
-    (and numpy) on first use. A name already bound, as by a caller's patch, stays."""
+def _load_layers(modules=frozenset(_LAYERS.values())) -> None:
+    """Bind the names of the given layers (all by default) as globals of this
+    module, importing the layers on first use. A name already bound, as by a
+    caller's patch, stays."""
     for name, module_name in _LAYERS.items():
-        module = importlib.import_module(f".{module_name}", __package__)
-        globals().setdefault(name, module if name == module_name else getattr(module, name))
+        if module_name in modules:
+            # by __import__, which -X importtime reports, as it does not importlib's calls
+            __import__(f"{__package__}.{module_name}")
+            module = sys.modules[f"{__package__}.{module_name}"]
+            globals().setdefault(name, module if name == module_name else getattr(module, name))
 
 
 def __getattr__(name):
@@ -308,8 +319,7 @@ def main(argv=None) -> int:
         if not getattr(args, "func", None):
             parser.print_help(sys.stderr)
             return EXIT_USAGE
-        if args.command != "report":  # report touches no array, so it loads no numpy
-            _load_layers()
+        _load_layers(_COMMAND_LAYERS[args.command])
         return args.func(args)
     except (UsageError, ConfigError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -6,10 +6,13 @@ from __future__ import annotations
 
 import configparser
 from dataclasses import MISSING, asdict, dataclass, fields
+from typing import TYPE_CHECKING
 
 from .model import CampaignConfig, ConfigError
-from .prober import ProbeTarget
 from .simulate import DurationDistribution, NetworkBurst, OutageProcess
+
+if TYPE_CHECKING:  # the prober is imported only to build a live target
+    from .prober import ProbeTarget
 
 _PROCESS_KEYS = {"up_mean_s", "network_fail_prob", "burst_rate_per_day", "burst_duration_s"}
 
@@ -105,6 +108,7 @@ def read_config(path) -> ParsedConfig:
 
     target = None
     if campaign.mode == "live":
+        from .prober import ProbeTarget
         probe = parser["probe"] if "probe" in parser else {}
         target = _from_section(ProbeTarget, "probe", probe, url=campaign.target)
     elif "probe" in parser:

@@ -102,8 +102,12 @@ def detect_outages(log: AttemptLog) -> np.ndarray:
     estimated start is first_slot * T and the estimated duration slot_count * T.
     """
     mine = log.vantage == (log.vantage.min() if len(log) else 0)
-    recovered = log.slot[mine & (log.outcome == OUTCOMES.index(SUCCESS))]
-    failed = np.setdiff1d(log.slot[mine], recovered)
+    slot, success = log.slot[mine], log.outcome[mine] == OUTCOMES.index(SUCCESS)
+    order = np.lexsort((success, slot))  # by slot, a slot's successes last
+    slot, success = slot[order], success[order]
+    last = np.ones(len(slot), bool)  # each slot's last row, a success iff any attempt was
+    last[:-1] = slot[1:] != slot[:-1]
+    failed = slot[last & ~success]
     # a run starts where failed slots stop being consecutive; slots are >= 0,
     # so the first failed slot always starts one
     heads = np.flatnonzero(np.diff(failed, prepend=-2) != 1)

@@ -14,9 +14,14 @@ class DataError(Exception):
 
 
 class MalformedLogError(ValueError):
-    """Structurally invalid attempt log, naming the offending stream position."""
+    """Structurally invalid attempt log, naming the offending stream position:
+    the file and its line where it was read from one, the vantage and slot
+    where the record is known."""
 
-    def __init__(self, vantage, slot, reason: str):
+    def __init__(self, vantage, slot, reason: str, path=None, line=None):
         self.vantage = vantage
         self.slot = slot
-        super().__init__(f"malformed attempt log at vantage={vantage} slot={slot}: {reason}")
+        where = "".join((f" {path}" if path is not None else "",
+                         f" line {line}" if line is not None else "",
+                         f" at vantage={vantage} slot={slot}" if vantage is not None else ""))
+        super().__init__(f"malformed attempt log{where}: {reason}")

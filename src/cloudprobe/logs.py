@@ -3,21 +3,24 @@
 Attempt log: one record per line with fields ts_s, vantage, slot, attempt,
 outcome, plus optional latency_ms and reason. A file is valid when ts_s is
 nondecreasing per vantage. Lines are written, and read where they can be, in
-attempt_line's exact form, 8,192 at a time as numpy bytes, integers by int64
-digit arithmetic. The writer fills a byte matrix, a block of columns per field;
-a float that is integral, finite, not -0.0 and below 2**53 in magnitude is its
-digits and ".0" (as repr gives it), and any other float is repr()'s own text.
-The reader scans a chunk in that form for its line ends and colons, checks each
-key where it must end (at a colon), and reads a float -?D+.D+ of at most 18
-digits, 15 of them significant, as one division of two exact doubles, which
-rounds as float() does; any other float is checked against the JSON number
-grammar and read by float(). A chunk with any other line, or a line breaking a
-per-record rule, is read by json.loads, line by line, to the same values. Truth
-file: start_s, duration_s, cause per line.
+attempt_line's exact form as numpy bytes, integers by int64 digit arithmetic.
+The writer fills a byte matrix, 8,192 records at a time, a block of columns per
+field; a float that is integral, finite, not -0.0 and below 2**53 in magnitude
+is its digits and ".0" (as repr gives it), and any other float is repr()'s own
+text. The reader takes the file's bytes in blocks that end at a line end,
+scans a block for its line ends and colons, checks each key where it must end
+(at a colon), and reads a float -?D+.D+ of at most 18 digits, 15 of them
+significant, as one division of two exact doubles, which rounds as float()
+does; any other float is checked against the JSON number grammar and read by
+float(). A block with any other line, or a line breaking a per-record rule, is
+decoded and read by json.loads, line by line, to the same values, a line
+ending at "\\n", "\\r\\n" or a lone "\\r" as in a file read as text. Truth file:
+start_s, duration_s, cause per line.
 """
 from __future__ import annotations
 
 import hashlib
+import io
 import json
 import math
 import os
@@ -31,7 +34,10 @@ from .model import (CAUSES, CLOUD, FAIL_REASONS, OUTCOMES, AttemptLog, DataError
 
 _OUTCOME_CODES = {name: code for code, name in enumerate(OUTCOMES)}
 _REASON_CODES = {None: -1, **{name: code for code, name in enumerate(FAIL_REASONS)}}
-_CHUNK = 1 << 13  # lines per read or write, so the whole text is never held at once
+_CHUNK = 1 << 13  # records per write, and lines per read when an error is located
+# bytes per read, then up to the next line end, so the whole text is never held at once;
+# a block holds about as many lines as a chunk (8,322 of the shortest scanned form, 63 bytes)
+_BLOCK = 1 << 19
 # what a malformed line raises; json raises RecursionError on a line nested too deep
 _ERRORS = (KeyError, TypeError, ValueError, OverflowError, RecursionError)
 # attempt_line's exact form: these keys in this order, each ending at a colon, an
@@ -217,20 +223,16 @@ def _codes(words, lo, hi, key, names):
     return code
 
 
-def _scan(lines) -> AttemptLog | None:
-    """The lines as a log, by one scan of their bytes, if every line is in
-    attempt_line's exact form and keeps every per-record rule; else None."""
-    text = "".join(lines)
-    if not text.isascii() or not text:
+def _scan(text: bytes) -> AttemptLog | None:
+    """The lines of text as a log, by one scan of its bytes, if every line is in
+    attempt_line's exact form (so ends at "\\n" and is ASCII) and keeps every
+    per-record rule; else None. The last line may lack its newline."""
+    if not text:
         return None
-    if not text.endswith("\n"):
-        text += "\n"
-    raw = bytes(_PAD) + text.encode("ascii") + bytes(_PAD)
+    raw = b"".join((bytes(_PAD), text, b"" if text.endswith(b"\n") else b"\n", bytes(_PAD)))
     buf = np.frombuffer(raw, np.uint8)
     words = np.ndarray((len(raw) - 7,), "<u8", raw, 0, (1,))  # the 8 bytes from each byte
     ends = np.flatnonzero(buf == ord("\n"))
-    if len(ends) != len(lines):
-        return None
     starts = np.concatenate(([_PAD], ends[:-1] + 1))
     colons = np.flatnonzero(buf == ord(":"))
     first = np.searchsorted(colons, starts)
@@ -271,11 +273,9 @@ def _scan(lines) -> AttemptLog | None:
 
 
 def _columns(lines) -> AttemptLog:
-    """The non-blank lines as a log. Every per-record rule is checked here: the
-    first record to break one raises one of _ERRORS, naming the field."""
-    log = _scan(lines)
-    if log is not None:
-        return log
+    """The non-blank lines (str) as a log, each read by json.loads. Every
+    per-record rule is checked here: the first record to break one raises one of
+    _ERRORS, naming the field."""
     rows = [(obj["ts_s"], obj["vantage"], obj["slot"], obj["attempt"], obj["outcome"],
              obj.get("latency_ms"), obj.get("reason"))
             for obj in map(json.loads, filter(None, map(str.strip, lines)))]
@@ -310,34 +310,43 @@ def _columns(lines) -> AttemptLog:
     return log
 
 
+def _parse(text: bytes) -> AttemptLog:
+    """The lines of text (UTF-8) as a log: by _scan, or else decoded and split
+    as a file read as text would be, then by _columns."""
+    log = _scan(text)
+    return log if log is not None else _columns(io.StringIO(text.decode("utf-8"), newline=None))
+
+
 def _decoded(line: str) -> str:
     """A line read with errors="surrogateescape", decoded strictly, so that
     bytes that are not UTF-8 raise on their own line."""
     return line.encode("utf-8", "surrogateescape").decode("utf-8")
 
 
-def _first_error(pieces, first: int, last_ts: dict) -> MalformedLogError | None:
-    """The first line among the pieces (lists of lines numbered from first) that
-    _columns rejects or whose ts_s decreases, carrying each vantage's last ts_s in
-    last_ts. Only a piece that fails as a whole is gone into, in smaller pieces.
-    None if no line is malformed (the file changed since it was read)."""
+def _first_error(path, pieces, first: int, last_ts: dict) -> MalformedLogError | None:
+    """The first line among the pieces (lists of path's lines numbered from
+    first) that _parse rejects or whose ts_s decreases, carrying each vantage's
+    last ts_s in last_ts. Only a piece that fails as a whole is gone into, in
+    smaller pieces. None if no line is malformed (the file changed since it was
+    read)."""
     for piece in pieces:
         after, error = dict(last_ts), None
         try:
-            log = _columns(list(map(_decoded, piece)))
+            log = _parse("".join(map(_decoded, piece)).encode())
         except _ERRORS as exc:
-            error = MalformedLogError("?", f"line {first}", str(exc))
+            error = MalformedLogError(None, None, str(exc), path, first)
         else:
             for ts, vantage, slot in zip(log.ts_s.tolist(), log.vantage.tolist(),
                                          log.slot.tolist()):
                 if ts < after.get(vantage, ts):
-                    error = MalformedLogError(vantage, slot, f"ts_s {ts} decreases (line {first})")
+                    error = MalformedLogError(vantage, slot, f"ts_s {ts} decreases (line {first})",
+                                              path)
                     break
                 after[vantage] = ts
         if error:
             step = len(piece) // 128 or 1
             return error if len(piece) == 1 else _first_error(
-                [piece[i:i + step] for i in range(0, len(piece), step)], first, last_ts)
+                path, [piece[i:i + step] for i in range(0, len(piece), step)], first, last_ts)
         last_ts.update(after)
         first += len(piece)
     return None
@@ -346,13 +355,13 @@ def _first_error(pieces, first: int, last_ts: dict) -> MalformedLogError | None:
 def read_attempt_log(path) -> AttemptLog:
     """Parse an attempt log; enforces nondecreasing ts_s per vantage.
 
-    Lines are parsed in chunks into columns and checked column by column.
-    Only when a check fails is the file read again, to name the first
-    offending line, and line by line only inside the chunk that fails.
+    The bytes are parsed in blocks into columns and checked column by column.
+    Only when a check fails is the file read again as text, to name the first
+    offending line, and line by line only inside the chunk of lines that fails.
     """
     try:
-        with open(path, "r", encoding="utf-8") as f:
-            parts = [_columns(chunk) for chunk in iter(lambda: list(islice(f, _CHUNK)), [])]
+        with open(path, "rb") as f:
+            parts = [_parse(block) for block in iter(lambda: f.read(_BLOCK) + f.readline(), b"")]
         log = AttemptLog.concat(parts) if parts else _columns([])
         order = np.argsort(log.vantage, kind="stable")
         vantage, ts = log.vantage[order], log.ts_s[order]
@@ -360,8 +369,8 @@ def read_attempt_log(path) -> AttemptLog:
             raise ValueError("ts_s decreases")
     except _ERRORS as exc:
         with open(path, "r", encoding="utf-8", errors="surrogateescape") as f:
-            error = _first_error(iter(lambda: list(islice(f, _CHUNK)), []), 1, {})
-        raise error or MalformedLogError("?", "?", str(exc)) from None
+            error = _first_error(path, iter(lambda: list(islice(f, _CHUNK)), []), 1, {})
+        raise error or MalformedLogError(None, None, str(exc), path) from None
     return log
 
 

@@ -589,6 +589,8 @@ class TestMalformedInput:
         assert needle in err
         if "truth.jsonl" in files:
             assert f"truth file {paths['truth']}" in err and "attempt log" not in err
+        if "attempts.jsonl" in files:
+            assert f"attempt log {paths['log']}" in err and "truth file" not in err
 
 
 class TestUsage:
@@ -633,6 +635,46 @@ class TestUsage:
                     if line.startswith("import time:")}
         assert "cloudprobe.report" in imported and "jsonschema" in imported
         assert "numpy" not in imported
+
+    def test_each_command_imports_only_its_layers(self, tmp_path):
+        # -X importtime names each module the run imports, on stderr; each command's
+        # own layer is named, so the absence of another is not an artefact of how
+        # the CLI imports them
+        env = {**os.environ, "PYTHONPATH": str(Path(cloudprobe.__file__).parents[1])}
+        config = tmp_path / "c.ini"
+        write_sim_config(config)
+        out = str(tmp_path / "out")
+        log, truth = f"{out}/attempts.jsonl", f"{out}/truth.jsonl"
+        for argv, own, absent in (
+                (["simulate", "--config", str(config), "--out", out], "cloudprobe.simulate",
+                 {"cloudprobe.detection", "cloudprobe.estimators", "cloudprobe.prober"}),
+                (["estimate", "--config", str(config), "--log", log, "--claim", "0.99",
+                  "--out", out], "cloudprobe.estimators",
+                 {"cloudprobe.detection", "cloudprobe.prober"}),
+                (["detect", "--config", str(config), "--log", log, "--truth", truth,
+                  "--out", out], "cloudprobe.detection",
+                 {"cloudprobe.estimators", "cloudprobe.prober", "numpy.ma"})):
+            run = subprocess.run([sys.executable, "-X", "importtime", "-m", "cloudprobe", *argv],
+                                 capture_output=True, text=True, env=env)
+            assert run.returncode == 0, run.stderr
+            imported = {line.rsplit("|", 1)[1].strip() for line in run.stderr.splitlines()
+                        if line.startswith("import time:")}
+            assert {own, "cloudprobe.configfile", "cloudprobe.logs"} <= imported, argv[0]
+            assert not absent & imported, argv[0]
+
+    def test_live_config_parses_to_a_probe_target(self, tmp_path):
+        # configfile imports the prober only to build a live target, in a fresh
+        # interpreter as in a command's
+        env = {**os.environ, "PYTHONPATH": str(Path(cloudprobe.__file__).parents[1])}
+        path = tmp_path / "live.ini"
+        path.write_text("[campaign]\n" + LIVE + "[probe]\ntimeout_ms = 250\n")
+        code = ("import sys; from cloudprobe import configfile; "
+                "loaded = 'cloudprobe.prober' in sys.modules; "
+                f"target = configfile.read_config({str(path)!r}).target; "
+                "print(loaded, type(target).__module__, type(target).__name__, target.timeout_ms)")
+        run = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                             env=env, check=True)
+        assert run.stdout.split() == ["False", "cloudprobe.prober", "ProbeTarget", "250.0"]
 
     def test_public_names(self):
         assert sorted(cloudprobe.__all__) == [

@@ -37,7 +37,7 @@ from cloudprobe.simulate import (
     sample_campaign,
 )
 
-from conftest import Outage, Row, log_of, outages_of, timeline_of
+from conftest import Outage, Row, log_of, make_random_log, outages_of, rows_of, timeline_of
 
 T = 600.0
 
@@ -153,6 +153,55 @@ class TestDetectOutages:
         v0 = slot_records([SUCCESS, SUCCESS, SUCCESS, CLOUD_FAIL], vantage=0)
         runs = detect_outages(AttemptLog.concat([v1, v0]))
         assert runs.tolist() == [[3, 1]]
+
+    @staticmethod
+    def oracle_runs(log):
+        """detect_outages by one Python step per record, then per slot."""
+        rows = rows_of(log)
+        observer = min((r.vantage for r in rows), default=0)
+        recovered = {}
+        for r in rows:
+            if r.vantage == observer:
+                recovered[r.slot] = recovered.get(r.slot, False) or r.outcome == SUCCESS
+        runs = []
+        for slot in sorted(recovered):
+            if recovered[slot]:
+                continue
+            if runs and runs[-1][0] + runs[-1][1] == slot:
+                runs[-1][1] += 1
+            else:
+                runs.append([slot, 1])
+        return runs
+
+    def assert_matches_oracle(self, log):
+        runs = detect_outages(log)
+        want = self.oracle_runs(log)
+        assert runs.dtype == np.int64 and runs.shape == (len(want), 2)
+        assert runs.tolist() == want
+
+    @settings(max_examples=300, deadline=None)
+    @given(rows=st.lists(st.tuples(st.integers(1, 4), st.integers(0, 30), st.integers(1, 3),
+                                   st.sampled_from(OUTCOMES)), max_size=150))
+    def test_matches_per_slot_oracle(self, rows):
+        # any order, several vantages (none of them 0), repeated and missing slots
+        self.assert_matches_oracle(log_of([Row(float(i), v, s, a, o)
+                                           for i, (v, s, a, o) in enumerate(rows)]))
+
+    @pytest.mark.parametrize("seed", range(12))
+    def test_retry_logs_match_per_slot_oracle(self, seed):
+        rng = np.random.default_rng(seed)
+        log, _ = make_random_log(rng)
+        self.assert_matches_oracle(log)
+        self.assert_matches_oracle(log[rng.permutation(len(log))])
+
+    @pytest.mark.parametrize("rows", [
+        [], [Row(0.0, 3, 0, 1, SUCCESS), Row(1.0, 3, 1, 1, CLOUD_FAIL), Row(1.5, 3, 1, 2, SUCCESS)],
+        [Row(0.0, 1, 5, 1, CLOUD_FAIL), Row(0.0, 0, 5, 1, SUCCESS)]],
+        ids=["empty", "retries-recover-every-slot", "observer-sees-no-failure"])
+    def test_no_failed_slot_matches_oracle(self, rows):
+        log = log_of(rows)
+        self.assert_matches_oracle(log)
+        assert detect_outages(log).shape == (0, 2)
 
 
 class TestSlaMetrics:

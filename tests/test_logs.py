@@ -1,10 +1,10 @@
 """The attempt-log reader against a per-line reference reader.
 
 reference_read is the reader as it was before the regex fast path: json.loads
-on each line, the per-record rules, then ts_s nondecreasing per vantage, with
-the first bad line in file order named in the error. read_attempt_log must
-give the same column bytes, or the same exception type and message, for
-every input.
+on each line of the file read as text, the per-record rules, then ts_s
+nondecreasing per vantage, with the file and the first bad line in file order
+named in the error. read_attempt_log must give the same column bytes, or the
+same exception type and message, for every input and at every block size.
 """
 import json
 import math
@@ -85,11 +85,12 @@ def reference_read(path) -> AttemptLog:
                 row = _reference_columns([line.encode("utf-8", "surrogateescape")
                                           .decode("utf-8")])
             except _ERRORS as exc:
-                raise MalformedLogError("?", f"line {lineno}", str(exc)) from None
+                raise MalformedLogError(None, None, str(exc), path, lineno) from None
             for ts, vantage, slot in zip(row.ts_s.tolist(), row.vantage.tolist(),
                                          row.slot.tolist()):
                 if ts < last_ts.get(vantage, ts):
-                    raise MalformedLogError(vantage, slot, f"ts_s {ts} decreases (line {lineno})")
+                    raise MalformedLogError(vantage, slot, f"ts_s {ts} decreases (line {lineno})",
+                                            path)
                 last_ts[vantage] = ts
             rows.append(row)
     return AttemptLog.concat(rows) if rows else _reference_columns([])
@@ -188,11 +189,21 @@ CORPUS = {
     "leading-tab": "\t" + GOOD,
     "form-feed": "\x0c" + GOOD[:-1] + "\x0c\n",
     "line-separator": GOOD[:-1] + "\u2028\n",
+    # str.splitlines would end a line at each of these; a file read as text does not
+    "separators-in-string": line(tail=',"x":"a\u2028b\u2029c\x85d"') + FAIL_LINE,
     "blank-lines": "\n" + GOOD + "\n \n" + FAIL_LINE + "\n",
     "only-blank": "\n\n \n",
     "crlf": GOOD.replace("\n", "\r\n") + FAIL_LINE.replace("\n", "\r\n"),
     "cr-only": GOOD.replace("\n", "\r") + FAIL_LINE.replace("\n", "\r"),
     "no-final-newline": GOOD + FAIL_LINE[:-1],
+    "crlf-then-lf": GOOD.replace("\n", "\r\n") + GOOD + FAIL_LINE.replace("\n", "\r\n"),
+    "cr-then-lf": GOOD.replace("\n", "\r") + GOOD + FAIL_LINE,
+    "cr-before-crlf": GOOD[:-1] + "\r\r\n" + FAIL_LINE,
+    "cr-inside-record": GOOD[:30] + "\r" + GOOD[30:],
+    "crlf-no-final-newline": GOOD.replace("\n", "\r\n") + FAIL_LINE[:-1],
+    "cr-last": GOOD + FAIL_LINE[:-1] + "\r",
+    "blank-crlf-lines": "\r\n" + GOOD.replace("\n", "\r\n") + "\r\n\r\n" + FAIL_LINE,
+    "blank-cr-lines": GOOD + "\r\r" + FAIL_LINE + "\r",
     "split-record": GOOD[:30] + "\n" + GOOD[30:],
     "split-record-two": GOOD + FAIL_LINE[:40] + "\n" + FAIL_LINE[40:],
     "arabic-indic-digit": line(slot="١"),
@@ -223,6 +234,9 @@ CORPUS = {
     "ts-equal": line(ts="5.0") + line(ts="5.0", attempt="2"),
     "non-utf8": GOOD.encode() + b"\xff\xfe\n",
     "non-utf8-in-extra-key": GOOD.encode()[:-2] + b',"x":"\xff"}\n',
+    "non-utf8-after-good-lines": (GOOD * 3).encode() + FAIL_LINE.encode()[:-2] + b'\xff}\n'
+                                 + GOOD.encode(),
+    "utf8-extra-key-after-good-lines": (GOOD * 3 + GOOD[:-2] + ',"x":"\u00e9"}\n').encode(),
     "surrogate-escape-json": line(tail=',"x":"\\udcff"'),
     "ts-16-significant": line(ts="1234567890.123456") + line(ts="9007199254740993.0"),
     "ts-23-digit-fraction": line(ts="0.12345678901234567890123", tail=',"latency_ms":1.'
@@ -240,6 +254,21 @@ def test_corpus_matches_reference(tmp_path, name, chunk):
     path = tmp_path / "log.jsonl"
     path.write_bytes(text if isinstance(text, bytes) else text.encode())
     with mock.patch.object(logs, "_CHUNK", chunk):
+        assert_same(path)
+
+
+# read sizes that cut lines: a byte, a few bytes, and one good line's length and
+# either side of it, so that a read ends just before, at and after a line end
+BLOCKS = [1, 3, len(GOOD) - 1, len(GOOD), len(GOOD) + 1]
+
+
+@pytest.mark.parametrize("block", BLOCKS)
+@pytest.mark.parametrize("name", sorted(CORPUS))
+def test_corpus_matches_reference_at_block_size(tmp_path, name, block):
+    text = CORPUS[name]
+    path = tmp_path / "log.jsonl"
+    path.write_bytes(text if isinstance(text, bytes) else text.encode())
+    with mock.patch.object(logs, "_BLOCK", block):
         assert_same(path)
 
 
@@ -343,8 +372,8 @@ _INT_TOKENS = st.one_of(st.integers(-(10 ** 18) + 1, 10 ** 18 - 1).map(str), st.
 def test_scan_converts_as_float_and_int_do(floats, ints):
     # ts_s and slot must be >= 0, so the signed tokens go to latency_ms and vantage
     rows = list(zip(floats, ints * len(floats)))
-    log = logs._scan([line(ts=f.lstrip("-"), vantage=i, slot=i.lstrip("-"),
-                           tail=f',"latency_ms":{f}') for f, i in rows])
+    log = logs._scan("".join(line(ts=f.lstrip("-"), vantage=i, slot=i.lstrip("-"),
+                                  tail=f',"latency_ms":{f}') for f, i in rows).encode())
     assert log is not None
     want = {"ts_s": [float(f.lstrip("-")) for f, _ in rows],
             "latency_ms": [float(f) for f, _ in rows],
@@ -356,11 +385,12 @@ def test_scan_converts_as_float_and_int_do(floats, ints):
 
 
 @settings(max_examples=400, deadline=None, suppress_health_check=[HealthCheck.too_slow])
-@given(text=mutated_logs(), chunk=st.sampled_from([1, 2, 3, logs._CHUNK]))
-def test_mutated_logs_match_reference(tmp_path_factory, text, chunk):
+@given(text=mutated_logs(), chunk=st.sampled_from([1, 2, 3, logs._CHUNK]),
+       block=st.sampled_from(BLOCKS + [logs._BLOCK]))
+def test_mutated_logs_match_reference(tmp_path_factory, text, chunk, block):
     path = tmp_path_factory.mktemp("log") / "log.jsonl"
     path.write_text(text, encoding="utf-8", newline="")
-    with mock.patch.object(logs, "_CHUNK", chunk):
+    with mock.patch.object(logs, "_CHUNK", chunk), mock.patch.object(logs, "_BLOCK", block):
         assert_same(path)
 
 
@@ -383,11 +413,13 @@ def test_locator_goes_line_by_line_only_in_the_failing_chunk(tmp_path, monkeypat
     path = tmp_path / "log.jsonl"
     path.write_text("".join(lines))
     calls = []
-    columns = logs._columns
-    monkeypatch.setattr(logs, "_columns", lambda chunk: calls.append(len(chunk)) or columns(chunk))
-    with pytest.raises(MalformedLogError, match=f"line {len(lines)}: slot must be >= 0"):
+    parse = logs._parse
+    monkeypatch.setattr(logs, "_parse", lambda text: calls.append(len(text)) or parse(text))
+    monkeypatch.setattr(logs, "_BLOCK", path.stat().st_size // 3 + 1)
+    with pytest.raises(MalformedLogError, match=f"{path} line {len(lines)}: slot must be >= 0"):
         logs.read_attempt_log(path)
-    # three chunks read, three checked again, then 128 pieces and 64 lines at most
+    # three blocks read, three chunks of lines checked again, then 128 pieces and
+    # 64 lines at most
     assert len(calls) <= 3 + 3 + 128 + 64
 
 
