@@ -204,12 +204,10 @@ def cmd_estimate(args) -> int:
         claims = [SlaClaim(c, args.alpha) for c in args.claim]
     except ValueError as exc:
         raise UsageError(f"--claim/--alpha: {exc}") from exc
-    retry_max = None
-    config_echo = None
-    if args.config:
-        parsed = configfile.read_config(args.config)
-        retry_max = parsed.campaign.retry_max
-        config_echo = configfile.config_echo(parsed.campaign)
+    retry_max = config_echo = None
+    if args.config:  # its echo carries a --seed override, as detect's does
+        campaign = _load_campaign(args).campaign
+        retry_max, config_echo = campaign.retry_max, configfile.config_echo(campaign)
 
     records = logs.read_attempt_log(args.log)
     counts = aggregate_counts(records, retry_max=retry_max)

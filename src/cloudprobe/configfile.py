@@ -136,55 +136,6 @@ def _parse_duration(section) -> DurationDistribution:
     raise ConfigError(f"unknown duration kind {kind!r}")
 
 
-def write_config(path, campaign: CampaignConfig,
-                 process: OutageProcess | None = None,
-                 target: ProbeTarget | None = None) -> None:
-    """Emit a config file that read_config parses back identically."""
-    parser = configparser.ConfigParser(interpolation=None)
-    parser["campaign"] = _ini_section(campaign)
-
-    if process is not None:
-        proc = {
-            "up_mean_s": _ini(process.up_mean_s),
-            "network_fail_prob": _ini(process.network_fail_prob),
-        }
-        if process.network_burst is not None:
-            proc["burst_rate_per_day"] = _ini(process.network_burst.rate_per_day)
-            proc["burst_duration_s"] = _ini(process.network_burst.duration_s)
-        parser["process"] = proc
-        parser["duration"] = _duration_section(process.duration_dist)
-
-    if target is not None:
-        parser["probe"] = _ini_section(target, skip="url")
-
-    with open(path, "w", encoding="utf-8") as f:
-        parser.write(f)
-
-
-def _duration_section(dist: DurationDistribution) -> dict:
-    if dist.kind == "fixed":
-        return {"kind": "fixed", "value_s": _ini(dist.value_s)}
-    if dist.kind == "exponential":
-        return {"kind": "exponential", "mean_s": _ini(dist.mean_s)}
-    if dist.kind == "generalized_pareto":
-        return {"kind": "generalized_pareto", "shape": _ini(dist.shape),
-                "scale": _ini(dist.scale), "location": _ini(dist.location)}
-    return {"kind": "empirical", "values": " ".join(_ini(v) for v in dist.values)}
-
-
-def _ini_section(obj, skip: str = "") -> dict:
-    """A config dataclass as INI values; empty fields are left out."""
-    return {k: _ini(v) for k, v in asdict(obj).items() if k != skip and v not in (None, "")}
-
-
-def _ini(value) -> str:
-    if isinstance(value, str):
-        return value
-    if isinstance(value, frozenset):
-        return " ".join(str(v) for v in sorted(value))
-    return repr(float(value)) if not float(value).is_integer() else str(int(value))
-
-
 def config_echo(campaign: CampaignConfig) -> dict:
     """Campaign fields as a JSON-ready mapping for the report."""
     return asdict(campaign)

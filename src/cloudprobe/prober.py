@@ -189,10 +189,12 @@ def run_campaign(target: ProbeTarget, config: CampaignConfig, log_path,
         for slot in range(start_slot, config.slots):
             _sleep_until(origin + slot * interval)
             for attempt in range(1, config.retry_max + 1):
-                ts = time.monotonic() - origin
+                # to 1 us, so that the reader's byte scan reads the values by its exact path
+                ts = round(time.monotonic() - origin, 6)
                 result = probe_fn(target)
-                log.write(logs.attempt_line(ts, 0, slot, attempt, result.outcome,
-                                            result.latency_ms, result.reason))
+                latency = None if result.latency_ms is None else round(result.latency_ms, 3)
+                log.write(logs.attempt_line(ts, 0, slot, attempt, result.outcome, latency,
+                                            result.reason))
                 log.flush()
                 os.fsync(log.fileno())
                 if result.outcome == SUCCESS:

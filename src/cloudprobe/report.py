@@ -1,14 +1,17 @@
 """Report fragments and the merged campaign report.
 
 Estimate and detect workflows each emit a fragment tied to the attempt-log
-digest; merging requires the digests to agree, so a report can never mix
-artifacts from different campaigns. Reports contain no wall-clock values, so a
-fixed seed reproduces them byte for byte.
+digest; merging requires the digests, every other provenance digest and the
+config echoes to agree, so a report can never mix artifacts from different
+campaigns. Reports contain no wall-clock values, so a fixed seed reproduces them
+byte for byte.
 """
 from __future__ import annotations
 
 import json
 import math
+import numbers
+import re
 from dataclasses import fields, is_dataclass
 from importlib import resources
 from typing import TYPE_CHECKING
@@ -20,6 +23,36 @@ if TYPE_CHECKING:  # annotations only: the report command loads no numpy
     from .model import AttemptCounts, EstimateSet
 
 SCHEMA_VERSION = "1"
+_DRAFT = "https://json-schema.org/draft/2020-12/schema"
+_TYPES = {"array": list, "boolean": bool, "integer": int, "null": type(None),
+          "number": numbers.Number, "object": dict, "string": str}
+# each keyword _conforms reads -> its test of the value v under the keyword's
+# argument a in the schema s (r is the root), as jsonschema's _keywords module
+# makes it: a keyword about one JSON type passes a value of any other type
+_KEYWORDS = {
+    "type": lambda v, a, s, r: any(_is(v, t) for t in ([a] if isinstance(a, str) else a)),
+    "const": lambda v, a, s, r: _equal(v, a),
+    "enum": lambda v, a, s, r: any(_equal(v, c) for c in a),
+    "minimum": lambda v, a, s, r: not _is(v, "number") or not v < a,
+    "exclusiveMinimum": lambda v, a, s, r: not _is(v, "number") or not v <= a,
+    "maximum": lambda v, a, s, r: not _is(v, "number") or not v > a,
+    "pattern": lambda v, a, s, r: not isinstance(v, str) or re.search(a, v) is not None,
+    "required": lambda v, a, s, r: not isinstance(v, dict) or all(k in v for k in a),
+    "properties": lambda v, a, s, r: not isinstance(v, dict) or all(
+        _conforms(v[k], sub, r) for k, sub in a.items() if k in v),
+    "additionalProperties": lambda v, a, s, r: not isinstance(v, dict) or all(
+        _conforms(x, a, r) for k, x in v.items() if k not in s.get("properties", {})),
+    "prefixItems": lambda v, a, s, r: not isinstance(v, list) or all(
+        _conforms(x, sub, r) for x, sub in zip(v, a)),
+    "items": lambda v, a, s, r: not isinstance(v, list) or all(
+        _conforms(x, a, r) for x in v[len(s.get("prefixItems", ())):]),
+    "minItems": lambda v, a, s, r: not isinstance(v, list) or not len(v) < a,
+    "maxItems": lambda v, a, s, r: not isinstance(v, list) or not len(v) > a,
+    "oneOf": lambda v, a, s, r: sum(_conforms(v, sub, r) for sub in a) == 1,
+    "$ref": lambda v, a, s, r: _conforms(v, r["$defs"][_defs_name(a)], r),
+    "title": lambda v, a, s, r: True,  # annotations
+    "$defs": lambda v, a, s, r: True,
+}
 
 
 class ReportError(ValueError):
@@ -99,9 +132,11 @@ def merge_fragments(fragments) -> dict:
     for frag in frags:
         if frag.get("schema_version") != SCHEMA_VERSION:
             raise ReportError(f"unsupported fragment schema_version {frag.get('schema_version')!r}")
-        report["provenance"].update(frag.get("provenance", {}))
-        if report["config"] is None and frag.get("config"):
-            report["config"] = frag["config"]
+        for key, value in frag.get("provenance", {}).items():
+            _agree(f"provenance {key}", report["provenance"].setdefault(key, value), value)
+        if frag.get("config"):
+            report["config"] = report["config"] or frag["config"]
+            _agree("config", report["config"], frag["config"])
         for key in ("counts", "estimates", "sla_tests", "insufficient_data",
                     "detection", "sla_metrics"):
             if key in frag:
@@ -110,16 +145,69 @@ def merge_fragments(fragments) -> dict:
     return report
 
 
+def _agree(what: str, old, new) -> None:
+    """Raise unless two fragments give one value for what; the fields of a config
+    echo are compared one by one, so that the error names the field."""
+    if isinstance(old, dict) and isinstance(new, dict):
+        for key in sorted(old.keys() | new.keys()):
+            _agree(f"{what} {key}", old.get(key), new.get(key))
+    if old != new:
+        raise ReportError(f"fragments disagree on {what}: {old!r} != {new!r}")
+
+
 def load_schema() -> dict:
     text = resources.files("cloudprobe").joinpath("report_schema.json").read_text("utf-8")
     return json.loads(text)
 
 
+def _is(value, name: str) -> bool:
+    """Whether value is of the type name as jsonschema tells it: a bool is only a
+    boolean, and an integral float is an integer."""
+    if isinstance(value, bool):
+        return _TYPES[name] is bool
+    return isinstance(value, _TYPES[name]) or (
+        name == "integer" and isinstance(value, float) and value.is_integer())
+
+
+def _equal(a, b) -> bool:
+    """a == b as jsonschema's const and enum test it for a JSON scalar b: a bool
+    equals no number. A list or object b is left unread, by a KeyError."""
+    if isinstance(b, (list, dict)):
+        raise KeyError(b)
+    return a is b or isinstance(a, bool) == isinstance(b, bool) and a == b
+
+
+def _defs_name(ref: str) -> str:
+    """The name in root's $defs a $ref gives: an identifier needs no unescaping."""
+    if not ref.startswith("#/$defs/") or not ref[8:].isidentifier():
+        raise KeyError(ref)
+    return ref[8:]
+
+
+def _conforms(value, schema, root) -> bool:
+    """Whether value is valid under schema, a part of the 2020-12 schema root, as
+    jsonschema decides it. A KeyError means the schema holds what _KEYWORDS does
+    not read: another keyword, type name or $ref, or $schema or $id below root,
+    where an $id would change what a $ref names."""
+    if isinstance(schema, bool):
+        return schema
+    return all(_KEYWORDS[key](value, arg, schema, root) for key, arg in schema.items()
+               if schema is not root or key not in ("$schema", "$id"))
+
+
 def validate_report(doc: dict) -> None:
-    import jsonschema  # deferred: only the report command validates, and it is slow to import
+    """Raise ReportError unless doc matches the packaged schema. _conforms passes
+    a valid report without loading jsonschema; a report it rejects, or a schema
+    it cannot read, goes to jsonschema, which decides and words the error."""
+    schema = load_schema()
+    try:
+        if schema.get("$schema") == _DRAFT and _conforms(doc, schema, schema):
+            return
+    except KeyError:  # a keyword, type name or $ref that _conforms does not read
+        pass
+    import jsonschema  # deferred: slow to import, and needed only when _conforms rejects
 
     # jsonschema.validate minus its check of our own schema, which a test makes
-    schema = load_schema()
     validator = jsonschema.validators.validator_for(schema)(schema)
     error = jsonschema.exceptions.best_match(validator.iter_errors(doc))
     if error is not None:

@@ -1,15 +1,18 @@
+import configparser
 import math
 import threading
 import time
 from collections import namedtuple
+from dataclasses import asdict
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
 import numpy as np
 import pytest
 
+from cloudprobe import report
 from cloudprobe.model import (CAUSES, CLOUD, CLOUD_FAIL, FAIL, FAIL_REASONS, NETWORK_FAIL,
                               OUTCOMES, SUCCESS, AttemptLog, Timeline)
-from cloudprobe.simulate import _grid_log, _retry_schedule, _rng
+from cloudprobe.simulate import DurationDistribution, _grid_log, _retry_schedule, _rng
 
 BODY = b"cloudprobe test object\n"
 
@@ -125,6 +128,70 @@ def make_random_log(rng: np.random.Generator, retry_max=None, slots=None, vantag
                 ))
     records.sort(key=lambda r: (r.ts_s, r.vantage, r.attempt))
     return log_of(records), n
+
+
+def write_config(path, campaign, process=None, target=None) -> None:
+    """Emit a config file that configfile.read_config parses back identically.
+
+    The package reads configs but never writes one, so the writer lives with the
+    tests that build configs from dataclasses."""
+    parser = configparser.ConfigParser(interpolation=None)
+    parser["campaign"] = _ini_section(campaign)
+
+    if process is not None:
+        proc = {
+            "up_mean_s": _ini(process.up_mean_s),
+            "network_fail_prob": _ini(process.network_fail_prob),
+        }
+        if process.network_burst is not None:
+            proc["burst_rate_per_day"] = _ini(process.network_burst.rate_per_day)
+            proc["burst_duration_s"] = _ini(process.network_burst.duration_s)
+        parser["process"] = proc
+        parser["duration"] = _duration_section(process.duration_dist)
+
+    if target is not None:
+        parser["probe"] = _ini_section(target, skip="url")
+
+    with open(path, "w", encoding="utf-8") as f:
+        parser.write(f)
+
+
+def _duration_section(dist: DurationDistribution) -> dict:
+    if dist.kind == "fixed":
+        return {"kind": "fixed", "value_s": _ini(dist.value_s)}
+    if dist.kind == "exponential":
+        return {"kind": "exponential", "mean_s": _ini(dist.mean_s)}
+    if dist.kind == "generalized_pareto":
+        return {"kind": "generalized_pareto", "shape": _ini(dist.shape),
+                "scale": _ini(dist.scale), "location": _ini(dist.location)}
+    return {"kind": "empirical", "values": " ".join(_ini(v) for v in dist.values)}
+
+
+def _ini_section(obj, skip: str = "") -> dict:
+    """A config dataclass as INI values; empty fields are left out."""
+    return {k: _ini(v) for k, v in asdict(obj).items() if k != skip and v not in (None, "")}
+
+
+def _ini(value) -> str:
+    if isinstance(value, str):
+        return value
+    if isinstance(value, frozenset):
+        return " ".join(str(v) for v in sorted(value))
+    return repr(float(value)) if not float(value).is_integer() else str(int(value))
+
+
+@pytest.fixture
+def reports_pass_own_check(monkeypatch):
+    """Fail the test if a report that validates is one report._conforms rejects,
+    for which the report command would load jsonschema."""
+    validate = report.validate_report
+
+    def checked(doc):
+        validate(doc)
+        schema = report.load_schema()
+        assert report._conforms(doc, schema, schema), "report._conforms rejects a valid report"
+
+    monkeypatch.setattr(report, "validate_report", checked)
 
 
 class _Handler(BaseHTTPRequestHandler):

@@ -7,7 +7,7 @@ import math
 
 import numpy as np
 
-from cloudprobe import configfile, logs
+from cloudprobe import logs
 from cloudprobe.cli import main
 from cloudprobe.detection import (
     detect_outages,
@@ -32,7 +32,7 @@ from cloudprobe.simulate import (
     sample_campaign,
 )
 
-from conftest import iid_attempt_log, make_random_log
+from conftest import iid_attempt_log, make_random_log, write_config
 
 TRIALS = 639478
 
@@ -177,7 +177,7 @@ def test_criterion_7_structural_invariants(tmp_path):
             roundtrip_ok = False
 
     config_path = tmp_path / "c.ini"
-    configfile.write_config(
+    write_config(
         config_path,
         CampaignConfig(probe_interval_s=600.0, horizon_days=2.0, vantage_points=2,
                        retry_max=5, retry_gap_s=1.0, seed=13),

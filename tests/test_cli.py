@@ -17,6 +17,11 @@ from cloudprobe.model import CampaignConfig, ConfigError, Timeline
 from cloudprobe.prober import ProbeTarget
 from cloudprobe.simulate import DurationDistribution, NetworkBurst, OutageProcess, sample_campaign
 
+from conftest import write_config
+
+# every report these tests build passes report's own schema check
+pytestmark = pytest.mark.usefixtures("reports_pass_own_check")
+
 QUIET = OutageProcess(up_mean_s=1e12, duration_dist=DurationDistribution.fixed(1.0))
 LIVE = ("probe_interval_s = 600\nhorizon_days = 1\nmode = live\n"
         "target = http://host.example/obj\n")
@@ -27,7 +32,7 @@ def write_sim_config(path, campaign=None, process=None):
     campaign = campaign or CampaignConfig(
         probe_interval_s=600.0, horizon_days=1.0, vantage_points=2,
         retry_max=3, retry_gap_s=1.0, seed=7)
-    configfile.write_config(path, campaign, process or QUIET)
+    write_config(path, campaign, process or QUIET)
     return campaign
 
 
@@ -43,7 +48,7 @@ class TestConfigFile:
             network_burst=NetworkBurst(rate_per_day=3.0, duration_s=4.5),
         )
         path = tmp_path / "campaign.ini"
-        configfile.write_config(path, campaign, process)
+        write_config(path, campaign, process)
         parsed = configfile.read_config(path)
         assert parsed.campaign == campaign
         assert parsed.process == process
@@ -56,7 +61,7 @@ class TestConfigFile:
                              success_statuses=frozenset({200, 204}),
                              expected_body_hash="ab" * 32)
         path = tmp_path / "live.ini"
-        configfile.write_config(path, campaign, target=target)
+        write_config(path, campaign, target=target)
         parsed = configfile.read_config(path)
         assert parsed.campaign == campaign
         assert parsed.target == target
@@ -177,7 +182,7 @@ class TestCmdSimulate:
 
     def test_missing_process_exits_one(self, tmp_path):
         config_path = tmp_path / "c.ini"
-        configfile.write_config(config_path, CampaignConfig(
+        write_config(config_path, CampaignConfig(
             probe_interval_s=600.0, horizon_days=1.0))
         assert main(["simulate", "--config", str(config_path)]) == 1
 
@@ -382,6 +387,56 @@ class TestCmdReport:
         path.write_text("[1, 2]")
         assert main(["report", str(path)]) == 2
 
+    def detect_under(self, tmp_path, out, config_text, name):
+        """A detect fragment on out's log and truth, under another config file."""
+        config_path = tmp_path / f"{name}.ini"
+        config_path.write_text(config_text)
+        assert main(["detect", "--log", str(out / "attempts.jsonl"),
+                     "--truth", str(out / "truth.jsonl"), "--config", str(config_path),
+                     "--threshold-s", "600", "--out", str(tmp_path / name)]) == 0
+        return tmp_path / name / "detect.json"
+
+    def test_config_echo_mismatch_exits_two(self, tmp_path, capsys):
+        # detection computed at 300 s must not merge with an estimate made at 600 s
+        config_path, out = self.make_fragments(tmp_path)
+        text = config_path.read_text()
+        c300 = self.detect_under(tmp_path, out, text.replace(
+            "probe_interval_s = 600", "probe_interval_s = 300"), "c300")
+        capsys.readouterr()  # drop fragment-step output
+        assert main(["report", str(out / "estimate.json"), str(c300)]) == 2
+        assert capsys.readouterr().err == ("data error: fragments disagree on config "
+                                           "probe_interval_s: 600.0 != 300.0\n")
+
+    def test_provenance_mismatch_exits_two(self, tmp_path, capsys):
+        # two configs with one [campaign] but another [process] echo alike, and differ
+        # in their digest
+        config_path, out = self.make_fragments(tmp_path)
+        text = config_path.read_text()
+        other = self.detect_under(tmp_path, out, text.replace(
+            "up_mean_s = 7200", "up_mean_s = 3600"), "other")
+        assert json.loads(other.read_text())["config"] == \
+            json.loads((out / "detect.json").read_text())["config"]
+        capsys.readouterr()  # drop fragment-step output
+        assert main(["report", str(out / "detect.json"), str(other)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("data error: fragments disagree on provenance config_sha256: ")
+        # the same config file again, under another name, merges
+        same = self.detect_under(tmp_path, out, text, "same")
+        assert main(["report", str(out / "estimate.json"), str(out / "detect.json"),
+                     str(same)]) == 0
+
+    def test_seed_override_echoes_alike(self, tmp_path, capsys):
+        # estimate and detect both echo the --seed that overrides the config's seed
+        config_path, out = self.make_fragments(tmp_path)
+        log, truth = str(out / "attempts.jsonl"), str(out / "truth.jsonl")
+        seeded = tmp_path / "seeded"
+        for argv in (["estimate", "--log", log], ["detect", "--log", log, "--truth", truth]):
+            assert main([*argv, "--config", str(config_path), "--seed", "9",
+                         "--out", str(seeded)]) == 0
+        capsys.readouterr()  # drop fragment-step output
+        assert main(["report", str(seeded / "estimate.json"), str(seeded / "detect.json")]) == 0
+        assert json.loads(capsys.readouterr().out)["config"]["seed"] == 9
+
     def test_digest_mismatch_exits_two(self, tmp_path, capsys):
         _, out = self.make_fragments(tmp_path)
         frag = json.loads((out / "estimate.json").read_text())
@@ -439,8 +494,8 @@ class TestCmdProbe:
         campaign = CampaignConfig(probe_interval_s=0.25, horizon_days=3 * 0.25 / 86400.0,
                                   retry_max=2, retry_gap_s=0.05, seed=0,
                                   mode="live", target=http_fixture.url)
-        configfile.write_config(config_path, campaign,
-                                target=ProbeTarget(url=http_fixture.url, timeout_ms=2000))
+        write_config(config_path, campaign,
+                     target=ProbeTarget(url=http_fixture.url, timeout_ms=2000))
         out = tmp_path / "out"
         rc = main(["probe", "--config", str(config_path), "--out", str(out)])
         assert rc == 0
@@ -450,7 +505,7 @@ class TestCmdProbe:
 
         # longer campaign resumes from the checkpoint without duplicating slots
         longer = tmp_path / "longer.ini"
-        configfile.write_config(
+        write_config(
             longer,
             CampaignConfig(probe_interval_s=0.25, horizon_days=5 * 0.25 / 86400.0,
                            retry_max=2, retry_gap_s=0.05, seed=0,
@@ -481,7 +536,7 @@ class TestCmdProbe:
     def test_empty_or_zero_flag_rejected_before_probing(self, http_fixture, tmp_path, capsys,
                                                          flag, value, needle):
         config_path = tmp_path / "live.ini"
-        configfile.write_config(config_path, CampaignConfig(
+        write_config(config_path, CampaignConfig(
             probe_interval_s=0.25, horizon_days=0.25 / 86400.0, retry_max=1, retry_gap_s=0.0,
             mode="live", target=http_fixture.url))
         out = tmp_path / "out"
@@ -626,15 +681,23 @@ class TestUsage:
         assert main(["estimate", "--log", log, "--out", str(out)]) == 0
         assert main(["detect", "--log", log, "--truth", str(out / "truth.jsonl"),
                      "--config", str(config), "--out", str(out)]) == 0
-        # -X importtime names each module the run imports, on stderr
-        run = subprocess.run([sys.executable, "-X", "importtime", "-m", "cloudprobe", "report",
-                              str(out / "estimate.json"), str(out / "detect.json")],
-                             capture_output=True, text=True, env=env)
-        assert run.returncode == 0, run.stderr
-        imported = {line.rsplit("|", 1)[1].strip() for line in run.stderr.splitlines()
-                    if line.startswith("import time:")}
-        assert "cloudprobe.report" in imported and "jsonschema" in imported
-        assert "numpy" not in imported
+        bad = json.loads((out / "estimate.json").read_text())
+        bad["counts"]["attempts"][0] = -1
+        (out / "bad.json").write_text(json.dumps(bad))
+        schema_stack = {"jsonschema", "referencing", "attrs", "jsonschema_specifications"}
+        # a valid report passes report's own check; only a rejected one loads jsonschema,
+        # which words the error. -X importtime names each module a run imports, on stderr
+        for estimate, code, loads_jsonschema in (("estimate.json", 0, False),
+                                                 ("bad.json", 2, True)):
+            run = subprocess.run([sys.executable, "-X", "importtime", "-m", "cloudprobe",
+                                  "report", str(out / estimate), str(out / "detect.json")],
+                                 capture_output=True, text=True, env=env)
+            assert run.returncode == code, run.stderr
+            imported = {line.rsplit("|", 1)[1].strip() for line in run.stderr.splitlines()
+                        if line.startswith("import time:")}
+            assert "cloudprobe.report" in imported and "numpy" not in imported
+            assert bool(schema_stack & imported) is loads_jsonschema, estimate
+        assert "data error: report does not match schema:" in run.stderr
 
     def test_each_command_imports_only_its_layers(self, tmp_path):
         # -X importtime names each module the run imports, on stderr; each command's

@@ -8,11 +8,17 @@ and say why in the change description.
 import hashlib
 import textwrap
 
-from cloudprobe import configfile
+import pytest
+
 from cloudprobe.cli import main
 from cloudprobe.model import CampaignConfig
 from cloudprobe.prober import ProbeTarget
 from cloudprobe.simulate import DurationDistribution, NetworkBurst, OutageProcess
+
+from conftest import write_config
+
+# every report these tests build passes report's own schema check
+pytestmark = pytest.mark.usefixtures("reports_pass_own_check")
 
 CAMPAIGN_INI = """\
 [campaign]
@@ -87,7 +93,7 @@ def test_all_success_estimate_is_pinned(tmp_path, capsys):
 
 def test_write_config_simulate_bytes(tmp_path):
     path = tmp_path / "sim.ini"
-    configfile.write_config(
+    write_config(
         path,
         CampaignConfig(probe_interval_s=660.0, horizon_days=75.0, vantage_points=54,
                        retry_max=9, retry_gap_s=2.5, seed=123),
@@ -125,7 +131,7 @@ def test_write_config_live_bytes(tmp_path):
     campaign = CampaignConfig(probe_interval_s=0.25, horizon_days=0.5, retry_max=2,
                               retry_gap_s=0.05, mode="live",
                               target="https://storage.example/probe.bin")
-    configfile.write_config(path, campaign, target=ProbeTarget(
+    write_config(path, campaign, target=ProbeTarget(
         url=campaign.target, timeout_ms=2500.0, success_statuses=frozenset({204, 200}),
         expected_body_hash="ab" * 32))
     assert path.read_text(encoding="utf-8") == textwrap.dedent(f"""\

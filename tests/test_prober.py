@@ -1,4 +1,5 @@
 import hashlib
+import json
 import math
 import re
 import socket
@@ -137,6 +138,23 @@ class TestRunCampaign:
                                tmp_path / "attempts.jsonl")
         runs = detect_outages(records)
         assert runs.tolist() == [[3, 3]]  # first_slot, slot_count
+
+    def test_log_is_read_by_the_byte_scan(self, http_fixture, tmp_path, monkeypatch):
+        # ts_s and latency_ms go to the log at 1 us, which the byte scan reads by one
+        # exact division rather than by float(); no block falls back to json.loads
+        http_fixture.set_behavior(lambda i: ("status", 503) if i % 3 == 0 else ("ok",))
+        config = live_config(slots=6, retry_max=2, url=http_fixture.url)
+        log_path = tmp_path / "attempts.jsonl"
+        run_campaign(ProbeTarget(url=http_fixture.url), config, log_path)
+        scanned, scan = [], logs._scan
+        monkeypatch.setattr(logs, "_scan", lambda text: scanned.append(scan(text)) or scanned[-1])
+        records = logs.read_attempt_log(log_path)
+        assert scanned and None not in scanned
+        assert len(records) == sum(len(part) for part in scanned) > 6
+        rows = [json.loads(line) for line in log_path.read_text().splitlines()]
+        assert all(round(row["ts_s"], 6) == row["ts_s"] for row in rows)
+        latencies = [row["latency_ms"] for row in rows if "latency_ms" in row]
+        assert latencies and all(round(x, 3) == x for x in latencies)
 
     def test_flaky_first_attempt_inflates_retry_filtered(self, http_fixture, tmp_path):
         # every slot: attempt 1 fails, attempt 2 succeeds
