@@ -8,8 +8,6 @@ censoring of short outages, and the resulting SLA-compliance conclusions.
 The public names are imported on first use, so that `import cloudprobe`, and
 the CLI commands that need no arrays, do not load numpy.
 """
-import importlib
-
 __version__ = "0.1.0"  # pyproject.toml's version; a test keeps the two equal
 
 # each public name -> the submodule that defines it; a submodule maps to itself
@@ -32,12 +30,15 @@ _HOME = {name: module for module, names in (
 ) for name in names.split()}
 
 __all__ = list(_HOME)
+# names the CLI also resolves here, which are not public
+_HOME.update(configfile="configfile", write_undetected_curve="detection")
 
 
 def __getattr__(name):
     if name not in _HOME:
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    module = importlib.import_module(f".{_HOME[name]}", __name__)
+    # as `from .module import name` does: -X importtime reports __import__, not importlib
+    module = __import__(f"{__name__}.{_HOME[name]}", fromlist=[name])
     value = module if name == _HOME[name] else getattr(module, name)
     globals()[name] = value
     return value

@@ -16,44 +16,32 @@ from pathlib import Path
 from . import report
 from .errors import ConfigError, DataError, InsufficientDataError, MalformedLogError
 
-# each layer name the commands call -> the module that defines it; a module maps to itself
-_LAYERS = {name: module for module, names in (
-    ("configfile", "configfile"),
-    ("logs", "logs"),
-    ("detection", "detect_outages detection_report sla_metrics true_sla_metrics "
-                  "undetected_curve write_undetected_curve"),
-    ("estimators", "SlaClaim build_estimate_set sla_test"),
-    ("model", "aggregate_counts expected_tries"),
-    ("prober", "ProbeTarget run_campaign"),
-    ("simulate", "generate_timeline sample_campaign"),
-) for name in names.split()}
-# the layers each command calls; report touches no array, so it loads no numpy
-_COMMAND_LAYERS = {
-    "simulate": ("configfile", "logs", "model", "simulate"),
-    "estimate": ("configfile", "logs", "model", "estimators"),
-    "detect": ("configfile", "logs", "model", "detection"),
-    "probe": ("configfile", "logs", "model", "prober"),
-    "report": (),
-}
+# the layer names each command calls, which the package resolves; report touches
+# no array, so it loads no numpy
+_COMMAND_NAMES = {command: tuple(names.split()) for command, names in (
+    ("simulate", "configfile logs aggregate_counts expected_tries generate_timeline "
+                 "sample_campaign"),
+    ("estimate", "configfile logs aggregate_counts SlaClaim build_estimate_set sla_test"),
+    ("detect", "configfile logs detect_outages detection_report sla_metrics true_sla_metrics "
+               "undetected_curve write_undetected_curve"),
+    ("probe", "configfile logs aggregate_counts ProbeTarget run_campaign"),
+    ("report", ""),
+)}
 
 
-def _load_layers(modules=frozenset(_LAYERS.values())) -> None:
-    """Bind the names of the given layers (all by default) as globals of this
-    module, importing the layers on first use. A name already bound, as by a
-    caller's patch, stays."""
-    for name, module_name in _LAYERS.items():
-        if module_name in modules:
-            # by __import__, which -X importtime reports, as it does not importlib's calls
-            __import__(f"{__package__}.{module_name}")
-            module = sys.modules[f"{__package__}.{module_name}"]
-            globals().setdefault(name, module if name == module_name else getattr(module, name))
+def _load_layers(names) -> None:
+    """Bind the given layer names as globals of this module, importing their
+    layers on first use. A name already bound, as by a caller's patch, stays."""
+    package = sys.modules[__package__]
+    for name in names:
+        globals().setdefault(name, getattr(package, name))
 
 
 def __getattr__(name):
-    # only a layer name loads the layers; a probe such as __path__ must not load numpy
-    if name not in _LAYERS:
+    # only a layer name loads a layer; a probe such as __path__ must not load numpy
+    if not any(name in names for names in _COMMAND_NAMES.values()):
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    _load_layers()
+    _load_layers([name])
     return globals()[name]
 
 
@@ -317,7 +305,7 @@ def main(argv=None) -> int:
         if not getattr(args, "func", None):
             parser.print_help(sys.stderr)
             return EXIT_USAGE
-        _load_layers(_COMMAND_LAYERS[args.command])
+        _load_layers(_COMMAND_NAMES[args.command])
         return args.func(args)
     except (UsageError, ConfigError) as exc:
         print(f"error: {exc}", file=sys.stderr)

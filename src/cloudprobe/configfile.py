@@ -1,7 +1,7 @@
-"""INI campaign config: [campaign] keys are the CampaignConfig fields and
-[probe] keys the ProbeTarget fields (its url is the campaign target), with the
-dataclass defaults; [process] + [duration] describe the simulated outage
-process."""
+"""INI campaign config. Each section's keys are the fields of one dataclass,
+absent keys taking the field defaults: [campaign] CampaignConfig, [probe]
+ProbeTarget (its url is the campaign target), [process] OutageProcess with
+NetworkBurst's fields as burst_ keys, and [duration] DurationDistribution."""
 from __future__ import annotations
 
 import configparser
@@ -14,15 +14,15 @@ from .simulate import DurationDistribution, NetworkBurst, OutageProcess
 if TYPE_CHECKING:  # the prober is imported only to build a live target
     from .prober import ProbeTarget
 
-_PROCESS_KEYS = {"up_mean_s", "network_fail_prob", "burst_rate_per_day", "burst_duration_s"}
-
 # INI value parsers keyed by the field annotation (a string under postponed
 # annotations); None means an empty value, which leaves the field's default
 _PARSE = {
     "float": float,
     "int": int,
     "str": str,
+    "float | None": float,
     "str | None": lambda raw: raw or None,
+    "tuple[float, ...] | None": lambda raw: tuple(float(s) for s in raw.replace(",", " ").split()),
     "frozenset[int]": lambda raw: frozenset(int(s) for s in raw.replace(",", " ").split()) or None,
 }
 
@@ -36,33 +36,33 @@ class ParsedConfig:
     target: ProbeTarget | None = None
 
 
-def _check_keys(section: str, present, allowed) -> None:
-    unknown = set(present) - set(allowed)
-    if unknown:
-        raise ConfigError(f"[{section}] unknown keys: {', '.join(sorted(unknown))}")
-
-
-def _from_section(cls, name: str, section, **given):
-    """Build a config dataclass from an INI section whose keys are its fields.
+def _from_section(cls, name: str, section, prefix: str = "", **given):
+    """Build a config dataclass from an INI section whose keys are its fields,
+    each after prefix.
 
     Fields passed in `given` come from elsewhere and are not keys of the
     section; absent keys take the dataclass default.
     """
-    keys = [f for f in fields(cls) if f.name not in given]
-    _check_keys(name, section, [f.name for f in keys])
+    keys = {prefix + f.name: f for f in fields(cls) if f.name not in given}
+    unknown = set(section) - set(keys)
+    if unknown:
+        raise ConfigError(f"[{name}] unknown keys: {', '.join(sorted(unknown))}")
     kwargs = dict(given)
-    for f in keys:
-        if f.name not in section:
+    for key, f in keys.items():
+        if key not in section:
             if f.default is MISSING:
-                raise ConfigError(f"[{name}] missing required key {f.name}")
+                raise ConfigError(f"[{name}] missing required key {key}")
             continue
         try:
-            value = _PARSE[f.type](section[f.name])
+            value = _PARSE[f.type](section[key])
         except ValueError as exc:
-            raise ConfigError(f"[{name}] {f.name}: {exc}") from exc
+            raise ConfigError(f"[{name}] {key}: {exc}") from exc
         if value is not None:
             kwargs[f.name] = value
-    return cls(**kwargs)
+    try:
+        return cls(**kwargs)
+    except ValueError as exc:  # ConfigError too: the dataclass names the field, this the section
+        raise ConfigError(f"[{name}] {exc}") from exc
 
 
 def read_config(path) -> ParsedConfig:
@@ -80,29 +80,14 @@ def read_config(path) -> ParsedConfig:
 
     process = None
     if "process" in parser:
-        proc = parser["process"]
-        _check_keys("process", proc.keys(), _PROCESS_KEYS)
         if "duration" not in parser:
             raise ConfigError("[process] requires a [duration] section")
-        dur = parser["duration"]
-        _check_keys("duration", dur.keys(), [f.name for f in fields(DurationDistribution)])
-        try:
-            burst = None
-            if "burst_rate_per_day" in proc or "burst_duration_s" in proc:
-                burst = NetworkBurst(
-                    rate_per_day=proc.getfloat("burst_rate_per_day"),
-                    duration_s=proc.getfloat("burst_duration_s"),
-                )
-            process = OutageProcess(
-                up_mean_s=proc.getfloat("up_mean_s"),
-                duration_dist=_parse_duration(dur),
-                network_fail_prob=proc.getfloat("network_fail_prob", 0.0),
-                network_burst=burst,
-            )
-        except ConfigError:
-            raise
-        except (TypeError, ValueError) as exc:
-            raise ConfigError(f"[process]/[duration] {exc}") from exc
+        proc = dict(parser["process"])
+        burst = {key: proc.pop(key) for key in list(proc) if key.startswith("burst_")}
+        process = _from_section(
+            OutageProcess, "process", proc,
+            duration_dist=_from_section(DurationDistribution, "duration", parser["duration"]),
+            network_burst=_from_section(NetworkBurst, "process", burst, "burst_") if burst else None)
     elif "duration" in parser:
         raise ConfigError("[duration] requires a [process] section")
 
@@ -115,25 +100,6 @@ def read_config(path) -> ParsedConfig:
         raise ConfigError("[probe] section only applies to live mode")
 
     return ParsedConfig(campaign=campaign, process=process, target=target)
-
-
-def _parse_duration(section) -> DurationDistribution:
-    kind = section.get("kind")
-    if kind == "fixed":
-        return DurationDistribution.fixed(section.getfloat("value_s"))
-    if kind == "exponential":
-        return DurationDistribution.exponential(section.getfloat("mean_s"))
-    if kind == "generalized_pareto":
-        return DurationDistribution.generalized_pareto(
-            shape=section.getfloat("shape"),
-            scale=section.getfloat("scale"),
-            location=section.getfloat("location", 0.0),
-        )
-    if kind == "empirical":
-        raw = section.get("values", "")
-        values = tuple(float(v) for v in raw.replace(",", " ").split())
-        return DurationDistribution.empirical(values)
-    raise ConfigError(f"unknown duration kind {kind!r}")
 
 
 def config_echo(campaign: CampaignConfig) -> dict:

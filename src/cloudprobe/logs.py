@@ -25,7 +25,7 @@ import json
 import math
 import os
 import re
-from itertools import islice, repeat
+from itertools import repeat
 
 import numpy as np
 
@@ -317,22 +317,22 @@ def _parse(text: bytes) -> AttemptLog:
     return log if log is not None else _columns(io.StringIO(text.decode("utf-8"), newline=None))
 
 
-def _decoded(line: str) -> str:
-    """A line read with errors="surrogateescape", decoded strictly, so that
-    bytes that are not UTF-8 raise on their own line."""
-    return line.encode("utf-8", "surrogateescape").decode("utf-8")
+def _blocks(f):
+    """The bytes of f (a binary file) in blocks of _BLOCK bytes and up to the next
+    line end, so that no line is cut and the whole text is never held at once."""
+    return iter(lambda: f.read(_BLOCK) + f.readline(), b"")
 
 
 def _first_error(path, pieces, first: int, last_ts: dict) -> MalformedLogError | None:
-    """The first line among the pieces (lists of path's lines numbered from
-    first) that _parse rejects or whose ts_s decreases, carrying each vantage's
+    """The first line among the pieces (lists of path's lines, as bytes, numbered
+    from first) that _parse rejects or whose ts_s decreases, carrying each vantage's
     last ts_s in last_ts. Only a piece that fails as a whole is gone into, in
     smaller pieces. None if no line is malformed (the file changed since it was
     read)."""
     for piece in pieces:
         after, error = dict(last_ts), None
         try:
-            log = _parse("".join(map(_decoded, piece)).encode())
+            log = _parse(b"".join(piece))
         except _ERRORS as exc:
             error = MalformedLogError(None, None, str(exc), path, first)
         else:
@@ -356,20 +356,22 @@ def read_attempt_log(path) -> AttemptLog:
     """Parse an attempt log; enforces nondecreasing ts_s per vantage.
 
     The bytes are parsed in blocks into columns and checked column by column.
-    Only when a check fails is the file read again as text, to name the first
-    offending line, and line by line only inside the chunk of lines that fails.
+    Only when a check fails are the blocks read again and cut into chunks of
+    lines, to name the first offending line, line by line only in the failing chunk.
     """
     try:
         with open(path, "rb") as f:
-            parts = [_parse(block) for block in iter(lambda: f.read(_BLOCK) + f.readline(), b"")]
+            parts = [_parse(block) for block in _blocks(f)]
         log = AttemptLog.concat(parts) if parts else _columns([])
         order = np.argsort(log.vantage, kind="stable")
         vantage, ts = log.vantage[order], log.ts_s[order]
         if np.any((vantage[1:] == vantage[:-1]) & (ts[1:] < ts[:-1])):
             raise ValueError("ts_s decreases")
     except _ERRORS as exc:
-        with open(path, "r", encoding="utf-8", errors="surrogateescape") as f:
-            error = _first_error(path, iter(lambda: list(islice(f, _CHUNK)), []), 1, {})
+        with open(path, "rb") as f:
+            blocks = (block.splitlines(True) for block in _blocks(f))  # universal newlines
+            error = _first_error(path, (lines[i:i + _CHUNK] for lines in blocks
+                                        for i in range(0, len(lines), _CHUNK)), 1, {})
         raise error or MalformedLogError(None, None, str(exc), path) from None
     return log
 
@@ -386,12 +388,13 @@ def read_truth(path, horizon_s: float) -> Timeline:
     """The ground-truth outages over the campaign's horizon, which the file does
     not hold. A bad line, an overlap or an overrun raises DataError."""
     rows, error = [], None
-    with open(path, "r", encoding="utf-8", errors="surrogateescape") as f:
-        for lineno, line in enumerate(map(str.strip, f), start=1):
-            if not line:
-                continue
+    with open(path, "rb") as f:
+        for lineno, line in enumerate(f.read().splitlines(), start=1):
             try:
-                obj = json.loads(_decoded(line))
+                line = line.decode("utf-8").strip()
+                if not line:
+                    continue
+                obj = json.loads(line)
                 row = obj["start_s"], obj["duration_s"], obj.get("cause", CLOUD)
                 for name, value in zip(("start_s", "duration_s"), row):
                     if type(value) not in (int, float):

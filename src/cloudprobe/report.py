@@ -1,10 +1,10 @@
 """Report fragments and the merged campaign report.
 
 Estimate and detect workflows each emit a fragment tied to the attempt-log
-digest; merging requires the digests, every other provenance digest and the
-config echoes to agree, so a report can never mix artifacts from different
-campaigns. Reports contain no wall-clock values, so a fixed seed reproduces them
-byte for byte.
+digest; merging requires the digests, every other provenance digest, the
+config echoes and each section two fragments both carry to agree, so a report
+can never mix artifacts from different campaigns or runs. Reports contain no
+wall-clock values, so a fixed seed reproduces them byte for byte.
 """
 from __future__ import annotations
 
@@ -140,14 +140,14 @@ def merge_fragments(fragments) -> dict:
         for key in ("counts", "estimates", "sla_tests", "insufficient_data",
                     "detection", "sla_metrics"):
             if key in frag:
-                report[key] = frag[key]
+                _agree(key, report.setdefault(key, frag[key]), frag[key])
     validate_report(report)
     return report
 
 
 def _agree(what: str, old, new) -> None:
-    """Raise unless two fragments give one value for what; the fields of a config
-    echo are compared one by one, so that the error names the field."""
+    """Raise unless two fragments give one value for what; the fields of an
+    object are compared one by one, so that the error names the field."""
     if isinstance(old, dict) and isinstance(new, dict):
         for key in sorted(old.keys() | new.keys()):
             _agree(f"{what} {key}", old.get(key), new.get(key))

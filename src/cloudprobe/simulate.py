@@ -8,7 +8,7 @@ timeline on the slot/retry schedule.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -34,9 +34,21 @@ def _rng(seed: int, *key: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=tuple(key)))
 
 
+# each duration kind -> the fields it reads, each with the rule its value keeps;
+# a kind leaves every other field at its default
+_DURATION_RULES = {
+    "fixed": {"value_s": ("must be > 0", lambda v: v > 0)},
+    "exponential": {"mean_s": ("must be > 0", lambda v: v > 0)},
+    "generalized_pareto": {"shape": ("must be finite", math.isfinite),
+                           "scale": ("must be > 0", lambda v: v > 0),
+                           "location": ("must be >= 0", lambda v: v >= 0)},
+    "empirical": {"values": ("must be nonempty and > 0", lambda v: v and all(x > 0 for x in v))},
+}
+
+
 @dataclass(frozen=True)
 class DurationDistribution:
-    """Outage duration law. Use the classmethod constructors."""
+    """Outage duration law: kind names it, and _DURATION_RULES the fields it reads."""
 
     kind: str
     value_s: float | None = None
@@ -46,36 +58,35 @@ class DurationDistribution:
     location: float = 0.0
     values: tuple[float, ...] | None = None
 
+    def __post_init__(self):
+        if self.kind not in _DURATION_RULES:
+            raise ValueError(f"unknown duration kind {self.kind!r}")
+        rules = _DURATION_RULES[self.kind]
+        for f in fields(self)[1:]:
+            value = getattr(self, f.name)
+            if f.name not in rules:
+                if value != f.default:
+                    raise ValueError(f"{self.kind} duration takes no {f.name}")
+            elif value is None or not rules[f.name][1](value):
+                raise ValueError(f"{self.kind} {f.name} {rules[f.name][0]}")
+
     @classmethod
     def fixed(cls, value_s: float) -> "DurationDistribution":
-        if value_s is None or not value_s > 0:
-            raise ValueError("fixed duration must be > 0")
-        return cls(kind="fixed", value_s=float(value_s))
+        return cls("fixed", value_s=float(value_s))
 
     @classmethod
     def exponential(cls, mean_s: float) -> "DurationDistribution":
-        if mean_s is None or not mean_s > 0:
-            raise ValueError("exponential mean must be > 0")
-        return cls(kind="exponential", mean_s=float(mean_s))
+        return cls("exponential", mean_s=float(mean_s))
 
     @classmethod
     def generalized_pareto(cls, shape: float, scale: float,
                            location: float = 0.0) -> "DurationDistribution":
-        if scale is None or not scale > 0:
-            raise ValueError("generalized_pareto scale must be > 0")
-        if not math.isfinite(shape):
-            raise ValueError("generalized_pareto shape must be finite")
-        if not location >= 0:
-            raise ValueError("generalized_pareto location must be >= 0")
-        return cls(kind="generalized_pareto", shape=float(shape), scale=float(scale),
+        return cls("generalized_pareto", shape=float(shape), scale=float(scale),
                    location=float(location))
 
     @classmethod
     def empirical(cls, values) -> "DurationDistribution":
-        vals = tuple(float(v) for v in values)
-        if not vals or any(not v > 0 for v in vals):
-            raise ValueError("empirical values must be nonempty and > 0")
-        return cls(kind="empirical", values=vals)
+        return cls("empirical", values=tuple(float(v) for v in values))
 
     def sample(self, rng: np.random.Generator) -> float:
         if self.kind == "fixed":
@@ -94,9 +105,7 @@ class DurationDistribution:
             else:
                 d = self.location + self.scale * (u ** -self.shape - 1.0) / self.shape
             return d if d > 0.0 else self.sample(rng)
-        if self.kind == "empirical":
-            return self.values[int(rng.integers(len(self.values)))]
-        raise ValueError(f"unknown duration kind {self.kind!r}")
+        return self.values[int(rng.integers(len(self.values)))]  # empirical
 
 
 @dataclass(frozen=True)

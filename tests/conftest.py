@@ -12,7 +12,8 @@ import pytest
 from cloudprobe import report
 from cloudprobe.model import (CAUSES, CLOUD, CLOUD_FAIL, FAIL, FAIL_REASONS, NETWORK_FAIL,
                               OUTCOMES, SUCCESS, AttemptLog, Timeline)
-from cloudprobe.simulate import DurationDistribution, _grid_log, _retry_schedule, _rng
+from cloudprobe.simulate import (_DURATION_RULES, DurationDistribution, _grid_log,
+                                 _retry_schedule, _rng)
 
 BODY = b"cloudprobe test object\n"
 
@@ -157,14 +158,8 @@ def write_config(path, campaign, process=None, target=None) -> None:
 
 
 def _duration_section(dist: DurationDistribution) -> dict:
-    if dist.kind == "fixed":
-        return {"kind": "fixed", "value_s": _ini(dist.value_s)}
-    if dist.kind == "exponential":
-        return {"kind": "exponential", "mean_s": _ini(dist.mean_s)}
-    if dist.kind == "generalized_pareto":
-        return {"kind": "generalized_pareto", "shape": _ini(dist.shape),
-                "scale": _ini(dist.scale), "location": _ini(dist.location)}
-    return {"kind": "empirical", "values": " ".join(_ini(v) for v in dist.values)}
+    """The kind and the fields it reads, as the simulator's table lists them."""
+    return {"kind": dist.kind, **{k: _ini(getattr(dist, k)) for k in _DURATION_RULES[dist.kind]}}
 
 
 def _ini_section(obj, skip: str = "") -> dict:
@@ -177,6 +172,8 @@ def _ini(value) -> str:
         return value
     if isinstance(value, frozenset):
         return " ".join(str(v) for v in sorted(value))
+    if isinstance(value, tuple):
+        return " ".join(map(_ini, value))
     return repr(float(value)) if not float(value).is_integer() else str(int(value))
 
 

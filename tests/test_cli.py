@@ -90,8 +90,15 @@ class TestConfigFile:
         (LIVE + "[probe]\nsuccess_statuses = abc\n", "success_statuses"),
         (LIVE + "[probe]\ntimeout_ms = nan\n", "timeout_ms"),
         (LIVE + "[probe]\nurl = http://other.example/\n", "url"),
+        ("probe_interval_s = 600\nhorizon_days = 1\n[process]\nnetwork_fail_prob = 0\n"
+         "[duration]\nkind = fixed\nvalue_s = 1\n", "up_mean_s"),
+        ("probe_interval_s = 600\nhorizon_days = 1\n[process]\nup_mean_s = 3600\n"
+         "burst_rate_per_day = 2\n[duration]\nkind = fixed\nvalue_s = 1\n", "burst_duration_s"),
+        ("probe_interval_s = 600\nhorizon_days = 1\n[process]\nup_mean_s = 3600\n"
+         "[duration]\nkind = fixed\nvalue_s = 1\nmean_s = 99\n", "mean_s"),
     ], ids=["missing-interval", "nan-interval", "inf-horizon", "empty-seed", "nan-up-mean",
-            "bad-statuses", "nan-timeout", "url-in-probe"])
+            "bad-statuses", "nan-timeout", "url-in-probe", "missing-up-mean",
+            "one-burst-key", "key-of-another-kind"])
     def test_bad_value_names_key_and_exits_one(self, tmp_path, capsys, body, key):
         path = tmp_path / "c.ini"
         path.write_text("[campaign]\n" + body)
@@ -424,6 +431,23 @@ class TestCmdReport:
         same = self.detect_under(tmp_path, out, text, "same")
         assert main(["report", str(out / "estimate.json"), str(out / "detect.json"),
                      str(same)]) == 0
+
+    @pytest.mark.parametrize("command, flags, message", [
+        ("detect", ["--threshold-s", "0"], "sla_metrics detected "),
+        ("estimate", ["--claim", "0.99"], "sla_tests: [{"),
+    ], ids=["detect-threshold", "estimate-claim"])
+    def test_section_mismatch_exits_two(self, tmp_path, capsys, command, flags, message):
+        # a second fragment of one log and config, under other flags, must not
+        # replace the first one's section
+        config_path, out = self.make_fragments(tmp_path)
+        log, truth = str(out / "attempts.jsonl"), str(out / "truth.jsonl")
+        argv = [command, "--log", log, "--config", str(config_path), *flags,
+                "--out", str(tmp_path / "other")]
+        assert main(argv + (["--truth", truth] if command == "detect" else [])) == 0
+        capsys.readouterr()  # drop fragment-step output
+        assert main(["report", str(out / "estimate.json"), str(out / f"{command}.json"),
+                     str(tmp_path / "other" / f"{command}.json")]) == 2
+        assert capsys.readouterr().err.startswith(f"data error: fragments disagree on {message}")
 
     def test_seed_override_echoes_alike(self, tmp_path, capsys):
         # estimate and detect both echo the --seed that overrides the config's seed

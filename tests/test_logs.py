@@ -418,8 +418,8 @@ def test_locator_goes_line_by_line_only_in_the_failing_chunk(tmp_path, monkeypat
     monkeypatch.setattr(logs, "_BLOCK", path.stat().st_size // 3 + 1)
     with pytest.raises(MalformedLogError, match=f"{path} line {len(lines)}: slot must be >= 0"):
         logs.read_attempt_log(path)
-    # three blocks read, three chunks of lines checked again, then 128 pieces and
-    # 64 lines at most
+    # three blocks read, each block's chunks of lines checked again (four chunks here,
+    # as the first block holds 8,348 lines), then 128 pieces and 64 lines at most
     assert len(calls) <= 3 + 3 + 128 + 64
 
 
@@ -533,8 +533,13 @@ class TestReadTruth:
         (['{"start_s":0,"duration_s":100}', '{"start_s":50,"duration_s":10}'],
          ": overlapping cloud events at 50.0"),
         (['{"start_s":990,"duration_s":100}'], ": event ending at 1090.0 exceeds horizon 1000.0"),
+        # lines that end at "\r\n", and at a lone "\r", are counted as a text read counts them
+        (['{"start_s":0,"duration_s":1}\r', "\r", '{"start_s":-1,"duration_s":1}\r'],
+         " line 3: start_s must be finite and >= 0, got -1.0"),
+        (['{"start_s":0,"duration_s":1}\r \rnot json\r{"start_s":1,"duration_s":1}'],
+         " line 3: Expecting value"),
     ], ids=["fault-before-parse-error", "parse-error-before-fault", "blank-lines-counted",
-            "unhashable-cause", "not-an-object", "overlap", "overrun"])
+            "unhashable-cause", "not-an-object", "overlap", "overrun", "crlf", "cr-only"])
     def test_first_fault_named_with_its_line(self, tmp_path, lines, message):
         path, read = self.read(tmp_path, "\n".join(lines) + "\n")
         with pytest.raises(DataError) as err:

@@ -59,6 +59,10 @@ class TestDurationDistribution:
         lambda: NetworkBurst(rate_per_day=math.inf, duration_s=1.0),
         lambda: NetworkBurst(rate_per_day=1.0, duration_s=math.nan),
         lambda: OutageProcess(up_mean_s=math.nan, duration_dist=DurationDistribution.fixed(1.0)),
+        # and a kind without its field, an unknown kind, a field of another kind
+        lambda: DurationDistribution("fixed"),
+        lambda: DurationDistribution("bogus"),
+        lambda: DurationDistribution("fixed", value_s=1.0, mean_s=99.0),
     ])
     def test_non_finite_parameters_rejected(self, make):
         with pytest.raises(ValueError):
