@@ -31,7 +31,7 @@ _HOME = {name: module for module, names in (
 
 __all__ = list(_HOME)
 # names the CLI also resolves here, which are not public
-_HOME.update(configfile="configfile", write_undetected_curve="detection")
+_HOME.update(configfile="configfile", report="report", write_undetected_curve="detection")
 
 
 def __getattr__(name):

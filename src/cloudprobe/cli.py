@@ -13,7 +13,6 @@ import os
 import sys
 from pathlib import Path
 
-from . import report
 from .errors import ConfigError, DataError, InsufficientDataError, MalformedLogError
 
 # the layer names each command calls, which the package resolves; report touches
@@ -21,11 +20,11 @@ from .errors import ConfigError, DataError, InsufficientDataError, MalformedLogE
 _COMMAND_NAMES = {command: tuple(names.split()) for command, names in (
     ("simulate", "configfile logs aggregate_counts expected_tries generate_timeline "
                  "sample_campaign"),
-    ("estimate", "configfile logs aggregate_counts SlaClaim build_estimate_set sla_test"),
-    ("detect", "configfile logs detect_outages detection_report sla_metrics true_sla_metrics "
-               "undetected_curve write_undetected_curve"),
-    ("probe", "configfile logs aggregate_counts ProbeTarget run_campaign"),
-    ("report", ""),
+    ("estimate", "configfile logs report aggregate_counts SlaClaim build_estimate_set sla_test"),
+    ("detect", "configfile logs report detect_outages detection_report sla_metrics "
+               "true_sla_metrics undetected_curve write_undetected_curve"),
+    ("probe", "configfile logs aggregate_counts run_campaign"),
+    ("report", "report"),
 )}
 
 
@@ -248,11 +247,9 @@ def cmd_detect(args) -> int:
 
 def cmd_probe(args) -> int:
     parsed = _load_campaign(args)
-    campaign = parsed.campaign
+    campaign, target = parsed.campaign, parsed.target  # read_config builds a live target
     if campaign.mode != "live":
         raise ConfigError("probe needs mode=live")
-
-    target = parsed.target or ProbeTarget(url=campaign.target)
     overrides = {}
     # a given flag overrides even when empty or zero, so ProbeTarget rejects it
     if args.url is not None:
@@ -310,7 +307,7 @@ def main(argv=None) -> int:
     except (UsageError, ConfigError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except (MalformedLogError, DataError, report.ReportError) as exc:
+    except (MalformedLogError, DataError) as exc:
         print(f"data error: {exc}", file=sys.stderr)
         return EXIT_DATA
     except OSError as exc:

@@ -13,6 +13,10 @@ class DataError(Exception):
     """A malformed input file other than an attempt log, naming the file."""
 
 
+class ReportError(DataError, ValueError):
+    """Fragments reference different inputs or violate the report schema."""
+
+
 class MalformedLogError(ValueError):
     """Structurally invalid attempt log, naming the offending stream position:
     the file and its line where it was read from one, the vantage and slot

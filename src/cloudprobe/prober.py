@@ -8,7 +8,6 @@ so outcomes are only success/fail plus a reason code.
 """
 from __future__ import annotations
 
-import functools
 import hashlib
 import math
 import os
@@ -31,9 +30,18 @@ class ProbeTarget:
     expected_body_hash: str | None = None  # hex sha256 of the expected body
 
     def __post_init__(self):
-        scheme = urllib.parse.urlparse(self.url).scheme
-        if scheme not in ("http", "https"):
+        try:
+            url = urllib.parse.urlsplit(self.url)
+            if url.port == 0:  # .port itself raises on one that is not a number in 0-65535
+                raise ValueError("Port must be in 1-65535, got 0")
+        except ValueError as exc:  # a malformed IPv6 literal too
+            raise ConfigError(f"target URL {self.url!r}: {exc}") from None
+        if url.scheme not in ("http", "https"):
             raise ConfigError(f"target URL must be http(s), got {self.url!r}")
+        if not url.hostname:
+            raise ConfigError(f"target URL {self.url!r} has no host")
+        if re.search(r"[\x00-\x20\x7f]", self.url):  # http.client sends none of them
+            raise ConfigError(f"target URL {self.url!r} has a space or control character")
         if not 0 < self.timeout_ms < math.inf:
             raise ConfigError("timeout_ms must be finite and > 0")
         if not self.success_statuses:
@@ -61,51 +69,35 @@ class ProbeResult:
             raise ValueError(f"latency_ms must be finite, got {self.latency_ms}")
 
 
-@functools.cache
-def _opener():
-    # built on first use, so only `probe` loads the HTTP stack
-    import urllib.request
-
-    class NoRedirect(urllib.request.HTTPRedirectHandler):
-        # a redirect masks whether the object itself is retrievable; treat as fail
-        def redirect_request(self, req, fp, code, msg, headers, newurl):
-            return None
-
-    return urllib.request.build_opener(NoRedirect())
-
-
 def probe_once(target: ProbeTarget) -> ProbeResult:
-    """Fetch the target once; success needs timely response, allowed status,
-    and (when configured) a matching body digest."""
-    import http.client
+    """Fetch the target once by a direct GET on a connection of its own, which
+    follows no redirect and goes through no proxy; success needs a timely
+    response, an allowed status and (when configured) a matching body digest."""
+    import http.client  # on first use, so that only `probe` loads the HTTP stack
     import socket
-    import urllib.error
-    import urllib.request
 
-    req = urllib.request.Request(target.url, headers={"User-Agent": "cloudprobe"})
+    url = urllib.parse.urlsplit(target.url)
+    connection = (http.client.HTTPSConnection if url.scheme == "https"
+                  else http.client.HTTPConnection)
+    path = (url.path or "/") + (f"?{url.query}" if url.query else "")
+    conn = connection(url.hostname, url.port, timeout=target.timeout_ms / 1000.0)
     started = time.monotonic()
     try:
-        try:
-            resp = _opener().open(req, timeout=target.timeout_ms / 1000.0)
-        except urllib.error.HTTPError as exc:
-            resp = exc  # a response too: its body is read when its status counts as success
-        with resp:
-            if resp.status not in target.success_statuses:
-                return ProbeResult(FAIL, reason="status")
-            body = resp.read()
-    except urllib.error.URLError as exc:
-        if isinstance(exc.reason, socket.gaierror):
-            return ProbeResult(FAIL, reason="dns")
-        timed_out = isinstance(exc.reason, TimeoutError)
-        return ProbeResult(FAIL, reason="timeout" if timed_out else "connect")
+        conn.request("GET", path, headers={"User-Agent": "cloudprobe", "Connection": "close"})
+        resp = conn.getresponse()
+        if resp.status not in target.success_statuses:  # a 3xx too: no redirect is followed
+            return ProbeResult(FAIL, reason="status")
+        body = resp.read()
+    except socket.gaierror:
+        return ProbeResult(FAIL, reason="dns")
     except TimeoutError:  # socket.timeout is an alias of it since Python 3.10
         return ProbeResult(FAIL, reason="timeout")
-    except OSError:
-        return ProbeResult(FAIL, reason="connect")
-    except http.client.IncompleteRead:  # the connection closed mid-body, as after a reset
+    except (OSError, http.client.IncompleteRead):  # refused, reset, TLS, or cut mid-body
         return ProbeResult(FAIL, reason="connect")
     except http.client.HTTPException:  # a reply that is not HTTP
         return ProbeResult(FAIL, reason="status")
+    finally:
+        conn.close()
 
     latency_ms = (time.monotonic() - started) * 1000.0
     if target.expected_body_hash is not None:

@@ -17,6 +17,7 @@ from importlib import resources
 from typing import TYPE_CHECKING
 
 from . import __version__
+from .errors import ReportError  # re-exported
 
 if TYPE_CHECKING:  # annotations only: the report command loads no numpy
     from .detection import DetectionReport, SlaMetrics
@@ -53,10 +54,6 @@ _KEYWORDS = {
     "title": lambda v, a, s, r: True,  # annotations
     "$defs": lambda v, a, s, r: True,
 }
-
-
-class ReportError(ValueError):
-    """Fragments reference different inputs or violate the report schema."""
 
 
 def _to_json(obj):

@@ -16,6 +16,10 @@ from cloudprobe.simulate import (_DURATION_RULES, DurationDistribution, _grid_lo
                                  _retry_schedule, _rng)
 
 BODY = b"cloudprobe test object\n"
+# target URLs that ProbeTarget rejects: no host, an unreadable port or port 0, a
+# malformed IPv6 literal, a space in the host or the path
+BAD_URLS = ("http:///x", "http://127.0.0.1:abc/x", "http://127.0.0.1:70000/x",
+            "http://127.0.0.1:0/x", "http://[::1/x", "http://ho st/x", "http://127.0.0.1/a b")
 
 # one attempt as plain values, for building logs in tests and per-record oracles
 Row = namedtuple("Row", "ts_s vantage slot attempt outcome latency_ms reason",
@@ -197,6 +201,7 @@ class _Handler(BaseHTTPRequestHandler):
         with script.lock:
             index = script.count
             script.count += 1
+            script.requests.append((self.path, self.headers))
         action = script.behavior(index)
         kind = action[0]
         if kind == "sleep":
@@ -236,6 +241,7 @@ class HttpFixture:
         self.server = server
         self.lock = threading.Lock()
         self.count = 0
+        self.requests = []  # (path, headers) of each request, in arrival order
         self.behavior = lambda index: ("ok",)
 
     @property

@@ -17,7 +17,7 @@ from cloudprobe.model import CampaignConfig, ConfigError, Timeline
 from cloudprobe.prober import ProbeTarget
 from cloudprobe.simulate import DurationDistribution, NetworkBurst, OutageProcess, sample_campaign
 
-from conftest import write_config
+from conftest import BAD_URLS, write_config
 
 # every report these tests build passes report's own schema check
 pytestmark = pytest.mark.usefixtures("reports_pass_own_check")
@@ -568,6 +568,18 @@ class TestCmdProbe:
         assert needle in capsys.readouterr().err
         assert http_fixture.count == 0 and not (out / "attempts.jsonl").exists()
 
+    @pytest.mark.parametrize("url", BAD_URLS)
+    def test_bad_url_exits_one_before_probing(self, http_fixture, tmp_path, capsys, url):
+        config_path = tmp_path / "live.ini"
+        write_config(config_path, CampaignConfig(
+            probe_interval_s=0.25, horizon_days=0.25 / 86400.0, retry_max=1, retry_gap_s=0.0,
+            mode="live", target=http_fixture.url))
+        out = tmp_path / "out"
+        assert main(["probe", "--config", str(config_path), "--out", str(out), "--url", url]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: target URL {url!r}") and "Traceback" not in err
+        assert http_fixture.count == 0 and not (out / "attempts.jsonl").exists()
+
 
 class TestMalformedInput:
     @pytest.mark.parametrize("argv, files, code, needle", [
@@ -674,11 +686,12 @@ class TestMalformedInput:
 
 class TestUsage:
     def test_import_leaves_unused_modules_unloaded(self):
-        # only `probe` uses the HTTP stack and only `report` validates, so no other
-        # command pays for their imports; what a fresh interpreter importing only numpy
-        # already loads (say, through a host's site hooks) is not cloudprobe's doing
+        # only `probe` uses the HTTP stack and only the commands that write a fragment
+        # or a report load `report`, so no other command pays for their imports; what a
+        # fresh interpreter importing only numpy already loads (say, through a host's
+        # site hooks) is not cloudprobe's doing
         names = ("jsonschema", "http.client", "urllib.request", "ssl", "email", "socket",
-                 "importlib.metadata")
+                 "importlib.metadata", "cloudprobe.report")
         env = {**os.environ, "PYTHONPATH": str(Path(cloudprobe.__file__).parents[1])}
 
         def loaded_by(module):
@@ -734,7 +747,8 @@ class TestUsage:
         log, truth = f"{out}/attempts.jsonl", f"{out}/truth.jsonl"
         for argv, own, absent in (
                 (["simulate", "--config", str(config), "--out", out], "cloudprobe.simulate",
-                 {"cloudprobe.detection", "cloudprobe.estimators", "cloudprobe.prober"}),
+                 {"cloudprobe.detection", "cloudprobe.estimators", "cloudprobe.prober",
+                  "cloudprobe.report"}),
                 (["estimate", "--config", str(config), "--log", log, "--claim", "0.99",
                   "--out", out], "cloudprobe.estimators",
                  {"cloudprobe.detection", "cloudprobe.prober"}),

@@ -1,8 +1,12 @@
 import hashlib
 import json
 import math
+import os
 import re
 import socket
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -18,9 +22,9 @@ from cloudprobe.prober import (
     run_campaign,
 )
 from cloudprobe.detection import detect_outages
-from cloudprobe import logs
+from cloudprobe import logs, prober
 
-from conftest import BODY, rows_of
+from conftest import BAD_URLS, BODY, rows_of
 
 
 def live_config(slots, interval=0.25, retry_max=2, gap=0.05, url="http://example.invalid/"):
@@ -103,6 +107,15 @@ class TestProbeOnce:
                                         timeout_ms=5000))
         assert result.outcome == FAIL and result.reason in ("dns", "connect")
 
+    def test_name_resolution_failure_is_dns(self, monkeypatch):
+        # without a network lookup: the resolver fails as it does for an unknown name
+        def no_such_name(*args, **kwargs):
+            raise socket.gaierror(socket.EAI_NONAME, "Name or service not known")
+
+        monkeypatch.setattr(socket, "getaddrinfo", no_such_name)
+        result = probe_once(ProbeTarget(url="http://no-such-host.invalid/object"))
+        assert result.outcome == FAIL and result.reason == "dns"
+
     def test_target_validation(self):
         with pytest.raises(ConfigError):
             ProbeTarget(url="ftp://host/object")
@@ -110,6 +123,42 @@ class TestProbeOnce:
             ProbeTarget(url="http://host/", timeout_ms=0)
         with pytest.raises(ConfigError):
             ProbeTarget(url="http://host/", success_statuses=frozenset())
+
+    @pytest.mark.parametrize("url", BAD_URLS)
+    def test_bad_url_is_a_config_error(self, url):
+        with pytest.raises(ConfigError, match=re.escape(f"target URL {url!r}")):
+            ProbeTarget(url=url)
+
+    def test_environment_proxy_is_not_used(self, http_fixture):
+        # the probe measures the path to the target itself, with no proxy hop in it;
+        # it runs in a fresh interpreter, which has made no probe before this one
+        with socket.socket() as s:
+            s.bind(("127.0.0.1", 0))
+            closed = f"http://127.0.0.1:{s.getsockname()[1]}"
+        env = {name: value for name, value in os.environ.items() if name != "NO_PROXY"}
+        env.update(http_proxy=closed, https_proxy=closed, HTTP_PROXY=closed, no_proxy="",
+                   PYTHONPATH=str(Path(prober.__file__).parents[1]))
+        code = ("from cloudprobe.prober import ProbeTarget, probe_once; "
+                f"print(probe_once(ProbeTarget({http_fixture.url!r})).outcome)")
+        run = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                             env=env, check=True)
+        assert run.stdout.split() == [SUCCESS]
+        assert http_fixture.count == 1
+
+    def test_request_is_one_get_of_path_and_query(self, http_fixture):
+        origin = http_fixture.url.removesuffix("/object")
+        for url in (http_fixture.url + "?sig=a%2Fb#frag", origin):
+            assert probe_once(ProbeTarget(url=url)).outcome == SUCCESS
+        (path, headers), (bare, _) = http_fixture.requests
+        assert (path, bare) == ("/object?sig=a%2Fb", "/")
+        assert headers["User-Agent"] == "cloudprobe" and headers["Connection"] == "close"
+        assert headers["Host"] == origin.removeprefix("http://")
+        assert headers["Accept-Encoding"] == "identity"
+
+    def test_https_url_speaks_tls(self, http_fixture):
+        # the fixture speaks plain HTTP, so the TLS handshake an https URL starts fails
+        result = probe_once(ProbeTarget(url=http_fixture.url.replace("http:", "https:", 1)))
+        assert result.outcome == FAIL and result.reason == "connect"
 
     @pytest.mark.parametrize("digest", ["", "ab" * 31, "ab" * 33, "g" * 64, " " + "a" * 63])
     def test_expected_body_hash_must_be_a_sha256(self, digest):
