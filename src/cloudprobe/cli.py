@@ -126,10 +126,9 @@ def _load_campaign(args, need_process: bool = False) -> configfile.ParsedConfig:
     if not args.config:
         raise UsageError("--config is required for this command")
     parsed = configfile.read_config(args.config)
-    campaign = parsed.campaign
     if args.seed is not None:
-        campaign = dataclasses.replace(campaign, seed=args.seed)
-        parsed = dataclasses.replace(parsed, campaign=campaign)
+        seeded = dataclasses.replace(parsed.campaign, seed=args.seed)
+        parsed = dataclasses.replace(parsed, campaign=seeded)
     if need_process and parsed.process is None:
         raise ConfigError("config needs [process] and [duration] sections for simulation")
     return parsed
@@ -250,18 +249,11 @@ def cmd_probe(args) -> int:
     campaign, target = parsed.campaign, parsed.target  # read_config builds a live target
     if campaign.mode != "live":
         raise ConfigError("probe needs mode=live")
-    overrides = {}
     # a given flag overrides even when empty or zero, so ProbeTarget rejects it
-    if args.url is not None:
-        overrides["url"] = args.url
-    if args.timeout_ms is not None:
-        overrides["timeout_ms"] = args.timeout_ms
-    if args.success_status is not None:
-        overrides["success_statuses"] = frozenset(args.success_status)
-    if args.expected_body_hash is not None:
-        overrides["expected_body_hash"] = args.expected_body_hash
-    if overrides:
-        target = dataclasses.replace(target, **overrides)
+    flags = {"url": args.url, "timeout_ms": args.timeout_ms,
+             "success_statuses": args.success_status and frozenset(args.success_status),
+             "expected_body_hash": args.expected_body_hash}
+    target = dataclasses.replace(target, **{k: v for k, v in flags.items() if v is not None})
 
     out = _out_dir(args)
     log_path = out / "attempts.jsonl"

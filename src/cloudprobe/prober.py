@@ -30,16 +30,15 @@ class ProbeTarget:
     expected_body_hash: str | None = None  # hex sha256 of the expected body
 
     def __post_init__(self):
-        try:
+        try:  # on a malformed IPv6 literal, or a port that is not a number in 0-65535
             url = urllib.parse.urlsplit(self.url)
-            if url.port == 0:  # .port itself raises on one that is not a number in 0-65535
-                raise ValueError("Port must be in 1-65535, got 0")
-        except ValueError as exc:  # a malformed IPv6 literal too
+            port = url.port
+        except ValueError as exc:
             raise ConfigError(f"target URL {self.url!r}: {exc}") from None
         if url.scheme not in ("http", "https"):
             raise ConfigError(f"target URL must be http(s), got {self.url!r}")
-        if not url.hostname:
-            raise ConfigError(f"target URL {self.url!r} has no host")
+        if not url.hostname or port == 0:
+            raise ConfigError(f"target URL {self.url!r} needs a host and a port other than 0")
         if re.search(r"[\x00-\x20\x7f]", self.url):  # http.client sends none of them
             raise ConfigError(f"target URL {self.url!r} has a space or control character")
         if not 0 < self.timeout_ms < math.inf:
@@ -69,18 +68,27 @@ class ProbeResult:
             raise ValueError(f"latency_ms must be finite, got {self.latency_ms}")
 
 
+_tls = None  # the one client TLS context of the process, built by its first https probe
+
+
 def probe_once(target: ProbeTarget) -> ProbeResult:
     """Fetch the target once by a direct GET on a connection of its own, which
     follows no redirect and goes through no proxy; success needs a timely
     response, an allowed status and (when configured) a matching body digest."""
     import http.client  # on first use, so that only `probe` loads the HTTP stack
     import socket
+    global _tls
 
     url = urllib.parse.urlsplit(target.url)
-    connection = (http.client.HTTPSConnection if url.scheme == "https"
-                  else http.client.HTTPConnection)
+    if (https := url.scheme == "https") and _tls is None:  # a new one loads the CA store, ~30 ms
+        import ssl
+        _tls = ssl.create_default_context()  # it resumes no session: each handshake is full
+        _tls.set_alpn_protocols(["http/1.1"])  # as http.client sets up its own
+    connection = http.client.HTTPSConnection if https else http.client.HTTPConnection
     path = (url.path or "/") + (f"?{url.query}" if url.query else "")
-    conn = connection(url.hostname, url.port, timeout=target.timeout_ms / 1000.0)
+    # a port always, since http.client would read one out of an IPv6 host's colons
+    conn = connection(url.hostname, url.port or connection.default_port,
+                      timeout=target.timeout_ms / 1000.0, **({"context": _tls} if https else {}))
     started = time.monotonic()
     try:
         conn.request("GET", path, headers={"User-Agent": "cloudprobe", "Connection": "close"})

@@ -1,5 +1,7 @@
 import configparser
 import math
+import socket
+import socketserver
 import threading
 import time
 from collections import namedtuple
@@ -246,8 +248,8 @@ class HttpFixture:
 
     @property
     def url(self):
-        host, port = self.server.server_address
-        return f"http://{host}:{port}/object"
+        host, port = self.server.server_address[:2]
+        return f"http://{f'[{host}]' if ':' in host else host}:{port}/object"
 
     def set_behavior(self, fn):
         with self.lock:
@@ -255,9 +257,32 @@ class HttpFixture:
         self.behavior = fn
 
 
+class _Ipv6Server(ThreadingHTTPServer):
+    address_family = socket.AF_INET6
+
+    def server_bind(self):  # without HTTPServer's reverse lookup of its own address
+        socketserver.TCPServer.server_bind(self)
+        self.server_name, self.server_port = "localhost", self.server_address[1]
+
+
 @pytest.fixture
 def http_fixture():
-    server = ThreadingHTTPServer(("127.0.0.1", 0), _Handler)
+    yield from _serve(ThreadingHTTPServer, "127.0.0.1")
+
+
+@pytest.fixture
+def http_fixture_v6():
+    """The HTTP fixture on the IPv6 loopback, where the host has one."""
+    try:
+        with socket.socket(socket.AF_INET6) as s:
+            s.bind(("::1", 0))
+    except OSError:
+        pytest.skip("no IPv6 loopback")
+    yield from _serve(_Ipv6Server, "::1")
+
+
+def _serve(server_class, host):
+    server = server_class((host, 0), _Handler)
     server.daemon_threads = True
     script = HttpFixture(server)
     server.script = script

@@ -155,6 +155,46 @@ class TestProbeOnce:
         assert headers["Host"] == origin.removeprefix("http://")
         assert headers["Accept-Encoding"] == "identity"
 
+    @pytest.mark.parametrize("url, address", [
+        ("http://[::1]/x", ("::1", 80)), ("https://[::1]/x", ("::1", 443)),
+        ("http://[2001:db8::1]/x", ("2001:db8::1", 80)),
+        ("http://[fe80::abcd]/x", ("fe80::abcd", 80)),  # ends in what reads as a hex port
+        ("http://[::1]:8080/x", ("::1", 8080)), ("http://127.0.0.1/x", ("127.0.0.1", 80))])
+    def test_connects_to_the_host_and_port_of_the_url(self, monkeypatch, url, address):
+        # an IPv6 host's colons are not a port, with or without one given
+        seen = []
+
+        def refuse(address, *args, **kwargs):
+            seen.append(address)
+            raise ConnectionRefusedError
+
+        monkeypatch.setattr(socket, "create_connection", refuse)
+        assert probe_once(ProbeTarget(url=url)).reason == "connect"
+        assert seen == [address]
+
+    def test_ipv6_literal_host(self, http_fixture_v6):
+        assert probe_once(ProbeTarget(url=http_fixture_v6.url)).outcome == SUCCESS
+        (path, headers), = http_fixture_v6.requests
+        assert path == "/object"
+        assert headers["Host"] == http_fixture_v6.url.removeprefix("http://").split("/")[0]
+
+    def test_one_tls_context_serves_every_https_probe(self, http_fixture, monkeypatch):
+        # building a context loads the CA store, so the process builds one and keeps it
+        import ssl
+        built = []
+
+        def create_default_context(*args, **kwargs):
+            built.append(context := make(*args, **kwargs))
+            return context
+
+        make = ssl.create_default_context
+        monkeypatch.setattr(ssl, "create_default_context", create_default_context)
+        monkeypatch.setattr(prober, "_tls", None)
+        target = ProbeTarget(url=http_fixture.url.replace("http:", "https:", 1))
+        assert [probe_once(target).reason for _ in range(3)] == ["connect"] * 3
+        assert len(built) == 1 and prober._tls is built[0]
+        assert http_fixture.count == 0  # each handshake failed before a request
+
     def test_https_url_speaks_tls(self, http_fixture):
         # the fixture speaks plain HTTP, so the TLS handshake an https URL starts fails
         result = probe_once(ProbeTarget(url=http_fixture.url.replace("http:", "https:", 1)))
