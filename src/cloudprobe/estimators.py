@@ -114,8 +114,7 @@ def _solve_p(fn, target: float, decreasing: bool = False) -> float:
     for _ in range(100):
         mid = 0.5 * (lo + hi)
         v = fn(mid)
-        above = (v < target) if decreasing else (v > target)
-        if above:
+        if (v < target) if decreasing else (v > target):
             hi = mid
         else:
             lo = mid
@@ -130,31 +129,21 @@ def _binom_logpmf(k: int, n: int, p: float) -> float:
 def binom_cdf(k: int, n: int, p: float) -> float:
     """P(X <= k) for X ~ Binomial(n, p), summed away from the mode so the
     series terminates quickly for large n."""
-    if k < 0:
+    if k < 0 or (k < n and p >= 1.0):
         return 0.0
-    if k >= n:
+    if k >= n or p <= 0.0:
         return 1.0
-    if p <= 0.0:
-        return 1.0
-    if p >= 1.0:
-        return 0.0
-    # both sums start at the largest term and walk away from the mode, so a
-    # term at or below total*1e-18 (including underflow to 0.0) ends the series
-    if k <= n * p:
-        total = 0.0
-        for i in range(k, -1, -1):
-            term = math.exp(_binom_logpmf(i, n, p))
-            total += term
-            if term <= total * 1e-18:
-                break
-        return min(total, 1.0)
+    # the lower tail up to k, or else the upper tail past k: either sum starts
+    # at its largest term and walks away from the mode, so a term at or below
+    # total*1e-18 (including underflow to 0.0) ends the series
+    lower = k <= n * p
     total = 0.0
-    for i in range(k + 1, n + 1):
+    for i in range(k, -1, -1) if lower else range(k + 1, n + 1):
         term = math.exp(_binom_logpmf(i, n, p))
         total += term
         if term <= total * 1e-18:
             break
-    return max(0.0, 1.0 - total)
+    return min(total, 1.0) if lower else max(0.0, 1.0 - total)
 
 
 def binom_sf(k: int, n: int, p: float) -> float:
@@ -218,16 +207,9 @@ def sla_test(counts: AttemptCounts, claim: SlaClaim, method: str = "auto") -> Sl
         z = None
         p_value = binom_cdf(successes, trials, p0)
 
-    return SlaTestResult(
-        claimed_availability=p0,
-        alpha=claim.alpha,
-        observed=observed,
-        trials=trials,
-        z=z,
-        p_value=p_value,
-        reject=p_value < claim.alpha,
-        method=method,
-    )
+    return SlaTestResult(claimed_availability=p0, alpha=claim.alpha, observed=observed,
+                         trials=trials, z=z, p_value=p_value, reject=p_value < claim.alpha,
+                         method=method)
 
 
 def build_estimate_set(counts: AttemptCounts, alpha: float = 0.05) -> EstimateSet:
@@ -235,18 +217,12 @@ def build_estimate_set(counts: AttemptCounts, alpha: float = 0.05) -> EstimateSe
     p1 = first_try_availability(counts)
     trials = counts.attempts[0]
     ci_low, ci_high = wald_interval(p1, trials, alpha)
-    if p1 <= 0.0:
-        k = 0.0
-    elif p1 >= 1.0:
-        k = math.inf
-    else:
-        k = nines(p1)
     return EstimateSet(
         first_try=p1,
         per_attempt=per_attempt_availability(counts),
         retry_filtered=retry_filtered_availability(counts),
         std_error=standard_error(p1, trials),
-        nines=k,
+        nines=0.0 if p1 <= 0.0 else math.inf if p1 >= 1.0 else nines(p1),
         ci_low=ci_low,
         ci_high=ci_high,
     )

@@ -73,8 +73,9 @@ _tls = None  # the one client TLS context of the process, built by its first htt
 
 def probe_once(target: ProbeTarget) -> ProbeResult:
     """Fetch the target once by a direct GET on a connection of its own, which
-    follows no redirect and goes through no proxy; success needs a timely
-    response, an allowed status and (when configured) a matching body digest."""
+    follows no redirect and goes through no proxy; success needs the whole
+    response within timeout_ms, an allowed status and (when configured) a
+    matching body digest."""
     import http.client  # on first use, so that only `probe` loads the HTTP stack
     import socket
     global _tls
@@ -90,12 +91,19 @@ def probe_once(target: ProbeTarget) -> ProbeResult:
     conn = connection(url.hostname, url.port or connection.default_port,
                       timeout=target.timeout_ms / 1000.0, **({"context": _tls} if https else {}))
     started = time.monotonic()
+    deadline = started + target.timeout_ms / 1000.0  # one for connect, headers and body
     try:
         conn.request("GET", path, headers={"User-Agent": "cloudprobe", "Connection": "close"})
-        resp = conn.getresponse()
+        sock = conn.sock  # the response reads through it, also once getresponse drops it
+        resp = _before(deadline, sock, conn.getresponse)
         if resp.status not in target.success_statuses:  # a 3xx too: no redirect is followed
             return ProbeResult(FAIL, reason="status")
-        body = resp.read()
+        body = hashlib.sha256()
+        # one read a piece, within the deadline; none once the response (and so sock) closes
+        while not resp.isclosed() and (piece := _before(deadline, sock, resp.read1, 1 << 16)):
+            body.update(piece)
+        if resp.length:  # the server closed before Content-Length bytes came
+            raise http.client.IncompleteRead(b"", resp.length)
     except socket.gaierror:
         return ProbeResult(FAIL, reason="dns")
     except TimeoutError:  # socket.timeout is an alias of it since Python 3.10
@@ -109,9 +117,18 @@ def probe_once(target: ProbeTarget) -> ProbeResult:
 
     latency_ms = (time.monotonic() - started) * 1000.0
     if target.expected_body_hash is not None:
-        if hashlib.sha256(body).hexdigest() != target.expected_body_hash.lower():
+        if body.hexdigest() != target.expected_body_hash.lower():
             return ProbeResult(FAIL, reason="digest")
     return ProbeResult(SUCCESS, latency_ms=latency_ms)
+
+
+def _before(deadline: float, sock, step, *args):
+    """step(*args) with sock's timeout the time left before deadline (monotonic
+    seconds); TimeoutError once none is left."""
+    if (left := deadline - time.monotonic()) <= 0:
+        raise TimeoutError
+    sock.settimeout(left)
+    return step(*args)
 
 
 def checkpoint_path_for(log_path) -> str:
@@ -142,10 +159,7 @@ def _write_checkpoint(path, slot: int) -> None:
 
 
 def _sleep_until(deadline_mono: float) -> None:
-    while True:
-        remaining = deadline_mono - time.monotonic()
-        if remaining <= 0:
-            return
+    while (remaining := deadline_mono - time.monotonic()) > 0:
         time.sleep(remaining)
 
 

@@ -194,6 +194,10 @@ def sample_campaign(timeline: Timeline, config: CampaignConfig,
     it succeeds. Vantage points draw from independent substreams of the config
     seed, and the merged log is sorted by (ts_s, vantage, attempt) so the result
     does not depend on per-vantage execution order.
+
+    Only a slot whose retry window [kT+o, kT+o+(retry_max-1)*retry_gap_s] an
+    outage [s, e) of either cause touches (s <= the window's end, e > its
+    start) has its attempt grid built; every attempt of any other slot is free.
     """
     if timeline.horizon_s < config.horizon_s - 1e-9:
         raise ValueError("timeline horizon shorter than campaign horizon")
@@ -210,21 +214,36 @@ def sample_campaign(timeline: Timeline, config: CampaignConfig,
         raise ValueError("network_fail_prob must be in [0, 1)")
 
     slots, retry_max = config.slots, config.retry_max
-    grids = {}  # phase offset -> its (ts, cloud, blocked) grids, shared by its vantages
+    steps = np.arange(retry_max) * config.retry_gap_s  # each attempt's delay after the first
     parts = []
     for vantage, offset in enumerate(offsets.tolist()):
-        if offset not in grids:
-            ts = ((np.arange(slots) * config.probe_interval_s + offset)[:, None]
-                  + np.arange(retry_max) * config.retry_gap_s)
-            cloud = timeline.in_outage(ts, CLOUD)
-            grids[offset] = ts, cloud, cloud | timeline.in_outage(ts, NETWORK)
-        ts, cloud, blocked = grids[offset]
+        first = np.arange(slots) * config.probe_interval_s + offset
+        # an outage touches the slots from lo to hi - 1 (see the docstring)
+        lo = np.searchsorted(first + steps[-1], timeline.start_s)
+        hi = np.searchsorted(first, timeline.start_s + timeline.duration_s)
+        touched = np.cumsum(np.bincount(lo, minlength=slots + 1)
+                            - np.bincount(hi, minlength=slots + 1))[:-1] > 0
+        ts = first[touched, None] + steps
+        cloud = timeline.in_outage(ts, CLOUD)
+        free = ~(cloud | timeline.in_outage(ts, NETWORK))
+        free_counts = np.full(slots, retry_max)
+        free_counts[touched] = free.sum(axis=1)
         draws = None if network_fail_prob == 0.0 else (  # q = 0 draws nothing
             _rng(config.seed, _TAG_VANTAGE, vantage).random(slots * retry_max) >= network_fail_prob)
-        made, ok = _retry_schedule(~blocked, draws)
-        outcome = np.where(ok, OUTCOMES.index(SUCCESS), np.where(
-            cloud, OUTCOMES.index(CLOUD_FAIL), OUTCOMES.index(NETWORK_FAIL)))
-        parts.append(_grid_log(ts, vantage, made, outcome))
+        made, ok = _retry_schedule(free_counts, touched, free, draws)
+        slot, ends = np.repeat(np.arange(slots), made), np.cumsum(made)
+        attempt = np.arange(len(slot)) - np.repeat(ends - made, made)
+        # a failure is network_fail unless a touched slot's attempt is in a cloud outage
+        outcome = np.full(len(slot), OUTCOMES.index(NETWORK_FAIL))
+        fail = np.where(cloud, OUTCOMES.index(CLOUD_FAIL), OUTCOMES.index(NETWORK_FAIL))
+        outcome[np.repeat(touched, made)] = fail[np.arange(retry_max) < made[touched, None]]
+        outcome[ends[ok] - 1] = OUTCOMES.index(SUCCESS)
+        parts.append(AttemptLog(  # ts_s: the float sum a grid of every attempt would hold
+            ts_s=first[slot] + steps[attempt], vantage=np.full(len(slot), vantage), slot=slot,
+            attempt=attempt + 1, outcome=outcome, latency_ms=np.full(len(slot), np.nan),
+            reason=np.full(len(slot), -1)))
+    if len(parts) == 1:  # already in ts_s order
+        return parts[0]
     log = AttemptLog.concat(parts)
     # each part is in (slot, attempt) order, which is ts_s order because a
     # slot's retries end before the next slot, so a stable sort on ts_s of the
@@ -232,31 +251,23 @@ def sample_campaign(timeline: Timeline, config: CampaignConfig,
     return log[np.argsort(log.ts_s, kind="stable")]
 
 
-def _grid_log(ts, vantage: int, made, outcome) -> AttemptLog:
-    """The attempts made in one vantage's slots x retry_max grid, as a log
-    without latencies or failure reasons."""
-    slot, attempt = np.nonzero(made)  # in (slot, attempt) order
-    rows = len(slot)
-    return AttemptLog(ts_s=ts[made], vantage=np.full(rows, vantage), slot=slot,
-                      attempt=attempt + 1, outcome=outcome[made],
-                      latency_ms=np.full(rows, np.nan), reason=np.full(rows, -1))
+def _retry_schedule(free_counts: np.ndarray, touched: np.ndarray, free: np.ndarray,
+                    draws: np.ndarray | None):
+    """Walk one vantage's slots of scheduled attempts.
 
-
-def _retry_schedule(free: np.ndarray, draws: np.ndarray | None):
-    """Walk one vantage's slots x retry_max grid of scheduled attempts.
-
-    A slot's attempts run in order until one succeeds. An attempt that is not
-    free fails without a draw; a free one succeeds when the next unused entry
-    of draws is True, or always when draws is None. Draws are used in (slot,
-    attempt) order. Returns the masks of attempts made and of successes.
+    free_counts holds each slot's count of free attempts, retry_max for a slot
+    whose retry window no outage touches. touched masks the other slots, and
+    free is their (slot, attempt) grid, retry_max wide. A slot's attempts
+    run in order until one succeeds. An attempt that is not free fails without
+    a draw; a free one succeeds when the next unused entry of draws is True, or
+    always when draws is None. Draws are used in (slot, attempt) order. Returns
+    each slot's count of attempts made and whether its last one succeeded.
 
     A slot with a free attempt uses one draw unless it is False, so only the
     False draws are walked: one at free slot j's first draw (j plus the extra
     draws of the slots before) makes it use the draws through the next True one,
     capped at its free count.
     """
-    retry_max = free.shape[1]
-    free_counts = free.sum(axis=1)
     used = np.minimum(free_counts, 1)
     if draws is None:
         ok_slot = used > 0
@@ -276,10 +287,9 @@ def _retry_schedule(free: np.ndarray, draws: np.ndarray | None):
         used[np.flatnonzero(free_counts)[list(walked)]] = list(walked.values())
         ok_slot = (used > 0) & draws[np.cumsum(used) - 1]
     # the used-th free attempt of a successful slot is its success
-    success_at = np.argmax(free & (np.cumsum(free, axis=1) == used[:, None]), axis=1)
-    ok = ok_slot[:, None] & (np.arange(retry_max) == success_at[:, None])
-    made = np.arange(retry_max) < np.where(ok_slot, success_at + 1, retry_max)[:, None]
-    return made, ok
+    success_at = used - 1
+    success_at[touched] = np.argmax(free & (np.cumsum(free, axis=1) == used[touched, None]), axis=1)
+    return np.where(ok_slot, success_at + 1, free.shape[1]), ok_slot
 
 
 def true_unavailability(timeline: Timeline, cause: str | None = None) -> float:

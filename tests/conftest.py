@@ -14,8 +14,7 @@ import pytest
 from cloudprobe import report
 from cloudprobe.model import (CAUSES, CLOUD, CLOUD_FAIL, FAIL, FAIL_REASONS, NETWORK_FAIL,
                               OUTCOMES, SUCCESS, AttemptLog, Timeline)
-from cloudprobe.simulate import (_DURATION_RULES, DurationDistribution, _grid_log,
-                                 _retry_schedule, _rng)
+from cloudprobe.simulate import _DURATION_RULES, DurationDistribution, _retry_schedule, _rng
 
 BODY = b"cloudprobe test object\n"
 # target URLs that ProbeTarget rejects: no host, an unreadable port or port 0, a
@@ -78,10 +77,16 @@ def iid_attempt_log(success_prob: float, slots: int, retry_max: int,
     if slots < 0 or retry_max < 1:
         raise ValueError("need slots >= 0 and retry_max >= 1")
     draws = _rng(seed, 3).random(slots * retry_max) < success_prob
-    made, ok = _retry_schedule(np.ones((slots, retry_max), dtype=bool), draws)
-    ts = np.arange(slots)[:, None] + np.arange(retry_max) * 1e-3
-    return _grid_log(ts, vantage, made,
-                     np.where(ok, OUTCOMES.index(SUCCESS), OUTCOMES.index(CLOUD_FAIL)))
+    # every attempt is free: no slot is touched
+    made, ok = _retry_schedule(np.full(slots, retry_max), np.zeros(slots, bool),
+                               np.zeros((0, retry_max), bool), draws)
+    slot, ends = np.repeat(np.arange(slots), made), np.cumsum(made)
+    attempt = np.arange(len(slot)) - np.repeat(ends - made, made)
+    outcome = np.full(len(slot), OUTCOMES.index(CLOUD_FAIL))
+    outcome[ends[ok] - 1] = OUTCOMES.index(SUCCESS)
+    return AttemptLog(ts_s=slot + attempt * 1e-3, vantage=np.full(len(slot), vantage), slot=slot,
+                      attempt=attempt + 1, outcome=outcome, latency_ms=np.full(len(slot), np.nan),
+                      reason=np.full(len(slot), -1))
 
 
 def loop_retry_schedule(free: np.ndarray, draws: np.ndarray | None):
@@ -229,6 +234,17 @@ class _Handler(BaseHTTPRequestHandler):
             self.send_header("Content-Length", str(len(BODY) + 100))
             self.end_headers()
             self.wfile.write(BODY)
+            self.close_connection = True
+        elif kind == "drip":  # the body one byte every action[1] seconds
+            self.send_response(200)
+            self.send_header("Content-Length", str(len(BODY)))
+            self.end_headers()
+            try:
+                for byte in BODY:
+                    self.wfile.write(bytes([byte]))
+                    time.sleep(action[1])
+            except OSError:  # the client gave up and closed
+                pass
             self.close_connection = True
         elif kind == "garbage":  # a reply that is not HTTP
             self.wfile.write(b"not http at all\r\n\r\n")

@@ -327,20 +327,22 @@ class TestDetectionReport:
 
 def per_trial_monte_carlo(duration_s, interval_s, trials, seed=0, retry_max=9,
                           retry_gap_s=1.0):
-    """Reference: one Timeline, CampaignConfig and sampler run per trial."""
+    """Reference: each trial's attempt times walked in plain Python from the
+    schedule, with no sampler. Attempt a of slot k is at k*T + (a-1)*g, and a
+    slot's retries stop at its first attempt outside the outage."""
     rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(9,)))
     missed = 0
     for _ in range(trials):
         offset = float(rng.uniform(0.0, interval_s))
         start = interval_s + offset
-        horizon = interval_s * (math.floor((start + duration_s) / interval_s) + 2)
-        timeline = timeline_of(horizon, (Outage(start, duration_s, CLOUD),))
-        cfg = CampaignConfig(probe_interval_s=interval_s, horizon_days=horizon / 86400.0,
-                             vantage_points=1, retry_max=retry_max,
-                             retry_gap_s=retry_gap_s, seed=0)
-        records = sample_campaign(timeline, cfg)
-        if not any(start <= ts < start + duration_s for ts in records.ts_s.tolist()):
-            missed += 1
+        end = start + duration_s
+        seen = False
+        for k in range(math.floor(end / interval_s) + 2):
+            for a in range(1, retry_max + 1):
+                if not start <= k * interval_s + (a - 1) * retry_gap_s < end:
+                    break
+                seen = True
+        missed += not seen
     return missed / trials
 
 

@@ -6,6 +6,7 @@ import re
 import socket
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -61,6 +62,21 @@ class TestProbeOnce:
         http_fixture.set_behavior(lambda i: ("sleep", 0.6))
         result = probe_once(ProbeTarget(url=http_fixture.url, timeout_ms=150))
         assert result.outcome == FAIL and result.reason == "timeout"
+
+    def test_timeout_is_one_deadline_for_the_attempt(self, http_fixture):
+        # each byte comes well within timeout_ms, the whole body (2.3 s) far outside it
+        http_fixture.set_behavior(lambda i: ("drip", 0.1))
+        started = time.monotonic()
+        result = probe_once(ProbeTarget(url=http_fixture.url, timeout_ms=500))
+        elapsed = time.monotonic() - started
+        assert result.outcome == FAIL and result.reason == "timeout"
+        assert elapsed < 0.75
+
+    def test_slow_body_within_the_deadline_succeeds(self, http_fixture):
+        http_fixture.set_behavior(lambda i: ("drip", 0.01))
+        target = ProbeTarget(url=http_fixture.url, timeout_ms=5000,
+                             expected_body_hash=hashlib.sha256(BODY).hexdigest())
+        assert probe_once(target).outcome == SUCCESS
 
     def test_redirect_is_status_fail(self, http_fixture):
         http_fixture.set_behavior(lambda i: ("redirect", http_fixture.url + "x"))

@@ -365,6 +365,105 @@ class TestMatchesPerRecordReference:
             per_record_iid(p, 500, retry_max, seed=4, vantage=2)
 
 
+# the kinds of hand-placed outage, each at attempt a of slot k, time t = kT + o + a*g
+PLACEMENTS = ("starts_at_attempt", "ends_at_attempt", "between_retries", "starts_at_last_retry",
+              "spans_slot_boundary")
+
+
+@st.composite
+def hand_placed_campaigns(draw):
+    """A small campaign with outages placed on and around its attempt times.
+
+    Every time is a multiple of 1/8 below 2**10, so each sum is exact and an
+    outage that starts or ends at an attempt does so exactly."""
+    interval = float(draw(st.integers(6, 40)))  # above (retry_max - 1) * gap, at most 4
+    retry_max = draw(st.integers(1, 5))
+    gap = draw(st.sampled_from([0.0, 0.5, 1.0]))
+    slots = draw(st.integers(0, 6))
+    vantages = draw(st.integers(1, 3))
+    offsets = draw(st.one_of(st.none(), st.lists(st.sampled_from([0.0, 0.25, 1.5]),
+                                                 min_size=vantages, max_size=vantages)))
+    placed = draw(st.lists(st.tuples(
+        st.sampled_from(PLACEMENTS), st.integers(0, max(slots - 1, 0)),
+        st.integers(0, retry_max - 1), st.integers(0, vantages - 1),
+        st.sampled_from([CLOUD, NETWORK]), st.integers(1, 4 * int(interval))), max_size=6))
+    return (dict(probe_interval_s=interval, horizon_days=max(slots, 0.5) * interval / DAY,
+                 vantage_points=vantages, retry_max=retry_max, retry_gap_s=gap),
+            offsets, placed, draw(st.sampled_from([0.0, 0.5])))
+
+
+def place_outages(config, offsets, placed):
+    """The outages the placements name, dropping any that overlap an earlier one
+    of their cause or start before 0."""
+    interval, gap, last = config.probe_interval_s, config.retry_gap_s, config.retry_max - 1
+    outages = []
+    for kind, slot, attempt, vantage, cause, quarters in placed:
+        epoch = slot * interval + (offsets[vantage] if offsets else 0.0)
+        t, d = epoch + attempt * gap, quarters / 4.0
+        start, d = {"starts_at_attempt": (t, d), "ends_at_attempt": (t - d, d),
+                    "between_retries": (t + gap / 4, gap / 2),
+                    "starts_at_last_retry": (epoch + last * gap, d),
+                    "spans_slot_boundary": (epoch + last * gap + 0.25, interval)}[kind]
+        if start < 0 or d == 0 or any(o.cause == cause and start < o.start_s + o.duration_s
+                                      and o.start_s < start + d for o in outages):
+            continue
+        outages.append(Outage(start, d, cause))
+    return outages
+
+
+class TestHandPlacedOutages:
+    """The sampler against the per-record reference where the touched-window
+    rule has its edges: outages starting or ending exactly at an attempt, one
+    between two retries, one starting at the last retry, one across a slot
+    boundary, no gap, one attempt, no slots and vantages sharing an offset."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(campaign=hand_placed_campaigns())
+    def test_matches_per_record_reference(self, campaign):
+        kwargs, offsets, placed, q = campaign
+        config = small_config(**kwargs)
+        outages = place_outages(config, offsets, placed)
+        # a horizon past the campaign's leaves room for outages after its last slot
+        tl = timeline_of(config.slots * config.probe_interval_s + 8 * config.probe_interval_s,
+                         outages)
+        log = sample_campaign(tl, config, q, phase_offsets=offsets)
+        assert rows_of(log) == per_record_sample(tl, config, q, phase_offsets=offsets)
+
+    @pytest.mark.parametrize("kind", PLACEMENTS)
+    @pytest.mark.parametrize("cause", [CLOUD, NETWORK])
+    def test_each_placement(self, kind, cause):
+        config = small_config(probe_interval_s=20.0, horizon_days=4 * 20.0 / DAY,
+                              vantage_points=3, retry_max=4, retry_gap_s=1.0)
+        offsets = [0.5, 0.0, 0.5]  # two vantages share an offset
+        for attempt in range(config.retry_max):
+            outages = place_outages(config, offsets, [(kind, 1, attempt, 0, cause, 6)])
+            assert len(outages) == 1
+            tl = timeline_of(200.0, outages)
+            for q in (0.0, 0.5):
+                log = sample_campaign(tl, config, q, phase_offsets=offsets)
+                assert rows_of(log) == per_record_sample(tl, config, q, phase_offsets=offsets)
+
+    def test_outage_between_retries_changes_nothing(self):
+        config = small_config(probe_interval_s=20.0, horizon_days=4 * 20.0 / DAY, retry_max=4)
+        tl = timeline_of(200.0, place_outages(config, None,
+                                              [("between_retries", 1, 1, 0, CLOUD, 1)]))
+        assert len(tl) == 1
+        assert rows_of(sample_campaign(tl, config)) == rows_of(
+            sample_campaign(Timeline(200.0, [], []), config))
+
+
+def schedule_grids(free, draws, touched=None):
+    """_retry_schedule given the grid free as its inputs (each slot's free
+    count, and the rows of the touched slots: those not wholly free, and any
+    others touched names), as the masks of attempts made and of successes."""
+    retry_max = free.shape[1]
+    free_counts = free.sum(axis=1)
+    touched = (free_counts < retry_max) | (False if touched is None else touched)
+    made, ok = _retry_schedule(free_counts, touched, free[touched], draws)
+    attempts = np.arange(retry_max)
+    return attempts < made[:, None], ok[:, None] & (attempts == made[:, None] - 1)
+
+
 class TestRetryWalk:
     """_retry_schedule, which walks only the False draws, against the loop over
     every slot that it replaced."""
@@ -379,8 +478,11 @@ class TestRetryWalk:
         rng = np.random.default_rng(seed)
         free = rng.random((slots, retry_max)) < free_density
         # draws past slots * retry_max are never reached: a tail the walk must leave alone
-        for draws in (rng.random(slots * retry_max + tail) < draw_density, None):
-            made, ok = _retry_schedule(free, draws)
+        all_draws = rng.random(slots * retry_max + tail) < draw_density
+        # a touched slot may have every attempt free, as when an outage falls between retries
+        touched = rng.random(slots) < 0.3
+        for draws in (all_draws, None):
+            made, ok = schedule_grids(free, draws, touched)
             want_made, want_ok = loop_retry_schedule(free, draws)
             assert made.tolist() == want_made.tolist() and ok.tolist() == want_ok.tolist()
 
@@ -390,7 +492,7 @@ class TestRetryWalk:
         free = np.array([[True, True, True], [True, True, True], [False, False, False],
                          [True, False, True]])
         draws = np.array([False, False, True, False, False, False, True, False, True])
-        made, ok = _retry_schedule(free, draws)
+        made, ok = schedule_grids(free, draws)
         assert made.sum(axis=1).tolist() == [3, 3, 3, 1]
         assert ok.any(axis=1).tolist() == [True, False, False, True]
         assert made.tolist() == loop_retry_schedule(free, draws)[0].tolist()
