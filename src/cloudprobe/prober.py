@@ -199,7 +199,7 @@ def run_campaign(target: ProbeTarget, config: CampaignConfig, log_path,
     start_slot = last_done + 1
     origin = time.monotonic() - start_slot * interval
 
-    with open(log_path, "a", encoding="utf-8") as log:
+    with logs.open_to_append(log_path) as log:
         for slot in range(start_slot, config.slots):
             _sleep_until(origin + slot * interval)
             for attempt in range(1, config.retry_max + 1):

@@ -272,9 +272,11 @@ def _retry_schedule(free_counts: np.ndarray, touched: np.ndarray, free: np.ndarr
     if draws is None:
         ok_slot = used > 0
     else:
-        false, true = np.flatnonzero(~draws), np.flatnonzero(draws)
-        # next_ok[i]: index of the first True draw after False draw false[i] (len(draws) if none)
-        next_ok = np.append(true, draws.size)[np.searchsorted(true, false)]
+        false = np.flatnonzero(~draws)
+        # next_ok[i]: index of the first True draw after False draw false[i] (len(draws) if
+        # none), one past the end of its run of False draws; with no False draw, all empty
+        ends = np.flatnonzero(np.diff(false, append=draws.size + 1) != 1)
+        next_ok = np.repeat(false[ends] + 1, np.diff(ends, prepend=-1))
         counts = free_counts[free_counts > 0].tolist()
         walked, shift, end = {}, 0, 0  # free slot -> draws used; extra draws; first unwalked draw
         for f, run in zip(false.tolist(), (next_ok - false + 1).tolist()):

@@ -5,9 +5,13 @@ on each line of the file read as text, the per-record rules, then ts_s
 nondecreasing per vantage, with the file and the first bad line in file order
 named in the error. read_attempt_log must give the same column bytes, or the
 same exception type and message, for every input and at every block size.
+The column sidecar must read to what the log parses to, and be passed over
+whenever it does not match its log.
 """
 import json
 import math
+import os
+import shutil
 from itertools import repeat
 from unittest import mock
 
@@ -17,8 +21,8 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from cloudprobe import logs
-from cloudprobe.model import (FAIL, FAIL_REASONS, OUTCOMES, AttemptLog, CampaignConfig,
-                              DataError, MalformedLogError)
+from cloudprobe.model import (_COLUMNS, FAIL, FAIL_REASONS, OUTCOMES, AttemptLog,
+                              CampaignConfig, DataError, MalformedLogError)
 from cloudprobe.simulate import DurationDistribution, OutageProcess, generate_timeline, \
     sample_campaign
 
@@ -452,6 +456,7 @@ def test_writer_output_takes_the_fast_path(tmp_path, monkeypatch):
     for name, log in (("simulated", simulated), ("live", live), ("wall-clock", wall_clock)):
         path = tmp_path / f"{name}.jsonl"
         logs.write_attempt_log(path, log)
+        os.remove(logs.sidecar_path(path))  # so that the log is parsed
         back = logs.read_attempt_log(path)
         assert calls == [], name
         for column in COLUMNS:
@@ -512,6 +517,180 @@ def test_writer_integral_and_without_latency(tmp_path, monkeypatch, length):
                       FAIL_REASONS[i % 5] if i % 4 else None) for i in range(length)])
     monkeypatch.setattr(logs, "repr", lambda x: pytest.fail(f"repr({x!r})"), raising=False)
     assert _written(tmp_path, log) == _lines_of(log)
+
+
+def _remove_sidecar(path):
+    sidecar = logs.sidecar_path(path)
+    (shutil.rmtree if os.path.isdir(sidecar) else os.remove)(sidecar)
+
+
+@st.composite
+def sidecar_logs(draw):
+    """Valid logs of 1 to 3 vantages with retries: ts_s nondecreasing per vantage,
+    integral or not, latency_ms and reason present or absent, in vantage-major or
+    ts_s order, a missing latency as either NaN."""
+    rows = []
+    for vantage in range(draw(st.integers(1, 3))):
+        ts = draw(st.sampled_from([0.0, 0.5, 1729270000.1234567]))
+        for slot in range(draw(st.integers(0, 6))):
+            for attempt in range(1, draw(st.integers(1, 4)) + 1):
+                ts += draw(st.sampled_from([0.0, 1.0, 600.0, 0.1, 1e-05, 2.0 ** 53]))
+                rows.append(Row(ts, vantage, slot, attempt, draw(st.sampled_from(OUTCOMES)),
+                                draw(st.none() | st.floats(-1e6, 1e6)),
+                                draw(st.none() | st.sampled_from(FAIL_REASONS))))
+    if draw(st.booleans()):
+        rows.sort(key=lambda row: row.ts_s)
+    log = log_of(rows)
+    log.latency_ms[np.isnan(log.latency_ms)] = draw(st.sampled_from([math.nan, -math.nan]))
+    return log
+
+
+@settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(log=sidecar_logs())
+def test_sidecar_reads_as_the_log_parses(tmp_path_factory, log):
+    path = tmp_path_factory.mktemp("log") / "log.jsonl"
+    logs.write_attempt_log(path, log)
+    with mock.patch.object(logs, "_parse", side_effect=AssertionError("the log was parsed")):
+        from_sidecar = logs.read_attempt_log(path)
+    _remove_sidecar(path)
+    parsed = logs.read_attempt_log(path)
+    for name in COLUMNS:
+        a, b = getattr(from_sidecar, name), getattr(parsed, name)
+        assert a.dtype == b.dtype and np.array_equal(a, b, equal_nan=a.dtype.kind == "f"), name
+        assert a.tobytes() == b.tobytes(), name  # a missing latency is NaN as the parse gives it
+
+
+SIDECAR_LOG = log_of([Row(0.5, 0, 0, 1, "fail", 12.5, "dns"), Row(1.5, 0, 0, 2, "success"),
+                      Row(0.25, 1, 0, 1, "success", 3.0), Row(600.0, 0, 1, 1, "success")])
+
+
+def _edit(path, old: bytes, new: bytes):
+    """Replace old by new, of the same length, in the file at path."""
+    text = path.read_bytes()
+    assert len(old) == len(new) and old in text
+    path.write_bytes(text.replace(old, new, 1))
+
+
+def _set_cell(path, name, row, value):
+    """Overwrite one value of a column in the sidecar of the log at path."""
+    k = list(_COLUMNS).index(name)
+    before = sum(dtype.itemsize for dtype in logs._DTYPES[:k]) * len(SIDECAR_LOG)
+    with open(logs.sidecar_path(path), "r+b") as f:
+        f.seek(logs._HEADER.size + before + row * logs._DTYPES[k].itemsize)
+        f.write(np.array([value], logs._DTYPES[k]).tobytes())
+
+
+def _append(path, text):
+    with open(path, "a", encoding="utf-8") as f:
+        f.write(text)
+
+
+def _sidecar_bytes(path, edit):
+    sidecar = logs.sidecar_path(path)
+    with open(sidecar, "rb") as f:
+        data = f.read()
+    with open(sidecar, "wb") as f:
+        f.write(edit(data))
+
+
+# each case spoils a good log's sidecar, or the log beside it, after both are written
+SIDECAR_CASES = {
+    "log-edited-same-length": lambda p: _edit(p, b'"slot":1,', b'"slot":7,'),
+    "log-edited-to-a-bad-line": lambda p: _edit(p, b'"attempt":2,', b'"attempt":0,'),
+    "log-edited-to-crlf": lambda p: p.write_bytes(p.read_bytes().replace(b"\n", b"\r\n")),
+    "log-appended-to": lambda p: _append(p, logs.attempt_line(700.0, 0, 2, 1, "success")),
+    "sidecar-truncated": lambda p: _sidecar_bytes(p, lambda b: b[:-1]),
+    "sidecar-header-only": lambda p: _sidecar_bytes(p, lambda b: b[:logs._HEADER.size]),
+    "sidecar-cut-in-header": lambda p: _sidecar_bytes(p, lambda b: b[:10]),
+    "sidecar-empty": lambda p: _sidecar_bytes(p, lambda b: b""),
+    "sidecar-extended": lambda p: _sidecar_bytes(p, lambda b: b + b"\0"),
+    "wrong-magic": lambda p: _sidecar_bytes(p, lambda b: b"X" + b[1:]),
+    "wrong-version": lambda p: _sidecar_bytes(p, lambda b: b[:8] + b"\2" + b[9:]),
+    "wrong-sha256": lambda p: _sidecar_bytes(p, lambda b: b[:24] + bytes([b[24] ^ 1]) + b[25:]),
+    "count-one-short": lambda p: _sidecar_bytes(p, lambda b: b[:56] + bytes([b[56] - 1]) + b[57:]),
+    "count-one-over": lambda p: _sidecar_bytes(p, lambda b: b[:56] + bytes([b[56] + 1]) + b[57:]),
+    "ts-decreases": lambda p: _set_cell(p, "ts_s", 1, 0.25),
+    "ts-negative": lambda p: _set_cell(p, "ts_s", 0, -1.0),
+    "ts-nan": lambda p: _set_cell(p, "ts_s", 3, math.nan),
+    "slot-negative": lambda p: _set_cell(p, "slot", 0, -1),
+    "attempt-0": lambda p: _set_cell(p, "attempt", 0, 0),
+    "outcome-9": lambda p: _set_cell(p, "outcome", 2, 9),
+    "outcome-negative": lambda p: _set_cell(p, "outcome", 2, -1),
+    "reason-7": lambda p: _set_cell(p, "reason", 0, 7),
+    "reason-minus-2": lambda p: _set_cell(p, "reason", 0, -2),
+    "latency-inf": lambda p: _set_cell(p, "latency_ms", 1, math.inf),
+    "sidecar-a-directory": lambda p: (_remove_sidecar(p), os.mkdir(logs.sidecar_path(p))),
+}
+
+
+@pytest.mark.parametrize("case", sorted(SIDECAR_CASES))
+def test_unusable_sidecar_reads_as_the_log_parses(tmp_path, case):
+    path = tmp_path / "log.jsonl"
+    logs.write_attempt_log(path, SIDECAR_LOG)
+    SIDECAR_CASES[case](path)
+    with mock.patch.object(logs, "_parse", wraps=logs._parse) as parse:
+        got = result_of(logs.read_attempt_log, path)
+    assert parse.called  # the sidecar was passed over
+    _remove_sidecar(path)
+    assert got == result_of(logs.read_attempt_log, path)
+
+
+def test_sidecar_length_is_checked_before_the_log_is_hashed(tmp_path):
+    path = tmp_path / "log.jsonl"
+    logs.write_attempt_log(path, SIDECAR_LOG)
+    SIDECAR_CASES["log-appended-to"](path)
+    with mock.patch.object(logs, "_sha256", side_effect=AssertionError("hashed")):
+        assert len(logs.read_attempt_log(path)) == len(SIDECAR_LOG) + 1
+
+
+@pytest.mark.parametrize("rows, error", [
+    ([Row(1.0, 0, 0, 1, "success"), Row(0.5, 0, 1, 1, "success")], "ts_s 0.5 decreases (line 2)"),
+    ([Row(0.0, 0, 0, 0, "success")], "attempt must be >= 1"),
+    ([Row(math.nan, 0, 0, 1, "success")], "line 1: "),
+    ([Row(0.0, 0, 0, 1, "success", math.inf)], "line 1: "),
+])
+def test_bad_log_raises_the_same_error_with_its_sidecar(tmp_path, rows, error):
+    # the writer writes what it is given; the sidecar carries the same fault as the log
+    path = tmp_path / "log.jsonl"
+    logs.write_attempt_log(path, log_of(rows))
+    assert os.path.exists(logs.sidecar_path(path))
+    got = result_of(logs.read_attempt_log, path)
+    _remove_sidecar(path)
+    assert got == result_of(logs.read_attempt_log, path)
+    assert got[0] is MalformedLogError and error in got[1]
+
+
+def _fail_in_second_chunk(monkeypatch):
+    chunk_text = logs._chunk_text
+    written = []
+
+    def first_chunk_only(log):
+        if written:
+            raise OSError("disk gone")
+        written.append(len(log))
+        return chunk_text(log)
+
+    monkeypatch.setattr(logs, "_CHUNK", 1)
+    monkeypatch.setattr(logs, "_chunk_text", first_chunk_only)
+
+
+def _fail_in_sidecar(monkeypatch):
+    # the third column's write fails, after the log and two columns are written
+    monkeypatch.setattr(logs, "_DTYPES", logs._DTYPES[:2] + ["not a dtype"] + logs._DTYPES[3:])
+
+
+@pytest.mark.parametrize("fail", [_fail_in_second_chunk, _fail_in_sidecar],
+                         ids=["log", "sidecar"])
+@pytest.mark.parametrize("before", ["none", "old"])
+def test_failed_write_leaves_no_new_log_or_sidecar(tmp_path, monkeypatch, fail, before):
+    path = tmp_path / "log.jsonl"
+    if before == "old":
+        logs.write_attempt_log(path, SIDECAR_LOG[:1])
+    files = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
+    fail(monkeypatch)
+    with pytest.raises((OSError, TypeError)):
+        logs.write_attempt_log(path, SIDECAR_LOG)
+    assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == files
 
 
 class TestReadTruth:

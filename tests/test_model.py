@@ -19,6 +19,7 @@ from cloudprobe.model import (
     Timeline,
     aggregate_counts,
     expected_tries,
+    row_fault,
 )
 from cloudprobe import logs
 
@@ -228,6 +229,17 @@ class TestTimeline:
             Timeline(10, [1.0], [1.0], cause)
         assert str(err.value) == (
             f"cause must be one of the codes 0 (cloud), 1 (network), got {cause.item(0)!r}")
+
+    @pytest.mark.parametrize("cause, valid", [
+        (np.array([False, True]), True), (np.array([0, 1], np.int8), True),
+        (np.array([1, 0], np.uint64), True), (np.array([0.0, 1.0], np.float32), True),
+        (np.array([-0.0]), True), (np.array([0.5]), False), (np.array([np.nan]), False),
+        (np.array([-1]), False), (np.array([256]), False), (np.array([2], np.uint8), False),
+        (np.array([0j]), False), (np.array(["0"]), False), (np.array([0], object), False),
+    ], ids=repr)
+    def test_cause_codes_by_dtype(self, cause, valid):
+        fault = row_fault(np.zeros(len(cause)), np.ones(len(cause)), cause)
+        assert fault is None if valid else fault[1].startswith("cause must be one of the codes")
 
     def test_columns_default_to_cloud_and_are_read_only(self):
         tl = Timeline(1000, [500.0, 100.0], [10.0, 50.0])

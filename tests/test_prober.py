@@ -339,6 +339,9 @@ class TestRunCampaign:
         # the partial slot-3 record was truncated, then slot 3 was re-probed
         assert sum(1 for r in reread if r.slot == 3) == 1
         assert all(r.outcome == SUCCESS for r in reread if r.slot == 3)
+        # the rewrite left a column sidecar, which the appends would have made stale
+        assert sorted(p.name for p in tmp_path.iterdir()) == [
+            "attempts.jsonl", "attempts.jsonl.checkpoint"]
 
     def test_failed_resume_rewrite_keeps_the_log(self, tmp_path, monkeypatch):
         # slots 0-1 checkpointed, slot 2 partial: resume rewrites the log without it
