@@ -185,6 +185,12 @@ def cmd_simulate(args) -> int:
     return EXIT_OK
 
 
+def _read_log(path):
+    import hashlib  # logs has loaded it; report alone needs neither
+    digest = hashlib.sha256()
+    return logs.read_attempt_log(path, digest), digest.hexdigest()
+
+
 def cmd_estimate(args) -> int:
     try:
         claims = [SlaClaim(c, args.alpha) for c in args.claim]
@@ -195,9 +201,8 @@ def cmd_estimate(args) -> int:
         campaign = _load_campaign(args).campaign
         retry_max, config_echo = campaign.retry_max, configfile.config_echo(campaign)
 
-    records = logs.read_attempt_log(args.log)
+    records, log_sha = _read_log(args.log)
     counts = aggregate_counts(records, retry_max=retry_max)
-    log_sha = logs.sha256_file(args.log)
 
     try:
         estimates = build_estimate_set(counts)
@@ -218,7 +223,7 @@ def cmd_detect(args) -> int:
     campaign = parsed.campaign
 
     timeline = logs.read_truth(args.truth, campaign.horizon_s)
-    records = logs.read_attempt_log(args.log)
+    records, log_sha = _read_log(args.log)
 
     runs = detect_outages(records)
     rep = detection_report(timeline, records, campaign, runs)
@@ -230,7 +235,7 @@ def cmd_detect(args) -> int:
     write_undetected_curve(curve_path, undetected_curve(campaign.probe_interval_s))
 
     frag = report.detect_fragment(
-        log_sha256=logs.sha256_file(args.log),
+        log_sha256=log_sha,
         truth_sha256=logs.sha256_file(args.truth),
         config_sha256=logs.sha256_file(args.config),
         config_echo=configfile.config_echo(campaign),

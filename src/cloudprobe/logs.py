@@ -2,30 +2,24 @@
 
 Attempt log: one record per line with fields ts_s, vantage, slot, attempt,
 outcome, plus optional latency_ms and reason. A file is valid when ts_s is
-nondecreasing per vantage. Lines are written, and read where they can be, in
-attempt_line's exact form as numpy bytes, integers by int64 digit arithmetic.
-The writer fills a byte matrix, 8,192 records at a time, a block of columns per
-field; a float that is integral, finite, not -0.0 and below 2**53 in magnitude
-is its digits and ".0" (as repr gives it), and any other float is repr()'s own
-text. The reader takes the file's bytes in blocks that end at a line end,
-scans a block for its line ends and colons, checks each key where it must end
-(at a colon), and reads a float -?D+.D+ of at most 18 digits, 15 of them
-significant, as one division of two exact doubles, which rounds as float()
-does; any other float is checked against the JSON number grammar and read by
-float(). A block with any other line, or a line breaking a per-record rule, is
-decoded and read by json.loads, line by line, to the same values, a line
-ending at "\\n", "\\r\\n" or a lone "\\r" as in a file read as text.
+nondecreasing per vantage. Lines are written in attempt_line's exact form as
+numpy bytes, integers by int64 digit arithmetic. The writer fills a byte
+matrix, 8,192 records at a time, a block of columns per field; a float that is
+integral, finite, not -0.0 and below 2**53 in magnitude is its digits and ".0"
+(as repr gives it), and any other float is repr()'s own text.
 
 The writer also leaves <log>.cols beside the log, a column sidecar: a header
 (magic and version, the log's byte length, its sha256 and the record count),
-then the seven columns in AttemptLog's field order as little-endian arrays.
-The reader takes the columns from it, without parsing the log, only when its
-length equals the log's size, its sha256 equals that of the log's bytes, the
-columns load whole and they keep every per-record rule and the per-vantage
-ts_s order; in any other case it parses the log as above. So the sidecar is
-never trusted for a log it was not written with, and deleting it changes
-nothing but the time a read takes. A log appended to (the live prober's) has
-none. Truth file: start_s, duration_s, cause per line.
+then the seven columns in AttemptLog's field order as little-endian arrays. A
+log is read in one of two ways. The columns come from the sidecar, without
+parsing the log, only when its length equals the log's size, its sha256 equals
+that of the log's bytes, the columns load whole and they keep every per-record
+rule and the per-vantage ts_s order. Otherwise each line is read by json.loads,
+the file taken in blocks that end at a line end, each decoded and split as a
+file read as text is (a line ends at "\\n", "\\r\\n" or a lone "\\r"). So the
+sidecar is never trusted for a log it was not written with, and deleting it
+changes nothing but the time a read takes. A log appended to (the live
+prober's) has none. Truth file: start_s, duration_s, cause per line.
 """
 from __future__ import annotations
 
@@ -35,7 +29,6 @@ import io
 import json
 import math
 import os
-import re
 import struct
 from itertools import repeat
 
@@ -48,18 +41,13 @@ _OUTCOME_CODES = {name: code for code, name in enumerate(OUTCOMES)}
 _REASON_CODES = {None: -1, **{name: code for code, name in enumerate(FAIL_REASONS)}}
 _CHUNK = 1 << 13  # records per write, and lines per read when an error is located
 # bytes per read, then up to the next line end, so the whole text is never held at once;
-# a block holds about as many lines as a chunk (8,322 of the shortest scanned form, 63 bytes)
+# a block holds about as many lines as a chunk (8,322 of the shortest written form, 63 bytes)
 _BLOCK = 1 << 19
 # what a malformed line raises; json raises RecursionError on a line nested too deep
 _ERRORS = (KeyError, TypeError, ValueError, OverflowError, RecursionError)
-# attempt_line's exact form: these keys in this order, each ending at a colon, an
-# integer of at most 18 digits (so it fits in 64 bits) and a float by the JSON number
-# grammar with a fraction or an exponent
+# attempt_line's keys in its order, each with the punctuation before its value
 _KEYS = (b'{"ts_s":', b',"vantage":', b',"slot":', b',"attempt":', b',"outcome":')
-_LATENCY, _REASON = b',"latency_ms":', b',"reason":'
-_FLOAT = re.compile(rb"-?(?:0|[1-9][0-9]*)(?:\.[0-9]+(?:[eE][-+]?[0-9]+)?|[eE][-+]?[0-9]+)")
-_POW10_F = np.array([float(10 ** k) for k in range(18)])  # exact doubles, as 5**17 < 2**53
-_PAD = 32  # zero bytes around a chunk, so that every key or token read stays inside
+_LATENCY = b',"latency_ms":'
 # the column sidecar's header: magic, version, log bytes, log sha256, records
 _HEADER = struct.Struct("<8sQQ32sQ")
 _MAGIC, _VERSION = b"CPCOLS\r\n", 1
@@ -187,134 +175,6 @@ def _require(ok, values, name, rule) -> None:
         raise ValueError(f"{name} must be {rule}, got {values[int(np.argmin(ok))]!r}")
 
 
-def _ends_with(words, end, text):
-    """Whether the bytes before each end are text (8 to 16 bytes): its first and last 8."""
-    head, tail = np.frombuffer(text[:8] + text[-8:], "<u8")
-    match = words[end - 8] == tail
-    return match & (words[end - len(text)] == head) if len(text) > 8 else match
-
-
-def _digits(buf, lo, hi, width):
-    """The tokens buf[lo:hi], read right-aligned in width columns: the int64 value of
-    each one's digits by Horner's rule (exact up to 18 digits), its count of bytes that
-    are not digits, and the column of the last of those (-1 if none)."""
-    at = (hi - width) + np.arange(width)[:, None]
-    digit = buf[at] - np.uint8(ord("0"))  # a byte that is not a digit wraps past 9
-    inside = at >= lo
-    is_digit = inside & (digit <= 9)
-    other = inside & ~is_digit
-    value = np.zeros(len(lo), np.int64)
-    for j in range(width):
-        value = np.where(is_digit[j], value * 10 + digit[j], value)
-    return value, other.sum(axis=0), np.where(other, np.arange(width)[:, None], -1).max(axis=0)
-
-
-def _ints(buf, lo, hi):
-    """The int64 values of the tokens buf[lo:hi], and whether each is -?(0|[1-9][0-9]{0,17})."""
-    length = hi - lo
-    value, others, _ = _digits(buf, lo, hi, int(np.clip(length.max(), 1, 19)))
-    neg = buf[lo] == ord("-")
-    count = length - neg
-    ok = ((others == neg) & (1 <= count) & (count <= 18)
-          & ((count == 1) | (buf[lo + neg] != ord("0"))))
-    return np.where(neg, -value, value), ok
-
-
-def _floats(buf, raw, lo, hi):
-    """The float64 values of the tokens buf[lo:hi] as float() reads them, and whether
-    each is a JSON number with a fraction or an exponent.
-
-    A token -?(0|[1-9][0-9]*)\\.[0-9]+ of at most 18 digits, whose digits m form an
-    integer below 10**15, is m / 10**decimals: both are exact doubles, so the one
-    correctly rounded division gives what float() does. Any other token that is in
-    the JSON grammar is read by float()."""
-    length = hi - lo
-    width = int(np.clip(length.max(), 1, 20))  # a sign, 18 digits and the point
-    mantissa, others, last = _digits(buf, lo, hi, width)
-    neg = buf[lo] == ord("-")
-    point = hi - width + last
-    decimals = hi - 1 - point
-    before = point - lo - neg  # digits before the point
-    decimal = ((length <= width) & (length - neg <= 19) & (others == 1 + neg)
-               & (buf[point] == ord(".")) & (before >= 1) & (decimals >= 1)
-               & ((before == 1) | (buf[lo + neg] != ord("0"))))
-    exact = decimal & (mantissa < 10 ** 15)
-    value = mantissa / _POW10_F[np.where(exact, decimals, 0)]
-    value = np.where(neg, -value, value)
-    if not exact.all():
-        rows = np.flatnonzero(~exact)
-        tokens = [raw[a:b] for a, b in zip(lo[rows].tolist(), hi[rows].tolist())]
-        ok = [known or _FLOAT.fullmatch(token) is not None
-              for known, token in zip(decimal[rows].tolist(), tokens)]
-        value[rows] = [float(token) if good else 0.0 for token, good in zip(tokens, ok)]
-        exact[rows] = ok
-    return value, exact
-
-
-def _codes(words, lo, hi, key, names):
-    """Each token buf[lo:hi], which follows key, as its index in names, the token
-    being a name in double quotes; -1 if it is none of them."""
-    head, tail = words[lo], words[hi - 8]
-    code = np.full(len(lo), -1, np.int8)
-    for i, name in enumerate(names):
-        quoted = f'"{name}"'.encode()
-        want = (key + quoted)[-max(8, len(quoted)):]
-        match = (hi - lo == len(quoted)) & (tail == np.frombuffer(want[-8:], "<u8")[0])
-        if len(quoted) > 8:
-            match &= head == np.frombuffer(want[:8], "<u8")[0]
-        code[match] = i
-    return code
-
-
-def _scan(text: bytes) -> AttemptLog | None:
-    """The lines of text as a log, by one scan of its bytes, if every line is in
-    attempt_line's exact form (so ends at "\\n" and is ASCII) and keeps every
-    per-record rule; else None. The last line may lack its newline."""
-    if not text:
-        return None
-    raw = b"".join((bytes(_PAD), text, b"" if text.endswith(b"\n") else b"\n", bytes(_PAD)))
-    buf = np.frombuffer(raw, np.uint8)
-    words = np.ndarray((len(raw) - 7,), "<u8", raw, 0, (1,))  # the 8 bytes from each byte
-    ends = np.flatnonzero(buf == ord("\n"))
-    starts = np.concatenate(([_PAD], ends[:-1] + 1))
-    colons = np.flatnonzero(buf == ord(":"))
-    first = np.searchsorted(colons, starts)
-    count = np.diff(first, append=len(colons))  # per line: one per key, 5 to 7
-    if count.min() < 5 or count.max() > 7:
-        return None
-    # c[k] is each line's k-th colon; c[5] and c[6] only where the line has them
-    c = np.append(colons, np.zeros(7, colons.dtype))[first + np.arange(7)[:, None]]
-    close = ends - 1
-    has_latency = (count > 5) & _ends_with(words, c[5] + 1, _LATENCY)
-    reason_colon = np.where(has_latency, c[6], c[5])
-    has_reason = (count > 5 + has_latency) & _ends_with(words, reason_colon + 1, _REASON)
-    ok = ((count == 5 + has_latency + has_reason) & (buf[close] == ord("}"))
-          & _ends_with(words, starts + len(_KEYS[0]), _KEYS[0]))
-    for k in range(1, 5):
-        ok &= _ends_with(words, c[k] + 1, _KEYS[k])
-    if not ok.all():
-        return None
-    ts, ok = _floats(buf, raw, c[0] + 1, c[1] + 1 - len(_KEYS[1]))
-    (vantage, v_ok), (slot, s_ok), (attempt, a_ok) = (
-        _ints(buf, c[k] + 1, c[k + 1] + 1 - len(_KEYS[k + 1])) for k in (1, 2, 3))
-    after = np.where(has_latency, c[5] + 1 - len(_LATENCY),
-                     np.where(has_reason, c[5] + 1 - len(_REASON), close))
-    outcome = _codes(words, c[4] + 1, after, _KEYS[4], OUTCOMES)
-    ok &= (v_ok & s_ok & a_ok & (0 <= ts) & (ts < math.inf) & (slot >= 0) & (attempt >= 1)
-           & (outcome >= 0))
-    latency, reason = np.full(len(ends), np.nan), np.full(len(ends), -1, np.int8)
-    if has_latency.any():
-        rows = np.flatnonzero(has_latency)
-        end = np.where(has_reason, c[6] + 1 - len(_REASON), close)[rows]
-        latency[rows], exact = _floats(buf, raw, c[5, rows] + 1, end)
-        ok[rows] &= exact & np.isfinite(latency[rows])
-    if has_reason.any():
-        rows = np.flatnonzero(has_reason)
-        reason[rows] = _codes(words, reason_colon[rows] + 1, close[rows], _REASON, FAIL_REASONS)
-        ok[rows] &= reason[rows] >= 0
-    return AttemptLog(ts, vantage, slot, attempt, outcome, latency, reason) if ok.all() else None
-
-
 def _columns(lines) -> AttemptLog:
     """The non-blank lines (str) as a log, each read by json.loads. Every
     per-record rule is checked here: the first record to break one raises one of
@@ -354,10 +214,9 @@ def _columns(lines) -> AttemptLog:
 
 
 def _parse(text: bytes) -> AttemptLog:
-    """The lines of text (UTF-8) as a log: by _scan, or else decoded and split
-    as a file read as text would be, then by _columns."""
-    log = _scan(text)
-    return log if log is not None else _columns(io.StringIO(text.decode("utf-8"), newline=None))
+    """The lines of text (UTF-8) as a log: decoded and split as a file read as
+    text would be, then by _columns."""
+    return _columns(io.StringIO(text.decode("utf-8"), newline=None))
 
 
 def _blocks(f):
@@ -405,33 +264,33 @@ def _in_order(log: AttemptLog) -> bool:
     return not np.any((vantage[1:] == vantage[:-1]) & (ts[1:] < ts[:-1]))
 
 
-def _from_sidecar(path) -> AttemptLog | None:
+def _from_sidecar(path, digest) -> tuple[AttemptLog | None, bool]:
     """The log's columns from its sidecar, when the sidecar was written for
     exactly the bytes at path and its columns keep every per-record rule that
-    _columns enforces and the per-vantage ts_s order; else None."""
+    _columns enforces and the per-vantage ts_s order; else None. With them,
+    whether the log's bytes were fed to digest, a new sha256, for the check."""
     try:
         with open(sidecar_path(path), "rb") as f:
             magic, version, size, sha, rows = _HEADER.unpack(f.read(_HEADER.size))
-            if (magic, version, size) != (_MAGIC, _VERSION, os.stat(path).st_size):
-                return None  # checked before the log is hashed
-            if (os.fstat(f.fileno()).st_size != _HEADER.size + rows * _ROW_BYTES
-                    or _sha256(path).digest() != sha):
-                return None
+            if ((magic, version, size) != (_MAGIC, _VERSION, os.stat(path).st_size)
+                    or os.fstat(f.fileno()).st_size != _HEADER.size + rows * _ROW_BYTES):
+                return None, False  # checked before the log is hashed
             columns = [np.fromfile(f, dtype, rows) for dtype in _DTYPES]
-            if any(len(column) != rows for column in columns):
-                return None
     except (OSError, struct.error):
-        return None
+        return None, False
+    # not in the try: a read error part-way leaves digest part-fed, so it must not fall back
+    if _sha256(path, digest).digest() != sha or any(len(column) != rows for column in columns):
+        return None, True
     log = AttemptLog(*columns)
     log.latency_ms[np.isnan(log.latency_ms)] = np.nan  # as a parse gives it, for none
     ok = (np.all((0 <= log.ts_s) & (log.ts_s < math.inf)) and np.all(log.slot >= 0)
           and np.all(log.attempt >= 1) and np.all(log.outcome >= 0)
           and np.all(log.outcome < len(OUTCOMES)) and np.all(log.reason >= -1)
           and np.all(log.reason < len(FAIL_REASONS)) and not np.isinf(log.latency_ms).any())
-    return log if ok and _in_order(log) else None
+    return (log if ok and _in_order(log) else None), True
 
 
-def read_attempt_log(path) -> AttemptLog:
+def read_attempt_log(path, digest=None) -> AttemptLog:
     """Parse an attempt log; enforces nondecreasing ts_s per vantage.
 
     The columns come from the log's sidecar when it matches the log (see the
@@ -439,13 +298,19 @@ def read_attempt_log(path) -> AttemptLog:
     checked column by column. Only when a check fails are the blocks read again
     and cut into chunks of lines, to name the first offending line, line by line
     only in the failing chunk.
+
+    digest, a new hashlib.sha256() if given, is fed the log's bytes once: by the
+    sidecar's check when that hashes them, else block by block as they are parsed.
     """
-    log = _from_sidecar(path)
+    log, hashed = _from_sidecar(path, hashlib.sha256() if digest is None else digest)
     if log is not None:
         return log
     try:
         with open(path, "rb") as f:
-            parts = [_parse(block) for block in _blocks(f)]
+            blocks = _blocks(f)
+            if digest is not None and not hashed:  # hashed as read, a block at a time
+                blocks = (digest.update(block) or block for block in blocks)
+            parts = [_parse(block) for block in blocks]
         log = AttemptLog.concat(parts) if parts else _columns([])
         if not _in_order(log):
             raise ValueError("ts_s decreases")
@@ -499,13 +364,12 @@ def read_truth(path, horizon_s: float) -> Timeline:
         raise DataError(f"truth file {path}: {exc}") from exc
 
 
-def _sha256(path):
-    h = hashlib.sha256()
+def _sha256(path, digest):
     with open(path, "rb") as f:
         for chunk in iter(lambda: f.read(1 << 20), b""):
-            h.update(chunk)
-    return h
+            digest.update(chunk)
+    return digest
 
 
 def sha256_file(path) -> str:
-    return _sha256(path).hexdigest()
+    return _sha256(path, hashlib.sha256()).hexdigest()

@@ -203,7 +203,7 @@ def run_campaign(target: ProbeTarget, config: CampaignConfig, log_path,
         for slot in range(start_slot, config.slots):
             _sleep_until(origin + slot * interval)
             for attempt in range(1, config.retry_max + 1):
-                # to 1 us, so that the reader's byte scan reads the values by its exact path
+                # to 1 us, for short lines; rounding is monotone, so ts_s stays nondecreasing
                 ts = round(time.monotonic() - origin, 6)
                 result = probe_fn(target)
                 latency = None if result.latency_ms is None else round(result.latency_ms, 3)

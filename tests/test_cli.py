@@ -1,3 +1,4 @@
+import hashlib
 import importlib.util
 import json
 import os
@@ -328,6 +329,74 @@ class TestCmdDetect:
                    "--truth", str(out / "truth.jsonl"), "--config", str(short)])
         assert rc == 2
         assert "horizon" in capsys.readouterr().err
+
+
+def _flip_sidecar_sha(log_path):
+    sidecar = logs.sidecar_path(log_path)
+    data = bytearray(Path(sidecar).read_bytes())
+    data[24] ^= 1  # the first byte of the log's sha256 in the header
+    Path(sidecar).write_bytes(bytes(data))
+
+
+class TestLogSha256:
+    """estimate and detect give the log's sha256 as their read of the log took
+    it, feeding the log's bytes to a hash once, whichever way the log is read."""
+
+    CASES = {  # how each case leaves the log and its sidecar, and whether the log is parsed
+        "sidecar": (lambda path: None, False),
+        "no-sidecar": (lambda path: os.remove(logs.sidecar_path(path)), True),
+        "wrong-sidecar-sha": (_flip_sidecar_sha, True),
+        "crlf": (lambda path: path.write_bytes(path.read_bytes().replace(b"\n", b"\r\n")),
+                 True),
+    }
+
+    @staticmethod
+    def count_hashed_bytes(monkeypatch):
+        """A list that every sha256 made from now on extends by the length of
+        each piece it is fed."""
+        fed, sha256 = [], hashlib.sha256
+
+        class Counting:
+            def __init__(self, data=b""):
+                self._hash = sha256()
+                self.update(data)
+
+            def update(self, data):
+                fed.append(len(data))
+                self._hash.update(data)
+
+            def digest(self):
+                return self._hash.digest()
+
+            def hexdigest(self):
+                return self._hash.hexdigest()
+
+        monkeypatch.setattr(hashlib, "sha256", Counting)
+        return fed
+
+    @pytest.mark.parametrize("command", ["estimate", "detect"])
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_log_is_hashed_once(self, tmp_path, monkeypatch, command, case):
+        config = tmp_path / "c.ini"
+        write_sim_config(config)
+        out = tmp_path / "out"
+        assert main(["simulate", "--config", str(config), "--out", str(out)]) == 0
+        log_path, truth = out / "attempts.jsonl", out / "truth.jsonl"
+        spoil, parsed = self.CASES[case]
+        spoil(log_path)
+        argv = {"estimate": ["estimate", "--log", str(log_path), "--out", str(out)],
+                "detect": ["detect", "--log", str(log_path), "--truth", str(truth),
+                           "--config", str(config), "--out", str(out)]}[command]
+        others = [] if command == "estimate" else [truth, config]  # detect hashes them too
+        parses, parse = [], logs._parse
+        monkeypatch.setattr(logs, "_parse", lambda text: parses.append(text) or parse(text))
+        fed = self.count_hashed_bytes(monkeypatch)
+        assert main(argv) == 0
+        assert sum(fed) == sum(path.stat().st_size for path in [log_path, *others])
+        frag = json.loads((out / f"{command}.json").read_text())
+        want = hashlib.sha256(log_path.read_bytes()).hexdigest()
+        assert frag["provenance"]["log_sha256"] == want
+        assert b"".join(parses) == (log_path.read_bytes() if parsed else b"")
 
 
 class TestCmdReport:

@@ -1,12 +1,12 @@
 """The attempt-log reader against a per-line reference reader.
 
-reference_read is the reader as it was before the regex fast path: json.loads
-on each line of the file read as text, the per-record rules, then ts_s
-nondecreasing per vantage, with the file and the first bad line in file order
-named in the error. read_attempt_log must give the same column bytes, or the
-same exception type and message, for every input and at every block size.
-The column sidecar must read to what the log parses to, and be passed over
-whenever it does not match its log.
+reference_read reads the file one line at a time: json.loads on each line of
+the file read as text, the per-record rules, then ts_s nondecreasing per
+vantage, with the file and the first bad line in file order named in the error.
+read_attempt_log must give the same column bytes, or the same exception type
+and message, for every input and at every block size. The column sidecar must
+read to what the log parses to, and be passed over whenever it does not match
+its log.
 """
 import json
 import math
@@ -351,43 +351,6 @@ def mutated_logs(draw):
     return text
 
 
-@st.composite
-def decimal_tokens(draw):
-    """-?D+.D+ with 1 to 17 significant digits and 1 to 25 decimals, or a zero."""
-    decimals = draw(st.integers(1, 25))
-    significant = draw(st.integers(0, 17))
-    digits = draw(st.text("123456789", min_size=1, max_size=1)) if significant else ""
-    digits += draw(st.text("0123456789", min_size=max(significant - 1, 0),
-                           max_size=max(significant - 1, 0)))
-    digits = digits.rjust(decimals + 1, "0")
-    return draw(st.sampled_from(["", "-"])) + digits[:-decimals] + "." + digits[-decimals:]
-
-
-_FLOAT_TOKENS = st.one_of(decimal_tokens(),
-                          st.sampled_from(["-0.0", "0.0", "1e+16", "1E-7", "1e5", "5E1",
-                                           "99999999999999.9", "100000000000000.0"]),
-                          st.floats(allow_nan=False, allow_infinity=False).map(repr))
-_INT_TOKENS = st.one_of(st.integers(-(10 ** 18) + 1, 10 ** 18 - 1).map(str), st.just("-0"))
-
-
-@settings(max_examples=300, deadline=None)
-@given(floats=st.lists(_FLOAT_TOKENS, min_size=1, max_size=30),
-       ints=st.lists(_INT_TOKENS, min_size=1, max_size=30))
-def test_scan_converts_as_float_and_int_do(floats, ints):
-    # ts_s and slot must be >= 0, so the signed tokens go to latency_ms and vantage
-    rows = list(zip(floats, ints * len(floats)))
-    log = logs._scan("".join(line(ts=f.lstrip("-"), vantage=i, slot=i.lstrip("-"),
-                                  tail=f',"latency_ms":{f}') for f, i in rows).encode())
-    assert log is not None
-    want = {"ts_s": [float(f.lstrip("-")) for f, _ in rows],
-            "latency_ms": [float(f) for f, _ in rows],
-            "vantage": [int(i) for _, i in rows],
-            "slot": [int(i.lstrip("-")) for _, i in rows]}
-    for name, values in want.items():
-        column = getattr(log, name)
-        assert column.tobytes() == np.array(values, column.dtype).tobytes(), name
-
-
 @settings(max_examples=400, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 @given(text=mutated_logs(), chunk=st.sampled_from([1, 2, 3, logs._CHUNK]),
        block=st.sampled_from(BLOCKS + [logs._BLOCK]))
@@ -434,8 +397,8 @@ def _count_json_loads(monkeypatch):
     return calls
 
 
-def test_writer_output_takes_the_fast_path(tmp_path, monkeypatch):
-    # a change to attempt_line that leaves its lines off the fast path fails here
+def test_writer_output_parses_back_to_its_columns(tmp_path):
+    # with no sidecar, json.loads reads attempt_line's text back to the very bytes written
     campaign = CampaignConfig(probe_interval_s=600.0, horizon_days=20.0, vantage_points=3,
                               retry_max=9, seed=5)
     process = OutageProcess(up_mean_s=20000.0, network_fail_prob=0.05,
@@ -446,23 +409,19 @@ def test_writer_output_takes_the_fast_path(tmp_path, monkeypatch):
     live = log_of([Row(float(i), 0, i, 1, FAIL if r else "success", lat, r)
                    for i, (lat, r) in enumerate(
                        (lat, r) for lat in latencies for r in (None, *FAIL_REASONS))])
-    # the live prober's ts_s is wall-clock time: 16 or 17 significant digits, which
-    # the scan reads by float() one token at a time
+    # the live prober's ts_s is wall-clock time: 16 or 17 significant digits
     wall_clock = log_of([Row(1729270000.1234567 + 0.37 * i, 0, i, 1, "success", 87.654321 + i)
                          for i in range(200)])
     assert {"success", "cloud_fail", "network_fail"} <= {OUTCOMES[o] for o in
                                                          simulated.outcome.tolist()}
-    calls = _count_json_loads(monkeypatch)
     for name, log in (("simulated", simulated), ("live", live), ("wall-clock", wall_clock)):
         path = tmp_path / f"{name}.jsonl"
         logs.write_attempt_log(path, log)
         os.remove(logs.sidecar_path(path))  # so that the log is parsed
         back = logs.read_attempt_log(path)
-        assert calls == [], name
         for column in COLUMNS:
             assert getattr(back, column).tobytes() == getattr(log, column).tobytes(), column
         assert_same(path)
-        calls.clear()  # the reference reader's own calls
 
 
 def test_other_json_forms_take_the_general_path(tmp_path, monkeypatch):

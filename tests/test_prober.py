@@ -25,7 +25,7 @@ from cloudprobe.prober import (
 from cloudprobe.detection import detect_outages
 from cloudprobe import logs, prober
 
-from conftest import BAD_URLS, BODY, rows_of
+from conftest import BAD_URLS, BODY, Row, rows_of
 
 
 def live_config(slots, interval=0.25, retry_max=2, gap=0.05, url="http://example.invalid/"):
@@ -244,19 +244,19 @@ class TestRunCampaign:
         runs = detect_outages(records)
         assert runs.tolist() == [[3, 3]]  # first_slot, slot_count
 
-    def test_log_is_read_by_the_byte_scan(self, http_fixture, tmp_path, monkeypatch):
-        # ts_s and latency_ms go to the log at 1 us, which the byte scan reads by one
-        # exact division rather than by float(); no block falls back to json.loads
+    def test_log_reads_back_to_its_own_values(self, http_fixture, tmp_path):
+        # ts_s and latency_ms go to the log at 1 us, and the log has no sidecar, so
+        # json.loads reads each line back to the value the prober wrote
         http_fixture.set_behavior(lambda i: ("status", 503) if i % 3 == 0 else ("ok",))
         config = live_config(slots=6, retry_max=2, url=http_fixture.url)
         log_path = tmp_path / "attempts.jsonl"
         run_campaign(ProbeTarget(url=http_fixture.url), config, log_path)
-        scanned, scan = [], logs._scan
-        monkeypatch.setattr(logs, "_scan", lambda text: scanned.append(scan(text)) or scanned[-1])
-        records = logs.read_attempt_log(log_path)
-        assert scanned and None not in scanned
-        assert len(records) == sum(len(part) for part in scanned) > 6
+        assert not os.path.exists(logs.sidecar_path(log_path))
         rows = [json.loads(line) for line in log_path.read_text().splitlines()]
+        assert len(rows) > 6
+        assert rows_of(logs.read_attempt_log(log_path)) == [
+            Row(row["ts_s"], row["vantage"], row["slot"], row["attempt"], row["outcome"],
+                row.get("latency_ms"), row.get("reason")) for row in rows]
         assert all(round(row["ts_s"], 6) == row["ts_s"] for row in rows)
         latencies = [row["latency_ms"] for row in rows if "latency_ms" in row]
         assert latencies and all(round(x, 3) == x for x in latencies)
