@@ -21,8 +21,8 @@ _COMMAND_NAMES = {command: tuple(names.split()) for command, names in (
     ("simulate", "configfile logs aggregate_counts expected_tries generate_timeline "
                  "sample_campaign"),
     ("estimate", "configfile logs report aggregate_counts SlaClaim build_estimate_set sla_test"),
-    ("detect", "configfile logs report detect_outages detection_report sla_metrics "
-               "true_sla_metrics undetected_curve write_undetected_curve"),
+    ("detect", "configfile logs report aggregate_counts detect_outages detection_report "
+               "sla_metrics true_sla_metrics undetected_curve write_undetected_curve"),
     ("probe", "configfile logs aggregate_counts run_campaign"),
     ("report", "report"),
 )}
@@ -224,6 +224,7 @@ def cmd_detect(args) -> int:
 
     timeline = logs.read_truth(args.truth, campaign.horizon_s)
     records, log_sha = _read_log(args.log)
+    aggregate_counts(records, retry_max=campaign.retry_max)  # rejects what estimate rejects
 
     runs = detect_outages(records)
     rep = detection_report(timeline, records, campaign, runs)

@@ -32,22 +32,16 @@ def undetected_probability(duration_s: float, interval_s: float) -> float:
     return 1.0 - duration_s / interval_s
 
 
-def undetected_curve(interval_s: float, durations_s=None) -> list[tuple[float, float]]:
+def undetected_curve(interval_s: float) -> list[tuple[float, float]]:
     """Tabulate the miss probability over normalized durations L/T.
 
-    The default grid spans (0, 1.5] so the flat zero region past L/T = 1 stays
+    The grid spans (0, 1.5] so the flat zero region past L/T = 1 stays
     visible. Rows are (l_over_t, p_nodet) pairs ready for CSV plotting.
     """
     if not 0 < interval_s < math.inf:
         raise ValueError("interval_s must be finite and > 0")
-    if durations_s is None:
-        durations_s = [interval_s * i / 40.0 for i in range(1, 61)]
-    rows = []
-    for dur in durations_s:
-        if not 0 < dur < math.inf:
-            raise ValueError("grid durations must be finite and > 0")
-        rows.append((dur / interval_s, undetected_probability(dur, interval_s)))
-    return rows
+    grid = [interval_s * i / 40.0 for i in range(1, 61)]
+    return [(dur / interval_s, undetected_probability(dur, interval_s)) for dur in grid]
 
 
 def write_undetected_curve(path, rows) -> None:
@@ -116,7 +110,7 @@ def detect_outages(log: AttemptLog) -> np.ndarray:
 
 
 def detection_report(truth: Timeline, log: AttemptLog, config: CampaignConfig,
-                     runs: np.ndarray, bin_edges_s=None) -> DetectionReport:
+                     runs: np.ndarray) -> DetectionReport:
     """Score the prober's view of the truth timeline.
 
     A true cloud outage is detected iff at least one attempt timestamp (any
@@ -131,9 +125,7 @@ def detection_report(truth: Timeline, log: AttemptLog, config: CampaignConfig,
     flags = ts[np.searchsorted(ts, starts)] < ends
     detected = int(np.count_nonzero(flags))
 
-    if bin_edges_s is None:
-        bin_edges_s = [config.probe_interval_s * i / 4.0 for i in range(7)]
-    bins = _bin_rates(durations, flags, bin_edges_s, config.probe_interval_s)
+    bins = _bin_rates(durations, flags, config.probe_interval_s)
     estimates = _duration_estimates(starts, ends, durations, flags, runs,
                                     config.probe_interval_s)
 
@@ -146,20 +138,16 @@ def detection_report(truth: Timeline, log: AttemptLog, config: CampaignConfig,
     )
 
 
-def _bin_rates(durations, flags, edges, interval_s) -> list[DurationBin]:
-    """One bin per pair of adjacent sorted edges, half-open [lo, hi) on the
-    true duration."""
-    edges = sorted(edges)
-    if len(edges) < 2:
-        raise ValueError("need at least two bin edges")
+def _bin_rates(durations, flags, interval_s) -> list[DurationBin]:
+    """One bin per pair of adjacent edges T*i/4, i = 0..6, half-open [lo, hi)
+    on the true duration."""
+    edges = [interval_s * i / 4.0 for i in range(7)]
     bins = []
     for lo, hi in zip(edges, edges[1:]):
         inside = (durations >= lo) & (durations < hi)
         outages = int(np.count_nonzero(inside))
         seen = int(np.count_nonzero(flags & inside))
-        mid = 0.5 * (lo + hi)
-        # a bin open to an infinite edge has an infinite midpoint, never missed
-        analytic = undetected_probability(min(mid, interval_s), interval_s) if mid > 0 else 1.0
+        analytic = undetected_probability(0.5 * (lo + hi), interval_s)
         rate = None if not outages else 1.0 - seen / outages
         bins.append(DurationBin(lo_s=lo, hi_s=hi, analytic_p_nodet=analytic,
                                 empirical_nodet=rate, outages=outages))
@@ -194,9 +182,9 @@ def sla_metrics(durations_s, threshold_s: float) -> SlaMetrics:
     )
 
 
-def true_sla_metrics(truth: Timeline, threshold_s: float, cause: str = CLOUD) -> SlaMetrics:
-    """Same metrics over the ground-truth timeline, for distortion comparison."""
-    return sla_metrics(truth.intervals(cause)[2], threshold_s)
+def true_sla_metrics(truth: Timeline, threshold_s: float) -> SlaMetrics:
+    """Same metrics over the ground-truth cloud outages, for distortion comparison."""
+    return sla_metrics(truth.intervals(CLOUD)[2], threshold_s)
 
 
 def undetected_monte_carlo(duration_s: float, interval_s: float, trials: int,

@@ -212,11 +212,11 @@ def sla_test(counts: AttemptCounts, claim: SlaClaim, method: str = "auto") -> Sl
                          method=method)
 
 
-def build_estimate_set(counts: AttemptCounts, alpha: float = 0.05) -> EstimateSet:
-    """Bundle the three availability estimates with Wald error bars on first_try."""
+def build_estimate_set(counts: AttemptCounts) -> EstimateSet:
+    """Bundle the three availability estimates with 95% Wald error bars on first_try."""
     p1 = first_try_availability(counts)
     trials = counts.attempts[0]
-    ci_low, ci_high = wald_interval(p1, trials, alpha)
+    ci_low, ci_high = wald_interval(p1, trials)
     return EstimateSet(
         first_try=p1,
         per_attempt=per_attempt_availability(counts),

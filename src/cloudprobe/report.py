@@ -24,7 +24,6 @@ if TYPE_CHECKING:  # annotations only: the report command loads no numpy
     from .model import AttemptCounts, EstimateSet
 
 SCHEMA_VERSION = "1"
-_DRAFT = "https://json-schema.org/draft/2020-12/schema"
 _TYPES = {"array": list, "boolean": bool, "integer": int, "null": type(None),
           "number": numbers.Number, "object": dict, "string": str}
 # each keyword _conforms reads -> its test of the value v under the keyword's
@@ -50,9 +49,11 @@ _KEYWORDS = {
     "minItems": lambda v, a, s, r: not isinstance(v, list) or not len(v) < a,
     "maxItems": lambda v, a, s, r: not isinstance(v, list) or not len(v) > a,
     "oneOf": lambda v, a, s, r: sum(_conforms(v, sub, r) for sub in a) == 1,
-    "$ref": lambda v, a, s, r: _conforms(v, r["$defs"][_defs_name(a)], r),
+    "$ref": lambda v, a, s, r: _conforms(v, r["$defs"][a.removeprefix("#/$defs/")], r),
     "title": lambda v, a, s, r: True,  # annotations
     "$defs": lambda v, a, s, r: True,
+    "$schema": lambda v, a, s, r: True,
+    "$id": lambda v, a, s, r: True,
 }
 
 
@@ -168,40 +169,26 @@ def _is(value, name: str) -> bool:
 
 def _equal(a, b) -> bool:
     """a == b as jsonschema's const and enum test it for a JSON scalar b: a bool
-    equals no number. A list or object b is left unread, by a KeyError."""
-    if isinstance(b, (list, dict)):
-        raise KeyError(b)
+    equals no number."""
     return a is b or isinstance(a, bool) == isinstance(b, bool) and a == b
 
 
-def _defs_name(ref: str) -> str:
-    """The name in root's $defs a $ref gives: an identifier needs no unescaping."""
-    if not ref.startswith("#/$defs/") or not ref[8:].isidentifier():
-        raise KeyError(ref)
-    return ref[8:]
-
-
 def _conforms(value, schema, root) -> bool:
-    """Whether value is valid under schema, a part of the 2020-12 schema root, as
-    jsonschema decides it. A KeyError means the schema holds what _KEYWORDS does
-    not read: another keyword, type name or $ref, or $schema or $id below root,
-    where an $id would change what a $ref names."""
+    """Whether value is valid under schema, a part of the packaged 2020-12 schema
+    root, as jsonschema decides it. A test pins that root holds only the keywords,
+    type names, $refs and scalar consts that _KEYWORDS reads."""
     if isinstance(schema, bool):
         return schema
-    return all(_KEYWORDS[key](value, arg, schema, root) for key, arg in schema.items()
-               if schema is not root or key not in ("$schema", "$id"))
+    return all(_KEYWORDS[key](value, arg, schema, root) for key, arg in schema.items())
 
 
 def validate_report(doc: dict) -> None:
     """Raise ReportError unless doc matches the packaged schema. _conforms passes
-    a valid report without loading jsonschema; a report it rejects, or a schema
-    it cannot read, goes to jsonschema, which decides and words the error."""
+    a valid report without loading jsonschema; a report it rejects goes to
+    jsonschema, which decides and words the error."""
     schema = load_schema()
-    try:
-        if schema.get("$schema") == _DRAFT and _conforms(doc, schema, schema):
-            return
-    except KeyError:  # a keyword, type name or $ref that _conforms does not read
-        pass
+    if _conforms(doc, schema, schema):
+        return
     import jsonschema  # deferred: slow to import, and needed only when _conforms rejects
 
     # jsonschema.validate minus its check of our own schema, which a test makes

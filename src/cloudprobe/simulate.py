@@ -16,6 +16,7 @@ from .model import (
     CAUSES,
     CLOUD,
     CLOUD_FAIL,
+    DAY_S,
     NETWORK,
     NETWORK_FAIL,
     OUTCOMES,
@@ -164,7 +165,7 @@ def generate_timeline(process: OutageProcess, horizon_s: float, seed: int) -> Ti
 
     if process.network_burst is not None:
         burst = process.network_burst
-        count = int(rng.poisson(burst.rate_per_day * horizon_s / 86400.0))
+        count = int(rng.poisson(burst.rate_per_day * horizon_s / DAY_S))
         merged: list[list[float]] = []
         for s in sorted(float(s) for s in rng.uniform(0.0, horizon_s, size=count)):
             e = min(s + burst.duration_s, horizon_s)

@@ -319,6 +319,22 @@ class TestCmdDetect:
         detected = frag["sla_metrics"]["detected"]
         assert detected["long_outage_count"] == detected["failure_count"]
 
+    def test_log_estimate_rejects_exits_two(self, campaign_dir, tmp_path, capsys):
+        # slot 1 starts at attempt 2: detect_outages alone would read this log
+        config_path, out = campaign_dir
+        log_path = tmp_path / "bad.jsonl"
+        log_path.write_text("".join(
+            f'{{"ts_s":{600 * slot + attempt - 1},"vantage":0,"slot":{slot},'
+            f'"attempt":{attempt},"outcome":"success"}}\n'
+            for slot, attempt in ((0, 1), (1, 2), (2, 1))))
+        capsys.readouterr()
+        for argv in (["estimate"], ["detect", "--truth", str(out / "truth.jsonl")]):
+            assert main([*argv, "--log", str(log_path), "--config", str(config_path),
+                         "--out", str(tmp_path / "o")]) == 2
+            assert capsys.readouterr().err == ("data error: malformed attempt log at vantage=0 "
+                                               "slot=1: expected attempt 1, found 2\n")
+        assert not (tmp_path / "o" / "detect.json").exists()
+
     def test_horizon_mismatch_exits_two(self, campaign_dir, tmp_path, capsys):
         config_path, out = campaign_dir
         short = tmp_path / "short.ini"

@@ -89,7 +89,8 @@ class TestUndetectedProbability:
 
 class TestUndetectedCurve:
     def test_boundary_and_linear_points(self):
-        rows = dict(undetected_curve(T, [0.25 * T, 0.5 * T, T, 1.5 * T]))
+        rows = dict(undetected_curve(T))
+        assert len(rows) == 60 and min(rows) == 0.025
         assert rows[0.25] == pytest.approx(0.75)
         assert rows[0.5] == pytest.approx(0.5)
         assert rows[1.0] == 0.0
@@ -105,11 +106,6 @@ class TestUndetectedCurve:
     def test_bad_interval_rejected(self, interval_s):
         with pytest.raises(ValueError, match="finite"):
             undetected_curve(interval_s)
-
-    @pytest.mark.parametrize("duration_s", [math.nan, math.inf, 0.0])
-    def test_bad_grid_duration_rejected(self, duration_s):
-        with pytest.raises(ValueError, match="finite"):
-            undetected_curve(T, [0.5 * T, duration_s])
 
     def test_csv_header_exact(self, tmp_path):
         path = tmp_path / "curve.csv"
@@ -264,12 +260,11 @@ class TestDetectionReport:
         # pool many campaigns so every bin gets enough outages to compare
         proc = OutageProcess(up_mean_s=3000.0,
                              duration_dist=DurationDistribution.exponential(200.0))
-        edges = [i * T / 4.0 for i in range(5)]
         weighted = {}
         for seed in range(40):
             cfg = config(horizon_days=5.0, seed=seed)
             tl = generate_timeline(proc, cfg.horizon_s, cfg.seed)
-            rep = report(tl, sample_campaign(tl, cfg), cfg, bin_edges_s=edges)
+            rep = report(tl, sample_campaign(tl, cfg), cfg)
             for b in rep.per_duration_bins:
                 if b.empirical_nodet is None:
                     continue
@@ -398,32 +393,27 @@ def oracle_detect_outages(log):
     return [[run[0], len(run)] for run in map(np.ndarray.tolist, runs)]
 
 
-def oracle_detection_report(truth, log, config, runs, bin_edges_s=None):
+def oracle_detection_report(truth, log, config, runs):
     cloud = [ev for ev in outages_of(truth) if ev.cause == CLOUD]
     ts = np.append(np.sort(log.ts_s), math.inf)
     starts = np.array([ev.start_s for ev in cloud])
     ends = np.array([ev.start_s + ev.duration_s for ev in cloud])
     flags = (ts[np.searchsorted(ts, starts)] < ends).tolist()
     detected = sum(flags)
-    if bin_edges_s is None:
-        bin_edges_s = [config.probe_interval_s * i / 4.0 for i in range(7)]
     return DetectionReport(
         total_true_outages=len(cloud), detected=detected, undetected=len(cloud) - detected,
-        per_duration_bins=tuple(oracle_bin_rates(cloud, flags, bin_edges_s,
-                                                 config.probe_interval_s)),
+        per_duration_bins=tuple(oracle_bin_rates(cloud, flags, config.probe_interval_s)),
         duration_estimates=tuple(oracle_duration_estimates(cloud, flags, runs,
                                                            config.probe_interval_s)))
 
 
-def oracle_bin_rates(events, flags, edges, interval_s):
-    edges = sorted(edges)
-    if len(edges) < 2:
-        raise ValueError("need at least two bin edges")
+def oracle_bin_rates(events, flags, interval_s):
+    edges = [interval_s * i / 4.0 for i in range(7)]
     bins = []
     for lo, hi in zip(edges, edges[1:]):
         inside = [f for ev, f in zip(events, flags) if lo <= ev.duration_s < hi]
         mid = 0.5 * (lo + hi)
-        analytic = (0.0 if interval_s <= mid else 1.0 - mid / interval_s) if mid > 0 else 1.0
+        analytic = 0.0 if interval_s <= mid else 1.0 - mid / interval_s
         rate = None if not inside else 1.0 - sum(inside) / len(inside)
         bins.append(DurationBin(lo_s=lo, hi_s=hi, analytic_p_nodet=analytic,
                                 empirical_nodet=rate, outages=len(inside)))
@@ -442,13 +432,13 @@ def oracle_duration_estimates(cloud, flags, runs, interval):
     return estimates
 
 
-def assert_matches_oracle(truth, log, cfg, bin_edges_s=None):
+def assert_matches_oracle(truth, log, cfg):
     runs = detect_outages(log)
     want_runs = oracle_detect_outages(log)
     assert runs.dtype == np.int64 and runs.shape == (len(want_runs), 2)
     assert runs.tolist() == want_runs
-    got = detection_report(truth, log, cfg, runs, bin_edges_s=bin_edges_s)
-    want = oracle_detection_report(truth, log, cfg, want_runs, bin_edges_s=bin_edges_s)
+    got = detection_report(truth, log, cfg, runs)
+    want = oracle_detection_report(truth, log, cfg, want_runs)
     assert repr(got) == repr(want)  # also pins float vs int vs numpy scalar types
     return got
 
@@ -497,10 +487,7 @@ def scored_campaigns(draw):
                          slot=draw(st.integers(0, slots)), attempt=1,
                          outcome=draw(st.sampled_from([SUCCESS, CLOUD_FAIL, NETWORK_FAIL])))
                      for _ in range(draw(st.integers(0, 40))))
-    edges = draw(st.none() | st.lists(
-        st.sampled_from([0, 0.0, 0.25, 0.5, 1.0, 1.5, 3.0, math.inf]).map(lambda m: m * interval)
-        | st.floats(0.0, 4 * interval), min_size=2, max_size=6))
-    return truth, log, cfg, edges
+    return truth, log, cfg
 
 
 class TestMatchesPerEventOracle:
@@ -545,21 +532,3 @@ class TestMatchesPerEventOracle:
         rep = assert_matches_oracle(tl, log, cfg)
         assert detect_outages(log).tolist() == [[1, 2]]
         assert rep.detected == 6 and rep.duration_estimates == ((2.5 * T, 2 * T),)
-
-    @pytest.mark.parametrize("edges", [[T, 0.0, T / 2], [0.0, T / 2, T / 2, T],
-                                       [0.0, 0.0], [T, math.inf, 0.0]],
-                             ids=["unsorted", "duplicate", "all-equal", "infinite"])
-    def test_bin_edges(self, edges):
-        cfg = config()
-        tl = timeline_of(cfg.horizon_s, (
-            Outage(100.0, T / 2), Outage(2000.0, T / 4), Outage(9000.0, 2 * T)))
-        rep = assert_matches_oracle(tl, sample_campaign(tl, cfg), cfg, bin_edges_s=edges)
-        assert [b.lo_s for b in rep.per_duration_bins] == sorted(edges)[:-1]
-        assert sum(b.outages for b in rep.per_duration_bins) == sum(
-            min(edges) <= d < max(edges) for d in (T / 2, T / 4, 2 * T))
-
-    def test_too_few_edges_rejected(self):
-        cfg = config()
-        tl = Timeline(cfg.horizon_s, [], [])
-        with pytest.raises(ValueError, match="two bin edges"):
-            report(tl, log_of([]), cfg, bin_edges_s=[T])

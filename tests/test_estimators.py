@@ -341,8 +341,8 @@ class TestEstimateSet:
         assert est.std_error == 0.0
 
     def test_interval_is_wald(self):
-        est = build_estimate_set(HAND, alpha=0.1)
-        assert (est.ci_low, est.ci_high) == wald_interval(0.25, 4, 0.1)
+        est = build_estimate_set(HAND)
+        assert (est.ci_low, est.ci_high) == wald_interval(0.25, 4, 0.05)
 
     def test_empty_counts_raise(self):
         with pytest.raises(InsufficientDataError):
