@@ -6,9 +6,7 @@ Exit codes: 0 success (statistical "reject" conclusions are data, not errors),
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import json
-import logging
 import os
 import sys
 from pathlib import Path
@@ -18,8 +16,7 @@ from .errors import ConfigError, DataError, InsufficientDataError, MalformedLogE
 # the layer names each command calls, which the package resolves; report touches
 # no array, so it loads no numpy
 _COMMAND_NAMES = {command: tuple(names.split()) for command, names in (
-    ("simulate", "configfile logs aggregate_counts expected_tries generate_timeline "
-                 "sample_campaign"),
+    ("simulate", "configfile logs expected_tries generate_timeline sample_campaign"),
     ("estimate", "configfile logs report aggregate_counts SlaClaim build_estimate_set sla_test"),
     ("detect", "configfile logs report aggregate_counts detect_outages detection_report "
                "sla_metrics true_sla_metrics undetected_curve write_undetected_curve"),
@@ -44,15 +41,12 @@ def __getattr__(name):
     return globals()[name]
 
 
-log = logging.getLogger("cloudprobe")
-
 EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_DATA = 2
 EXIT_IO = 3
 
-_LOG_LEVELS = {"error": logging.ERROR, "warn": logging.WARNING,
-               "info": logging.INFO, "debug": logging.DEBUG}
+_LOG_LEVELS = ("error", "warn", "info", "debug")  # CLOUDPROBE_LOG_LEVEL; all but error show warnings
 
 
 class UsageError(Exception):
@@ -127,8 +121,8 @@ def _load_campaign(args, need_process: bool = False) -> configfile.ParsedConfig:
         raise UsageError("--config is required for this command")
     parsed = configfile.read_config(args.config)
     if args.seed is not None:
-        seeded = dataclasses.replace(parsed.campaign, seed=args.seed)
-        parsed = dataclasses.replace(parsed, campaign=seeded)
+        from dataclasses import replace  # model, which read_config loads, has imported it
+        parsed = replace(parsed, campaign=replace(parsed.campaign, seed=args.seed))
     if need_process and parsed.process is None:
         raise ConfigError("config needs [process] and [duration] sections for simulation")
     return parsed
@@ -177,9 +171,8 @@ def cmd_simulate(args) -> int:
     logs.write_attempt_log(log_path, records)
     logs.write_truth(truth_path, timeline)
 
-    counts = aggregate_counts(records, retry_max=campaign.retry_max)
     print(f"expected tries: {expected_tries(campaign)}")
-    print(f"actual first attempts: {counts.first_attempts}")
+    print(f"actual first attempts: {int((records.attempt == 1).sum())}")
     print(f"attempt log: {log_path}")
     print(f"ground truth: {truth_path}")
     return EXIT_OK
@@ -202,7 +195,7 @@ def cmd_estimate(args) -> int:
         retry_max, config_echo = campaign.retry_max, configfile.config_echo(campaign)
 
     records, log_sha = _read_log(args.log)
-    counts = aggregate_counts(records, retry_max=retry_max)
+    counts = aggregate_counts(records, retry_max=retry_max, path=args.log)
 
     try:
         estimates = build_estimate_set(counts)
@@ -210,7 +203,7 @@ def cmd_estimate(args) -> int:
         frag = report.estimate_fragment(log_sha, counts, estimates, results,
                                         config_echo=config_echo)
     except InsufficientDataError as exc:
-        log.warning("insufficient data: %s", exc)
+        _warn(f"insufficient data: {exc}")
         frag = report.estimate_fragment(log_sha, counts, None, [], config_echo=config_echo)
     _emit(args, frag, "estimate.json")
     return EXIT_OK
@@ -224,7 +217,7 @@ def cmd_detect(args) -> int:
 
     timeline = logs.read_truth(args.truth, campaign.horizon_s)
     records, log_sha = _read_log(args.log)
-    aggregate_counts(records, retry_max=campaign.retry_max)  # rejects what estimate rejects
+    aggregate_counts(records, retry_max=campaign.retry_max, path=args.log)  # estimate's check
 
     runs = detect_outages(records)
     rep = detection_report(timeline, records, campaign, runs)
@@ -259,7 +252,8 @@ def cmd_probe(args) -> int:
     flags = {"url": args.url, "timeout_ms": args.timeout_ms,
              "success_statuses": args.success_status and frozenset(args.success_status),
              "expected_body_hash": args.expected_body_hash}
-    target = dataclasses.replace(target, **{k: v for k, v in flags.items() if v is not None})
+    from dataclasses import replace  # loaded with model, as in _load_campaign
+    target = replace(target, **{k: v for k, v in flags.items() if v is not None})
 
     out = _out_dir(args)
     log_path = out / "attempts.jsonl"
@@ -284,16 +278,16 @@ def cmd_report(args) -> int:
     return EXIT_OK
 
 
-def _setup_logging() -> None:
-    raw = os.environ.get("CLOUDPROBE_LOG_LEVEL", "warn").lower()
-    level = _LOG_LEVELS.get(raw, logging.WARNING)
-    logging.basicConfig(level=level, format="%(levelname)s %(name)s: %(message)s")
-    if raw not in _LOG_LEVELS:
-        log.warning("unknown CLOUDPROBE_LOG_LEVEL %r; using warn", raw)
+def _warn(message: str) -> None:
+    """One warning line to the current stderr, unless CLOUDPROBE_LOG_LEVEL is error."""
+    if os.environ.get("CLOUDPROBE_LOG_LEVEL", "warn").lower() != "error":
+        print(f"WARNING cloudprobe: {message}", file=sys.stderr)
 
 
 def main(argv=None) -> int:
-    _setup_logging()
+    level = os.environ.get("CLOUDPROBE_LOG_LEVEL", "warn").lower()
+    if level not in _LOG_LEVELS:
+        _warn(f"unknown CLOUDPROBE_LOG_LEVEL {level!r}; using warn")
     parser = build_parser()
     try:
         args = parser.parse_args(argv)

@@ -302,7 +302,7 @@ class EstimateSet:
             raise ValueError("confidence interval must bracket first_try")
 
 
-def aggregate_counts(log: AttemptLog, retry_max: int | None = None) -> AttemptCounts:
+def aggregate_counts(log: AttemptLog, retry_max: int | None = None, path=None) -> AttemptCounts:
     """Tally per-rank attempt and success counts from an attempt log.
 
     Records may be interleaved across vantage points but must be in attempt
@@ -310,7 +310,7 @@ def aggregate_counts(log: AttemptLog, retry_max: int | None = None) -> AttemptCo
     the largest attempt index seen. Raises MalformedLogError on attempt-index
     gaps, attempts after a success, indices beyond retry_max, or slots that end
     in failure before exhausting retries (the tallies would not be consistent).
-    Of several malformed slots, the one appearing first in the log is named.
+    Of several malformed slots, the one first in the log is named, as is path if given.
     """
     order = np.lexsort((log.slot, log.vantage))  # stable: keeps attempt order per slot
     vantage, slot, attempt = log.vantage[order], log.slot[order], log.attempt[order]
@@ -325,7 +325,7 @@ def aggregate_counts(log: AttemptLog, retry_max: int | None = None) -> AttemptCo
 
     def malformed(bad_rows, reason):
         i = bad_rows[np.lexsort((bad_rows, seen[bad_rows]))[0]]
-        raise MalformedLogError(int(vantage[i]), int(slot[i]), reason(i))
+        raise MalformedLogError(int(vantage[i]), int(slot[i]), reason(i), path)
 
     bad = np.flatnonzero((attempt != rank) | (success & (rank < np.repeat(sizes, sizes))))
     if len(bad):

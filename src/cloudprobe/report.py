@@ -12,7 +12,6 @@ import json
 import math
 import numbers
 import re
-from dataclasses import fields, is_dataclass
 from importlib import resources
 from typing import TYPE_CHECKING
 
@@ -59,8 +58,9 @@ _KEYWORDS = {
 
 def _to_json(obj):
     """Dataclass fields as JSON values: tuples become lists, non-finite floats null."""
-    if is_dataclass(obj):
-        return {f.name: _to_json(getattr(obj, f.name)) for f in fields(obj)}
+    names = getattr(type(obj), "__dataclass_fields__", None)  # no field is a ClassVar
+    if names is not None:
+        return {name: _to_json(getattr(obj, name)) for name in names}
     if isinstance(obj, tuple):
         return [_to_json(v) for v in obj]
     if isinstance(obj, float) and not math.isfinite(obj):

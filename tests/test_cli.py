@@ -331,8 +331,8 @@ class TestCmdDetect:
         for argv in (["estimate"], ["detect", "--truth", str(out / "truth.jsonl")]):
             assert main([*argv, "--log", str(log_path), "--config", str(config_path),
                          "--out", str(tmp_path / "o")]) == 2
-            assert capsys.readouterr().err == ("data error: malformed attempt log at vantage=0 "
-                                               "slot=1: expected attempt 1, found 2\n")
+            assert capsys.readouterr().err == (f"data error: malformed attempt log {log_path} at "
+                                               "vantage=0 slot=1: expected attempt 1, found 2\n")
         assert not (tmp_path / "o" / "detect.json").exists()
 
     def test_horizon_mismatch_exits_two(self, campaign_dir, tmp_path, capsys):
@@ -848,6 +848,37 @@ class TestUsage:
             assert {own, "cloudprobe.configfile", "cloudprobe.logs"} <= imported, argv[0]
             assert not absent & imported, argv[0]
 
+    def test_startup_loads_no_logging_or_dataclasses(self, tmp_path):
+        # the CLI warns without logging, and report turns dataclasses into JSON without
+        # dataclasses (which loads inspect, dis and ast), so neither an import of the CLI
+        # nor report pays for them; the array commands load dataclasses and inspect with
+        # their layers, and still no logging. -X importtime names each module a run
+        # imports, on stderr; what a bare interpreter imports (say, through a host's
+        # site hooks) is not cloudprobe's doing
+        env = {**os.environ, "PYTHONPATH": str(Path(cloudprobe.__file__).parents[1])}
+        stdlib = {"logging", "dataclasses", "inspect"}
+
+        def imported(*args):
+            run = subprocess.run([sys.executable, "-X", "importtime", *args],
+                                 capture_output=True, text=True, env=env)
+            assert run.returncode == 0, run.stderr
+            return stdlib & {line.rsplit("|", 1)[1].strip() for line in run.stderr.splitlines()
+                             if line.startswith("import time:")}
+
+        bare = imported("-c", "pass")
+        assert imported("-c", "import cloudprobe.cli") - bare == set()
+        config = str(tmp_path / "c.ini")
+        write_sim_config(config)
+        out = str(tmp_path / "out")
+        log, truth = f"{out}/attempts.jsonl", f"{out}/truth.jsonl"
+        for argv in (["simulate", "--config", config, "--out", out],
+                     ["estimate", "--config", config, "--log", log, "--out", out],
+                     ["detect", "--config", config, "--log", log, "--truth", truth,
+                      "--out", out]):
+            assert imported("-m", "cloudprobe", *argv) - bare == {"dataclasses", "inspect"}, argv
+        assert imported("-m", "cloudprobe", "report", f"{out}/estimate.json",
+                        f"{out}/detect.json", "--out", out) - bare == set()
+
     def test_live_config_parses_to_a_probe_target(self, tmp_path):
         # configfile imports the prober only to build a live target, in a fresh
         # interpreter as in a command's
@@ -894,10 +925,20 @@ class TestUsage:
         assert main(["estimate", "--nope"]) == 1
 
     def test_bad_log_level_env_tolerated(self, tmp_path, monkeypatch, capsys):
-        monkeypatch.setenv("CLOUDPROBE_LOG_LEVEL", "shout")
+        # a warning is one line on the current stderr; error silences it, every other
+        # level shows it, and an unknown level warns once and acts as warn
         log_path = tmp_path / "empty.jsonl"
         log_path.write_text("")
-        assert main(["estimate", "--log", str(log_path)]) == 0
+        warning = "WARNING cloudprobe: insufficient data: no first attempts recorded\n"
+        for level, err in ((None, warning), ("error", ""), ("ERROR", ""), ("info", warning),
+                           ("debug", warning), ("shout", "WARNING cloudprobe: unknown "
+                            "CLOUDPROBE_LOG_LEVEL 'shout'; using warn\n" + warning)):
+            if level is None:
+                monkeypatch.delenv("CLOUDPROBE_LOG_LEVEL", raising=False)
+            else:
+                monkeypatch.setenv("CLOUDPROBE_LOG_LEVEL", level)
+            assert main(["estimate", "--log", str(log_path)]) == 0
+            assert capsys.readouterr().err == err, level
 
 
 class TestBenchmarkContract:
