@@ -94,7 +94,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("probe", help="run a live HTTP probing campaign")
     _common(p)
     p.add_argument("--resume", action="store_true",
-                   help="continue after the checkpointed slot")
+                   help="continue after the last slot the log completes")
     p.add_argument("--url", help="override the config target URL")
     p.add_argument("--timeout-ms", type=float, help="per-attempt timeout")
     p.add_argument("--success-status", type=int, action="append",

@@ -5,7 +5,7 @@ NetworkBurst's fields as burst_ keys, and [duration] DurationDistribution."""
 from __future__ import annotations
 
 import configparser
-from dataclasses import MISSING, asdict, dataclass, fields
+from dataclasses import MISSING, dataclass, fields
 from typing import TYPE_CHECKING
 
 from .model import CampaignConfig, ConfigError
@@ -104,4 +104,5 @@ def read_config(path) -> ParsedConfig:
 
 def config_echo(campaign: CampaignConfig) -> dict:
     """Campaign fields as a JSON-ready mapping for the report."""
-    return asdict(campaign)
+    from .report import _to_json  # here, so that simulate and probe load no report
+    return _to_json(campaign)

@@ -56,9 +56,9 @@ _ROW_BYTES = sum(dtype.itemsize for dtype in _DTYPES)
 
 
 def attempt_line(ts_s, vantage, slot, attempt, outcome, latency_ms=None, reason=None) -> str:
-    """One record's line as json.dumps writes it, newline included; latency_ms
-    (written as a float) and reason are left out when None."""
-    line = (f'{{"ts_s":{ts_s!r},"vantage":{vantage},"slot":{slot},"attempt":{attempt},'
+    """One record's line as json.dumps writes it, newline included; ts_s and
+    latency_ms written as floats, latency_ms and reason left out when None."""
+    line = (f'{{"ts_s":{float(ts_s)!r},"vantage":{vantage},"slot":{slot},"attempt":{attempt},'
             f'"outcome":"{outcome}"')
     if latency_ms is not None:
         line += f',"latency_ms":{float(latency_ms)!r}'

@@ -1,10 +1,10 @@
 """Live HTTP probing on the same slot/retry schedule the simulator uses.
 
 One scheduler owns the slot clock; attempts within a slot run sequentially.
-Records append to the shared JSONL log with a flush per record, and a
-checkpoint file tracks the last completed slot so an aborted campaign can
-resume without duplicating slot indices. Live probes cannot attribute cause,
-so outcomes are only success/fail plus a reason code.
+Records append to the shared JSONL log with an fsync per record, so the log is
+its own checkpoint: an aborted campaign resumes after the last slot the log
+completes, without duplicating slot indices. Live probes cannot attribute
+cause, so outcomes are only success/fail plus a reason code.
 """
 from __future__ import annotations
 
@@ -16,7 +16,8 @@ import time
 import urllib.parse
 from dataclasses import dataclass
 
-from .model import FAIL, FAIL_REASONS, SUCCESS, AttemptLog, CampaignConfig, ConfigError, DataError
+from .model import (FAIL, FAIL_REASONS, OUTCOMES, SUCCESS, AttemptLog, CampaignConfig,
+                    ConfigError, aggregate_counts)
 from . import logs
 
 
@@ -131,33 +132,6 @@ def _before(deadline: float, sock, step, *args):
     return step(*args)
 
 
-def checkpoint_path_for(log_path) -> str:
-    return str(log_path) + ".checkpoint"
-
-
-def read_checkpoint(path) -> int:
-    """Last completed slot index, or -1 when no checkpoint exists."""
-    try:
-        with open(path, "r", encoding="utf-8") as f:
-            slot = int(f.read())
-    except FileNotFoundError:
-        return -1
-    except ValueError as exc:  # not an integer, or not UTF-8
-        raise DataError(f"checkpoint {path}: {exc}") from None
-    if slot < 0:
-        raise DataError(f"checkpoint {path}: slot must be >= 0, got {slot}")
-    return slot
-
-
-def _write_checkpoint(path, slot: int) -> None:
-    tmp = str(path) + ".tmp"
-    with open(tmp, "w", encoding="utf-8") as f:
-        f.write(f"{slot}\n")
-        f.flush()
-        os.fsync(f.fileno())
-    os.replace(tmp, path)
-
-
 def _sleep_until(deadline_mono: float) -> None:
     while (remaining := deadline_mono - time.monotonic()) > 0:
         time.sleep(remaining)
@@ -168,10 +142,12 @@ def run_campaign(target: ProbeTarget, config: CampaignConfig, log_path,
     """Run the live slot schedule against the target, appending to log_path.
 
     Slot epochs stay aligned to origin + k*T (drift from slow slots is never
-    carried forward). On resume, records beyond the checkpointed slot (a
-    partial slot from a crash) are dropped before continuing, and the origin is
-    re-anchored so ts_s remains ~ slot*T and nondecreasing across the gap.
-    Returns the whole log as written, read back from log_path.
+    carried forward). On resume, the log's last slot is done if its last record
+    is a success or attempt retry_max; otherwise it is partial (from a crash)
+    and dropped by write_attempt_log's atomic rewrite. The records kept must fit
+    retry_max, else MalformedLogError before any probe, the log unchanged. The
+    origin is re-anchored so ts_s remains ~ slot*T and nondecreasing across the
+    gap. Returns the whole log as written, read back from log_path.
 
     probe_fn is the probe adapter seam: any callable mapping a ProbeTarget to
     a ProbeResult can stand in for the HTTP fetch; only HTTP ships.
@@ -181,19 +157,20 @@ def run_campaign(target: ProbeTarget, config: CampaignConfig, log_path,
     if config.vantage_points != 1:
         raise ConfigError("live campaigns are single-host; vantage_points must be 1")
 
-    cp_path = checkpoint_path_for(log_path)
-    last_done = -1
-    if resume:
-        last_done = read_checkpoint(cp_path)
-        if os.path.exists(log_path):
-            existing = logs.read_attempt_log(log_path)
-            kept = existing[existing.slot <= last_done]
-            if len(kept) != len(existing):
-                logs.write_attempt_log(log_path, kept)
-    elif os.path.exists(log_path):
+    last_done = -1  # an int, not numpy's, which would make each ts_s a numpy float
+    if not resume and os.path.exists(log_path):
         os.remove(log_path)
-        if os.path.exists(cp_path):
-            os.remove(cp_path)
+    elif os.path.exists(log_path):
+        kept = existing = logs.read_attempt_log(log_path)
+        if len(existing):
+            last_done = int(existing.slot[-1])
+            failed = existing.outcome[-1] != OUTCOMES.index(SUCCESS)
+            if failed and existing.attempt[-1] < config.retry_max:  # partial: probe it again
+                last_done -= 1
+                kept = existing[existing.slot <= last_done]
+        aggregate_counts(kept, retry_max=config.retry_max, path=log_path)
+        if len(kept) != len(existing):
+            logs.write_attempt_log(log_path, kept)
 
     interval = config.probe_interval_s
     start_slot = last_done + 1
@@ -215,5 +192,4 @@ def run_campaign(target: ProbeTarget, config: CampaignConfig, log_path,
                     break
                 if attempt < config.retry_max:
                     _sleep_until(origin + slot * interval + attempt * config.retry_gap_s)
-            _write_checkpoint(cp_path, slot)
     return logs.read_attempt_log(log_path)

@@ -612,7 +612,7 @@ class TestCmdProbe:
         records = logs.read_attempt_log(out / "attempts.jsonl")
         assert records.slot.tolist() == [0, 1, 2]
 
-        # longer campaign resumes from the checkpoint without duplicating slots
+        # longer campaign resumes after the log's last slot without duplicating slots
         longer = tmp_path / "longer.ini"
         write_config(
             longer,
@@ -711,9 +711,6 @@ class TestMalformedInput:
          2, "'utf-8' codec can't decode"),
         (["estimate", "--log", "{log}", "--config", "{out}/bad.ini"],
          {"bad.ini": b'[campaign]\n\xff\xfe\n'}, 1, "cannot parse config"),
-        (["probe", "--config", "{out}/live.ini", "--out", "{out}", "--resume"],
-         {"live.ini": "[campaign]\n" + LIVE, "attempts.jsonl.checkpoint": "abc\n"},
-         2, "attempts.jsonl.checkpoint: invalid literal"),
         (["estimate", "--log", "{log}"],
          {"attempts.jsonl": '{"ts_s":"5","vantage":0,"slot":0,"attempt":1,"outcome":"success"}\n'},
          2, "line 1: ts_s must be a number, got '5'"),
@@ -742,13 +739,22 @@ class TestMalformedInput:
          2, "line 1: maximum recursion depth exceeded"),
         (["detect", "--log", "{log}", "--truth", "{truth}", "--config", "{config}"],
          {"truth.jsonl": DEEP}, 2, "line 1: maximum recursion depth exceeded"),
+        # a log written under retry_max 2 resumed under 3, refused before any probe
+        (["probe", "--config", "{out}/live.ini", "--out", "{out}", "--resume"],
+         {"live.ini": "[campaign]\nprobe_interval_s = 0.2\nhorizon_days = 0.00001\n"
+                      "retry_max = 3\nretry_gap_s = 0.05\nmode = live\n"
+                      "target = http://127.0.0.1:9/obj\n",
+          "attempts.jsonl": '{"ts_s":0.0,"vantage":0,"slot":0,"attempt":1,"outcome":"fail"}\n'
+                            '{"ts_s":0.05,"vantage":0,"slot":0,"attempt":2,"outcome":"fail"}\n'
+                            '{"ts_s":0.2,"vantage":0,"slot":1,"attempt":1,"outcome":"success"}\n'},
+         2, "slot=0: slot ended after failed attempt 2 of 3"),
     ], ids=["claim-above-one", "alpha-zero", "negative-threshold", "overlapping-truth",
             "string-vantage", "nan-ts", "nan-truth", "fractional-slot", "truth-beyond-horizon",
             "nan-latency", "infinite-latency", "non-utf8-log", "non-utf8-truth",
-            "non-utf8-fragment", "non-utf8-config", "bad-checkpoint", "string-ts",
+            "non-utf8-fragment", "non-utf8-config", "string-ts",
             "string-truth", "bool-truth", "huge-int-truth", "unknown-cause-truth",
             "provenance-not-object", "digest-not-string", "deep-fragment", "deep-log",
-            "deep-truth"])
+            "deep-truth", "resume-other-retry-max"])
     def test_documented_exit_code(self, tmp_path, capsys, argv, files, code, needle):
         config = tmp_path / "c.ini"
         write_sim_config(config, campaign=CampaignConfig(

@@ -422,6 +422,11 @@ def test_writer_output_parses_back_to_its_columns(tmp_path):
         for column in COLUMNS:
             assert getattr(back, column).tobytes() == getattr(log, column).tobytes(), column
         assert_same(path)
+        # attempt_line given numpy floats writes the floats they are, as the writer does
+        assert "".join(logs.attempt_line(*row._replace(
+            ts_s=np.float64(row.ts_s),
+            latency_ms=None if row.latency_ms is None else np.float64(row.latency_ms)))
+            for row in rows_of(log)).encode() == path.read_bytes()
 
 
 def test_other_json_forms_take_the_general_path(tmp_path, monkeypatch):

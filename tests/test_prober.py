@@ -12,14 +12,12 @@ from pathlib import Path
 import pytest
 
 from cloudprobe.estimators import first_try_availability, retry_filtered_availability
-from cloudprobe.model import (CLOUD_FAIL, FAIL, SUCCESS, CampaignConfig, ConfigError, DataError,
-                              aggregate_counts)
+from cloudprobe.model import (CLOUD_FAIL, FAIL, SUCCESS, CampaignConfig, ConfigError,
+                              MalformedLogError, aggregate_counts)
 from cloudprobe.prober import (
     ProbeResult,
     ProbeTarget,
-    checkpoint_path_for,
     probe_once,
-    read_checkpoint,
     run_campaign,
 )
 from cloudprobe.detection import detect_outages
@@ -223,6 +221,11 @@ class TestProbeOnce:
         assert ProbeTarget(url="http://host/", expected_body_hash="aB" * 32).expected_body_hash
 
 
+def succeed_counting(calls):
+    """A probe_fn that succeeds at once, appending each target it is given to calls."""
+    return lambda target: calls.append(target) or ProbeResult(SUCCESS, latency_ms=1.0)
+
+
 class TestRunCampaign:
     def test_always_up_fixture(self, http_fixture, tmp_path):
         config = live_config(slots=5, url=http_fixture.url)
@@ -304,22 +307,6 @@ class TestRunCampaign:
                          probe_fn=lambda target: ProbeResult("bogus"))
         assert log_path.read_text() == ""
 
-    def test_checkpoint_tracks_last_slot(self, http_fixture, tmp_path):
-        config = live_config(slots=4, url=http_fixture.url)
-        log_path = tmp_path / "attempts.jsonl"
-        run_campaign(ProbeTarget(url=http_fixture.url), config, log_path)
-        assert read_checkpoint(checkpoint_path_for(log_path)) == 3
-
-    @pytest.mark.parametrize("text", [b"abc\n", b"", b"\xff\n", b"1.5\n", b"-3\n", b"-1\n"])
-    def test_unreadable_checkpoint_is_a_data_error(self, tmp_path, text):
-        config = live_config(slots=2)
-        log_path = tmp_path / "attempts.jsonl"
-        cp_path = tmp_path / "attempts.jsonl.checkpoint"
-        cp_path.write_bytes(text)
-        with pytest.raises(DataError, match=re.escape(f"checkpoint {cp_path}: ")):
-            run_campaign(ProbeTarget(url=config.target), config, log_path, resume=True,
-                         probe_fn=lambda target: pytest.fail("probed past a bad checkpoint"))
-
     def test_resume_never_duplicates_slots(self, http_fixture, tmp_path):
         config = live_config(slots=6, url=http_fixture.url)
         log_path = tmp_path / "attempts.jsonl"
@@ -339,17 +326,81 @@ class TestRunCampaign:
         # the partial slot-3 record was truncated, then slot 3 was re-probed
         assert sum(1 for r in reread if r.slot == 3) == 1
         assert all(r.outcome == SUCCESS for r in reread if r.slot == 3)
-        # the rewrite left a column sidecar, which the appends would have made stale
-        assert sorted(p.name for p in tmp_path.iterdir()) == [
-            "attempts.jsonl", "attempts.jsonl.checkpoint"]
+        # no column sidecar (the appends would have made the rewrite's stale) and
+        # no checkpoint file: the log is its own
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["attempts.jsonl"]
+
+    @pytest.mark.parametrize("last, probes", [
+        ([(SUCCESS, None)], 2),
+        ([(FAIL, "status"), (FAIL, "status")], 2),  # failed at retry_max: not probed again
+        ([(FAIL, "status")], 3),  # partial: dropped, then probed again
+    ], ids=["success", "failed-at-retry-max", "partial"])
+    def test_resume_reads_the_last_slot_from_the_log(self, tmp_path, last, probes):
+        # slots 0-1 succeeded; slot 2 ends as last says
+        config = live_config(slots=5, interval=0.02, gap=0.005)
+        log_path = tmp_path / "attempts.jsonl"
+        done = "".join(logs.attempt_line(0.02 * slot, 0, slot, 1, SUCCESS, 1.25)
+                       for slot in range(2))
+        tail = "".join(logs.attempt_line(0.04 + 0.005 * i, 0, 2, i + 1, outcome, None, reason)
+                       for i, (outcome, reason) in enumerate(last))
+        log_path.write_text(done + tail)
+        calls = []
+        records = run_campaign(ProbeTarget(url=config.target), config, log_path, resume=True,
+                               probe_fn=succeed_counting(calls))
+        assert len(calls) == probes
+        assert [r.slot for r in rows_of(records) if r.attempt == 1] == list(range(5))
+        assert log_path.read_text().startswith(done + (tail if probes == 2 else ""))
+
+    def test_stale_checkpoint_file_is_not_read(self, tmp_path):
+        # a checkpoint file that an older version left, beside a run aborted inside
+        # slot 0: resume goes by the log alone, so no slot is skipped or kept partial
+        config = live_config(slots=4, interval=0.02, gap=0.005)
+        log_path = tmp_path / "attempts.jsonl"
+        stale = tmp_path / "attempts.jsonl.checkpoint"
+        stale.write_text("2\n")
+        calls = []
+
+        def abort_at_second_attempt(target):
+            if calls:
+                raise RuntimeError("aborted")
+            calls.append(target)
+            return ProbeResult(FAIL, reason="connect")
+
+        with pytest.raises(RuntimeError, match="aborted"):
+            run_campaign(ProbeTarget(url=config.target), config, log_path,
+                         probe_fn=abort_at_second_attempt)
+        assert [(r.slot, r.attempt) for r in rows_of(logs.read_attempt_log(log_path))] == [(0, 1)]
+        calls.clear()
+        records = run_campaign(ProbeTarget(url=config.target), config, log_path, resume=True,
+                               probe_fn=succeed_counting(calls))
+        assert [(r.slot, r.attempt, r.outcome) for r in rows_of(records)] == [
+            (slot, 1, SUCCESS) for slot in range(4)]
+        assert len(calls) == 4
+        assert stale.read_text() == "2\n"  # neither read nor removed
+
+    def test_resume_under_another_retry_max_probes_nothing(self, tmp_path):
+        # written under retry_max 2: slot 0 failed both attempts, slot 1 succeeded
+        config = live_config(slots=4, retry_max=3)
+        log_path = tmp_path / "attempts.jsonl"
+        log_path.write_text(logs.attempt_line(0.0, 0, 0, 1, FAIL, None, "status")
+                            + logs.attempt_line(0.05, 0, 0, 2, FAIL, None, "status")
+                            + logs.attempt_line(0.25, 0, 1, 1, SUCCESS, 1.25))
+        before = log_path.read_bytes()
+        calls = []
+        with pytest.raises(MalformedLogError,
+                           match="slot=0: slot ended after failed attempt 2 of 3"):
+            run_campaign(ProbeTarget(url=config.target), config, log_path, resume=True,
+                         probe_fn=succeed_counting(calls))
+        assert calls == []
+        assert log_path.read_bytes() == before
 
     def test_failed_resume_rewrite_keeps_the_log(self, tmp_path, monkeypatch):
-        # slots 0-1 checkpointed, slot 2 partial: resume rewrites the log without it
+        # slots 0-1 succeeded, slot 2 partial: resume rewrites the log without it
         config = live_config(slots=4)
         log_path = tmp_path / "attempts.jsonl"
-        log_path.write_text("".join(logs.attempt_line(0.5 * i, 0, i, 1, FAIL, 1.25, "connect")
-                                    for i in range(3)))
-        (tmp_path / "attempts.jsonl.checkpoint").write_text("1\n")
+        log_path.write_text(logs.attempt_line(0.0, 0, 0, 1, SUCCESS, 1.25)
+                            + logs.attempt_line(0.25, 0, 1, 1, SUCCESS, 1.25)
+                            + logs.attempt_line(0.5, 0, 2, 1, FAIL, None, "connect"))
         before = sorted(tmp_path.iterdir()), log_path.read_bytes()
         chunk_text = logs._chunk_text
         written = []
