@@ -17,7 +17,7 @@ import urllib.parse
 from dataclasses import dataclass
 
 from .model import (FAIL, FAIL_REASONS, OUTCOMES, SUCCESS, AttemptLog, CampaignConfig,
-                    ConfigError, aggregate_counts)
+                    ConfigError, MalformedLogError, aggregate_counts)
 from . import logs
 
 
@@ -145,9 +145,9 @@ def run_campaign(target: ProbeTarget, config: CampaignConfig, log_path,
     carried forward). On resume, the log's last slot is done if its last record
     is a success or attempt retry_max; otherwise it is partial (from a crash)
     and dropped by write_attempt_log's atomic rewrite. The records kept must fit
-    retry_max, else MalformedLogError before any probe, the log unchanged. The
-    origin is re-anchored so ts_s remains ~ slot*T and nondecreasing across the
-    gap. Returns the whole log as written, read back from log_path.
+    retry_max, vantage 0 and the slots, else MalformedLogError before any probe,
+    the log unchanged. The origin is re-anchored so ts_s remains ~ slot*T and
+    nondecreasing across the gap. Returns the whole log as written, read back.
 
     probe_fn is the probe adapter seam: any callable mapping a ProbeTarget to
     a ProbeResult can stand in for the HTTP fetch; only HTTP ships.
@@ -169,6 +169,9 @@ def run_campaign(target: ProbeTarget, config: CampaignConfig, log_path,
                 last_done -= 1
                 kept = existing[existing.slot <= last_done]
         aggregate_counts(kept, retry_max=config.retry_max, path=log_path)
+        if kept.vantage.any() or kept.slot.max(initial=-1) >= config.slots:
+            raise MalformedLogError(None, None, "a record lies outside this campaign's vantage 0,"
+                                    f" slots 0 to {config.slots - 1}", log_path)
         if len(kept) != len(existing):
             logs.write_attempt_log(log_path, kept)
 

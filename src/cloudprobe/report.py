@@ -26,33 +26,31 @@ SCHEMA_VERSION = "1"
 _TYPES = {"array": list, "boolean": bool, "integer": int, "null": type(None),
           "number": numbers.Number, "object": dict, "string": str}
 # each keyword _conforms reads -> its test of the value v under the keyword's
-# argument a in the schema s (r is the root), as jsonschema's _keywords module
-# makes it: a keyword about one JSON type passes a value of any other type
+# argument a in the schema s (r is the root, p None or v's path, never empty), as
+# jsonschema's _keywords module makes it: a keyword about one JSON type passes a
+# value of any other type. oneOf and additionalProperties fail at v, as jsonschema's do
 _KEYWORDS = {
-    "type": lambda v, a, s, r: any(_is(v, t) for t in ([a] if isinstance(a, str) else a)),
-    "const": lambda v, a, s, r: _equal(v, a),
-    "enum": lambda v, a, s, r: any(_equal(v, c) for c in a),
-    "minimum": lambda v, a, s, r: not _is(v, "number") or not v < a,
-    "exclusiveMinimum": lambda v, a, s, r: not _is(v, "number") or not v <= a,
-    "maximum": lambda v, a, s, r: not _is(v, "number") or not v > a,
-    "pattern": lambda v, a, s, r: not isinstance(v, str) or re.search(a, v) is not None,
-    "required": lambda v, a, s, r: not isinstance(v, dict) or all(k in v for k in a),
-    "properties": lambda v, a, s, r: not isinstance(v, dict) or all(
-        _conforms(v[k], sub, r) for k, sub in a.items() if k in v),
-    "additionalProperties": lambda v, a, s, r: not isinstance(v, dict) or all(
+    "type": lambda v, a, s, r, p: any(_is(v, t) for t in ([a] if isinstance(a, str) else a)),
+    "const": lambda v, a, s, r, p: _equal(v, a),
+    "enum": lambda v, a, s, r, p: any(_equal(v, c) for c in a),
+    "minimum": lambda v, a, s, r, p: not _is(v, "number") or not v < a,
+    "exclusiveMinimum": lambda v, a, s, r, p: not _is(v, "number") or not v <= a,
+    "maximum": lambda v, a, s, r, p: not _is(v, "number") or not v > a,
+    "pattern": lambda v, a, s, r, p: not isinstance(v, str) or re.search(a, v) is not None,
+    "required": lambda v, a, s, r, p: not isinstance(v, dict) or all(k in v for k in a),
+    "properties": lambda v, a, s, r, p: not isinstance(v, dict) or all(
+        _conforms(v[k], sub, r, p and (*p, k)) for k, sub in a.items() if k in v),
+    "additionalProperties": lambda v, a, s, r, p: not isinstance(v, dict) or all(
         _conforms(x, a, r) for k, x in v.items() if k not in s.get("properties", {})),
-    "prefixItems": lambda v, a, s, r: not isinstance(v, list) or all(
-        _conforms(x, sub, r) for x, sub in zip(v, a)),
-    "items": lambda v, a, s, r: not isinstance(v, list) or all(
-        _conforms(x, a, r) for x in v[len(s.get("prefixItems", ())):]),
-    "minItems": lambda v, a, s, r: not isinstance(v, list) or not len(v) < a,
-    "maxItems": lambda v, a, s, r: not isinstance(v, list) or not len(v) > a,
-    "oneOf": lambda v, a, s, r: sum(_conforms(v, sub, r) for sub in a) == 1,
-    "$ref": lambda v, a, s, r: _conforms(v, r["$defs"][a.removeprefix("#/$defs/")], r),
-    "title": lambda v, a, s, r: True,  # annotations
-    "$defs": lambda v, a, s, r: True,
-    "$schema": lambda v, a, s, r: True,
-    "$id": lambda v, a, s, r: True,
+    "prefixItems": lambda v, a, s, r, p: not isinstance(v, list) or all(
+        _conforms(x, sub, r, p and (*p, i)) for i, (x, sub) in enumerate(zip(v, a))),
+    "items": lambda v, a, s, r, p: not isinstance(v, list) or all(
+        _conforms(v[i], a, r, p and (*p, i)) for i in range(len(s.get("prefixItems", [])), len(v))),
+    "minItems": lambda v, a, s, r, p: not isinstance(v, list) or not len(v) < a,
+    "maxItems": lambda v, a, s, r, p: not isinstance(v, list) or not len(v) > a,
+    "oneOf": lambda v, a, s, r, p: sum(_conforms(v, sub, r) for sub in a) == 1,
+    "$ref": lambda v, a, s, r, p: _conforms(v, r["$defs"][a.removeprefix("#/$defs/")], r, p),
+    **dict.fromkeys(("title", "$defs", "$schema", "$id"), lambda *_: True),  # annotations
 }
 
 
@@ -109,28 +107,23 @@ def detect_fragment(log_sha256: str, truth_sha256: str, config_sha256: str,
 
 
 def merge_fragments(fragments) -> dict:
-    """Merge fragments about the same attempt log into one report."""
+    """Merge fragments about the same attempt log into one report. Each fragment
+    is checked against the schema, so the report is valid: its every key comes
+    from a checked fragment, and no keyword of the schema relates two keys."""
     frags = list(fragments)
     if not frags:
         raise ReportError("no fragments to merge")
-    if not all(isinstance(f, dict) for f in frags):
-        raise ReportError("fragments must be JSON objects")
-    provenances = [f.get("provenance", {}) for f in frags]
-    if not all(isinstance(p, dict) for p in provenances):
-        raise ReportError("fragment provenance must be a JSON object")
-    for digest in (p["log_sha256"] for p in provenances if "log_sha256" in p):
-        if not isinstance(digest, str):
-            raise ReportError(f"fragment log_sha256 must be a string, got {digest!r}")
-    digests = {p.get("log_sha256") for p in provenances}
-    if len(digests) != 1 or None in digests:
-        raise ReportError(f"fragments reference different logs: {sorted(map(str, digests))}")
+    schema = load_schema()
+    for number, frag in enumerate(frags, 1):
+        _conforms(frag, schema, schema, (f"fragment {number}",))
+    digests = {frag["provenance"]["log_sha256"] for frag in frags}
+    if len(digests) != 1:
+        raise ReportError(f"fragments reference different logs: {sorted(digests)}")
 
     report = _base("report", {}, None)
     del report["kind"]  # a merged report is not a fragment, so it has no kind
     for frag in frags:
-        if frag.get("schema_version") != SCHEMA_VERSION:
-            raise ReportError(f"unsupported fragment schema_version {frag.get('schema_version')!r}")
-        for key, value in frag.get("provenance", {}).items():
+        for key, value in frag["provenance"].items():
             _agree(f"provenance {key}", report["provenance"].setdefault(key, value), value)
         if frag.get("config"):
             report["config"] = report["config"] or frag["config"]
@@ -139,7 +132,6 @@ def merge_fragments(fragments) -> dict:
                     "detection", "sla_metrics"):
             if key in frag:
                 _agree(key, report.setdefault(key, frag[key]), frag[key])
-    validate_report(report)
     return report
 
 
@@ -173,29 +165,33 @@ def _equal(a, b) -> bool:
     return a is b or isinstance(a, bool) == isinstance(b, bool) and a == b
 
 
-def _conforms(value, schema, root) -> bool:
+def _conforms(value, schema, root, path=None) -> bool:
     """Whether value is valid under schema, a part of the packaged 2020-12 schema
     root, as jsonschema decides it. A test pins that root holds only the keywords,
-    type names, $refs and scalar consts that _KEYWORDS reads."""
+    type names, $refs and scalar consts that _KEYWORDS reads. Given value's path (a
+    document name, then keys and indices), the first failing check raises ReportError
+    instead, naming the place and the keyword; it shows value only if a scalar."""
     if isinstance(schema, bool):
         return schema
-    return all(_KEYWORDS[key](value, arg, schema, root) for key, arg in schema.items())
+    failed = next((k for k, a in schema.items() if not _KEYWORDS[k](value, a, schema, root, path)),
+                  None)
+    if failed is None or path is None:
+        return failed is None
+    name, *keys = path
+    where = "".join(f"[{k}]" if isinstance(k, int) else f".{k}" for k in keys).removeprefix(".")
+    shown = f" ({value!r})" if isinstance(value, (str, int, float, type(None))) else ""
+    if failed == "required":
+        failed += f": {next(k for k in schema[failed] if k not in value)!r} is missing"
+    elif failed == "additionalProperties":
+        extra = next(k for k in value if k not in schema.get("properties", {}))
+        failed += f": {extra!r} is not allowed"
+    raise ReportError(f"{name} does not match schema: {where or 'top level'}{shown} fails {failed}")
 
 
 def validate_report(doc: dict) -> None:
-    """Raise ReportError unless doc matches the packaged schema. _conforms passes
-    a valid report without loading jsonschema; a report it rejects goes to
-    jsonschema, which decides and words the error."""
+    """Raise ReportError, as _conforms words it, unless doc matches the schema."""
     schema = load_schema()
-    if _conforms(doc, schema, schema):
-        return
-    import jsonschema  # deferred: slow to import, and needed only when _conforms rejects
-
-    # jsonschema.validate minus its check of our own schema, which a test makes
-    validator = jsonschema.validators.validator_for(schema)(schema)
-    error = jsonschema.exceptions.best_match(validator.iter_errors(doc))
-    if error is not None:
-        raise ReportError(f"report does not match schema: {error.message}") from error
+    _conforms(doc, schema, schema, ("report",))
 
 
 def dumps(doc: dict) -> str:

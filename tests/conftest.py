@@ -8,6 +8,7 @@ from collections import namedtuple
 from dataclasses import asdict
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
+import jsonschema
 import numpy as np
 import pytest
 
@@ -190,16 +191,18 @@ def _ini(value) -> str:
 
 @pytest.fixture
 def reports_pass_own_check(monkeypatch):
-    """Fail the test if a report that validates is one report._conforms rejects,
-    for which the report command would load jsonschema."""
-    validate = report.validate_report
+    """Fail the test if merge_fragments returns a report that jsonschema rejects:
+    merge_fragments checks only the fragments, each on entry, so each report
+    merged from checked fragments must be valid."""
+    merge = report.merge_fragments
+    validator = jsonschema.Draft202012Validator(report.load_schema())
 
-    def checked(doc):
-        validate(doc)
-        schema = report.load_schema()
-        assert report._conforms(doc, schema, schema), "report._conforms rejects a valid report"
+    def checked(*args, **kwargs):
+        merged = merge(*args, **kwargs)
+        validator.validate(merged)
+        return merged
 
-    monkeypatch.setattr(report, "validate_report", checked)
+    monkeypatch.setattr(report, "merge_fragments", checked)
 
 
 class _Handler(BaseHTTPRequestHandler):

@@ -394,6 +394,24 @@ class TestRunCampaign:
         assert calls == []
         assert log_path.read_bytes() == before
 
+    @pytest.mark.parametrize("vantage, slots", [(0, 6), (3, 2)],
+                             ids=["more-slots-than-the-config", "another-vantage"])
+    def test_resume_refuses_a_log_of_another_schedule(self, tmp_path, vantage, slots):
+        # a 4-slot campaign at vantage 0 resumes neither a longer log nor another
+        # vantage's: exit 2 before any probe, the log unchanged
+        config = live_config(slots=4)
+        log_path = tmp_path / "attempts.jsonl"
+        log_path.write_text("".join(logs.attempt_line(0.25 * slot, vantage, slot, 1, SUCCESS, 1.25)
+                                    for slot in range(slots)))
+        before = log_path.read_bytes()
+        calls = []
+        with pytest.raises(MalformedLogError, match=re.escape(
+                f"{log_path}: a record lies outside this campaign's vantage 0, slots 0 to 3")):
+            run_campaign(ProbeTarget(url=config.target), config, log_path, resume=True,
+                         probe_fn=succeed_counting(calls))
+        assert calls == []
+        assert log_path.read_bytes() == before
+
     def test_failed_resume_rewrite_keeps_the_log(self, tmp_path, monkeypatch):
         # slots 0-1 succeeded, slot 2 partial: resume rewrites the log without it
         config = live_config(slots=4)

@@ -1,8 +1,9 @@
-"""report._conforms, the merged report's own schema check, against jsonschema.
+"""report._conforms, the report's only schema check, against jsonschema.
 
-validate_report accepts a report that _conforms passes without importing
-jsonschema, so _conforms must never pass a report that jsonschema rejects. It is
-meant to decide exactly as jsonschema does, so these tests compare both ways.
+jsonschema is a test dependency alone: _conforms decides every fragment and
+report, so it must decide exactly as jsonschema does, and these tests compare
+both ways. A document it rejects is named by the place and keyword that
+jsonschema also reports.
 """
 import copy
 import functools
@@ -114,6 +115,57 @@ def test_conforms_decides_as_jsonschema(merged, data):
     assert conforms(doc) == VALIDATOR.is_valid(doc), doc
 
 
+@settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(data=st.data())
+def test_rejection_names_a_place_jsonschema_reports(merged, data):
+    # given a path, _conforms raises at its first failing check: that place and
+    # keyword must be one of the errors jsonschema yields for the document
+    doc = data.draw(mutants(merged))
+    errors = {(place_name(e.absolute_path), e.validator) for e in VALIDATOR.iter_errors(doc)}
+    if not errors:
+        assert report._conforms(doc, SCHEMA, SCHEMA, ("doc",))
+        return
+    with pytest.raises(report.ReportError) as error:
+        report._conforms(doc, SCHEMA, SCHEMA, ("doc",))
+    assert fault(str(error.value)) in errors, (error.value, doc)
+
+
+def place_name(at) -> str:
+    """A place as the error names it: keys joined by dots, indices in brackets."""
+    name = "".join(f"[{k}]" if isinstance(k, int) else f".{k}" for k in at)
+    return name.removeprefix(".") or "top level"
+
+
+def fault(message: str) -> tuple:
+    """The place and keyword a schema error names."""
+    body = message.removeprefix("doc does not match schema: ")
+    head, keyword = body.rsplit(" fails ", 1)
+    return head.split(" (", 1)[0], keyword.split(":", 1)[0]
+
+
+@pytest.mark.parametrize("key, value, message", [
+    (("provenance", "log_sha256"), "abc", "provenance.log_sha256 ('abc') fails pattern"),
+    (("provenance", "log_sha256"), MISSING,
+     "provenance fails required: 'log_sha256' is missing"),
+    (("provenance", "extra"), "a" * 64,
+     "provenance fails additionalProperties: 'extra' is not allowed"),
+    (("tool",), MISSING, "top level fails required: 'tool' is missing"),
+    (("counts",), [1], "counts fails type"),  # no value shown unless a scalar
+    (("counts", "attempts", 0), -1, "counts.attempts[0] (-1) fails minimum"),
+    (("sla_tests", 0, "method"), "wald", "sla_tests[0].method ('wald') fails enum"),
+    (("estimates", "nines"), -1.0, "estimates.nines (-1.0) fails oneOf"),
+    (("detection", "duration_estimates", 0), [1.0],
+     "detection.duration_estimates[0] fails minItems"),
+    ((), None, "top level (None) fails type"),
+])
+def test_error_names_place_keyword_and_key(merged, key, value, message):
+    doc = place(copy.deepcopy(merged), key, value)
+    with pytest.raises(report.ReportError) as error:
+        report.validate_report(doc)
+    assert str(error.value) == f"report does not match schema: {message}"
+    assert not VALIDATOR.is_valid(doc)
+
+
 @pytest.mark.parametrize("key, value, valid", [
     (("counts", "attempts", 0), 3.0, True),  # an integral float is an integer
     (("counts", "attempts", 0), 3.5, False),
@@ -223,8 +275,8 @@ def test_small_schemas_decide_as_jsonschema(schema, value):
 
 def test_valid_report_skips_jsonschema(merged, monkeypatch):
     # jsonschema is looked up in sys.modules by the import statement; None there
-    # makes the import fail, so validate_report must not reach it
+    # makes the import fail, so neither a valid nor a rejected document may reach it
     monkeypatch.setitem(__import__("sys").modules, "jsonschema", None)
     report.validate_report(copy.deepcopy(merged))
-    with pytest.raises(ImportError):
+    with pytest.raises(report.ReportError, match=r"counts.retry_max \(-1\) fails minimum"):
         report.validate_report(place(copy.deepcopy(merged), ("counts", "retry_max"), -1))
