@@ -58,41 +58,39 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(f"{self.prog}: {message}")
 
 
-def _common(parser):
-    parser.add_argument("--config", help="campaign config file (INI)")
-    parser.add_argument("--seed", type=int, help="override the config seed")
-    parser.add_argument("--out", help="output directory")
-    parser.add_argument("--format", choices=("json", "csv"), default="json",
-                        help="stdout format for result documents")
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="cloudprobe",
                      description="Periodic-probe availability measurement toolkit")
     sub = parser.add_subparsers(dest="command", parser_class=_Parser)
+    # the shared flags, each given only to the commands that read it
+    config, seed, out, fmt = (argparse.ArgumentParser(add_help=False) for _ in range(4))
+    config.add_argument("--config", help="campaign config file (INI)")
+    seed.add_argument("--seed", type=int, help="override the config seed")
+    out.add_argument("--out", help="output directory")
+    fmt.add_argument("--format", choices=("json", "csv"), default="json",
+                     help="stdout format for result documents")
 
-    p = sub.add_parser("simulate", help="generate a campaign attempt log from a simulated timeline")
-    _common(p)
+    p = sub.add_parser("simulate", parents=[config, seed, out],
+                       help="generate a campaign attempt log from a simulated timeline")
     p.set_defaults(func=cmd_simulate)
 
-    p = sub.add_parser("estimate", help="availability estimates and SLA tests from an attempt log")
-    _common(p)
+    p = sub.add_parser("estimate", parents=[config, seed, out, fmt],
+                       help="availability estimates and SLA tests from an attempt log")
     p.add_argument("--log", required=True, help="attempt log (JSONL)")
     p.add_argument("--claim", type=float, action="append", default=[],
                    help="claimed availability to test (repeatable)")
     p.add_argument("--alpha", type=float, default=0.05, help="significance level")
     p.set_defaults(func=cmd_estimate)
 
-    p = sub.add_parser("detect", help="detection/censoring analysis against ground truth")
-    _common(p)
+    p = sub.add_parser("detect", parents=[config, seed, out, fmt],
+                       help="detection/censoring analysis against ground truth")
     p.add_argument("--log", required=True, help="attempt log (JSONL)")
     p.add_argument("--truth", required=True, help="ground-truth outages (JSONL)")
     p.add_argument("--threshold-s", type=float, default=0.0,
                    help="long-outage threshold for SLA metrics")
     p.set_defaults(func=cmd_detect)
 
-    p = sub.add_parser("probe", help="run a live HTTP probing campaign")
-    _common(p)
+    p = sub.add_parser("probe", parents=[config, out], help="run a live HTTP probing campaign")
     p.add_argument("--resume", action="store_true",
                    help="continue after the last slot the log completes")
     p.add_argument("--url", help="override the config target URL")
@@ -102,8 +100,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--expected-body-hash", help="hex sha256 the body must match")
     p.set_defaults(func=cmd_probe)
 
-    p = sub.add_parser("report", help="merge estimate/detect fragments into one report")
-    _common(p)
+    p = sub.add_parser("report", parents=[out, fmt],
+                       help="merge estimate/detect fragments into one report")
     p.add_argument("fragments", nargs="+", help="fragment JSON files")
     p.set_defaults(func=cmd_report)
 
@@ -120,7 +118,7 @@ def _load_campaign(args, need_process: bool = False) -> configfile.ParsedConfig:
     if not args.config:
         raise UsageError("--config is required for this command")
     parsed = configfile.read_config(args.config)
-    if args.seed is not None:
+    if getattr(args, "seed", None) is not None:  # probe takes no --seed
         from dataclasses import replace  # model, which read_config loads, has imported it
         parsed = replace(parsed, campaign=replace(parsed.campaign, seed=args.seed))
     if need_process and parsed.process is None:
@@ -185,10 +183,12 @@ def _read_log(path):
 
 
 def cmd_estimate(args) -> int:
+    if not 0 < args.alpha < 1:  # a usage error with or without --claim
+        raise UsageError("--alpha must be in (0, 1)")
     try:
         claims = [SlaClaim(c, args.alpha) for c in args.claim]
     except ValueError as exc:
-        raise UsageError(f"--claim/--alpha: {exc}") from exc
+        raise UsageError(f"--claim: {exc}") from exc
     retry_max = config_echo = None
     if args.config:  # its echo carries a --seed override, as detect's does
         campaign = _load_campaign(args).campaign

@@ -14,12 +14,15 @@ then the seven columns in AttemptLog's field order as little-endian arrays. A
 log is read in one of two ways. The columns come from the sidecar, without
 parsing the log, only when its length equals the log's size, its sha256 equals
 that of the log's bytes, the columns load whole and they keep every per-record
-rule and the per-vantage ts_s order. Otherwise each line is read by json.loads,
-the file taken in blocks that end at a line end, each decoded and split as a
-file read as text is (a line ends at "\\n", "\\r\\n" or a lone "\\r"). So the
-sidecar is never trusted for a log it was not written with, and deleting it
-changes nothing but the time a read takes. A log appended to (the live
-prober's) has none. Truth file: start_s, duration_s, cause per line.
+rule and the per-vantage ts_s order. Otherwise the file is read once, in
+blocks that end at a line end, each decoded and split as a file read as text
+is (a line ends at "\\n", "\\r\\n" or a lone "\\r"), each line read by
+json.loads. A block is checked whole, its ts_s order carried on from each
+vantage's last record before it; only a block that fails is gone through line
+by line, to name its first bad line. So the sidecar is never trusted for a log
+it was not written with, and deleting it changes nothing but the time a read
+takes. A log appended to (the live prober's) has none. Truth file: start_s,
+duration_s, cause per line.
 """
 from __future__ import annotations
 
@@ -39,10 +42,18 @@ from .model import (_COLUMNS, CAUSES, CLOUD, FAIL_REASONS, OUTCOMES, AttemptLog,
 
 _OUTCOME_CODES = {name: code for code, name in enumerate(OUTCOMES)}
 _REASON_CODES = {None: -1, **{name: code for code, name in enumerate(FAIL_REASONS)}}
-_CHUNK = 1 << 13  # records per write, and lines per read when an error is located
-# bytes per read, then up to the next line end, so the whole text is never held at once;
-# a block holds about as many lines as a chunk (8,322 of the shortest written form, 63 bytes)
+_CHUNK = 1 << 13  # records per write
+# bytes per read, then up to the next line end, so the whole text is never held at once
 _BLOCK = 1 << 19
+# the per-record rules, which a parse and a sidecar both keep: a column, which of its
+# values keep the rule, and what the field must be
+_RULES = (("ts_s", lambda ts: (0 <= ts) & (ts < math.inf), "finite and >= 0"),
+          ("slot", lambda slot: slot >= 0, ">= 0"), ("attempt", lambda n: n >= 1, ">= 1"),
+          ("outcome", lambda code: (0 <= code) & (code < len(OUTCOMES)),
+           "one of " + ", ".join(OUTCOMES)),
+          ("reason", lambda code: (-1 <= code) & (code < len(FAIL_REASONS)),
+           "one of " + ", ".join(FAIL_REASONS)),
+          ("latency_ms", lambda ms: ~np.isinf(ms), "finite"))
 # what a malformed line raises; json raises RecursionError on a line nested too deep
 _ERRORS = (KeyError, TypeError, ValueError, OverflowError, RecursionError)
 # attempt_line's keys in its order, each with the punctuation before its value
@@ -182,7 +193,8 @@ def _columns(lines) -> AttemptLog:
     rows = [(obj["ts_s"], obj["vantage"], obj["slot"], obj["attempt"], obj["outcome"],
              obj.get("latency_ms"), obj.get("reason"))
             for obj in map(json.loads, filter(None, map(str.strip, lines)))]
-    ts, vantage, slot, attempt, outcome, latency, reason = zip(*rows) if rows else ((),) * 7
+    fields = dict(zip(_COLUMNS, zip(*rows) if rows else ((),) * 7))
+    ts, vantage, slot, attempt, outcome, latency, reason = fields.values()
     n = len(rows)
     # vantage, slot and attempt are compared, sorted and matched exactly, so never truncated
     for name, values, types, rule in (
@@ -202,12 +214,10 @@ def _columns(lines) -> AttemptLog:
         latency_ms=_named("latency_ms", np.array, latency, np.float64),  # None becomes NaN
         reason=_named("reason", np.fromiter, map(_REASON_CODES.get, reason, repeat(-2)),
                       np.int8, n))
-    _require((0 <= log.ts_s) & (log.ts_s < math.inf), ts, "ts_s", "finite and >= 0")
-    _require(log.slot >= 0, slot, "slot", ">= 0")
-    _require(log.attempt >= 1, attempt, "attempt", ">= 1")
-    _require(log.outcome >= 0, outcome, "outcome", "one of " + ", ".join(OUTCOMES))
-    _require(log.reason >= -1, reason, "reason", "one of " + ", ".join(FAIL_REASONS))
-    if np.count_nonzero(~np.isfinite(log.latency_ms)) > latency.count(None):
+    for name, keeps, rule in _RULES:
+        _require(keeps(getattr(log, name)), fields[name], name, rule)
+    # a JSON NaN, which a sidecar cannot hold apart from a missing latency
+    if np.count_nonzero(np.isnan(log.latency_ms)) > latency.count(None):
         _require(np.array([x is None or math.isfinite(x) for x in latency]), latency,
                  "latency_ms", "finite")
     return log
@@ -225,35 +235,6 @@ def _blocks(f):
     return iter(lambda: f.read(_BLOCK) + f.readline(), b"")
 
 
-def _first_error(path, pieces, first: int, last_ts: dict) -> MalformedLogError | None:
-    """The first line among the pieces (lists of path's lines, as bytes, numbered
-    from first) that _parse rejects or whose ts_s decreases, carrying each vantage's
-    last ts_s in last_ts. Only a piece that fails as a whole is gone into, in
-    smaller pieces. None if no line is malformed (the file changed since it was
-    read)."""
-    for piece in pieces:
-        after, error = dict(last_ts), None
-        try:
-            log = _parse(b"".join(piece))
-        except _ERRORS as exc:
-            error = MalformedLogError(None, None, str(exc), path, first)
-        else:
-            for ts, vantage, slot in zip(log.ts_s.tolist(), log.vantage.tolist(),
-                                         log.slot.tolist()):
-                if ts < after.get(vantage, ts):
-                    error = MalformedLogError(vantage, slot, f"ts_s {ts} decreases (line {first})",
-                                              path)
-                    break
-                after[vantage] = ts
-        if error:
-            step = len(piece) // 128 or 1
-            return error if len(piece) == 1 else _first_error(
-                path, [piece[i:i + step] for i in range(0, len(piece), step)], first, last_ts)
-        last_ts.update(after)
-        first += len(piece)
-    return None
-
-
 def _in_order(log: AttemptLog) -> bool:
     """Whether ts_s is nondecreasing within each vantage: at once if it is
     nondecreasing over the whole log, as a simulated or live log is."""
@@ -264,11 +245,31 @@ def _in_order(log: AttemptLog) -> bool:
     return not np.any((vantage[1:] == vantage[:-1]) & (ts[1:] < ts[:-1]))
 
 
+def _last_records(log: AttemptLog) -> AttemptLog:
+    """Each vantage's last record, in the log's order."""
+    _, from_end = np.unique(log.vantage[::-1], return_index=True)
+    return log[np.sort(len(log) - 1 - from_end)]
+
+
+def _bad_line(path, block: bytes, first: int, last: AttemptLog) -> MalformedLogError:
+    """The error naming the first line of block (the first numbered first) that _parse
+    rejects or whose ts_s decreases after last, each vantage's last record before it."""
+    for number, text in enumerate(block.splitlines(), first):
+        try:
+            log = AttemptLog.concat([last, _parse(text)])
+        except _ERRORS as exc:
+            return MalformedLogError(None, None, str(exc), path, number)
+        if not _in_order(log):  # a line holds one record, the log's last
+            ts, vantage, slot = log.ts_s[-1].item(), int(log.vantage[-1]), int(log.slot[-1])
+            return MalformedLogError(vantage, slot, f"ts_s {ts} decreases (line {number})", path)
+        last = _last_records(log)
+
+
 def _from_sidecar(path, digest) -> tuple[AttemptLog | None, bool]:
     """The log's columns from its sidecar, when the sidecar was written for
-    exactly the bytes at path and its columns keep every per-record rule that
-    _columns enforces and the per-vantage ts_s order; else None. With them,
-    whether the log's bytes were fed to digest, a new sha256, for the check."""
+    exactly the bytes at path and its columns keep every per-record rule and the
+    per-vantage ts_s order that a parse checks; else None. With them, whether the
+    log's bytes were fed to digest, a new sha256, for the check."""
     try:
         with open(sidecar_path(path), "rb") as f:
             magic, version, size, sha, rows = _HEADER.unpack(f.read(_HEADER.size))
@@ -283,21 +284,18 @@ def _from_sidecar(path, digest) -> tuple[AttemptLog | None, bool]:
         return None, True
     log = AttemptLog(*columns)
     log.latency_ms[np.isnan(log.latency_ms)] = np.nan  # as a parse gives it, for none
-    ok = (np.all((0 <= log.ts_s) & (log.ts_s < math.inf)) and np.all(log.slot >= 0)
-          and np.all(log.attempt >= 1) and np.all(log.outcome >= 0)
-          and np.all(log.outcome < len(OUTCOMES)) and np.all(log.reason >= -1)
-          and np.all(log.reason < len(FAIL_REASONS)) and not np.isinf(log.latency_ms).any())
-    return (log if ok and _in_order(log) else None), True
+    ok = all(keeps(getattr(log, name)).all() for name, keeps, _ in _RULES) and _in_order(log)
+    return (log if ok else None), True
 
 
 def read_attempt_log(path, digest=None) -> AttemptLog:
     """Parse an attempt log; enforces nondecreasing ts_s per vantage.
 
     The columns come from the log's sidecar when it matches the log (see the
-    module docstring). Otherwise the bytes are parsed in blocks into columns and
-    checked column by column. Only when a check fails are the blocks read again
-    and cut into chunks of lines, to name the first offending line, line by line
-    only in the failing chunk.
+    module docstring). Otherwise the file is read once, in blocks. Each block is
+    parsed into columns, checked column by column, and checked for ts_s order
+    after each vantage's last record in the blocks before it. Only a block that
+    fails is gone through line by line, to name its first offending line.
 
     digest, a new hashlib.sha256() if given, is fed the log's bytes once: by the
     sidecar's check when that hashes them, else block by block as they are parsed.
@@ -305,22 +303,21 @@ def read_attempt_log(path, digest=None) -> AttemptLog:
     log, hashed = _from_sidecar(path, hashlib.sha256() if digest is None else digest)
     if log is not None:
         return log
-    try:
-        with open(path, "rb") as f:
-            blocks = _blocks(f)
-            if digest is not None and not hashed:  # hashed as read, a block at a time
-                blocks = (digest.update(block) or block for block in blocks)
-            parts = [_parse(block) for block in blocks]
-        log = AttemptLog.concat(parts) if parts else _columns([])
-        if not _in_order(log):
-            raise ValueError("ts_s decreases")
-    except _ERRORS as exc:
-        with open(path, "rb") as f:
-            blocks = (block.splitlines(True) for block in _blocks(f))  # universal newlines
-            error = _first_error(path, (lines[i:i + _CHUNK] for lines in blocks
-                                        for i in range(0, len(lines), _CHUNK)), 1, {})
-        raise error or MalformedLogError(None, None, str(exc), path) from None
-    return log
+    parts, first, last = [], 1, _columns([])
+    with open(path, "rb") as f:
+        blocks = _blocks(f)
+        if digest is not None and not hashed:  # hashed as read, a block at a time
+            blocks = (digest.update(block) or block for block in blocks)
+        for block in blocks:
+            try:
+                log = AttemptLog.concat([last, _parse(block)])
+            except _ERRORS:
+                log = None
+            if log is None or not _in_order(log):
+                raise _bad_line(path, block, first, last)
+            parts.append(log[len(last):])
+            last, first = _last_records(log), first + len(block.splitlines())
+    return AttemptLog.concat(parts) if parts else _columns([])
 
 
 def write_truth(path, timeline: Timeline) -> None:

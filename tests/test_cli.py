@@ -670,6 +670,7 @@ class TestMalformedInput:
     @pytest.mark.parametrize("argv, files, code, needle", [
         (["estimate", "--log", "{log}", "--claim", "1.5"], {}, 1, "claimed_availability"),
         (["estimate", "--log", "{log}", "--claim", "0.99", "--alpha", "0"], {}, 1, "alpha"),
+        (["estimate", "--log", "{log}", "--alpha", "7"], {}, 1, "--alpha must be in (0, 1)"),
         (["detect", "--log", "{log}", "--truth", "{truth}", "--config", "{config}",
           "--threshold-s", "-1"], {}, 1, "--threshold-s"),
         (["detect", "--log", "{log}", "--truth", "{truth}", "--config", "{config}"],
@@ -755,8 +756,8 @@ class TestMalformedInput:
           "attempts.jsonl": "".join(logs.attempt_line(0.2 * slot, 0, slot, 1, "success")
                                     for slot in range(6))},
          2, "a record lies outside this campaign's vantage 0, slots 0 to 3"),
-    ], ids=["claim-above-one", "alpha-zero", "negative-threshold", "overlapping-truth",
-            "string-vantage", "nan-ts", "nan-truth", "fractional-slot", "truth-beyond-horizon",
+    ], ids=["claim-above-one", "alpha-zero", "alpha-without-claim", "negative-threshold",
+            "overlapping-truth", "string-vantage", "nan-ts", "nan-truth", "fractional-slot", "truth-beyond-horizon",
             "nan-latency", "infinite-latency", "non-utf8-log", "non-utf8-truth",
             "non-utf8-fragment", "non-utf8-config", "string-ts",
             "string-truth", "bool-truth", "huge-int-truth", "unknown-cause-truth",
@@ -936,6 +937,20 @@ class TestUsage:
 
     def test_unknown_flag_exits_one(self, capsys):
         assert main(["estimate", "--nope"]) == 1
+
+    @pytest.mark.parametrize("argv, flag", [
+        (["report", "--config", "{tmp}/nonexistent.ini", "{tmp}/estimate.json"], "--config"),
+        (["report", "--seed", "99", "{tmp}/estimate.json"], "--seed"),
+        (["simulate", "--config", "{tmp}/c.ini", "--format", "csv"], "--format"),
+        (["probe", "--config", "{tmp}/c.ini", "--format", "json"], "--format"),
+        (["probe", "--config", "{tmp}/c.ini", "--seed", "99"], "--seed"),
+    ], ids=["report-config", "report-seed", "simulate-format", "probe-format", "probe-seed"])
+    def test_flag_the_command_does_not_read_exits_one(self, tmp_path, capsys, argv, flag):
+        # each command takes only the shared flags it reads, so one it would ignore is
+        # refused before any file is read
+        assert main([arg.format(tmp=tmp_path) for arg in argv]) == 1
+        assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
 
     def test_bad_log_level_env_tolerated(self, tmp_path, monkeypatch, capsys):
         # a warning is one line on the current stderr; error silences it, every other

@@ -334,7 +334,9 @@ def mutated_logs(draw):
                 lines[i] = text[:-2] + f',"{key}":{draw(_VALUES)}}}\n'
             else:
                 start += len(key) + 3
-                end = min(p for p in (text.find(",", start), text.find("}", start)) if p >= 0)
+                # with neither "," nor "}" after the key, the value runs to the line's end
+                end = min((p for p in (text.find(",", start), text.find("}", start)) if p >= 0),
+                          default=len(text.rstrip("\r\n")))
                 lines[i] = text[:start] + draw(_VALUES) + text[end:]
         elif kind == "swap":
             j = draw(st.integers(0, len(lines) - 1))
@@ -362,7 +364,7 @@ def test_mutated_logs_match_reference(tmp_path_factory, text, chunk, block):
 
 
 def test_fault_deep_in_a_large_log(tmp_path):
-    # pieces of a whole chunk, then of 64 lines, then single lines are checked
+    # faults in the first block, past it and on the last line
     good = [logs.attempt_line(float(i // 3), i % 3, i // 3, 1, "success")
             for i in range(2 * logs._CHUNK + 500)]
     for at, bad in ((logs._CHUNK + 4000, line(ts="0.0", vantage="1")),   # ts_s decreases
@@ -374,20 +376,25 @@ def test_fault_deep_in_a_large_log(tmp_path):
         assert err_type is MalformedLogError and f"line {at + 1}" in message
 
 
-def test_locator_goes_line_by_line_only_in_the_failing_chunk(tmp_path, monkeypatch):
+def test_a_bad_last_line_is_named_in_one_read(tmp_path, monkeypatch):
     lines = [logs.attempt_line(float(i), 0, i, 1, "success") for i in range(3 * logs._CHUNK)]
     lines[-1] = line(ts=f"{len(lines)}.0", slot="-1")
     path = tmp_path / "log.jsonl"
     path.write_text("".join(lines))
-    calls = []
-    parse = logs._parse
-    monkeypatch.setattr(logs, "_parse", lambda text: calls.append(len(text)) or parse(text))
     monkeypatch.setattr(logs, "_BLOCK", path.stat().st_size // 3 + 1)
+    with open(path, "rb") as f:
+        blocks = list(logs._blocks(f))
+    opened, calls = [], []
+    monkeypatch.setattr(logs, "open", lambda file, *args: opened.append(file) or open(file, *args),
+                        raising=False)
+    parse = logs._parse
+    monkeypatch.setattr(logs, "_parse", lambda text: calls.append(text) or parse(text))
     with pytest.raises(MalformedLogError, match=f"{path} line {len(lines)}: slot must be >= 0"):
         logs.read_attempt_log(path)
-    # three blocks read, each block's chunks of lines checked again (four chunks here,
-    # as the first block holds 8,348 lines), then 128 pieces and 64 lines at most
-    assert len(calls) <= 3 + 3 + 128 + 64
+    # the log is opened once (the sidecar's open fails), and each block is parsed
+    # whole, then the failing one, the last, a line at a time
+    assert opened == [logs.sidecar_path(path), path]
+    assert len(blocks) == 3 and len(calls) <= len(blocks) + len(blocks[-1].splitlines())
 
 
 def _count_json_loads(monkeypatch):
