@@ -7,6 +7,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 from pathlib import Path
@@ -210,10 +211,9 @@ def cmd_estimate(args) -> int:
 
 
 def cmd_detect(args) -> int:
-    if not args.threshold_s >= 0:
-        raise UsageError("--threshold-s must be >= 0")
-    parsed = _load_campaign(args)
-    campaign = parsed.campaign
+    if not 0 <= args.threshold_s < math.inf:
+        raise UsageError("--threshold-s must be finite and >= 0")
+    campaign = _load_campaign(args).campaign
 
     timeline = logs.read_truth(args.truth, campaign.horizon_s)
     records, log_sha = _read_log(args.log)
@@ -265,13 +265,19 @@ def cmd_probe(args) -> int:
     return EXIT_OK
 
 
+def _finite(text: str) -> float:  # a JSON number or constant, refused unless finite
+    if not math.isfinite(value := float(text)):
+        raise ValueError(f"number {text} is not finite")
+    return value
+
+
 def cmd_report(args) -> int:
     frags = []
     for path in args.fragments:
         try:
             with open(path, "r", encoding="utf-8") as f:
-                frags.append(json.load(f))
-        except (ValueError, RecursionError) as exc:  # not JSON, not UTF-8, or nested too deep
+                frags.append(json.load(f, parse_float=_finite, parse_constant=_finite))
+        except (ValueError, RecursionError) as exc:  # not finite JSON, not UTF-8, or too deep
             raise DataError(f"fragment {path}: {exc}") from exc
     merged = report.merge_fragments(frags)
     _emit(args, merged, "report.json")

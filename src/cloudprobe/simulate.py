@@ -184,59 +184,49 @@ def generate_timeline(process: OutageProcess, horizon_s: float, seed: int) -> Ti
 
 
 def sample_campaign(timeline: Timeline, config: CampaignConfig,
-                    network_fail_prob: float = 0.0,
-                    phase_offsets=None) -> AttemptLog:
+                    network_fail_prob: float = 0.0) -> AttemptLog:
     """Probe the timeline on the slot/retry schedule and return the merged log.
 
-    Each vantage point fires attempt 1 at slot epochs k*T (plus its optional
-    phase offset) and retries retry_gap_s apart until success or retry_max. An
-    attempt inside a cloud outage fails as cloud_fail; otherwise it fails as
-    network_fail inside a burst or with probability network_fail_prob; otherwise
-    it succeeds. Vantage points draw from independent substreams of the config
-    seed, and the merged log is sorted by (ts_s, vantage, attempt) so the result
-    does not depend on per-vantage execution order.
+    Every vantage point fires attempt 1 at slot epochs k*T and retries
+    retry_gap_s apart until success or retry_max. An attempt inside a cloud
+    outage fails as cloud_fail; otherwise it fails as network_fail inside a
+    burst or with probability network_fail_prob; otherwise it succeeds. The
+    vantages share this schedule and differ only in their network draws, each
+    from its own substream of the config seed. The log is sorted by (ts_s,
+    vantage, attempt).
 
-    Only a slot whose retry window [kT+o, kT+o+(retry_max-1)*retry_gap_s] an
-    outage [s, e) of either cause touches (s <= the window's end, e > its
-    start) has its attempt grid built; every attempt of any other slot is free.
+    Only a slot whose retry window [kT, kT+(retry_max-1)*retry_gap_s] an outage
+    [s, e) of either cause touches (s <= the window's end, e > its start) has
+    its attempt grid built; every attempt of any other slot is free.
     """
     if timeline.horizon_s < config.horizon_s - 1e-9:
         raise ValueError("timeline horizon shorter than campaign horizon")
-    offsets = np.zeros(config.vantage_points) if phase_offsets is None else np.asarray(
-        phase_offsets, np.float64)
-    if offsets.shape != (config.vantage_points,):
-        raise ValueError("need one phase offset per vantage point")
-    bound = config.probe_interval_s - config.retry_gap_s * (config.retry_max - 1)
-    bad = offsets[~((offsets >= 0) & (offsets < bound))]  # a slot's retries end before the next
-    if len(bad):
-        raise ValueError(f"phase_offsets must be finite, >= 0 and < probe_interval_s - "
-                         f"retry_gap_s * (retry_max - 1) = {bound}, got {bad.tolist()}")
     if not 0.0 <= network_fail_prob < 1.0:
         raise ValueError("network_fail_prob must be in [0, 1)")
 
     slots, retry_max = config.slots, config.retry_max
     steps = np.arange(retry_max) * config.retry_gap_s  # each attempt's delay after the first
+    first = np.arange(slots) * config.probe_interval_s
+    # an outage touches the slots from lo to hi - 1 (see the docstring)
+    lo = np.searchsorted(first + steps[-1], timeline.start_s)
+    hi = np.searchsorted(first, timeline.start_s + timeline.duration_s)
+    touched = np.cumsum(np.bincount(lo, minlength=slots + 1)
+                        - np.bincount(hi, minlength=slots + 1))[:-1] > 0
+    ts = first[touched, None] + steps
+    cloud = timeline.in_outage(ts, CLOUD)
+    free = ~(cloud | timeline.in_outage(ts, NETWORK))
+    free_counts = np.full(slots, retry_max)
+    free_counts[touched] = free.sum(axis=1)
+    # a failure is network_fail unless a touched slot's attempt is in a cloud outage
+    fail = np.where(cloud, OUTCOMES.index(CLOUD_FAIL), OUTCOMES.index(NETWORK_FAIL))
     parts = []
-    for vantage, offset in enumerate(offsets.tolist()):
-        first = np.arange(slots) * config.probe_interval_s + offset
-        # an outage touches the slots from lo to hi - 1 (see the docstring)
-        lo = np.searchsorted(first + steps[-1], timeline.start_s)
-        hi = np.searchsorted(first, timeline.start_s + timeline.duration_s)
-        touched = np.cumsum(np.bincount(lo, minlength=slots + 1)
-                            - np.bincount(hi, minlength=slots + 1))[:-1] > 0
-        ts = first[touched, None] + steps
-        cloud = timeline.in_outage(ts, CLOUD)
-        free = ~(cloud | timeline.in_outage(ts, NETWORK))
-        free_counts = np.full(slots, retry_max)
-        free_counts[touched] = free.sum(axis=1)
+    for vantage in range(config.vantage_points):
         draws = None if network_fail_prob == 0.0 else (  # q = 0 draws nothing
             _rng(config.seed, _TAG_VANTAGE, vantage).random(slots * retry_max) >= network_fail_prob)
         made, ok = _retry_schedule(free_counts, touched, free, draws)
         slot, ends = np.repeat(np.arange(slots), made), np.cumsum(made)
         attempt = np.arange(len(slot)) - np.repeat(ends - made, made)
-        # a failure is network_fail unless a touched slot's attempt is in a cloud outage
         outcome = np.full(len(slot), OUTCOMES.index(NETWORK_FAIL))
-        fail = np.where(cloud, OUTCOMES.index(CLOUD_FAIL), OUTCOMES.index(NETWORK_FAIL))
         outcome[np.repeat(touched, made)] = fail[np.arange(retry_max) < made[touched, None]]
         outcome[ends[ok] - 1] = OUTCOMES.index(SUCCESS)
         parts.append(AttemptLog(  # ts_s: the float sum a grid of every attempt would hold

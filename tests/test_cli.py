@@ -435,11 +435,16 @@ class TestCmdReport:
         return config_path, out
 
     def test_merge_validates_schema(self, tmp_path, capsys):
+        def refuse(constant):  # each document is strict JSON: no NaN or Infinity
+            raise ValueError(constant)
+
         _, out = self.make_fragments(tmp_path)
+        for name in ("estimate.json", "detect.json"):
+            json.loads((out / name).read_text(), parse_constant=refuse)
         capsys.readouterr()  # drop fragment-step output
         rc = main(["report", str(out / "estimate.json"), str(out / "detect.json")])
         assert rc == 0
-        merged = json.loads(capsys.readouterr().out)
+        merged = json.loads(capsys.readouterr().out, parse_constant=refuse)
         report.validate_report(merged)
         assert merged["tool"] == {"name": "cloudprobe", "version": cloudprobe.__version__}
         assert "estimates" in merged and "detection" in merged
@@ -465,6 +470,18 @@ class TestCmdReport:
         assert main(["report", str(out / "detect.json"), str(out / "bad.json")]) == 2
         assert capsys.readouterr().err == ("data error: fragment 2 does not match schema: "
                                            "counts.attempts[0] (-1) fails minimum\n")
+
+    @pytest.mark.parametrize("number", ["NaN", "Infinity", "-Infinity", "1e400"])
+    def test_non_finite_number_exits_two(self, tmp_path, capsys, number):
+        # JSON has no non-finite number, so no fragment may hold one, even by overflow
+        _, out = self.make_fragments(tmp_path)
+        bad = json.loads((out / "estimate.json").read_text())
+        bad["estimates"]["first_try"] = "X"
+        (out / "bad.json").write_text(json.dumps(bad).replace('"X"', number))
+        capsys.readouterr()  # drop fragment-step output
+        assert main(["report", str(out / "bad.json")]) == 2
+        assert capsys.readouterr() == ("", f"data error: fragment {out / 'bad.json'}: "
+                                           f"number {number} is not finite\n")
 
     def test_single_fragment_pass_through(self, tmp_path, capsys):
         _, out = self.make_fragments(tmp_path)
@@ -673,6 +690,8 @@ class TestMalformedInput:
         (["estimate", "--log", "{log}", "--alpha", "7"], {}, 1, "--alpha must be in (0, 1)"),
         (["detect", "--log", "{log}", "--truth", "{truth}", "--config", "{config}",
           "--threshold-s", "-1"], {}, 1, "--threshold-s"),
+        (["detect", "--log", "{log}", "--truth", "{truth}", "--config", "{config}",
+          "--threshold-s", "inf"], {}, 1, "error: --threshold-s must be finite and >= 0"),
         (["detect", "--log", "{log}", "--truth", "{truth}", "--config", "{config}"],
          {"truth.jsonl": '{"start_s":0,"duration_s":100,"cause":"cloud"}\n'
                          '{"start_s":50,"duration_s":10,"cause":"cloud"}\n'},
@@ -757,7 +776,8 @@ class TestMalformedInput:
                                     for slot in range(6))},
          2, "a record lies outside this campaign's vantage 0, slots 0 to 3"),
     ], ids=["claim-above-one", "alpha-zero", "alpha-without-claim", "negative-threshold",
-            "overlapping-truth", "string-vantage", "nan-ts", "nan-truth", "fractional-slot", "truth-beyond-horizon",
+            "infinite-threshold", "overlapping-truth", "string-vantage", "nan-ts", "nan-truth",
+            "fractional-slot", "truth-beyond-horizon",
             "nan-latency", "infinite-latency", "non-utf8-log", "non-utf8-truth",
             "non-utf8-fragment", "non-utf8-config", "string-ts",
             "string-truth", "bool-truth", "huge-int-truth", "unknown-cause-truth",

@@ -458,6 +458,22 @@ def _events(draw, cause, horizon, interval):
     return events
 
 
+def staggered_log(truth, cfg, offsets, q=0.0):
+    """A log whose vantage v probes offsets[v] s after each slot epoch: its records
+    from the sampler run on the truth moved offsets[v] earlier, then moved back.
+    Each offset plus the last retry's delay must stay below the probe interval."""
+    rows = []
+    for vantage, offset in enumerate(offsets):
+        shifted = []
+        for o in outages_of(truth):
+            start, end = max(o.start_s - offset, 0.0), o.start_s + o.duration_s - offset
+            if end > 0.0:
+                shifted.append(Outage(start, end - start, o.cause))
+        log = sample_campaign(timeline_of(truth.horizon_s, shifted), cfg, q)
+        rows += [r._replace(ts_s=r.ts_s + offset) for r in rows_of(log) if r.vantage == vantage]
+    return log_of(sorted(rows, key=lambda r: (r.ts_s, r.vantage, r.attempt)))
+
+
 @st.composite
 def scored_campaigns(draw):
     interval = draw(st.sampled_from([7.5, 60.0, 600.0]))
@@ -476,11 +492,13 @@ def scored_campaigns(draw):
         events += _events(draw, NETWORK, horizon, interval)
     truth = timeline_of(horizon, events)
     if draw(st.booleans()):
-        # the real sampler; network noise leaves slots recovered on retry
+        # the real sampler, its vantages staggered or not; network noise leaves
+        # slots recovered on retry
         offsets = draw(st.none() | st.lists(st.sampled_from([0.0, 1.0, interval / 2]),
                                             min_size=vantages, max_size=vantages))
         q = draw(st.sampled_from([0.0, 0.3, 0.7]))
-        log = sample_campaign(truth, cfg, q, phase_offsets=offsets)
+        log = sample_campaign(truth, cfg, q) if offsets is None else staggered_log(
+            truth, cfg, offsets, q)
     else:
         # attempts placed and failed at random, unrelated to the truth
         log = log_of(Row(ts_s=draw(st.floats(0.0, horizon)), vantage=draw(st.integers(0, 2)),
@@ -517,7 +535,7 @@ class TestMatchesPerEventOracle:
     def test_multi_vantage_log(self):
         cfg = config(vantage_points=3)
         tl = timeline_of(cfg.horizon_s, (Outage(250.0, 100.0), Outage(2 * T + 10.0, 3 * T)))
-        log = sample_campaign(tl, cfg, phase_offsets=[0.0, 300.0, 300.0])
+        log = staggered_log(tl, cfg, [0.0, 300.0, 300.0])
         rep = assert_matches_oracle(tl, log, cfg)
         # only the offset vantages see the short outage, so it has no run
         assert rep.detected == 2 and len(rep.duration_estimates) == 1

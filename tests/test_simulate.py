@@ -239,50 +239,27 @@ class TestSampleCampaign:
         fails = sum(r.outcome == NETWORK_FAIL for r in rows_of(records))
         assert abs(fails / len(records) - 0.2) < 0.02
 
-    def test_phase_offsets_shift_epochs(self):
-        config = small_config(vantage_points=2, retry_max=1)
-        tl = Timeline(config.horizon_s, [], [])
-        records = sample_campaign(tl, config, phase_offsets=[0.0, 30.0])
-        first = {r.vantage: r.ts_s for r in rows_of(records) if r.slot == 0}
-        assert first == {0: 0.0, 1: 30.0}
-
-    def test_phase_offsets_any_sequence(self):
-        config = small_config(vantage_points=2, retry_max=3, seed=4)
-        tl = Timeline(config.horizon_s, [], [])
-        want = rows_of(sample_campaign(tl, config, 0.3, phase_offsets=[0.0, 5.0]))
-        for offsets in ((0.0, 5.0), np.array([0.0, 5.0]), np.array([0, 5])):
-            assert rows_of(sample_campaign(tl, config, 0.3, phase_offsets=offsets)) == want
-
-    @pytest.mark.parametrize("offsets", [[math.nan, 0.0], [0.0, math.inf], [-5.0, 0.0],
-                                         [0.0, -1e-300], [0.0, 598.0], [700.0, 0.0]],
-                             ids=["nan", "inf", "negative", "tiny-negative",
-                                  "last-retry-at-next-slot", "past-interval"])
-    def test_phase_offsets_outside_the_slot_rejected(self, offsets):
-        # retry_max 3 with 1 s gaps: the last retry of offset 598 would land on the next epoch
-        config = small_config(vantage_points=2, retry_max=3)
-        with pytest.raises(ValueError, match="^phase_offsets must be finite, >= 0 and < "
-                                             r"probe_interval_s .* = 598\.0, got \["):
-            sample_campaign(Timeline(config.horizon_s, [], []), config, phase_offsets=offsets)
-
-    def test_phase_offset_just_inside_the_slot(self):
-        config = small_config(vantage_points=1, retry_max=3)
-        log = sample_campaign(timeline_of(config.horizon_s, (Outage(0.0, config.horizon_s),)),
-                              config, phase_offsets=[597.5])
-        assert log.ts_s.max() == (config.slots - 1) * 600.0 + 599.5 < config.horizon_s
-
-    @pytest.mark.parametrize("offsets", [[0.0], [0.0, 1.0, 2.0], [[0.0], [1.0]], 5.0])
-    def test_phase_offsets_one_per_vantage(self, offsets):
-        config = small_config(vantage_points=2)
-        with pytest.raises(ValueError, match="^need one phase offset per vantage point$"):
-            sample_campaign(Timeline(config.horizon_s, [], []), config, phase_offsets=offsets)
-
     def test_short_timeline_rejected(self):
         config = small_config()
         with pytest.raises(ValueError):
             sample_campaign(Timeline(config.horizon_s / 2, [], []), config)
 
+    @pytest.mark.parametrize("q", [0.0, 0.3])
+    @pytest.mark.parametrize("vantages", [1, 23])
+    def test_timeline_read_once_per_campaign(self, monkeypatch, vantages, q):
+        # the vantages share one schedule: one cloud and one network lookup in all
+        causes, in_outage = [], Timeline.in_outage
+        monkeypatch.setattr(Timeline, "in_outage",
+                            lambda tl, ts, cause: causes.append(cause) or in_outage(tl, ts, cause))
+        config = small_config(vantage_points=vantages, retry_max=3)
+        tl = timeline_of(config.horizon_s, (Outage(1000.0, 900.0),
+                                            Outage(5000.0, 60.0, NETWORK)))
+        log = sample_campaign(tl, config, q)
+        assert sorted(causes) == [CLOUD, NETWORK]
+        assert set(log.vantage.tolist()) == set(range(vantages))
 
-def per_record_sample(timeline, config, q=0.0, phase_offsets=None):
+
+def per_record_sample(timeline, config, q=0.0):
     """Reference: the per-record sampler, one scalar draw and two bisects per attempt."""
     outages = outages_of(timeline)
 
@@ -295,9 +272,8 @@ def per_record_sample(timeline, config, q=0.0, phase_offsets=None):
     for vantage in range(config.vantage_points):
         rng = np.random.default_rng(np.random.SeedSequence(entropy=config.seed,
                                                            spawn_key=(1, vantage)))
-        offset = phase_offsets[vantage] if phase_offsets else 0.0
         for slot in range(config.slots):
-            epoch = slot * config.probe_interval_s + offset
+            epoch = slot * config.probe_interval_s
             for attempt in range(1, config.retry_max + 1):
                 ts = epoch + (attempt - 1) * config.retry_gap_s
                 if inside(ts, CLOUD):
@@ -336,28 +312,25 @@ class TestMatchesPerRecordReference:
         proc = OutageProcess(
             up_mean_s=2400.0, duration_dist=DurationDistribution.exponential(500.0),
             network_burst=NetworkBurst(rate_per_day=30.0, duration_s=200.0) if bursts else None)
-        for seed, offsets in ((1, None), (2, [0.0, 17.5, 333.25]), (7, [2.0, 0.0, 1.0]),
-                              (3, [5.0, 0.0, 5.0])):  # vantages sharing an offset
+        for seed in (1, 2, 7, 3):
             config = small_config(horizon_days=2.0, vantage_points=3, retry_max=retry_max,
                                   seed=seed)
             tl = generate_timeline(proc, config.horizon_s, seed)
-            log = sample_campaign(tl, config, q, phase_offsets=offsets)
-            want = per_record_sample(tl, config, q, phase_offsets=offsets)
+            log = sample_campaign(tl, config, q)
+            want = per_record_sample(tl, config, q)
             assert len(log) == len(want)
             for name in ("ts_s", "vantage", "slot", "attempt", "outcome"):
                 assert [getattr(r, name) for r in rows_of(log)] == [getattr(r, name) for r in want], name
 
     @pytest.mark.parametrize("q", [0.0, 0.5])
     def test_zero_gap_ties_equal(self, q):
-        # every attempt of a slot, and of vantages sharing an offset, has one ts_s
+        # every attempt of a slot, of every vantage, has one ts_s
         proc = OutageProcess(up_mean_s=2400.0,
                              duration_dist=DurationDistribution.exponential(500.0))
         config = small_config(horizon_days=1.0, vantage_points=4, retry_max=4,
                               retry_gap_s=0.0, seed=5)
         tl = generate_timeline(proc, config.horizon_s, 5)
-        for offsets in (None, [3.0, 0.0, 3.0, 0.0]):
-            log = sample_campaign(tl, config, q, phase_offsets=offsets)
-            assert rows_of(log) == per_record_sample(tl, config, q, phase_offsets=offsets)
+        assert rows_of(sample_campaign(tl, config, q)) == per_record_sample(tl, config, q)
 
     @pytest.mark.parametrize("p, retry_max", [(0.0, 3), (0.3, 1), (0.5, 9), (1.0, 4)])
     def test_iid_hook_equal(self, p, retry_max):
@@ -365,7 +338,7 @@ class TestMatchesPerRecordReference:
             per_record_iid(p, 500, retry_max, seed=4, vantage=2)
 
 
-# the kinds of hand-placed outage, each at attempt a of slot k, time t = kT + o + a*g
+# the kinds of hand-placed outage, each at attempt a of slot k, time t = kT + a*g
 PLACEMENTS = ("starts_at_attempt", "ends_at_attempt", "between_retries", "starts_at_last_retry",
               "spans_slot_boundary")
 
@@ -381,24 +354,22 @@ def hand_placed_campaigns(draw):
     gap = draw(st.sampled_from([0.0, 0.5, 1.0]))
     slots = draw(st.integers(0, 6))
     vantages = draw(st.integers(1, 3))
-    offsets = draw(st.one_of(st.none(), st.lists(st.sampled_from([0.0, 0.25, 1.5]),
-                                                 min_size=vantages, max_size=vantages)))
     placed = draw(st.lists(st.tuples(
         st.sampled_from(PLACEMENTS), st.integers(0, max(slots - 1, 0)),
-        st.integers(0, retry_max - 1), st.integers(0, vantages - 1),
-        st.sampled_from([CLOUD, NETWORK]), st.integers(1, 4 * int(interval))), max_size=6))
+        st.integers(0, retry_max - 1), st.sampled_from([CLOUD, NETWORK]),
+        st.integers(1, 4 * int(interval))), max_size=6))
     return (dict(probe_interval_s=interval, horizon_days=max(slots, 0.5) * interval / DAY,
                  vantage_points=vantages, retry_max=retry_max, retry_gap_s=gap),
-            offsets, placed, draw(st.sampled_from([0.0, 0.5])))
+            placed, draw(st.sampled_from([0.0, 0.5])))
 
 
-def place_outages(config, offsets, placed):
+def place_outages(config, placed):
     """The outages the placements name, dropping any that overlap an earlier one
     of their cause or start before 0."""
     interval, gap, last = config.probe_interval_s, config.retry_gap_s, config.retry_max - 1
     outages = []
-    for kind, slot, attempt, vantage, cause, quarters in placed:
-        epoch = slot * interval + (offsets[vantage] if offsets else 0.0)
+    for kind, slot, attempt, cause, quarters in placed:
+        epoch = slot * interval
         t, d = epoch + attempt * gap, quarters / 4.0
         start, d = {"starts_at_attempt": (t, d), "ends_at_attempt": (t - d, d),
                     "between_retries": (t + gap / 4, gap / 2),
@@ -415,38 +386,34 @@ class TestHandPlacedOutages:
     """The sampler against the per-record reference where the touched-window
     rule has its edges: outages starting or ending exactly at an attempt, one
     between two retries, one starting at the last retry, one across a slot
-    boundary, no gap, one attempt, no slots and vantages sharing an offset."""
+    boundary, no gap, one attempt, no slots and several vantages."""
 
     @settings(max_examples=300, deadline=None)
     @given(campaign=hand_placed_campaigns())
     def test_matches_per_record_reference(self, campaign):
-        kwargs, offsets, placed, q = campaign
+        kwargs, placed, q = campaign
         config = small_config(**kwargs)
-        outages = place_outages(config, offsets, placed)
+        outages = place_outages(config, placed)
         # a horizon past the campaign's leaves room for outages after its last slot
         tl = timeline_of(config.slots * config.probe_interval_s + 8 * config.probe_interval_s,
                          outages)
-        log = sample_campaign(tl, config, q, phase_offsets=offsets)
-        assert rows_of(log) == per_record_sample(tl, config, q, phase_offsets=offsets)
+        assert rows_of(sample_campaign(tl, config, q)) == per_record_sample(tl, config, q)
 
     @pytest.mark.parametrize("kind", PLACEMENTS)
     @pytest.mark.parametrize("cause", [CLOUD, NETWORK])
     def test_each_placement(self, kind, cause):
         config = small_config(probe_interval_s=20.0, horizon_days=4 * 20.0 / DAY,
                               vantage_points=3, retry_max=4, retry_gap_s=1.0)
-        offsets = [0.5, 0.0, 0.5]  # two vantages share an offset
         for attempt in range(config.retry_max):
-            outages = place_outages(config, offsets, [(kind, 1, attempt, 0, cause, 6)])
+            outages = place_outages(config, [(kind, 1, attempt, cause, 6)])
             assert len(outages) == 1
             tl = timeline_of(200.0, outages)
             for q in (0.0, 0.5):
-                log = sample_campaign(tl, config, q, phase_offsets=offsets)
-                assert rows_of(log) == per_record_sample(tl, config, q, phase_offsets=offsets)
+                assert rows_of(sample_campaign(tl, config, q)) == per_record_sample(tl, config, q)
 
     def test_outage_between_retries_changes_nothing(self):
         config = small_config(probe_interval_s=20.0, horizon_days=4 * 20.0 / DAY, retry_max=4)
-        tl = timeline_of(200.0, place_outages(config, None,
-                                              [("between_retries", 1, 1, 0, CLOUD, 1)]))
+        tl = timeline_of(200.0, place_outages(config, [("between_retries", 1, 1, CLOUD, 1)]))
         assert len(tl) == 1
         assert rows_of(sample_campaign(tl, config)) == rows_of(
             sample_campaign(Timeline(200.0, [], []), config))
