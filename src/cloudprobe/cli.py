@@ -190,6 +190,8 @@ def cmd_estimate(args) -> int:
         claims = [SlaClaim(c, args.alpha) for c in args.claim]
     except ValueError as exc:
         raise UsageError(f"--claim: {exc}") from exc
+    if args.seed is not None and not args.config:  # the seed reaches only the config echo
+        raise UsageError("--seed needs --config")
     retry_max = config_echo = None
     if args.config:  # its echo carries a --seed override, as detect's does
         campaign = _load_campaign(args).campaign

@@ -8,11 +8,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from statistics import NormalDist
 
 from .model import AttemptCounts, EstimateSet, InsufficientDataError
 
-_NORM = NormalDist()
+_Z95 = 1.9599639845400536  # the standard normal's 0.975 quantile, for 95% intervals
 
 
 def first_try_availability(counts: AttemptCounts) -> float:
@@ -82,12 +81,9 @@ def from_nines(k: float) -> float:
     return 1.0 - 10.0 ** -k
 
 
-def wald_interval(p: float, trials: int, alpha: float = 0.05) -> tuple[float, float]:
-    """Normal-approximation confidence interval, clipped to [0, 1]."""
-    if not 0.0 < alpha < 1.0:
-        raise ValueError("alpha must be in (0, 1)")
-    z = _NORM.inv_cdf(1.0 - alpha / 2.0)
-    half = z * standard_error(p, trials)
+def wald_interval(p: float, trials: int) -> tuple[float, float]:
+    """95% normal-approximation confidence interval, clipped to [0, 1]."""
+    half = _Z95 * standard_error(p, trials)
     return max(0.0, p - half), min(1.0, p + half)
 
 
@@ -202,7 +198,7 @@ def sla_test(counts: AttemptCounts, claim: SlaClaim, method: str = "auto") -> Sl
     observed = successes / trials
     if method == "normal":
         z = (observed - p0) / math.sqrt(p0 * (1.0 - p0) / trials)
-        p_value = _NORM.cdf(z)
+        p_value = 0.5 * (1.0 + math.erf(z / math.sqrt(2.0)))  # the standard normal cdf
     else:
         z = None
         p_value = binom_cdf(successes, trials, p0)

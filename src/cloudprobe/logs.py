@@ -201,7 +201,7 @@ def _columns(lines) -> AttemptLog:
             ("ts_s", ts, {int, float}, "a number"),
             ("vantage", vantage, {int}, "an integer"), ("slot", slot, {int}, "an integer"),
             ("attempt", attempt, {int}, "an integer"),
-            ("latency_ms", latency, {int, float, bool, type(None)}, "a number")):
+            ("latency_ms", latency, {int, float, type(None)}, "a number")):
         if not set(map(type, values)) <= types:
             _require(np.array([type(v) in types for v in values]), values, name, rule)
     log = AttemptLog(

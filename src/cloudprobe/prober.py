@@ -1,10 +1,11 @@
 """Live HTTP probing on the same slot/retry schedule the simulator uses.
 
 One scheduler owns the slot clock; attempts within a slot run sequentially.
-Records append to the shared JSONL log with an fsync per record, so the log is
-its own checkpoint: an aborted campaign resumes after the last slot the log
-completes, without duplicating slot indices. Live probes cannot attribute
-cause, so outcomes are only success/fail plus a reason code.
+Each slot's records append to the shared JSONL log in one write and one fsync
+once the slot ends, so a stopped campaign leaves a log of whole slots, and the
+log is its own checkpoint: --resume goes on after its last slot, without
+duplicating slot indices. Live probes cannot attribute cause, so outcomes are
+only success/fail plus a reason code.
 """
 from __future__ import annotations
 
@@ -16,8 +17,8 @@ import time
 import urllib.parse
 from dataclasses import dataclass
 
-from .model import (FAIL, FAIL_REASONS, OUTCOMES, SUCCESS, AttemptLog, CampaignConfig,
-                    ConfigError, MalformedLogError, aggregate_counts)
+from .model import (FAIL, FAIL_REASONS, SUCCESS, AttemptLog, CampaignConfig, ConfigError,
+                    MalformedLogError, aggregate_counts)
 from . import logs
 
 
@@ -142,12 +143,12 @@ def run_campaign(target: ProbeTarget, config: CampaignConfig, log_path,
     """Run the live slot schedule against the target, appending to log_path.
 
     Slot epochs stay aligned to origin + k*T (drift from slow slots is never
-    carried forward). On resume, the log's last slot is done if its last record
-    is a success or attempt retry_max; otherwise it is partial (from a crash)
-    and dropped by write_attempt_log's atomic rewrite. The records kept must fit
-    retry_max, vantage 0 and the slots, else MalformedLogError before any probe,
-    the log unchanged. The origin is re-anchored so ts_s remains ~ slot*T and
-    nondecreasing across the gap. Returns the whole log as written, read back.
+    carried forward). A slot's records are written and fsynced together after its
+    last attempt, so the log never ends inside a slot this prober wrote. On resume,
+    the log's records must fit retry_max (a slot cut short does not), vantage 0 and
+    the slots, else MalformedLogError before any probe, the log unchanged; probing
+    goes on after its last slot, the origin re-anchored so ts_s remains ~ slot*T
+    and nondecreasing across the gap. Returns the whole log as written, read back.
 
     probe_fn is the probe adapter seam: any callable mapping a ProbeTarget to
     a ProbeResult can stand in for the HTTP fetch; only HTTP ships.
@@ -161,19 +162,12 @@ def run_campaign(target: ProbeTarget, config: CampaignConfig, log_path,
     if not resume and os.path.exists(log_path):
         os.remove(log_path)
     elif os.path.exists(log_path):
-        kept = existing = logs.read_attempt_log(log_path)
-        if len(existing):
-            last_done = int(existing.slot[-1])
-            failed = existing.outcome[-1] != OUTCOMES.index(SUCCESS)
-            if failed and existing.attempt[-1] < config.retry_max:  # partial: probe it again
-                last_done -= 1
-                kept = existing[existing.slot <= last_done]
-        aggregate_counts(kept, retry_max=config.retry_max, path=log_path)
-        if kept.vantage.any() or kept.slot.max(initial=-1) >= config.slots:
+        written = logs.read_attempt_log(log_path)
+        aggregate_counts(written, retry_max=config.retry_max, path=log_path)
+        if written.vantage.any() or written.slot.max(initial=-1) >= config.slots:
             raise MalformedLogError(None, None, "a record lies outside this campaign's vantage 0,"
                                     f" slots 0 to {config.slots - 1}", log_path)
-        if len(kept) != len(existing):
-            logs.write_attempt_log(log_path, kept)
+        last_done = int(written.slot.max(initial=-1))
 
     interval = config.probe_interval_s
     start_slot = last_done + 1
@@ -182,17 +176,19 @@ def run_campaign(target: ProbeTarget, config: CampaignConfig, log_path,
     with logs.open_to_append(log_path) as log:
         for slot in range(start_slot, config.slots):
             _sleep_until(origin + slot * interval)
+            lines = []
             for attempt in range(1, config.retry_max + 1):
                 # to 1 us, for short lines; rounding is monotone, so ts_s stays nondecreasing
                 ts = round(time.monotonic() - origin, 6)
                 result = probe_fn(target)
                 latency = None if result.latency_ms is None else round(result.latency_ms, 3)
-                log.write(logs.attempt_line(ts, 0, slot, attempt, result.outcome, latency,
-                                            result.reason))
-                log.flush()
-                os.fsync(log.fileno())
+                lines.append(logs.attempt_line(ts, 0, slot, attempt, result.outcome, latency,
+                                               result.reason))
                 if result.outcome == SUCCESS:
                     break
                 if attempt < config.retry_max:
                     _sleep_until(origin + slot * interval + attempt * config.retry_gap_s)
+            log.write("".join(lines))
+            log.flush()
+            os.fsync(log.fileno())
     return logs.read_attempt_log(log_path)

@@ -688,6 +688,8 @@ class TestMalformedInput:
         (["estimate", "--log", "{log}", "--claim", "1.5"], {}, 1, "claimed_availability"),
         (["estimate", "--log", "{log}", "--claim", "0.99", "--alpha", "0"], {}, 1, "alpha"),
         (["estimate", "--log", "{log}", "--alpha", "7"], {}, 1, "--alpha must be in (0, 1)"),
+        # the seed reaches only the config echo, so without --config it would go unread
+        (["estimate", "--log", "{log}", "--seed", "4"], {}, 1, "error: --seed needs --config"),
         (["detect", "--log", "{log}", "--truth", "{truth}", "--config", "{config}",
           "--threshold-s", "-1"], {}, 1, "--threshold-s"),
         (["detect", "--log", "{log}", "--truth", "{truth}", "--config", "{config}",
@@ -716,6 +718,10 @@ class TestMalformedInput:
          {"attempts.jsonl": '{"ts_s":0,"vantage":0,"slot":0,"attempt":1,"outcome":"success",'
                             '"latency_ms":NaN}\n'},
          2, "line 1: latency_ms"),
+        (["estimate", "--log", "{log}"],
+         {"attempts.jsonl": '{"ts_s":0,"vantage":0,"slot":0,"attempt":1,"outcome":"success",'
+                            '"latency_ms":true}\n'},
+         2, "line 1: latency_ms must be a number, got True"),
         (["detect", "--log", "{log}", "--truth", "{truth}", "--config", "{config}"],
          {"attempts.jsonl": '{"ts_s":0,"vantage":0,"slot":0,"attempt":1,"outcome":"success"}\n'
                             '{"ts_s":600,"vantage":0,"slot":1,"attempt":1,"outcome":"fail",'
@@ -775,10 +781,10 @@ class TestMalformedInput:
           "attempts.jsonl": "".join(logs.attempt_line(0.2 * slot, 0, slot, 1, "success")
                                     for slot in range(6))},
          2, "a record lies outside this campaign's vantage 0, slots 0 to 3"),
-    ], ids=["claim-above-one", "alpha-zero", "alpha-without-claim", "negative-threshold",
-            "infinite-threshold", "overlapping-truth", "string-vantage", "nan-ts", "nan-truth",
-            "fractional-slot", "truth-beyond-horizon",
-            "nan-latency", "infinite-latency", "non-utf8-log", "non-utf8-truth",
+    ], ids=["claim-above-one", "alpha-zero", "alpha-without-claim", "seed-without-config",
+            "negative-threshold", "infinite-threshold", "overlapping-truth", "string-vantage",
+            "nan-ts", "nan-truth", "fractional-slot", "truth-beyond-horizon",
+            "nan-latency", "bool-latency", "infinite-latency", "non-utf8-log", "non-utf8-truth",
             "non-utf8-fragment", "non-utf8-config", "string-ts",
             "string-truth", "bool-truth", "huge-int-truth", "unknown-cause-truth",
             "provenance-not-object", "digest-not-string", "deep-fragment", "deep-log",
@@ -801,6 +807,24 @@ class TestMalformedInput:
             assert f"truth file {paths['truth']}" in err and "attempt log" not in err
         if "attempts.jsonl" in files:
             assert f"attempt log {paths['log']}" in err and "truth file" not in err
+
+    def test_resume_of_a_slot_cut_short_probes_nothing(self, http_fixture, tmp_path, capsys):
+        # slot 1 ends after its first failed attempt of 3, as only an older version, a
+        # torn write or a hand edit leaves a log: exit 2, no probe, the log unchanged
+        config = tmp_path / "live.ini"
+        write_config(config, CampaignConfig(probe_interval_s=0.2, horizon_days=0.00001,
+                                            retry_max=3, retry_gap_s=0.05, mode="live",
+                                            target=http_fixture.url))
+        log = tmp_path / "attempts.jsonl"
+        log.write_text(logs.attempt_line(0.0, 0, 0, 1, "success", 1.25)
+                       + logs.attempt_line(0.2, 0, 1, 1, "fail", None, "status"))
+        before = log.read_bytes()
+        capsys.readouterr()
+        assert main(["probe", "--config", str(config), "--out", str(tmp_path), "--resume"]) == 2
+        assert capsys.readouterr().err == (f"data error: malformed attempt log {log} at vantage=0"
+                                           " slot=1: slot ended after failed attempt 1 of 3\n")
+        assert http_fixture.requests == []
+        assert log.read_bytes() == before
 
 
 class TestUsage:
@@ -870,7 +894,7 @@ class TestUsage:
                   "cloudprobe.report"}),
                 (["estimate", "--config", str(config), "--log", log, "--claim", "0.99",
                   "--out", out], "cloudprobe.estimators",
-                 {"cloudprobe.detection", "cloudprobe.prober"}),
+                 {"cloudprobe.detection", "cloudprobe.prober", "statistics"}),
                 (["detect", "--config", str(config), "--log", log, "--truth", truth,
                   "--out", out], "cloudprobe.detection",
                  {"cloudprobe.estimators", "cloudprobe.prober", "numpy.ma"})):

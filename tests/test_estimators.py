@@ -1,4 +1,5 @@
 import math
+import statistics
 
 import numpy as np
 import pytest
@@ -189,6 +190,12 @@ class TestIntervals:
         lo, hi = wald_interval(0.9999, 50)
         assert hi == 1.0
 
+    def test_wald_quantile_is_the_standard_normal_one(self):
+        z = statistics.NormalDist().inv_cdf(0.975)
+        for p, trials in ((0.99565, TRIALS), (0.5, 10), (0.25, 4), (0.9, 1000), (0.0, 7)):
+            half = z * standard_error(p, trials)
+            assert wald_interval(p, trials) == (max(0.0, p - half), min(1.0, p + half))
+
     def test_clopper_pearson_reference_values(self):
         # 9/10 at 95%: known exact interval (0.5550, 0.9975)
         lo, hi = clopper_pearson_interval(9, 10)
@@ -277,6 +284,21 @@ class TestSlaTest:
         res_e = sla_test(counts, claim, method="exact")
         assert res_n.reject is res_e.reject is True
 
+    def test_normal_tail_is_the_standard_normal_cdf(self):
+        # against statistics.NormalDist, bit for bit, over a grid of z values from
+        # about -1,000 to +30 at several claims and trial counts
+        cdf = statistics.NormalDist().cdf
+        zs = set()
+        for trials in (1000, 20000, TRIALS):
+            for claim in (0.5, 0.9, 0.999):
+                for successes in np.linspace(0, trials, 401).astype(int).tolist():
+                    counts = AttemptCounts(retry_max=1, attempts=(trials,),
+                                           successes=(successes,))
+                    res = sla_test(counts, SlaClaim(claim), method="normal")
+                    assert res.p_value == cdf(res.z), (trials, claim, successes)
+                    zs.add(res.z)
+        assert len(zs) > 3000 and min(zs) < -500 and max(zs) > 20
+
     def test_perfect_record_never_rejects(self):
         counts = AttemptCounts(retry_max=1, attempts=(100,), successes=(100,))
         for method in ("normal", "exact", "auto"):
@@ -342,7 +364,7 @@ class TestEstimateSet:
 
     def test_interval_is_wald(self):
         est = build_estimate_set(HAND)
-        assert (est.ci_low, est.ci_high) == wald_interval(0.25, 4, 0.05)
+        assert (est.ci_low, est.ci_high) == wald_interval(0.25, 4)
 
     def test_empty_counts_raise(self):
         with pytest.raises(InsufficientDataError):

@@ -1,4 +1,5 @@
 import hashlib
+import itertools
 import json
 import math
 import os
@@ -20,10 +21,11 @@ from cloudprobe.prober import (
     probe_once,
     run_campaign,
 )
+from cloudprobe.cli import main
 from cloudprobe.detection import detect_outages
 from cloudprobe import logs, prober
 
-from conftest import BAD_URLS, BODY, Row, rows_of
+from conftest import BAD_URLS, BODY, Row, rows_of, write_config
 
 
 def live_config(slots, interval=0.25, retry_max=2, gap=0.05, url="http://example.invalid/"):
@@ -226,6 +228,25 @@ def succeed_counting(calls):
     return lambda target: calls.append(target) or ProbeResult(SUCCESS, latency_ms=1.0)
 
 
+def stopped_at(call, probe_fn):
+    """probe_fn, but its call-th call (counted from 0) raises KeyboardInterrupt, as a
+    Ctrl-C would."""
+    count = itertools.count()
+
+    def probe(target):
+        if next(count) == call:
+            raise KeyboardInterrupt
+        return probe_fn(target)
+    return probe
+
+
+def fail_then_succeed():
+    """A probe_fn that fails its odd calls (the first, the third, ...) and succeeds
+    the even ones: under retry_max 2 or more, each slot fails once, then succeeds."""
+    results = itertools.cycle([ProbeResult(FAIL, reason="connect"), ProbeResult(SUCCESS, 1.0)])
+    return lambda target: next(results)
+
+
 class TestRunCampaign:
     def test_always_up_fixture(self, http_fixture, tmp_path):
         config = live_config(slots=5, url=http_fixture.url)
@@ -307,15 +328,50 @@ class TestRunCampaign:
                          probe_fn=lambda target: ProbeResult("bogus"))
         assert log_path.read_text() == ""
 
+    def test_one_fsync_per_slot(self, tmp_path, monkeypatch):
+        # each slot fails once, then succeeds: 8 attempts in 4 slots, and each fsync
+        # comes after a slot's last line
+        config = live_config(slots=4, interval=0.02, retry_max=3, gap=0.005)
+        log_path = tmp_path / "attempts.jsonl"
+        synced = []  # the log's line count at each fsync
+        fsync = os.fsync
+        monkeypatch.setattr(os, "fsync", lambda fd: synced.append(
+            len(log_path.read_bytes().splitlines())) or fsync(fd))
+        records = run_campaign(ProbeTarget(url=config.target), config, log_path,
+                               probe_fn=fail_then_succeed())
+        assert len(records) == 8
+        assert synced == [2, 4, 6, 8]
+
+    def test_campaign_stopped_on_a_retry_leaves_a_valid_log(self, tmp_path):
+        # each slot fails once, then succeeds; the campaign stops (as on Ctrl-C) in place
+        # of slot 2's second attempt, and its log holds slots 0 and 1 whole
+        config = live_config(slots=4, interval=0.02, retry_max=3, gap=0.005)
+        log_path = tmp_path / "attempts.jsonl"
+        with pytest.raises(KeyboardInterrupt):
+            run_campaign(ProbeTarget(url=config.target), config, log_path,
+                         probe_fn=stopped_at(5, fail_then_succeed()))
+        log = logs.read_attempt_log(log_path)
+        assert [(r.slot, r.attempt, r.outcome) for r in rows_of(log)] == [
+            (0, 1, FAIL), (0, 2, SUCCESS), (1, 1, FAIL), (1, 2, SUCCESS)]
+        assert aggregate_counts(log, retry_max=3, path=log_path).attempts == (2, 2, 0)
+        ini = tmp_path / "live.ini"
+        write_config(ini, config)
+        assert main(["estimate", "--config", str(ini), "--log", str(log_path),
+                     "--out", str(tmp_path)]) == 0
+
     def test_resume_never_duplicates_slots(self, http_fixture, tmp_path):
         config = live_config(slots=6, url=http_fixture.url)
         log_path = tmp_path / "attempts.jsonl"
 
-        # fabricate an aborted campaign: slots 0-2 complete, slot 3 partial
-        aborted = live_config(slots=3, url=http_fixture.url)
-        run_campaign(ProbeTarget(url=http_fixture.url), aborted, log_path)
-        with open(log_path, "a", encoding="utf-8") as f:
-            f.write('{"ts_s":0.75,"vantage":0,"slot":3,"attempt":1,"outcome":"fail","reason":"connect"}\n')
+        # a campaign stopped inside slot 3: its first attempt fails, and the campaign
+        # stops in place of the second, so the log holds slots 0-2 and none of slot 3
+        http_fixture.set_behavior(lambda i: ("status", 503) if i == 3 else ("ok",))
+        with pytest.raises(KeyboardInterrupt):
+            run_campaign(ProbeTarget(url=http_fixture.url), config, log_path,
+                         probe_fn=stopped_at(4, probe_once))
+        assert len(http_fixture.requests) == 4
+        assert [(r.slot, r.attempt) for r in rows_of(logs.read_attempt_log(log_path))] == [
+            (0, 1), (1, 1), (2, 1)]
 
         records = run_campaign(ProbeTarget(url=http_fixture.url), config, log_path,
                                resume=True)
@@ -323,19 +379,16 @@ class TestRunCampaign:
         assert slots == sorted(set(slots)) == list(range(6))
         reread = rows_of(logs.read_attempt_log(log_path))
         assert [r.slot for r in reread if r.attempt == 1] == list(range(6))
-        # the partial slot-3 record was truncated, then slot 3 was re-probed
-        assert sum(1 for r in reread if r.slot == 3) == 1
-        assert all(r.outcome == SUCCESS for r in reread if r.slot == 3)
-        # no column sidecar (the appends would have made the rewrite's stale) and
-        # no checkpoint file: the log is its own
+        # slot 3 was probed again from its first attempt
+        assert [(r.attempt, r.outcome) for r in reread if r.slot == 3] == [(1, SUCCESS)]
+        # no column sidecar and no checkpoint file: the log is its own
         assert sorted(p.name for p in tmp_path.iterdir()) == ["attempts.jsonl"]
 
-    @pytest.mark.parametrize("last, probes", [
-        ([(SUCCESS, None)], 2),
-        ([(FAIL, "status"), (FAIL, "status")], 2),  # failed at retry_max: not probed again
-        ([(FAIL, "status")], 3),  # partial: dropped, then probed again
-    ], ids=["success", "failed-at-retry-max", "partial"])
-    def test_resume_reads_the_last_slot_from_the_log(self, tmp_path, last, probes):
+    @pytest.mark.parametrize("last", [
+        [(SUCCESS, None)],
+        [(FAIL, "status"), (FAIL, "status")],  # failed at retry_max: not probed again
+    ], ids=["success", "failed-at-retry-max"])
+    def test_resume_reads_the_last_slot_from_the_log(self, tmp_path, last):
         # slots 0-1 succeeded; slot 2 ends as last says
         config = live_config(slots=5, interval=0.02, gap=0.005)
         log_path = tmp_path / "attempts.jsonl"
@@ -347,13 +400,59 @@ class TestRunCampaign:
         calls = []
         records = run_campaign(ProbeTarget(url=config.target), config, log_path, resume=True,
                                probe_fn=succeed_counting(calls))
-        assert len(calls) == probes
+        assert len(calls) == 2
         assert [r.slot for r in rows_of(records) if r.attempt == 1] == list(range(5))
-        assert log_path.read_text().startswith(done + (tail if probes == 2 else ""))
+        assert log_path.read_text().startswith(done + tail)
+
+    def test_resume_refuses_a_slot_cut_short(self, tmp_path):
+        # slots 0-1 succeeded, and slot 2 ends after its first failed attempt of 2, as
+        # only an older version, a torn write or a hand edit leaves a log: refused
+        # before any probe, the log unchanged
+        config = live_config(slots=5, interval=0.02, gap=0.005)
+        log_path = tmp_path / "attempts.jsonl"
+        log_path.write_text("".join(logs.attempt_line(0.02 * slot, 0, slot, 1, SUCCESS, 1.25)
+                                    for slot in range(2))
+                            + logs.attempt_line(0.04, 0, 2, 1, FAIL, None, "status"))
+        before = log_path.read_bytes()
+        calls = []
+        with pytest.raises(MalformedLogError,
+                           match="slot=2: slot ended after failed attempt 1 of 2"):
+            run_campaign(ProbeTarget(url=config.target), config, log_path, resume=True,
+                         probe_fn=succeed_counting(calls))
+        assert calls == []
+        assert log_path.read_bytes() == before
+
+    def test_failed_resume_rewrite_keeps_the_log(self, tmp_path, monkeypatch):
+        # slots 0-1 succeeded, slot 2 partial: resume neither rewrites the log nor
+        # probes, and leaves the directory as it found it, even where a rewrite would
+        # crash after its first chunk
+        config = live_config(slots=4)
+        log_path = tmp_path / "attempts.jsonl"
+        log_path.write_text(logs.attempt_line(0.0, 0, 0, 1, SUCCESS, 1.25)
+                            + logs.attempt_line(0.25, 0, 1, 1, SUCCESS, 1.25)
+                            + logs.attempt_line(0.5, 0, 2, 1, FAIL, None, "connect"))
+        before = sorted(tmp_path.iterdir()), log_path.read_bytes()
+        chunk_text = logs._chunk_text
+        written = []
+
+        def crash_after_first_chunk(log):
+            if written:
+                raise RuntimeError("disk gone")
+            written.append(len(log))
+            return chunk_text(log)
+
+        monkeypatch.setattr(logs, "_CHUNK", 1)
+        monkeypatch.setattr(logs, "_chunk_text", crash_after_first_chunk)
+        with pytest.raises(MalformedLogError, match="slot=2: slot ended after failed attempt 1"):
+            run_campaign(ProbeTarget(url=config.target), config, log_path, resume=True,
+                         probe_fn=lambda target: pytest.fail("probed before the log was kept"))
+        assert written == []
+        assert (sorted(tmp_path.iterdir()), log_path.read_bytes()) == before
 
     def test_stale_checkpoint_file_is_not_read(self, tmp_path):
         # a checkpoint file that an older version left, beside a run aborted inside
-        # slot 0: resume goes by the log alone, so no slot is skipped or kept partial
+        # slot 0, which leaves an empty log: resume goes by the log alone, so no slot
+        # is skipped
         config = live_config(slots=4, interval=0.02, gap=0.005)
         log_path = tmp_path / "attempts.jsonl"
         stale = tmp_path / "attempts.jsonl.checkpoint"
@@ -369,7 +468,7 @@ class TestRunCampaign:
         with pytest.raises(RuntimeError, match="aborted"):
             run_campaign(ProbeTarget(url=config.target), config, log_path,
                          probe_fn=abort_at_second_attempt)
-        assert [(r.slot, r.attempt) for r in rows_of(logs.read_attempt_log(log_path))] == [(0, 1)]
+        assert log_path.read_bytes() == b""
         calls.clear()
         records = run_campaign(ProbeTarget(url=config.target), config, log_path, resume=True,
                                probe_fn=succeed_counting(calls))
@@ -411,31 +510,6 @@ class TestRunCampaign:
                          probe_fn=succeed_counting(calls))
         assert calls == []
         assert log_path.read_bytes() == before
-
-    def test_failed_resume_rewrite_keeps_the_log(self, tmp_path, monkeypatch):
-        # slots 0-1 succeeded, slot 2 partial: resume rewrites the log without it
-        config = live_config(slots=4)
-        log_path = tmp_path / "attempts.jsonl"
-        log_path.write_text(logs.attempt_line(0.0, 0, 0, 1, SUCCESS, 1.25)
-                            + logs.attempt_line(0.25, 0, 1, 1, SUCCESS, 1.25)
-                            + logs.attempt_line(0.5, 0, 2, 1, FAIL, None, "connect"))
-        before = sorted(tmp_path.iterdir()), log_path.read_bytes()
-        chunk_text = logs._chunk_text
-        written = []
-
-        def crash_after_first_chunk(log):
-            if written:
-                raise RuntimeError("disk gone")
-            written.append(len(log))
-            return chunk_text(log)
-
-        monkeypatch.setattr(logs, "_CHUNK", 1)
-        monkeypatch.setattr(logs, "_chunk_text", crash_after_first_chunk)
-        with pytest.raises(RuntimeError, match="disk gone"):
-            run_campaign(ProbeTarget(url=config.target), config, log_path, resume=True,
-                         probe_fn=lambda target: pytest.fail("probed before the log was kept"))
-        assert written == [1]
-        assert (sorted(tmp_path.iterdir()), log_path.read_bytes()) == before
 
     def test_schedule_fidelity_within_one_percent(self, http_fixture, tmp_path):
         interval = 1.0
