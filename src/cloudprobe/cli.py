@@ -1,7 +1,7 @@
 """Command-line entry point: simulate, estimate, detect, probe, report.
 
 Exit codes: 0 success (statistical "reject" conclusions are data, not errors),
-1 usage or config error, 2 data error, 3 I/O error.
+1 usage or config error, 2 data error, 3 I/O error, 130 interrupted (Ctrl-C).
 """
 from __future__ import annotations
 
@@ -46,6 +46,7 @@ EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_DATA = 2
 EXIT_IO = 3
+EXIT_INTERRUPTED = 130  # as a shell reports a process that SIGINT ended
 
 _LOG_LEVELS = ("error", "warn", "info", "debug")  # CLOUDPROBE_LOG_LEVEL; all but error show warnings
 
@@ -313,6 +314,9 @@ def main(argv=None) -> int:
     except OSError as exc:
         print(f"i/o error: {exc}", file=sys.stderr)
         return EXIT_IO
+    except KeyboardInterrupt:  # as Ctrl-C stops a live campaign, whose log keeps whole slots
+        print("interrupted", file=sys.stderr)
+        return EXIT_INTERRUPTED
 
 
 if __name__ == "__main__":

@@ -2,8 +2,9 @@
 
 Attempt log: one record per line with fields ts_s, vantage, slot, attempt,
 outcome, plus optional latency_ms and reason. A file is valid when ts_s is
-nondecreasing per vantage. Lines are written in attempt_line's exact form as
-numpy bytes, integers by int64 digit arithmetic. The writer fills a byte
+nondecreasing per vantage. _chunk_text alone writes lines, simulated and live:
+JSON with no spaces, keys in that order, latency_ms and reason left out when
+absent, as numpy bytes, integers by int64 digit arithmetic. It fills a byte
 matrix, 8,192 records at a time, a block of columns per field; a float that is
 integral, finite, not -0.0 and below 2**53 in magnitude is its digits and ".0"
 (as repr gives it), and any other float is repr()'s own text.
@@ -21,12 +22,11 @@ json.loads. A block is checked whole, its ts_s order carried on from each
 vantage's last record before it; only a block that fails is gone through line
 by line, to name its first bad line. So the sidecar is never trusted for a log
 it was not written with, and deleting it changes nothing but the time a read
-takes. A log appended to (the live prober's) has none. Truth file: start_s,
-duration_s, cause per line.
+takes. The live prober appends and writes none: an old one no longer matches
+the log, so is never read. Truth file: start_s, duration_s, cause per line.
 """
 from __future__ import annotations
 
-import contextlib
 import hashlib
 import io
 import json
@@ -56,7 +56,7 @@ _RULES = (("ts_s", lambda ts: (0 <= ts) & (ts < math.inf), "finite and >= 0"),
           ("latency_ms", lambda ms: ~np.isinf(ms), "finite"))
 # what a malformed line raises; json raises RecursionError on a line nested too deep
 _ERRORS = (KeyError, TypeError, ValueError, OverflowError, RecursionError)
-# attempt_line's keys in its order, each with the punctuation before its value
+# the keys in a line's order, each with the punctuation before its value
 _KEYS = (b'{"ts_s":', b',"vantage":', b',"slot":', b',"attempt":', b',"outcome":')
 _LATENCY = b',"latency_ms":'
 # the column sidecar's header: magic, version, log bytes, log sha256, records
@@ -64,18 +64,6 @@ _HEADER = struct.Struct("<8sQQ32sQ")
 _MAGIC, _VERSION = b"CPCOLS\r\n", 1
 _DTYPES = [np.dtype(dtype).newbyteorder("<") for dtype in _COLUMNS.values()]
 _ROW_BYTES = sum(dtype.itemsize for dtype in _DTYPES)
-
-
-def attempt_line(ts_s, vantage, slot, attempt, outcome, latency_ms=None, reason=None) -> str:
-    """One record's line as json.dumps writes it, newline included; ts_s and
-    latency_ms written as floats, latency_ms and reason left out when None."""
-    line = (f'{{"ts_s":{float(ts_s)!r},"vantage":{vantage},"slot":{slot},"attempt":{attempt},'
-            f'"outcome":"{outcome}"')
-    if latency_ms is not None:
-        line += f',"latency_ms":{float(latency_ms)!r}'
-    if reason is not None:
-        line += f',"reason":"{reason}"'
-    return line + "}\n"
 
 
 def _text(key: bytes, rows: int):
@@ -118,8 +106,8 @@ _OUTCOME_TEXT, _REASON_TEXT = (  # the reason row for code -1, the last, is empt
 
 
 def _chunk_text(log: AttemptLog) -> bytes:
-    """The log's lines as attempt_line writes them: the bytes that are not 0 (JSON
-    text holds none) of a matrix of a row per record and a block per field."""
+    """The log's lines: the bytes that are not 0 (JSON text holds none) of a
+    matrix of a row per record and a block per field."""
     rows = len(log)
     blocks = [_text(_KEYS[0], rows), _float_block(log.ts_s)]
     for key, column in zip(_KEYS[1:4], (log.vantage, log.slot, log.attempt)):
@@ -164,14 +152,6 @@ def write_attempt_log(path, log: AttemptLog) -> None:
                 os.remove(leftover)
 
 
-def open_to_append(path):
-    """The attempt log at path opened as text to append lines to, its column
-    sidecar removed first, as it would no longer describe the log."""
-    with contextlib.suppress(FileNotFoundError):
-        os.remove(sidecar_path(path))
-    return open(path, "a", encoding="utf-8")
-
-
 def _named(name, make, *args):
     """make(*args), with an error naming the field."""
     try:
@@ -186,13 +166,15 @@ def _require(ok, values, name, rule) -> None:
         raise ValueError(f"{name} must be {rule}, got {values[int(np.argmin(ok))]!r}")
 
 
-def _columns(lines) -> AttemptLog:
-    """The non-blank lines (str) as a log, each read by json.loads. Every
-    per-record rule is checked here: the first record to break one raises one of
-    _ERRORS, naming the field."""
-    rows = [(obj["ts_s"], obj["vantage"], obj["slot"], obj["attempt"], obj["outcome"],
-             obj.get("latency_ms"), obj.get("reason"))
-            for obj in map(json.loads, filter(None, map(str.strip, lines)))]
+def encode(rows) -> bytes:
+    """The lines of rows, each (ts_s, vantage, slot, attempt, outcome, latency_ms,
+    reason) as a line holds it, once each record keeps the rules a read checks."""
+    return _chunk_text(_from_rows(rows))
+
+
+def _from_rows(rows) -> AttemptLog:
+    """The rows, as encode takes them, as a log. Every per-record rule is checked
+    here: the first record to break one raises one of _ERRORS, naming the field."""
     fields = dict(zip(_COLUMNS, zip(*rows) if rows else ((),) * 7))
     ts, vantage, slot, attempt, outcome, latency, reason = fields.values()
     n = len(rows)
@@ -225,8 +207,11 @@ def _columns(lines) -> AttemptLog:
 
 def _parse(text: bytes) -> AttemptLog:
     """The lines of text (UTF-8) as a log: decoded and split as a file read as
-    text would be, then by _columns."""
-    return _columns(io.StringIO(text.decode("utf-8"), newline=None))
+    text would be, each non-blank line read by json.loads."""
+    lines = filter(None, map(str.strip, io.StringIO(text.decode("utf-8"), newline=None)))
+    return _from_rows([(obj["ts_s"], obj["vantage"], obj["slot"], obj["attempt"],
+                        obj["outcome"], obj.get("latency_ms"), obj.get("reason"))
+                       for obj in map(json.loads, lines)])
 
 
 def _blocks(f):
@@ -303,7 +288,7 @@ def read_attempt_log(path, digest=None) -> AttemptLog:
     log, hashed = _from_sidecar(path, hashlib.sha256() if digest is None else digest)
     if log is not None:
         return log
-    parts, first, last = [], 1, _columns([])
+    parts, first, last = [], 1, _from_rows([])
     with open(path, "rb") as f:
         blocks = _blocks(f)
         if digest is not None and not hashed:  # hashed as read, a block at a time
@@ -316,8 +301,10 @@ def read_attempt_log(path, digest=None) -> AttemptLog:
             if log is None or not _in_order(log):
                 raise _bad_line(path, block, first, last)
             parts.append(log[len(last):])
-            last, first = _last_records(log), first + len(block.splitlines())
-    return AttemptLog.concat(parts) if parts else _columns([])
+            last = _last_records(log)
+            # the lines as a text read splits them, counted by their ends, none built
+            first += block.count(b"\n") + block.count(b"\r") - block.count(b"\r\n")
+    return AttemptLog.concat(parts) if parts else _from_rows([])
 
 
 def write_truth(path, timeline: Timeline) -> None:

@@ -1,11 +1,11 @@
 """Live HTTP probing on the same slot/retry schedule the simulator uses.
 
 One scheduler owns the slot clock; attempts within a slot run sequentially.
-Each slot's records append to the shared JSONL log in one write and one fsync
-once the slot ends, so a stopped campaign leaves a log of whole slots, and the
-log is its own checkpoint: --resume goes on after its last slot, without
-duplicating slot indices. Live probes cannot attribute cause, so outcomes are
-only success/fail plus a reason code.
+Once a slot ends, logs.encode checks its records as a read does, and they append
+to the JSONL log in one write and one fsync. So a stopped campaign leaves a log
+of whole slots, and the log is its own checkpoint: --resume goes on after its
+last slot. Live probes cannot attribute cause, so outcomes are only success/fail
+plus a reason code.
 """
 from __future__ import annotations
 
@@ -17,8 +17,8 @@ import time
 import urllib.parse
 from dataclasses import dataclass
 
-from .model import (FAIL, FAIL_REASONS, SUCCESS, AttemptLog, CampaignConfig, ConfigError,
-                    MalformedLogError, aggregate_counts)
+from .model import (FAIL, SUCCESS, AttemptLog, CampaignConfig, ConfigError, MalformedLogError,
+                    aggregate_counts)
 from . import logs
 
 
@@ -53,31 +53,15 @@ class ProbeTarget:
                               f"got {self.expected_body_hash!r}")
 
 
-@dataclass(frozen=True)
-class ProbeResult:
-    """One attempt's outcome, success or fail, as the log records it."""
-
-    outcome: str
-    latency_ms: float | None = None
-    reason: str | None = None
-
-    def __post_init__(self):
-        if self.outcome not in (SUCCESS, FAIL):
-            raise ValueError(f"probe outcome must be {SUCCESS} or {FAIL}, got {self.outcome!r}")
-        if self.reason is not None and self.reason not in FAIL_REASONS:
-            raise ValueError(f"unknown failure reason {self.reason!r}")
-        if self.latency_ms is not None and not math.isfinite(self.latency_ms):
-            raise ValueError(f"latency_ms must be finite, got {self.latency_ms}")
-
-
 _tls = None  # the one client TLS context of the process, built by its first https probe
 
 
-def probe_once(target: ProbeTarget) -> ProbeResult:
+def probe_once(target: ProbeTarget) -> tuple[str, float | None, str | None]:
     """Fetch the target once by a direct GET on a connection of its own, which
     follows no redirect and goes through no proxy; success needs the whole
     response within timeout_ms, an allowed status and (when configured) a
-    matching body digest."""
+    matching body digest. Returns (outcome, latency_ms, reason) as the log
+    records them: (success, ms, None) or (fail, None, reason)."""
     import http.client  # on first use, so that only `probe` loads the HTTP stack
     import socket
     global _tls
@@ -99,7 +83,7 @@ def probe_once(target: ProbeTarget) -> ProbeResult:
         sock = conn.sock  # the response reads through it, also once getresponse drops it
         resp = _before(deadline, sock, conn.getresponse)
         if resp.status not in target.success_statuses:  # a 3xx too: no redirect is followed
-            return ProbeResult(FAIL, reason="status")
+            return FAIL, None, "status"
         body = hashlib.sha256()
         # one read a piece, within the deadline; none once the response (and so sock) closes
         while not resp.isclosed() and (piece := _before(deadline, sock, resp.read1, 1 << 16)):
@@ -107,21 +91,21 @@ def probe_once(target: ProbeTarget) -> ProbeResult:
         if resp.length:  # the server closed before Content-Length bytes came
             raise http.client.IncompleteRead(b"", resp.length)
     except socket.gaierror:
-        return ProbeResult(FAIL, reason="dns")
+        return FAIL, None, "dns"
     except TimeoutError:  # socket.timeout is an alias of it since Python 3.10
-        return ProbeResult(FAIL, reason="timeout")
+        return FAIL, None, "timeout"
     except (OSError, http.client.IncompleteRead):  # refused, reset, TLS, or cut mid-body
-        return ProbeResult(FAIL, reason="connect")
+        return FAIL, None, "connect"
     except http.client.HTTPException:  # a reply that is not HTTP
-        return ProbeResult(FAIL, reason="status")
+        return FAIL, None, "status"
     finally:
         conn.close()
 
     latency_ms = (time.monotonic() - started) * 1000.0
     if target.expected_body_hash is not None:
         if body.hexdigest() != target.expected_body_hash.lower():
-            return ProbeResult(FAIL, reason="digest")
-    return ProbeResult(SUCCESS, latency_ms=latency_ms)
+            return FAIL, None, "digest"
+    return SUCCESS, latency_ms, None
 
 
 def _before(deadline: float, sock, step, *args):
@@ -150,8 +134,10 @@ def run_campaign(target: ProbeTarget, config: CampaignConfig, log_path,
     goes on after its last slot, the origin re-anchored so ts_s remains ~ slot*T
     and nondecreasing across the gap. Returns the whole log as written, read back.
 
-    probe_fn is the probe adapter seam: any callable mapping a ProbeTarget to
-    a ProbeResult can stand in for the HTTP fetch; only HTTP ships.
+    probe_fn is the probe adapter seam: any callable returning probe_once's
+    (outcome, latency_ms, reason) for a ProbeTarget can stand in for the HTTP
+    fetch; only HTTP ships. A result other than success or fail, or one a read
+    would refuse, raises ValueError naming the field before its slot is written.
     """
     if config.mode != "live":
         raise ConfigError("run_campaign requires mode=live")
@@ -173,22 +159,23 @@ def run_campaign(target: ProbeTarget, config: CampaignConfig, log_path,
     start_slot = last_done + 1
     origin = time.monotonic() - start_slot * interval
 
-    with logs.open_to_append(log_path) as log:
+    with open(log_path, "ab") as log:
         for slot in range(start_slot, config.slots):
             _sleep_until(origin + slot * interval)
-            lines = []
+            rows = []
             for attempt in range(1, config.retry_max + 1):
                 # to 1 us, for short lines; rounding is monotone, so ts_s stays nondecreasing
                 ts = round(time.monotonic() - origin, 6)
-                result = probe_fn(target)
-                latency = None if result.latency_ms is None else round(result.latency_ms, 3)
-                lines.append(logs.attempt_line(ts, 0, slot, attempt, result.outcome, latency,
-                                               result.reason))
-                if result.outcome == SUCCESS:
+                outcome, latency, reason = probe_fn(target)
+                if outcome not in (SUCCESS, FAIL):  # a live probe cannot name a cause
+                    raise ValueError(f"outcome must be {SUCCESS} or {FAIL}, got {outcome!r}")
+                rows.append((ts, 0, slot, attempt, outcome,
+                             None if latency is None else round(latency, 3), reason))
+                if outcome == SUCCESS:
                     break
                 if attempt < config.retry_max:
                     _sleep_until(origin + slot * interval + attempt * config.retry_gap_s)
-            log.write("".join(lines))
+            log.write(logs.encode(rows))
             log.flush()
             os.fsync(log.fileno())
     return logs.read_attempt_log(log_path)

@@ -28,6 +28,20 @@ Row = namedtuple("Row", "ts_s vantage slot attempt outcome latency_ms reason",
                  defaults=(None, None))
 
 
+def attempt_line(ts_s, vantage, slot, attempt, outcome, latency_ms=None, reason=None) -> str:
+    """One record's line, newline included, as json.dumps writes a finite record
+    with no spaces; ts_s and latency_ms written as floats by repr (so an infinity
+    is inf, which json.dumps writes Infinity), latency_ms and reason left out
+    when None. The reference the log writer is held to, record for record."""
+    line = (f'{{"ts_s":{float(ts_s)!r},"vantage":{vantage},"slot":{slot},"attempt":{attempt},'
+            f'"outcome":"{outcome}"')
+    if latency_ms is not None:
+        line += f',"latency_ms":{float(latency_ms)!r}'
+    if reason is not None:
+        line += f',"reason":"{reason}"'
+    return line + "}\n"
+
+
 def log_of(rows) -> AttemptLog:
     """Rows (outcome and reason as names, None for no latency or reason) as a log."""
     ts, vantage, slot, attempt, outcome, latency, reason = list(zip(*rows)) or [()] * 7

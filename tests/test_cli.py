@@ -3,8 +3,11 @@ import importlib.util
 import json
 import os
 import re
+import signal
+import socket
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import jsonschema
@@ -18,7 +21,7 @@ from cloudprobe.model import CampaignConfig, ConfigError, Timeline
 from cloudprobe.prober import ProbeTarget
 from cloudprobe.simulate import DurationDistribution, NetworkBurst, OutageProcess, sample_campaign
 
-from conftest import BAD_URLS, write_config
+from conftest import BAD_URLS, attempt_line, write_config
 
 # every report these tests build passes report's own schema check
 pytestmark = pytest.mark.usefixtures("reports_pass_own_check")
@@ -642,6 +645,43 @@ class TestCmdProbe:
         records = logs.read_attempt_log(out / "attempts.jsonl")
         assert records.slot.tolist() == [0, 1, 2, 3, 4]
 
+    @pytest.mark.skipif(sys.platform == "win32", reason="sends SIGINT, as Ctrl-C does on POSIX")
+    def test_ctrl_c_exits_130_and_leaves_a_readable_log(self, tmp_path):
+        # each slot makes two attempts, refused at a closed loopback port, 0.4 s apart
+        # in a 0.5 s slot; SIGINT comes just after the first slot is written, so in the
+        # second slot's retry gap
+        with socket.socket() as s:
+            s.bind(("127.0.0.1", 0))
+            port = s.getsockname()[1]
+        config = tmp_path / "live.ini"
+        write_config(config, CampaignConfig(
+            probe_interval_s=0.5, horizon_days=100 * 0.5 / 86400.0, retry_max=2,
+            retry_gap_s=0.4, mode="live", target=f"http://127.0.0.1:{port}/x"))
+        log = tmp_path / "attempts.jsonl"
+        env = {**os.environ, "PYTHONPATH": str(Path(cloudprobe.__file__).parents[1])}
+        child = subprocess.Popen(
+            [sys.executable, "-m", "cloudprobe", "probe", "--config", str(config),
+             "--out", str(tmp_path)], stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
+            env=env,
+            # a Python started with SIGINT ignored, as a background job is, keeps ignoring it
+            preexec_fn=lambda: signal.signal(signal.SIGINT, signal.SIG_DFL))
+        try:
+            deadline = time.monotonic() + 30
+            while not (log.exists() and log.stat().st_size) and time.monotonic() < deadline:
+                time.sleep(0.02)
+            time.sleep(0.2)
+            child.send_signal(signal.SIGINT)
+            _, err = child.communicate(timeout=30)
+        finally:
+            child.kill()
+            child.wait()
+        assert child.returncode == 130
+        assert "Traceback" not in err and err == "interrupted\n"
+        rows = [json.loads(line) for line in log.read_text().splitlines()]
+        assert rows and all((row["outcome"], row["reason"]) == ("fail", "connect") for row in rows)
+        assert main(["estimate", "--config", str(config), "--log", str(log),
+                     "--out", str(tmp_path)]) == 0
+
     def test_bad_scheme_rejected_before_probing(self, tmp_path, capsys):
         config_path = tmp_path / "live.ini"
         config_path.write_text(
@@ -778,9 +818,26 @@ class TestMalformedInput:
          {"live.ini": "[campaign]\nprobe_interval_s = 0.2\nhorizon_days = 0.00001\n"
                       "retry_max = 3\nretry_gap_s = 0.05\nmode = live\n"
                       "target = http://127.0.0.1:9/obj\n",
-          "attempts.jsonl": "".join(logs.attempt_line(0.2 * slot, 0, slot, 1, "success")
+          "attempts.jsonl": "".join(attempt_line(0.2 * slot, 0, slot, 1, "success")
                                     for slot in range(6))},
          2, "a record lies outside this campaign's vantage 0, slots 0 to 3"),
+        (["estimate", "--log", "{log}", "--config", "{out}/bad.ini"],
+         {"bad.ini": "[process]\nup_mean_s = 7200\n"}, 1, "config must have a [campaign] section"),
+        (["estimate", "--log", "{log}", "--config", "{out}/bad.ini"],
+         {"bad.ini": "[campaign]\nprobe_interval_s = 600\nhorizon_days = 1\n"
+                     "[process]\nup_mean_s = 7200\n"},
+         1, "[process] requires a [duration] section"),
+        (["estimate", "--log", "{log}", "--config", "{out}/bad.ini"],
+         {"bad.ini": "[campaign]\nprobe_interval_s = 600\nhorizon_days = 1\nmode = simulate\n"
+                     "[probe]\ntimeout_ms = 100\n"},
+         1, "[probe] section only applies to live mode"),
+        (["simulate", "--config", "{out}/live.ini", "--out", "{out}/sim"],
+         {"live.ini": "[campaign]\nprobe_interval_s = 600\nhorizon_days = 1\nmode = live\n"
+                      "target = http://127.0.0.1:9/obj\n[process]\nup_mean_s = 7200\n"
+                      "[duration]\nkind = exponential\nmean_s = 900\n"},
+         1, "simulate needs mode=simulate"),
+        (["detect", "--log", "{log}", "--truth", "{truth}"], {},
+         1, "--config is required for this command"),
     ], ids=["claim-above-one", "alpha-zero", "alpha-without-claim", "seed-without-config",
             "negative-threshold", "infinite-threshold", "overlapping-truth", "string-vantage",
             "nan-ts", "nan-truth", "fractional-slot", "truth-beyond-horizon",
@@ -788,7 +845,9 @@ class TestMalformedInput:
             "non-utf8-fragment", "non-utf8-config", "string-ts",
             "string-truth", "bool-truth", "huge-int-truth", "unknown-cause-truth",
             "provenance-not-object", "digest-not-string", "deep-fragment", "deep-log",
-            "deep-truth", "resume-other-retry-max", "resume-longer-log"])
+            "deep-truth", "resume-other-retry-max", "resume-longer-log", "no-campaign-section",
+            "process-without-duration", "probe-section-in-simulate", "simulate-live-config",
+            "detect-without-config"])
     def test_documented_exit_code(self, tmp_path, capsys, argv, files, code, needle):
         config = tmp_path / "c.ini"
         write_sim_config(config, campaign=CampaignConfig(
@@ -816,8 +875,8 @@ class TestMalformedInput:
                                             retry_max=3, retry_gap_s=0.05, mode="live",
                                             target=http_fixture.url))
         log = tmp_path / "attempts.jsonl"
-        log.write_text(logs.attempt_line(0.0, 0, 0, 1, "success", 1.25)
-                       + logs.attempt_line(0.2, 0, 1, 1, "fail", None, "status"))
+        log.write_text(attempt_line(0.0, 0, 0, 1, "success", 1.25)
+                       + attempt_line(0.2, 0, 1, 1, "fail", None, "status"))
         before = log.read_bytes()
         capsys.readouterr()
         assert main(["probe", "--config", str(config), "--out", str(tmp_path), "--resume"]) == 2

@@ -17,7 +17,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from cloudprobe import logs
@@ -26,7 +26,7 @@ from cloudprobe.model import (_COLUMNS, FAIL, FAIL_REASONS, OUTCOMES, AttemptLog
 from cloudprobe.simulate import DurationDistribution, OutageProcess, generate_timeline, \
     sample_campaign
 
-from conftest import Row, log_of, rows_of
+from conftest import Row, attempt_line, log_of, rows_of
 
 COLUMNS = ("ts_s", "vantage", "slot", "attempt", "outcome", "latency_ms", "reason")
 _ERRORS = (KeyError, TypeError, ValueError, OverflowError)
@@ -208,6 +208,10 @@ CORPUS = {
     "cr-last": GOOD + FAIL_LINE[:-1] + "\r",
     "blank-crlf-lines": "\r\n" + GOOD.replace("\n", "\r\n") + "\r\n\r\n" + FAIL_LINE,
     "blank-cr-lines": GOOD + "\r\r" + FAIL_LINE + "\r",
+    # a bad line in a block after lines that end at a lone "\r" or at "\r\n": its number
+    # counts each of them once
+    "cr-lines-then-a-bad-line": GOOD.replace("\n", "\r") * 2 + GOOD + line(ts="2.0", slot="-1"),
+    "crlf-lines-then-a-bad-line": GOOD.replace("\n", "\r\n") * 2 + line(ts="2.0", slot="-1"),
     "split-record": GOOD[:30] + "\n" + GOOD[30:],
     "split-record-two": GOOD + FAIL_LINE[:40] + "\n" + FAIL_LINE[40:],
     "arabic-indic-digit": line(slot="١"),
@@ -306,7 +310,7 @@ def written_logs(draw):
     for _ in range(n):
         ts += draw(st.sampled_from([0.0, 0.5, 1.0, 600.0, 1e-05, 1e16]))
         fail = draw(st.booleans())
-        lines.append(logs.attempt_line(
+        lines.append(attempt_line(
             ts, draw(st.integers(0, 2)), draw(st.integers(0, 10**6)), draw(st.integers(1, 9)),
             draw(st.sampled_from(OUTCOMES)),
             draw(st.none() | st.floats(0, 1e6, allow_nan=False)),
@@ -365,7 +369,7 @@ def test_mutated_logs_match_reference(tmp_path_factory, text, chunk, block):
 
 def test_fault_deep_in_a_large_log(tmp_path):
     # faults in the first block, past it and on the last line
-    good = [logs.attempt_line(float(i // 3), i % 3, i // 3, 1, "success")
+    good = [attempt_line(float(i // 3), i % 3, i // 3, 1, "success")
             for i in range(2 * logs._CHUNK + 500)]
     for at, bad in ((logs._CHUNK + 4000, line(ts="0.0", vantage="1")),   # ts_s decreases
                     (2 * logs._CHUNK + 499, line(ts="9e9", slot="-1")),  # the last line
@@ -377,7 +381,7 @@ def test_fault_deep_in_a_large_log(tmp_path):
 
 
 def test_a_bad_last_line_is_named_in_one_read(tmp_path, monkeypatch):
-    lines = [logs.attempt_line(float(i), 0, i, 1, "success") for i in range(3 * logs._CHUNK)]
+    lines = [attempt_line(float(i), 0, i, 1, "success") for i in range(3 * logs._CHUNK)]
     lines[-1] = line(ts=f"{len(lines)}.0", slot="-1")
     path = tmp_path / "log.jsonl"
     path.write_text("".join(lines))
@@ -430,7 +434,7 @@ def test_writer_output_parses_back_to_its_columns(tmp_path):
             assert getattr(back, column).tobytes() == getattr(log, column).tobytes(), column
         assert_same(path)
         # attempt_line given numpy floats writes the floats they are, as the writer does
-        assert "".join(logs.attempt_line(*row._replace(
+        assert "".join(attempt_line(*row._replace(
             ts_s=np.float64(row.ts_s),
             latency_ms=None if row.latency_ms is None else np.float64(row.latency_ms)))
             for row in rows_of(log)).encode() == path.read_bytes()
@@ -461,7 +465,7 @@ _WRITER_ROWS = st.builds(
 
 def _lines_of(log) -> bytes:
     """The log as attempt_line writes it, one call per record."""
-    return "".join(logs.attempt_line(*row) for row in rows_of(log)).encode()
+    return "".join(attempt_line(*row) for row in rows_of(log)).encode()
 
 
 def _written(tmp_path, log) -> bytes:
@@ -488,6 +492,26 @@ def test_writer_integral_and_without_latency(tmp_path, monkeypatch, length):
                       FAIL_REASONS[i % 5] if i % 4 else None) for i in range(length)])
     monkeypatch.setattr(logs, "repr", lambda x: pytest.fail(f"repr({x!r})"), raising=False)
     assert _written(tmp_path, log) == _lines_of(log)
+
+
+# a slot's rows as the live prober hands them to encode: ts_s to 1 us, and a success
+# with its latency_ms to 1 us or a fail with its reason
+_LIVE_ROWS = st.builds(
+    lambda ts, slot, attempt, latency, reason: Row(
+        round(ts, 6), 0, slot, attempt, FAIL if reason else "success",
+        None if reason else round(latency, 3), reason),
+    st.floats(0, 2e9), st.integers(0, 10 ** 7), st.integers(1, 9), st.floats(0, 3e5),
+    st.none() | st.sampled_from(FAIL_REASONS))
+
+
+@settings(max_examples=200, deadline=None)
+@given(rows=st.lists(_LIVE_ROWS, max_size=9))
+@example(rows=[Row(0.0, 0, 0, 1, "success", 0.0), Row(1729270000.123456, 0, 1, 1, "success", 0.001),
+               *(Row(86399.999999, 0, 2, n, FAIL, None, r) for n, r in enumerate(FAIL_REASONS, 1))])
+def test_encode_matches_attempt_line(rows):
+    # the live prober's slot writes, line for line, as the reference writes each row
+    assert logs.encode(rows) == "".join(attempt_line(*row) for row in rows).encode()
+    assert [logs.encode([row]) for row in rows] == [attempt_line(*row).encode() for row in rows]
 
 
 def _remove_sidecar(path):
@@ -569,7 +593,7 @@ SIDECAR_CASES = {
     "log-edited-same-length": lambda p: _edit(p, b'"slot":1,', b'"slot":7,'),
     "log-edited-to-a-bad-line": lambda p: _edit(p, b'"attempt":2,', b'"attempt":0,'),
     "log-edited-to-crlf": lambda p: p.write_bytes(p.read_bytes().replace(b"\n", b"\r\n")),
-    "log-appended-to": lambda p: _append(p, logs.attempt_line(700.0, 0, 2, 1, "success")),
+    "log-appended-to": lambda p: _append(p, attempt_line(700.0, 0, 2, 1, "success")),
     "sidecar-truncated": lambda p: _sidecar_bytes(p, lambda b: b[:-1]),
     "sidecar-header-only": lambda p: _sidecar_bytes(p, lambda b: b[:logs._HEADER.size]),
     "sidecar-cut-in-header": lambda p: _sidecar_bytes(p, lambda b: b[:10]),

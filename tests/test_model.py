@@ -22,6 +22,9 @@ from cloudprobe.model import (
     row_fault,
 )
 from cloudprobe import logs
+from cloudprobe.detection import sla_metrics
+from cloudprobe.estimators import SlaClaim, sla_test
+from cloudprobe.report import merge_fragments
 
 from conftest import Outage, Row, log_of, make_random_log, outages_of, rows_of, timeline_of
 
@@ -522,3 +525,23 @@ class TestJsonlRoundTrip:
         logs.write_truth(path, timeline_of(1000, outages))
         back = logs.read_truth(path, 1000)
         assert back.horizon_s == 1000 and outages_of(back) == outages
+
+
+# argument refusals of the library layers, which the CLI's own checks never let it reach
+LIBRARY_REFUSALS = {
+    "aggregate-retry-max-0": (lambda: aggregate_counts(log_of([rec(0, 1, SUCCESS)]), retry_max=0),
+                              "retry_max must be >= 1"),
+    "sla-metrics-negative-threshold": (lambda: sla_metrics([60.0], -1),
+                                       "threshold_s must be >= 0"),
+    "sla-test-unknown-method": (lambda: sla_test(
+        aggregate_counts(log_of([rec(0, 1, SUCCESS)])), SlaClaim(0.99), method="bogus"),
+        "method must be auto, normal, or exact"),
+    "merge-no-fragments": (lambda: merge_fragments([]), "no fragments to merge"),
+}
+
+
+@pytest.mark.parametrize("case", LIBRARY_REFUSALS)
+def test_library_refusal(case):
+    call, message = LIBRARY_REFUSALS[case]
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        call()

@@ -15,17 +15,12 @@ import pytest
 from cloudprobe.estimators import first_try_availability, retry_filtered_availability
 from cloudprobe.model import (CLOUD_FAIL, FAIL, SUCCESS, CampaignConfig, ConfigError,
                               MalformedLogError, aggregate_counts)
-from cloudprobe.prober import (
-    ProbeResult,
-    ProbeTarget,
-    probe_once,
-    run_campaign,
-)
+from cloudprobe.prober import ProbeTarget, probe_once, run_campaign
 from cloudprobe.cli import main
 from cloudprobe.detection import detect_outages
 from cloudprobe import logs, prober
 
-from conftest import BAD_URLS, BODY, Row, rows_of, write_config
+from conftest import BAD_URLS, BODY, Row, attempt_line, rows_of, write_config
 
 
 def live_config(slots, interval=0.25, retry_max=2, gap=0.05, url="http://example.invalid/"):
@@ -43,25 +38,22 @@ def live_config(slots, interval=0.25, retry_max=2, gap=0.05, url="http://example
 
 class TestProbeOnce:
     def test_success_against_up_fixture(self, http_fixture):
-        result = probe_once(ProbeTarget(url=http_fixture.url))
-        assert result.outcome == SUCCESS
-        assert result.latency_ms is not None and result.latency_ms > 0
-        assert result.reason is None
+        outcome, latency_ms, reason = probe_once(ProbeTarget(url=http_fixture.url))
+        assert outcome == SUCCESS and latency_ms > 0 and reason is None
 
     def test_status_mismatch(self, http_fixture):
         http_fixture.set_behavior(lambda i: ("status", 503))
-        result = probe_once(ProbeTarget(url=http_fixture.url))
-        assert result.outcome == FAIL and result.reason == "status"
+        assert probe_once(ProbeTarget(url=http_fixture.url)) == (FAIL, None, "status")
 
     def test_nondefault_success_status(self, http_fixture):
         http_fixture.set_behavior(lambda i: ("status", 204))
         target = ProbeTarget(url=http_fixture.url, success_statuses=frozenset({200, 204}))
-        assert probe_once(target).outcome == SUCCESS
+        assert probe_once(target)[0] == SUCCESS
 
     def test_timeout(self, http_fixture):
         http_fixture.set_behavior(lambda i: ("sleep", 0.6))
-        result = probe_once(ProbeTarget(url=http_fixture.url, timeout_ms=150))
-        assert result.outcome == FAIL and result.reason == "timeout"
+        assert probe_once(ProbeTarget(url=http_fixture.url, timeout_ms=150)) == (
+            FAIL, None, "timeout")
 
     def test_timeout_is_one_deadline_for_the_attempt(self, http_fixture):
         # each byte comes well within timeout_ms, the whole body (2.3 s) far outside it
@@ -69,27 +61,26 @@ class TestProbeOnce:
         started = time.monotonic()
         result = probe_once(ProbeTarget(url=http_fixture.url, timeout_ms=500))
         elapsed = time.monotonic() - started
-        assert result.outcome == FAIL and result.reason == "timeout"
+        assert result == (FAIL, None, "timeout")
         assert elapsed < 0.75
 
     def test_slow_body_within_the_deadline_succeeds(self, http_fixture):
         http_fixture.set_behavior(lambda i: ("drip", 0.01))
         target = ProbeTarget(url=http_fixture.url, timeout_ms=5000,
                              expected_body_hash=hashlib.sha256(BODY).hexdigest())
-        assert probe_once(target).outcome == SUCCESS
+        assert probe_once(target)[0] == SUCCESS
 
     def test_redirect_is_status_fail(self, http_fixture):
         http_fixture.set_behavior(lambda i: ("redirect", http_fixture.url + "x"))
-        result = probe_once(ProbeTarget(url=http_fixture.url))
-        assert result.outcome == FAIL and result.reason == "status"
+        assert probe_once(ProbeTarget(url=http_fixture.url)) == (FAIL, None, "status")
 
     def test_digest_match_and_mismatch(self, http_fixture):
         good = hashlib.sha256(BODY).hexdigest()
         assert probe_once(ProbeTarget(url=http_fixture.url,
-                                      expected_body_hash=good)).outcome == SUCCESS
+                                      expected_body_hash=good))[0] == SUCCESS
         bad = "0" * 64
         result = probe_once(ProbeTarget(url=http_fixture.url, expected_body_hash=bad))
-        assert result.outcome == FAIL and result.reason == "digest"
+        assert result == (FAIL, None, "digest")
 
     @pytest.mark.parametrize("action, statuses, reason", [
         (("truncated",), {200}, "connect"),
@@ -100,28 +91,39 @@ class TestProbeOnce:
         http_fixture.set_behavior(lambda i: action)
         result = probe_once(ProbeTarget(url=http_fixture.url,
                                         success_statuses=frozenset(statuses)))
-        assert result.outcome == FAIL and result.reason == reason
+        assert result == (FAIL, None, reason)
 
     @pytest.mark.parametrize("kwargs", [
         {"outcome": "bogus"}, {"outcome": CLOUD_FAIL}, {"outcome": FAIL, "reason": "nope"},
         {"outcome": SUCCESS, "latency_ms": math.nan},
         {"outcome": SUCCESS, "latency_ms": math.inf},
     ])
-    def test_result_validation(self, kwargs):
-        with pytest.raises(ValueError):
-            ProbeResult(**kwargs)
+    def test_result_validation(self, tmp_path, kwargs):
+        # a probe_fn's result that the log would refuse stops the campaign in its slot,
+        # naming the field; the log keeps the slots before it
+        bad = (kwargs["outcome"], kwargs.get("latency_ms"), kwargs.get("reason"))
+        results = itertools.chain([(SUCCESS, 1.0, None), (SUCCESS, 2.0, None)],
+                                  itertools.repeat(bad))
+        config = live_config(slots=4, interval=0.02, gap=0.005)
+        log_path = tmp_path / "attempts.jsonl"
+        field = (set(kwargs) - {"outcome"} or {"outcome"}).pop()
+        with pytest.raises(ValueError, match=f"^{field} must be"):
+            run_campaign(ProbeTarget(url=config.target), config, log_path,
+                         probe_fn=lambda target: next(results))
+        assert [(r.slot, r.attempt, r.outcome, r.latency_ms)
+                for r in rows_of(logs.read_attempt_log(log_path))] == [
+            (0, 1, SUCCESS, 1.0), (1, 1, SUCCESS, 2.0)]
 
     def test_connection_refused(self):
         with socket.socket() as s:
             s.bind(("127.0.0.1", 0))
             port = s.getsockname()[1]
-        result = probe_once(ProbeTarget(url=f"http://127.0.0.1:{port}/"))
-        assert result.outcome == FAIL and result.reason == "connect"
+        assert probe_once(ProbeTarget(url=f"http://127.0.0.1:{port}/")) == (FAIL, None, "connect")
 
     def test_dns_failure(self):
-        result = probe_once(ProbeTarget(url="http://no-such-host.invalid/object",
-                                        timeout_ms=5000))
-        assert result.outcome == FAIL and result.reason in ("dns", "connect")
+        outcome, _, reason = probe_once(ProbeTarget(url="http://no-such-host.invalid/object",
+                                                     timeout_ms=5000))
+        assert outcome == FAIL and reason in ("dns", "connect")
 
     def test_name_resolution_failure_is_dns(self, monkeypatch):
         # without a network lookup: the resolver fails as it does for an unknown name
@@ -130,7 +132,7 @@ class TestProbeOnce:
 
         monkeypatch.setattr(socket, "getaddrinfo", no_such_name)
         result = probe_once(ProbeTarget(url="http://no-such-host.invalid/object"))
-        assert result.outcome == FAIL and result.reason == "dns"
+        assert result == (FAIL, None, "dns")
 
     def test_target_validation(self):
         with pytest.raises(ConfigError):
@@ -155,7 +157,7 @@ class TestProbeOnce:
         env.update(http_proxy=closed, https_proxy=closed, HTTP_PROXY=closed, no_proxy="",
                    PYTHONPATH=str(Path(prober.__file__).parents[1]))
         code = ("from cloudprobe.prober import ProbeTarget, probe_once; "
-                f"print(probe_once(ProbeTarget({http_fixture.url!r})).outcome)")
+                f"print(probe_once(ProbeTarget({http_fixture.url!r}))[0])")
         run = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                              env=env, check=True)
         assert run.stdout.split() == [SUCCESS]
@@ -164,7 +166,7 @@ class TestProbeOnce:
     def test_request_is_one_get_of_path_and_query(self, http_fixture):
         origin = http_fixture.url.removesuffix("/object")
         for url in (http_fixture.url + "?sig=a%2Fb#frag", origin):
-            assert probe_once(ProbeTarget(url=url)).outcome == SUCCESS
+            assert probe_once(ProbeTarget(url=url))[0] == SUCCESS
         (path, headers), (bare, _) = http_fixture.requests
         assert (path, bare) == ("/object?sig=a%2Fb", "/")
         assert headers["User-Agent"] == "cloudprobe" and headers["Connection"] == "close"
@@ -185,11 +187,11 @@ class TestProbeOnce:
             raise ConnectionRefusedError
 
         monkeypatch.setattr(socket, "create_connection", refuse)
-        assert probe_once(ProbeTarget(url=url)).reason == "connect"
+        assert probe_once(ProbeTarget(url=url)) == (FAIL, None, "connect")
         assert seen == [address]
 
     def test_ipv6_literal_host(self, http_fixture_v6):
-        assert probe_once(ProbeTarget(url=http_fixture_v6.url)).outcome == SUCCESS
+        assert probe_once(ProbeTarget(url=http_fixture_v6.url))[0] == SUCCESS
         (path, headers), = http_fixture_v6.requests
         assert path == "/object"
         assert headers["Host"] == http_fixture_v6.url.removeprefix("http://").split("/")[0]
@@ -207,14 +209,19 @@ class TestProbeOnce:
         monkeypatch.setattr(ssl, "create_default_context", create_default_context)
         monkeypatch.setattr(prober, "_tls", None)
         target = ProbeTarget(url=http_fixture.url.replace("http:", "https:", 1))
-        assert [probe_once(target).reason for _ in range(3)] == ["connect"] * 3
+        assert [probe_once(target) for _ in range(3)] == [(FAIL, None, "connect")] * 3
         assert len(built) == 1 and prober._tls is built[0]
         assert http_fixture.count == 0  # each handshake failed before a request
 
     def test_https_url_speaks_tls(self, http_fixture):
         # the fixture speaks plain HTTP, so the TLS handshake an https URL starts fails
         result = probe_once(ProbeTarget(url=http_fixture.url.replace("http:", "https:", 1)))
-        assert result.outcome == FAIL and result.reason == "connect"
+        assert result == (FAIL, None, "connect")
+
+    def test_no_step_once_the_deadline_has_passed(self):
+        # the socket is not touched and the step not called: the attempt is a timeout
+        with pytest.raises(TimeoutError):
+            prober._before(time.monotonic() - 1.0, None, pytest.fail, "stepped past the deadline")
 
     @pytest.mark.parametrize("digest", ["", "ab" * 31, "ab" * 33, "g" * 64, " " + "a" * 63])
     def test_expected_body_hash_must_be_a_sha256(self, digest):
@@ -225,7 +232,7 @@ class TestProbeOnce:
 
 def succeed_counting(calls):
     """A probe_fn that succeeds at once, appending each target it is given to calls."""
-    return lambda target: calls.append(target) or ProbeResult(SUCCESS, latency_ms=1.0)
+    return lambda target: calls.append(target) or (SUCCESS, 1.0, None)
 
 
 def stopped_at(call, probe_fn):
@@ -243,7 +250,7 @@ def stopped_at(call, probe_fn):
 def fail_then_succeed():
     """A probe_fn that fails its odd calls (the first, the third, ...) and succeeds
     the even ones: under retry_max 2 or more, each slot fails once, then succeeds."""
-    results = itertools.cycle([ProbeResult(FAIL, reason="connect"), ProbeResult(SUCCESS, 1.0)])
+    results = itertools.cycle([(FAIL, None, "connect"), (SUCCESS, 1.0, None)])
     return lambda target: next(results)
 
 
@@ -325,7 +332,7 @@ class TestRunCampaign:
         log_path = tmp_path / "attempts.jsonl"
         with pytest.raises(ValueError, match="bogus"):
             run_campaign(ProbeTarget(url=config.target), config, log_path,
-                         probe_fn=lambda target: ProbeResult("bogus"))
+                         probe_fn=lambda target: ("bogus", None, None))
         assert log_path.read_text() == ""
 
     def test_one_fsync_per_slot(self, tmp_path, monkeypatch):
@@ -358,6 +365,20 @@ class TestRunCampaign:
         write_config(ini, config)
         assert main(["estimate", "--config", str(ini), "--log", str(log_path),
                      "--out", str(tmp_path)]) == 0
+
+    def test_a_new_campaign_replaces_the_log(self, tmp_path):
+        # without resume, a log already at the path (here of another campaign's three
+        # slots, at another vantage) is replaced, and probing starts at slot 0
+        config = live_config(slots=2, interval=0.02, gap=0.005)
+        log_path = tmp_path / "attempts.jsonl"
+        log_path.write_text("".join(attempt_line(0.25 * slot, 3, slot, 1, SUCCESS, 1.25)
+                                    for slot in range(3)))
+        calls = []
+        records = run_campaign(ProbeTarget(url=config.target), config, log_path,
+                               probe_fn=succeed_counting(calls))
+        assert len(calls) == 2
+        assert [(r.vantage, r.slot, r.attempt) for r in rows_of(records)] == [(0, 0, 1), (0, 1, 1)]
+        assert rows_of(logs.read_attempt_log(log_path)) == rows_of(records)
 
     def test_resume_never_duplicates_slots(self, http_fixture, tmp_path):
         config = live_config(slots=6, url=http_fixture.url)
@@ -392,9 +413,9 @@ class TestRunCampaign:
         # slots 0-1 succeeded; slot 2 ends as last says
         config = live_config(slots=5, interval=0.02, gap=0.005)
         log_path = tmp_path / "attempts.jsonl"
-        done = "".join(logs.attempt_line(0.02 * slot, 0, slot, 1, SUCCESS, 1.25)
+        done = "".join(attempt_line(0.02 * slot, 0, slot, 1, SUCCESS, 1.25)
                        for slot in range(2))
-        tail = "".join(logs.attempt_line(0.04 + 0.005 * i, 0, 2, i + 1, outcome, None, reason)
+        tail = "".join(attempt_line(0.04 + 0.005 * i, 0, 2, i + 1, outcome, None, reason)
                        for i, (outcome, reason) in enumerate(last))
         log_path.write_text(done + tail)
         calls = []
@@ -410,9 +431,9 @@ class TestRunCampaign:
         # before any probe, the log unchanged
         config = live_config(slots=5, interval=0.02, gap=0.005)
         log_path = tmp_path / "attempts.jsonl"
-        log_path.write_text("".join(logs.attempt_line(0.02 * slot, 0, slot, 1, SUCCESS, 1.25)
+        log_path.write_text("".join(attempt_line(0.02 * slot, 0, slot, 1, SUCCESS, 1.25)
                                     for slot in range(2))
-                            + logs.attempt_line(0.04, 0, 2, 1, FAIL, None, "status"))
+                            + attempt_line(0.04, 0, 2, 1, FAIL, None, "status"))
         before = log_path.read_bytes()
         calls = []
         with pytest.raises(MalformedLogError,
@@ -428,9 +449,9 @@ class TestRunCampaign:
         # crash after its first chunk
         config = live_config(slots=4)
         log_path = tmp_path / "attempts.jsonl"
-        log_path.write_text(logs.attempt_line(0.0, 0, 0, 1, SUCCESS, 1.25)
-                            + logs.attempt_line(0.25, 0, 1, 1, SUCCESS, 1.25)
-                            + logs.attempt_line(0.5, 0, 2, 1, FAIL, None, "connect"))
+        log_path.write_text(attempt_line(0.0, 0, 0, 1, SUCCESS, 1.25)
+                            + attempt_line(0.25, 0, 1, 1, SUCCESS, 1.25)
+                            + attempt_line(0.5, 0, 2, 1, FAIL, None, "connect"))
         before = sorted(tmp_path.iterdir()), log_path.read_bytes()
         chunk_text = logs._chunk_text
         written = []
@@ -463,7 +484,7 @@ class TestRunCampaign:
             if calls:
                 raise RuntimeError("aborted")
             calls.append(target)
-            return ProbeResult(FAIL, reason="connect")
+            return FAIL, None, "connect"
 
         with pytest.raises(RuntimeError, match="aborted"):
             run_campaign(ProbeTarget(url=config.target), config, log_path,
@@ -481,9 +502,9 @@ class TestRunCampaign:
         # written under retry_max 2: slot 0 failed both attempts, slot 1 succeeded
         config = live_config(slots=4, retry_max=3)
         log_path = tmp_path / "attempts.jsonl"
-        log_path.write_text(logs.attempt_line(0.0, 0, 0, 1, FAIL, None, "status")
-                            + logs.attempt_line(0.05, 0, 0, 2, FAIL, None, "status")
-                            + logs.attempt_line(0.25, 0, 1, 1, SUCCESS, 1.25))
+        log_path.write_text(attempt_line(0.0, 0, 0, 1, FAIL, None, "status")
+                            + attempt_line(0.05, 0, 0, 2, FAIL, None, "status")
+                            + attempt_line(0.25, 0, 1, 1, SUCCESS, 1.25))
         before = log_path.read_bytes()
         calls = []
         with pytest.raises(MalformedLogError,
@@ -500,7 +521,7 @@ class TestRunCampaign:
         # vantage's: exit 2 before any probe, the log unchanged
         config = live_config(slots=4)
         log_path = tmp_path / "attempts.jsonl"
-        log_path.write_text("".join(logs.attempt_line(0.25 * slot, vantage, slot, 1, SUCCESS, 1.25)
+        log_path.write_text("".join(attempt_line(0.25 * slot, vantage, slot, 1, SUCCESS, 1.25)
                                     for slot in range(slots)))
         before = log_path.read_bytes()
         calls = []

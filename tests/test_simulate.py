@@ -32,10 +32,9 @@ from cloudprobe.simulate import (
     sample_campaign,
     true_unavailability,
 )
-from cloudprobe import logs
 
-from conftest import (Outage, Row, iid_attempt_log, loop_retry_schedule, outages_of, rows_of,
-                      timeline_of)
+from conftest import (Outage, Row, attempt_line, iid_attempt_log, loop_retry_schedule, outages_of,
+                      rows_of, timeline_of)
 
 DAY = 86400.0
 
@@ -200,7 +199,7 @@ class TestSampleCampaign:
         tl = generate_timeline(proc, config.horizon_s, config.seed)
         a = sample_campaign(tl, config, proc.network_fail_prob)
         b = sample_campaign(tl, config, proc.network_fail_prob)
-        assert [logs.attempt_line(*r) for r in rows_of(a)] == [logs.attempt_line(*r) for r in rows_of(b)]
+        assert [attempt_line(*r) for r in rows_of(a)] == [attempt_line(*r) for r in rows_of(b)]
 
     def test_slots_stop_at_first_success_or_retry_max(self):
         proc = OutageProcess(up_mean_s=1200.0,
