@@ -1,5 +1,4 @@
-import sys
+"""`python -m cloudprobe`: cli.run, the entry point the console script calls too."""
+from .cli import run
 
-from .cli import main
-
-sys.exit(main())
+run()

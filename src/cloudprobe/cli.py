@@ -1,11 +1,12 @@
-"""Command-line entry point: simulate, estimate, detect, probe, report.
-
-Exit codes: 0 success (statistical "reject" conclusions are data, not errors),
-1 usage or config error, 2 data error, 3 I/O error, 130 interrupted (Ctrl-C).
+"""Command line: simulate, estimate, detect, probe, report. run() is the program's one
+entry point, for `python -m cloudprobe` and the console script; main(argv) runs one
+command in process. Exit codes: 0 success (statistical "reject" conclusions are data,
+not errors), 1 usage or config error, 2 data error, 3 I/O error, 130 interrupted (Ctrl-C).
 """
 from __future__ import annotations
 
 import argparse
+import gc
 import json
 import math
 import os
@@ -319,5 +320,9 @@ def main(argv=None) -> int:
         return EXIT_INTERRUPTED
 
 
-if __name__ == "__main__":
-    sys.exit(main())
+def run() -> None:
+    """Exit with main()'s code, the heap frozen first, so that the exit's collections
+    skip every object alive by then (each file written is closed; stdio still flushes)."""
+    code = main()
+    gc.freeze()
+    sys.exit(code)

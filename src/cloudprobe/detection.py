@@ -213,14 +213,8 @@ def undetected_monte_carlo(duration_s: float, interval_s: float, trials: int,
     horizon = trials * window
     timeline = Timeline(horizon, np.arange(trials) * window + interval_s + offsets,
                         np.full(trials, duration_s))
-    config = CampaignConfig(
-        probe_interval_s=interval_s,
-        horizon_days=horizon / DAY_S,
-        vantage_points=1,
-        retry_max=retry_max,
-        retry_gap_s=retry_gap_s,
-        seed=0,
-    )
+    config = CampaignConfig(probe_interval_s=interval_s, horizon_days=horizon / DAY_S,
+                            retry_max=retry_max, retry_gap_s=retry_gap_s)
     log = sample_campaign(timeline, config)
     # no runs: only the undetected count is read, and it does not depend on them
     return detection_report(timeline, log, config, []).undetected / trials

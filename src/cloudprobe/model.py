@@ -35,11 +35,6 @@ CAUSES = (CLOUD, NETWORK)  # Timeline stores each as its index
 MODES = ("simulate", "live")
 
 
-def _floor_slots(horizon_s: float, interval_s: float) -> int:
-    # 1e-9 slack absorbs float noise from horizon_days <-> seconds round trips
-    return int(math.floor(horizon_s / interval_s + 1e-9))
-
-
 @dataclass(frozen=True)
 class CampaignConfig:
     """Probe schedule for one campaign: slot interval, horizon, retry policy."""
@@ -84,7 +79,8 @@ class CampaignConfig:
     @property
     def slots(self) -> int:
         """Number of scheduled probe slots per vantage point."""
-        return _floor_slots(self.horizon_s, self.probe_interval_s)
+        # 1e-9 slack absorbs float noise from horizon_days <-> seconds round trips
+        return int(math.floor(self.horizon_s / self.probe_interval_s + 1e-9))
 
 
 def expected_tries(config: CampaignConfig) -> int:

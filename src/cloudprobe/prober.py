@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import hashlib
 import math
+import numbers
 import os
 import re
 import time
@@ -169,8 +170,11 @@ def run_campaign(target: ProbeTarget, config: CampaignConfig, log_path,
                 outcome, latency, reason = probe_fn(target)
                 if outcome not in (SUCCESS, FAIL):  # a live probe cannot name a cause
                     raise ValueError(f"outcome must be {SUCCESS} or {FAIL}, got {outcome!r}")
-                rows.append((ts, 0, slot, attempt, outcome,
-                             None if latency is None else round(latency, 3), reason))
+                # None, or a real number (a Python or numpy int or float, never a bool)
+                if isinstance(latency, bool) or not isinstance(latency, (numbers.Real, type(None))):
+                    raise ValueError(f"latency_ms must be a number, got {latency!r}")
+                rows.append((ts, 0, slot, attempt, outcome, None if latency is None
+                             else round(logs._named("latency_ms", float, latency), 3), reason))
                 if outcome == SUCCESS:
                     break
                 if attempt < config.retry_max:

@@ -1,3 +1,4 @@
+import gc
 import hashlib
 import importlib.util
 import json
@@ -1034,6 +1035,50 @@ class TestUsage:
     def test_one_version_string(self):
         text = (Path(__file__).parents[1] / "pyproject.toml").read_text(encoding="utf-8")
         assert re.search(r'^version = "([^"]*)"$', text, re.M)[1] == cloudprobe.__version__
+
+    def test_one_entry_point(self):
+        # the console script and `python -m cloudprobe` call one function of cli
+        text = (Path(__file__).parents[1] / "pyproject.toml").read_text(encoding="utf-8")
+        script = re.search(r'^cloudprobe = "cloudprobe\.cli:(\w+)"$', text, re.M)[1]
+        module = (Path(cloudprobe.__file__).parent / "__main__.py").read_text(encoding="utf-8")
+        assert re.search(r"^from \.cli import (\w+)$", module, re.M)[1] == script
+        assert re.findall(r"^(\w+)\(\)$", module, re.M) == [script]
+        assert callable(getattr(cli, script)) and script != "main"
+
+    def test_in_process_main_freezes_nothing(self, tmp_path, capsys):
+        # only the entry point freezes the heap, after main returns; a caller in this
+        # process, as the tests and the traced benchmark are, keeps its collections
+        config = tmp_path / "c.ini"
+        write_sim_config(config)
+        frozen = gc.get_freeze_count()
+        assert main(["simulate", "--config", str(config), "--out", str(tmp_path)]) == 0
+        assert main(["estimate", "--log", str(tmp_path / "nonexistent.jsonl")]) == 3
+        assert main([]) == 1
+        assert gc.get_freeze_count() == frozen
+
+    @pytest.mark.parametrize("argv, code, err", [
+        (["estimate"], 1, "error: cloudprobe estimate: the following arguments are required:"
+                          " --log\n"),
+        (["estimate", "--log", "{tmp}/bad.jsonl"], 2, "data error: malformed attempt log "
+                                                      "{tmp}/bad.jsonl line 1: "),
+    ], ids=["usage", "data"])
+    def test_module_exits_with_main_code_through_the_entry_point(self, tmp_path, argv, code,
+                                                                  err):
+        # `python -m cloudprobe` exits with main's code, its message whole; the same run
+        # by runpy, as -m makes it, shows at exit that the entry point froze the heap
+        (tmp_path / "bad.jsonl").write_text("{not json\n")
+        argv = [arg.format(tmp=tmp_path) for arg in argv]
+        env = {**os.environ, "PYTHONPATH": str(Path(cloudprobe.__file__).parents[1])}
+        run = subprocess.run([sys.executable, "-m", "cloudprobe", *argv], capture_output=True,
+                             text=True, env=env)
+        assert run.returncode == code and run.stdout == ""
+        assert run.stderr.startswith(err.format(tmp=tmp_path)) and run.stderr.count("\n") == 1
+        probe = ("import atexit, gc, runpy, sys; atexit.register(lambda: print("
+                 "'frozen', gc.get_freeze_count() > 0)); "
+                 "runpy.run_module('cloudprobe', run_name='__main__', alter_sys=True)")
+        run = subprocess.run([sys.executable, "-c", probe, *argv], capture_output=True,
+                             text=True, env=env)
+        assert (run.returncode, run.stdout) == (code, "frozen True\n"), run.stderr
 
     def test_no_command_exits_one(self, capsys):
         assert main([]) == 1

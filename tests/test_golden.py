@@ -6,10 +6,15 @@ config writer. When an intended change alters an output, re-pin the digest
 and say why in the change description.
 """
 import hashlib
+import os
+import subprocess
+import sys
 import textwrap
+from pathlib import Path
 
 import pytest
 
+import cloudprobe
 from cloudprobe.cli import main
 from cloudprobe.model import CampaignConfig
 from cloudprobe.prober import ProbeTarget
@@ -63,18 +68,44 @@ def sha256(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
 
 
+def pipeline(config, out):
+    """The four commands of the pinned pipeline, each with what it prints to stdout."""
+    log, truth = str(out / "attempts.jsonl"), str(out / "truth.jsonl")
+    return [
+        (["simulate", "--config", str(config), "--out", str(out)],
+         f"expected tries: 576\nactual first attempts: 576\nattempt log: {log}\n"
+         f"ground truth: {truth}\n"),
+        (["estimate", "--log", log, "--claim", "0.9", "--claim", "0.999", "--alpha", "0.01",
+          "--config", str(config), "--out", str(out)], f"{out / 'estimate.json'}\n"),
+        (["detect", "--log", log, "--truth", truth, "--config", str(config),
+          "--threshold-s", "600", "--out", str(out)], f"{out / 'detect.json'}\n"),
+        (["report", str(out / "estimate.json"), str(out / "detect.json"), "--out", str(out)],
+         f"{out / 'report.json'}\n")]
+
+
 def test_pipeline_outputs_are_pinned(tmp_path):
     config = tmp_path / "campaign.ini"
     config.write_text(CAMPAIGN_INI, encoding="utf-8")
     out = tmp_path / "run"
-    log, truth = str(out / "attempts.jsonl"), str(out / "truth.jsonl")
-    assert main(["simulate", "--config", str(config), "--out", str(out)]) == 0
-    assert main(["estimate", "--log", log, "--claim", "0.9", "--claim", "0.999",
-                 "--alpha", "0.01", "--config", str(config), "--out", str(out)]) == 0
-    assert main(["detect", "--log", log, "--truth", truth, "--config", str(config),
-                 "--threshold-s", "600", "--out", str(out)]) == 0
-    assert main(["report", str(out / "estimate.json"), str(out / "detect.json"),
-                 "--out", str(out)]) == 0
+    for argv, _ in pipeline(config, out):
+        assert main(argv) == 0
+    digests = {name: sha256((out / name).read_bytes()) for name in PIPELINE_SHA256}
+    assert digests == PIPELINE_SHA256
+
+
+def test_pipeline_outputs_are_pinned_through_the_entry_point(tmp_path):
+    # each command a process of its own, which exits through cli.run with the heap
+    # frozen: every file it wrote and every line it printed is whole. Its stdout, a
+    # pipe, is block-buffered, so only the flush at exit writes the lines
+    config = tmp_path / "campaign.ini"
+    config.write_text(CAMPAIGN_INI, encoding="utf-8")
+    out = tmp_path / "run"
+    env = {name: value for name, value in os.environ.items() if name != "PYTHONUNBUFFERED"}
+    env["PYTHONPATH"] = str(Path(cloudprobe.__file__).parents[1])
+    for argv, stdout in pipeline(config, out):
+        run = subprocess.run([sys.executable, "-m", "cloudprobe", *argv], capture_output=True,
+                             text=True, env=env)
+        assert (run.returncode, run.stdout) == (0, stdout), run.stderr
     digests = {name: sha256((out / name).read_bytes()) for name in PIPELINE_SHA256}
     assert digests == PIPELINE_SHA256
 

@@ -10,6 +10,7 @@ import sys
 import time
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from cloudprobe.estimators import first_try_availability, retry_filtered_availability
@@ -97,6 +98,7 @@ class TestProbeOnce:
         {"outcome": "bogus"}, {"outcome": CLOUD_FAIL}, {"outcome": FAIL, "reason": "nope"},
         {"outcome": SUCCESS, "latency_ms": math.nan},
         {"outcome": SUCCESS, "latency_ms": math.inf},
+        {"outcome": SUCCESS, "latency_ms": "1.5"}, {"outcome": SUCCESS, "latency_ms": True},
     ])
     def test_result_validation(self, tmp_path, kwargs):
         # a probe_fn's result that the log would refuse stops the campaign in its slot,
@@ -113,6 +115,25 @@ class TestProbeOnce:
         assert [(r.slot, r.attempt, r.outcome, r.latency_ms)
                 for r in rows_of(logs.read_attempt_log(log_path))] == [
             (0, 1, SUCCESS, 1.0), (1, 1, SUCCESS, 2.0)]
+
+    def test_numeric_latency_is_written_as_a_float(self, tmp_path):
+        # a Python or numpy int or float is a latency, written as the float it rounds to
+        # at 1 us: a numpy one as its Python float is, a plain one to the bytes it had
+        latencies = [1.5, 2, np.float64(1.5), np.int64(2), np.float32(0.1), 0.1234567]
+        results = iter([(SUCCESS, ms, None) for ms in latencies])
+        config = live_config(slots=len(latencies), interval=0.02, retry_max=1, gap=0.0)
+        log_path = tmp_path / "attempts.jsonl"
+        run_campaign(ProbeTarget(url=config.target), config, log_path,
+                     probe_fn=lambda target: next(results))
+        lines = log_path.read_text().splitlines(keepends=True)
+        assert lines == [attempt_line(json.loads(line)["ts_s"], 0, slot, 1, SUCCESS, want)
+                         for slot, (line, want) in enumerate(
+                             zip(lines, [1.5, 2.0, 1.5, 2.0, 0.1, 0.123], strict=True))]
+        # an int no float holds is refused as the reader refuses it, naming the field
+        with pytest.raises(ValueError, match="^latency_ms: int too large"):
+            run_campaign(ProbeTarget(url=config.target), config, log_path,
+                         probe_fn=lambda target: (SUCCESS, 10 ** 400, None))
+        assert log_path.read_text() == ""
 
     def test_connection_refused(self):
         with socket.socket() as s:
