@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import CLOUD, DAY_S, OUTCOMES, SUCCESS, AttemptLog, CampaignConfig, Timeline
+from .model import CLOUD, DAY_S, AttemptLog, CampaignConfig, Timeline
 from .simulate import sample_campaign
 
 
@@ -95,13 +95,9 @@ def detect_outages(log: AttemptLog) -> np.ndarray:
     one int64 row (first_slot, slot_count) per run, in slot order: the
     estimated start is first_slot * T and the estimated duration slot_count * T.
     """
-    mine = log.vantage == (log.vantage.min() if len(log) else 0)
-    slot, success = log.slot[mine], log.outcome[mine] == OUTCOMES.index(SUCCESS)
-    order = np.lexsort((success, slot))  # by slot, a slot's successes last
-    slot, success = slot[order], success[order]
-    last = np.ones(len(slot), bool)  # each slot's last row, a success iff any attempt was
-    last[:-1] = slot[1:] != slot[:-1]
-    failed = slot[last & ~success]
+    order, starts, succeeded = log.by_slot
+    first = order[starts]  # each slot's first row; the observer's slots lead
+    failed = log.slot[first[~succeeded & (log.vantage[first] == log.vantage[order[:1]])]]
     # a run starts where failed slots stop being consecutive; slots are >= 0,
     # so the first failed slot always starts one
     heads = np.flatnonzero(np.diff(failed, prepend=-2) != 1)

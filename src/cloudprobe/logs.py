@@ -48,6 +48,7 @@ _BLOCK = 1 << 19
 # the per-record rules, which a parse and a sidecar both keep: a column, which of its
 # values keep the rule, and what the field must be
 _RULES = (("ts_s", lambda ts: (0 <= ts) & (ts < math.inf), "finite and >= 0"),
+          ("vantage", lambda vantage: vantage >= 0, ">= 0"),
           ("slot", lambda slot: slot >= 0, ">= 0"), ("attempt", lambda n: n >= 1, ">= 1"),
           ("outcome", lambda code: (0 <= code) & (code < len(OUTCOMES)),
            "one of " + ", ".join(OUTCOMES)),
@@ -267,8 +268,8 @@ def _from_sidecar(path, digest) -> tuple[AttemptLog | None, bool]:
     # not in the try: a read error part-way leaves digest part-fed, so it must not fall back
     if _sha256(path, digest).digest() != sha or any(len(column) != rows for column in columns):
         return None, True
+    columns[5][np.isnan(columns[5])] = np.nan  # latency_ms, as a parse gives it, for none
     log = AttemptLog(*columns)
-    log.latency_ms[np.isnan(log.latency_ms)] = np.nan  # as a parse gives it, for none
     ok = all(keeps(getattr(log, name)).all() for name, keeps, _ in _RULES) and _in_order(log)
     return (log if ok else None), True
 

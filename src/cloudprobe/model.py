@@ -193,7 +193,7 @@ _COLUMNS = {"ts_s": np.float64, "vantage": np.int64, "slot": np.int64, "attempt"
 
 @dataclass(frozen=True, eq=False)
 class AttemptLog:
-    """An attempt log as columns, one entry per attempt.
+    """An attempt log as read-only columns, one entry per attempt.
 
     outcome holds indices into OUTCOMES, reason indices into FAIL_REASONS (-1
     for none) and latency_ms NaN for none.
@@ -210,6 +210,7 @@ class AttemptLog:
     def __post_init__(self):
         for name, dtype in _COLUMNS.items():
             object.__setattr__(self, name, np.asarray(getattr(self, name), dtype=dtype))
+            getattr(self, name).flags.writeable = False  # so by_slot stays true
         if len({len(getattr(self, name)) for name in _COLUMNS}) != 1:
             raise ValueError("attempt log columns differ in length")
 
@@ -225,6 +226,16 @@ class AttemptLog:
         logs = list(logs)
         return cls(**{name: np.concatenate([getattr(log, name) for log in logs])
                       for name in _COLUMNS})
+
+    @functools.cached_property
+    def by_slot(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(order, starts, succeeded): the rows in (vantage, slot) order, a slot's
+        attempts in log order; where each slot starts in order; whether any succeeded."""
+        order = np.lexsort((self.slot, self.vantage))  # stable
+        vantage, slot = self.vantage[order], self.slot[order]
+        starts = np.flatnonzero(np.diff(vantage, prepend=vantage[:1] - 1) | np.diff(slot, prepend=-1))
+        success = self.outcome[order] == OUTCOMES.index(SUCCESS)
+        return order, starts, np.logical_or.reduceat(success, starts)
 
 
 @dataclass(frozen=True)
@@ -308,37 +319,31 @@ def aggregate_counts(log: AttemptLog, retry_max: int | None = None, path=None) -
     in failure before exhausting retries (the tallies would not be consistent).
     Of several malformed slots, the one first in the log is named, as is path if given.
     """
-    order = np.lexsort((log.slot, log.vantage))  # stable: keeps attempt order per slot
-    vantage, slot, attempt = log.vantage[order], log.slot[order], log.attempt[order]
-    success = log.outcome[order] == OUTCOMES.index(SUCCESS)
+    order, starts, succeeded = log.by_slot
+    attempt, success = log.attempt[order], log.outcome[order] == OUTCOMES.index(SUCCESS)
     rows = len(order)
-    # first row of each slot; slots are >= 0, so row 0 always starts one
-    starts = np.flatnonzero(np.diff(vantage, prepend=-1) | np.diff(slot, prepend=-1))
     sizes = np.diff(starts, append=rows)
-    lasts = starts + sizes - 1
+    size = np.repeat(sizes, sizes)  # of each row's slot
     rank = np.arange(1, rows + 1) - np.repeat(starts, sizes)  # 1-based place in its slot
     seen = np.repeat(order[starts], sizes)  # where each row's slot first appears in the log
 
     def malformed(bad_rows, reason):
-        i = bad_rows[np.lexsort((bad_rows, seen[bad_rows]))[0]]
-        raise MalformedLogError(int(vantage[i]), int(slot[i]), reason(i), path)
+        i = bad_rows[np.argmin(seen[bad_rows])]  # bad_rows ascends, so ties go to the first
+        raise MalformedLogError(int(log.vantage[seen[i]]), int(log.slot[seen[i]]), reason(i), path)
 
-    bad = np.flatnonzero((attempt != rank) | (success & (rank < np.repeat(sizes, sizes))))
+    bad = np.flatnonzero((attempt != rank) | (success & (rank < size)))
     if len(bad):
         malformed(bad, lambda i: f"expected attempt {rank[i]}, found {attempt[i]}"
                   if attempt[i] != rank[i] else f"attempt after success at attempt {rank[i]}")
+    if retry_max is not None and retry_max < 1:
+        raise ValueError("retry_max must be >= 1")
     max_seen = int(sizes.max(initial=0))
-    if retry_max is None:
-        n = max(max_seen, 1)
-    else:
-        if retry_max < 1:
-            raise ValueError("retry_max must be >= 1")
-        n = retry_max
-        if max_seen > n:
-            malformed(starts[sizes > n], lambda i: f"{max_seen} attempts exceed retry_max={n}")
-    short = ~success[lasts] & (sizes < n)
+    n = max(max_seen, 1) if retry_max is None else retry_max
+    if max_seen > n:
+        malformed(starts[sizes > n], lambda i: f"{max_seen} attempts exceed retry_max={n}")
+    short = ~succeeded & (sizes < n)  # past bad, a slot succeeds only at its last attempt
     if short.any():
-        malformed(lasts[short], lambda i: f"slot ended after failed attempt {rank[i]} of {n}")
+        malformed(starts[short], lambda i: f"slot ended after failed attempt {size[i]} of {n}")
     return AttemptCounts(retry_max=n,
                          attempts=tuple(np.bincount(attempt - 1, minlength=n).tolist()),
                          successes=tuple(np.bincount(attempt[success] - 1, minlength=n).tolist()))

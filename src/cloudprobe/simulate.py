@@ -92,21 +92,16 @@ class DurationDistribution:
     def sample(self, rng: np.random.Generator) -> float:
         if self.kind == "fixed":
             return self.value_s
+        if self.kind == "empirical":
+            return self.values[int(rng.integers(len(self.values)))]
         if self.kind == "exponential":
-            d = 0.0
-            while d <= 0.0:
-                d = rng.exponential(self.mean_s)
-            return d
-        if self.kind == "generalized_pareto":
-            u = 0.0
-            while u <= 0.0:  # guard the U=0 corner
-                u = 1.0 - rng.random()
-            if self.shape == 0.0:
-                d = self.location - self.scale * math.log(u)
-            else:
-                d = self.location + self.scale * (u ** -self.shape - 1.0) / self.shape
-            return d if d > 0.0 else self.sample(rng)
-        return self.values[int(rng.integers(len(self.values)))]  # empirical
+            d = rng.exponential(self.mean_s)
+        elif self.shape == 0.0:  # generalized_pareto, by inversion of 1 - U, which is in (0, 1]
+            d = self.location - self.scale * math.log(1.0 - rng.random())
+        else:
+            u = 1.0 - rng.random()
+            d = self.location + self.scale * (u ** -self.shape - 1.0) / self.shape
+        return d if d > 0.0 else self.sample(rng)  # a duration of 0 is drawn again
 
 
 @dataclass(frozen=True)

@@ -10,8 +10,10 @@ import subprocess
 import sys
 import time
 from pathlib import Path
+from unittest import mock
 
 import jsonschema
+import numpy as np
 import pytest
 
 import cloudprobe
@@ -30,6 +32,7 @@ pytestmark = pytest.mark.usefixtures("reports_pass_own_check")
 QUIET = OutageProcess(up_mean_s=1e12, duration_dist=DurationDistribution.fixed(1.0))
 LIVE = ("probe_interval_s = 600\nhorizon_days = 1\nmode = live\n"
         "target = http://host.example/obj\n")
+NEGATIVE_VANTAGE = attempt_line(0, -5, 0, 1, "success") + attempt_line(0, 7, 0, 1, "success")
 DEEP = "[" * 100_000 + "]" * 100_000 + "\n"  # nested past any recursion limit
 # a fragment with the keys the schema requires, its provenance left to fill in
 FRAGMENT = '{"schema_version":"1","tool":{"name":"cloudprobe","version":"0"},"provenance":%s}'
@@ -340,6 +343,20 @@ class TestCmdDetect:
             assert capsys.readouterr().err == (f"data error: malformed attempt log {log_path} at "
                                                "vantage=0 slot=1: expected attempt 1, found 2\n")
         assert not (tmp_path / "o" / "detect.json").exists()
+
+    def test_log_is_sorted_by_slot_once(self, tmp_path, capsys):
+        # numpy.lexsort runs once for the truth Timeline and once for the log's by_slot,
+        # which aggregate_counts and detect_outages both read
+        config_path = tmp_path / "c.ini"
+        write_sim_config(config_path, process=OutageProcess(
+            up_mean_s=4000.0, duration_dist=DurationDistribution.exponential(500.0)))
+        out = tmp_path / "out"
+        assert main(["simulate", "--config", str(config_path), "--out", str(out)]) == 0
+        with mock.patch("numpy.lexsort", wraps=np.lexsort) as lexsort:
+            assert main(["detect", "--log", str(out / "attempts.jsonl"), "--truth",
+                         str(out / "truth.jsonl"), "--config", str(config_path),
+                         "--out", str(tmp_path / "det")]) == 0
+        assert lexsort.call_count == 2
 
     def test_horizon_mismatch_exits_two(self, campaign_dir, tmp_path, capsys):
         config_path, out = campaign_dir
@@ -752,6 +769,11 @@ class TestMalformedInput:
         (["estimate", "--log", "{log}"],
          {"attempts.jsonl": '{"ts_s":0,"vantage":0,"slot":1.7,"attempt":1,"outcome":"success"}\n'},
          2, "slot"),
+        # a negative vantage would be counted, and be detect's observer
+        (["estimate", "--log", "{log}"], {"attempts.jsonl": NEGATIVE_VANTAGE},
+         2, "line 1: vantage must be >= 0, got -5"),
+        (["detect", "--log", "{log}", "--truth", "{truth}", "--config", "{config}"],
+         {"attempts.jsonl": NEGATIVE_VANTAGE}, 2, "line 1: vantage must be >= 0, got -5"),
         (["detect", "--log", "{log}", "--truth", "{truth}", "--config", "{config}"],
          {"truth.jsonl": '{"start_s":86000,"duration_s":1000,"cause":"cloud"}\n'},
          2, "exceeds horizon"),
@@ -841,7 +863,8 @@ class TestMalformedInput:
          1, "--config is required for this command"),
     ], ids=["claim-above-one", "alpha-zero", "alpha-without-claim", "seed-without-config",
             "negative-threshold", "infinite-threshold", "overlapping-truth", "string-vantage",
-            "nan-ts", "nan-truth", "fractional-slot", "truth-beyond-horizon",
+            "nan-ts", "nan-truth", "fractional-slot", "estimate-negative-vantage",
+            "detect-negative-vantage", "truth-beyond-horizon",
             "nan-latency", "bool-latency", "infinite-latency", "non-utf8-log", "non-utf8-truth",
             "non-utf8-fragment", "non-utf8-config", "string-ts",
             "string-truth", "bool-truth", "huge-int-truth", "unknown-cause-truth",

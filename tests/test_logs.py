@@ -8,6 +8,7 @@ and message, for every input and at every block size. The column sidecar must
 read to what the log parses to, and be passed over whenever it does not match
 its log.
 """
+import dataclasses
 import json
 import math
 import os
@@ -70,6 +71,7 @@ def _reference_columns(lines) -> AttemptLog:
         reason=_named("reason", np.fromiter, map(_REASON_CODES.get, reason, repeat(-2)),
                       np.int8, n))
     _require((0 <= log.ts_s) & (log.ts_s < math.inf), ts, "ts_s", "finite and >= 0")
+    _require(log.vantage >= 0, vantage, "vantage", ">= 0")
     _require(log.slot >= 0, slot, "slot", ">= 0")
     _require(log.attempt >= 1, attempt, "attempt", ">= 1")
     _require(log.outcome >= 0, outcome, "outcome", "one of " + ", ".join(OUTCOMES))
@@ -536,8 +538,9 @@ def sidecar_logs(draw):
     if draw(st.booleans()):
         rows.sort(key=lambda row: row.ts_s)
     log = log_of(rows)
-    log.latency_ms[np.isnan(log.latency_ms)] = draw(st.sampled_from([math.nan, -math.nan]))
-    return log
+    latency = log.latency_ms.copy()
+    latency[np.isnan(latency)] = draw(st.sampled_from([math.nan, -math.nan]))
+    return dataclasses.replace(log, latency_ms=latency)
 
 
 @settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.too_slow])
@@ -607,6 +610,7 @@ SIDECAR_CASES = {
     "ts-decreases": lambda p: _set_cell(p, "ts_s", 1, 0.25),
     "ts-negative": lambda p: _set_cell(p, "ts_s", 0, -1.0),
     "ts-nan": lambda p: _set_cell(p, "ts_s", 3, math.nan),
+    "vantage-negative": lambda p: _set_cell(p, "vantage", 2, -5),
     "slot-negative": lambda p: _set_cell(p, "slot", 0, -1),
     "attempt-0": lambda p: _set_cell(p, "attempt", 0, 0),
     "outcome-9": lambda p: _set_cell(p, "outcome", 2, 9),
@@ -643,6 +647,7 @@ def test_sidecar_length_is_checked_before_the_log_is_hashed(tmp_path):
     ([Row(0.0, 0, 0, 0, "success")], "attempt must be >= 1"),
     ([Row(math.nan, 0, 0, 1, "success")], "line 1: "),
     ([Row(0.0, 0, 0, 1, "success", math.inf)], "line 1: "),
+    ([Row(0.0, -5, 0, 1, "success")], "line 1: vantage must be >= 0, got -5"),
 ])
 def test_bad_log_raises_the_same_error_with_its_sidecar(tmp_path, rows, error):
     # the writer writes what it is given; the sidecar carries the same fault as the log

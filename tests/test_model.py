@@ -1,15 +1,18 @@
 import dataclasses
 import json
 import math
+import os
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from cloudprobe.model import (
+    _COLUMNS,
     CAUSES,
     CLOUD_FAIL,
+    OUTCOMES,
     SUCCESS,
     AttemptCounts,
     AttemptLog,
@@ -25,6 +28,7 @@ from cloudprobe import logs
 from cloudprobe.detection import sla_metrics
 from cloudprobe.estimators import SlaClaim, sla_test
 from cloudprobe.report import merge_fragments
+from cloudprobe.simulate import sample_campaign
 
 from conftest import Outage, Row, log_of, make_random_log, outages_of, rows_of, timeline_of
 
@@ -172,6 +176,62 @@ class TestAggregateCounts:
             counts = aggregate_counts(records, retry_max=n)
             for i in range(n):
                 assert counts.attempts[i] == counts.attempts[0] - sum(counts.successes[:i])
+
+
+def dict_by_slot(rows):
+    """by_slot by a loop over the records: each (vantage, slot)'s rows in log order,
+    the slots in (vantage, slot) order."""
+    rows_of_slot = {}
+    for i, row in enumerate(rows):
+        rows_of_slot.setdefault((row.vantage, row.slot), []).append(i)
+    order, starts, succeeded = [], [], []
+    for key in sorted(rows_of_slot):
+        starts.append(len(order))
+        order += rows_of_slot[key]
+        succeeded.append(any(rows[i].outcome == SUCCESS for i in rows_of_slot[key]))
+    return order, starts, succeeded
+
+
+# any records, valid or not: vantage 0 absent or not, retries, missing and repeated
+# slots and attempts, in any row order
+_ANY_RECORDS = st.lists(st.builds(
+    Row, ts_s=st.just(0.0), vantage=st.integers(0, 3), slot=st.integers(0, 5),
+    attempt=st.integers(1, 3), outcome=st.sampled_from(OUTCOMES)), max_size=40)
+
+
+@settings(max_examples=300, deadline=None)
+@given(rows=_ANY_RECORDS)
+@example(rows=[])
+@example(rows=[Row(0.0, 2, 1, 1, CLOUD_FAIL), Row(0.0, 5, 0, 1, SUCCESS),
+               Row(0.0, 2, 1, 2, SUCCESS), Row(0.0, 2, 0, 1, CLOUD_FAIL)])
+def test_by_slot_matches_a_loop_over_the_records(rows):
+    log = log_of(rows)
+    order, starts, succeeded = log.by_slot
+    assert (order.tolist(), starts.tolist(), succeeded.tolist()) == dict_by_slot(rows)
+    assert succeeded.dtype == bool and log.by_slot is log.by_slot  # built once per log
+
+
+def _columns_refuse_writes(log):
+    for name in _COLUMNS:
+        with pytest.raises(ValueError, match="read-only"):
+            getattr(log, name)[...] = 0
+
+
+def test_every_column_of_every_log_is_read_only(tmp_path):
+    records, _ = make_random_log(np.random.default_rng(5), retry_max=3, slots=6, vantages=2)
+    logs.write_attempt_log(tmp_path / "log.jsonl", records)
+    config = CampaignConfig(probe_interval_s=600.0, horizon_days=1.0, vantage_points=2)
+    timeline = Timeline(config.horizon_s, [1000.0], [700.0])
+    made = {"built": records, "empty": log_of([]), "mask": records[records.vantage == 1],
+            "slice": records[2:5], "rows": records[[3, 1]],
+            "concat": AttemptLog.concat([records, records]),
+            "sidecar": logs.read_attempt_log(tmp_path / "log.jsonl"),
+            "one vantage": sample_campaign(timeline, dataclasses.replace(config, vantage_points=1)),
+            "vantages": sample_campaign(timeline, config)}
+    os.remove(logs.sidecar_path(tmp_path / "log.jsonl"))
+    made["parse"] = logs.read_attempt_log(tmp_path / "log.jsonl")
+    for log in made.values():
+        _columns_refuse_writes(log)
 
 
 class TestExpectedTries:
@@ -494,6 +554,7 @@ class TestJsonlRoundTrip:
         ({"latency_ms": "1"}, "latency_ms must be a number"),
         ({"latency_ms": float("inf")}, "latency_ms must be finite"),
         ({"slot": None}, "slot must be an integer"),
+        ({"vantage": -5}, "vantage must be >= 0, got -5"),
     ])
     def test_bad_record_names_line_and_field(self, tmp_path, fields, needle):
         path = tmp_path / "log.jsonl"
