@@ -8,7 +8,6 @@ harness that drives the real sampler and scores its log with detection_report.
 """
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
 
@@ -46,10 +45,8 @@ def undetected_curve(interval_s: float) -> list[tuple[float, float]]:
 
 def write_undetected_curve(path, rows) -> None:
     with open(path, "w", encoding="utf-8", newline="") as f:
-        writer = csv.writer(f)
-        writer.writerow(["l_over_t", "p_nodet"])
-        for ratio, p in rows:
-            writer.writerow([f"{ratio:.6g}", f"{p:.6g}"])
+        f.write("l_over_t,p_nodet\r\n")  # CSV lines end in \r\n, as csv.writer ends them
+        f.writelines(f"{ratio:.6g},{p:.6g}\r\n" for ratio, p in rows)
 
 
 @dataclass(frozen=True)

@@ -27,6 +27,7 @@ the log, so is never read. Truth file: start_s, duration_s, cause per line.
 """
 from __future__ import annotations
 
+import contextlib
 import hashlib
 import io
 import json
@@ -127,30 +128,33 @@ def sidecar_path(path) -> str:
     return f"{path}.cols"
 
 
+@contextlib.contextmanager
+def _replacing(path):
+    """path.tmp, open to write bytes, which replaces path if the block ends without error."""
+    tmp = f"{path}.tmp"
+    try:
+        with open(tmp, "wb") as f:
+            yield f
+        os.replace(tmp, path)
+    finally:
+        if os.path.exists(tmp):
+            os.remove(tmp)
+
+
 def write_attempt_log(path, log: AttemptLog) -> None:
     """Write the log, a chunk at a time, and then its column sidecar, each to a
     temporary file in the same directory. The log's replaces path first, then the
     sidecar's replaces the old sidecar, so a failure part-way leaves path as it
     was; an old sidecar left beside a new log does not match it, so is not read."""
-    tmp, cols = f"{path}.tmp", sidecar_path(path)
-    cols_tmp = f"{cols}.tmp"
     digest, size = hashlib.sha256(), 0
-    try:
-        with open(tmp, "wb") as f:
-            for lo in range(0, len(log), _CHUNK):
-                text = _chunk_text(log[lo:lo + _CHUNK])
-                digest.update(text)
-                size += f.write(text)
-        with open(cols_tmp, "wb") as f:
-            f.write(_HEADER.pack(_MAGIC, _VERSION, size, digest.digest(), len(log)))
-            for name, dtype in zip(_COLUMNS, _DTYPES):
-                np.asarray(getattr(log, name), dtype).tofile(f)
-        os.replace(tmp, path)
-        os.replace(cols_tmp, cols)
-    finally:
-        for leftover in (tmp, cols_tmp):
-            if os.path.exists(leftover):
-                os.remove(leftover)
+    with _replacing(sidecar_path(path)) as cols, _replacing(path) as f:  # path is replaced first
+        for lo in range(0, len(log), _CHUNK):
+            text = _chunk_text(log[lo:lo + _CHUNK])
+            digest.update(text)
+            size += f.write(text)
+        cols.write(_HEADER.pack(_MAGIC, _VERSION, size, digest.digest(), len(log)))
+        for name, dtype in zip(_COLUMNS, _DTYPES):
+            np.asarray(getattr(log, name), dtype).tofile(cols)
 
 
 def _named(name, make, *args):
@@ -309,11 +313,11 @@ def read_attempt_log(path, digest=None) -> AttemptLog:
 
 
 def write_truth(path, timeline: Timeline) -> None:
-    with open(path, "w", encoding="utf-8") as f:
+    with _replacing(path) as f:
         for start, duration, cause in zip(timeline.start_s.tolist(), timeline.duration_s.tolist(),
                                           timeline.cause.tolist()):
             f.write(json.dumps({"start_s": start, "duration_s": duration, "cause": CAUSES[cause]},
-                               separators=(",", ":")) + "\n")
+                               separators=(",", ":")).encode() + b"\n")
 
 
 def read_truth(path, horizon_s: float) -> Timeline:

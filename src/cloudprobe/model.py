@@ -233,7 +233,8 @@ class AttemptLog:
         attempts in log order; where each slot starts in order; whether any succeeded."""
         order = np.lexsort((self.slot, self.vantage))  # stable
         vantage, slot = self.vantage[order], self.slot[order]
-        starts = np.flatnonzero(np.diff(vantage, prepend=vantage[:1] - 1) | np.diff(slot, prepend=-1))
+        new = np.append(True, (vantage[1:] != vantage[:-1]) | (slot[1:] != slot[:-1]))
+        starts = np.flatnonzero(new[:len(order)])  # where a row's slot is not its row before's
         success = self.outcome[order] == OUTCOMES.index(SUCCESS)
         return order, starts, np.logical_or.reduceat(success, starts)
 
@@ -319,31 +320,33 @@ def aggregate_counts(log: AttemptLog, retry_max: int | None = None, path=None) -
     in failure before exhausting retries (the tallies would not be consistent).
     Of several malformed slots, the one first in the log is named, as is path if given.
     """
-    order, starts, succeeded = log.by_slot
+    order, starts, _ = log.by_slot
     attempt, success = log.attempt[order], log.outcome[order] == OUTCOMES.index(SUCCESS)
-    rows = len(order)
-    sizes = np.diff(starts, append=rows)
-    size = np.repeat(sizes, sizes)  # of each row's slot
-    rank = np.arange(1, rows + 1) - np.repeat(starts, sizes)  # 1-based place in its slot
-    seen = np.repeat(order[starts], sizes)  # where each row's slot first appears in the log
+    head = np.zeros(len(order) + 1, bool)  # whether a row starts a slot; the one past the end does
+    head[starts] = head[-1] = True
 
-    def malformed(bad_rows, reason):
-        i = bad_rows[np.argmin(seen[bad_rows])]  # bad_rows ascends, so ties go to the first
-        raise MalformedLogError(int(log.vantage[seen[i]]), int(log.slot[seen[i]]), reason(i), path)
+    def malformed(bad, reason):  # names the first bad row of the slot first seen in the log
+        bad = np.flatnonzero(bad)
+        start = starts[np.searchsorted(starts, bad, side="right") - 1]  # each bad row's slot's
+        i = np.argmin(order[start])  # bad ascends, so ties go to the first
+        raise MalformedLogError(int(log.vantage[order[start[i]]]), int(log.slot[order[start[i]]]),
+                                reason(bad[i] - start[i] + 1, attempt[bad[i]]), path)
 
-    bad = np.flatnonzero((attempt != rank) | (success & (rank < size)))
-    if len(bad):
-        malformed(bad, lambda i: f"expected attempt {rank[i]}, found {attempt[i]}"
-                  if attempt[i] != rank[i] else f"attempt after success at attempt {rank[i]}")
+    # row to row: a slot's attempts run 1, 2, ..., and only its last may succeed
+    bad = attempt != 1
+    bad[1:] = np.where(head[1:-1], bad[1:], attempt[1:] - attempt[:-1] != 1)
+    bad |= success & ~head[1:]
+    if bad.any():
+        malformed(bad, lambda rank, found: f"expected attempt {rank}, found {found}"
+                  if found != rank else f"attempt after success at attempt {rank}")
     if retry_max is not None and retry_max < 1:
         raise ValueError("retry_max must be >= 1")
-    max_seen = int(sizes.max(initial=0))
+    max_seen = int(attempt.max(initial=0))  # past bad, an attempt is its place in its slot
     n = max(max_seen, 1) if retry_max is None else retry_max
     if max_seen > n:
-        malformed(starts[sizes > n], lambda i: f"{max_seen} attempts exceed retry_max={n}")
-    short = ~succeeded & (sizes < n)  # past bad, a slot succeeds only at its last attempt
-    if short.any():
-        malformed(starts[short], lambda i: f"slot ended after failed attempt {size[i]} of {n}")
-    return AttemptCounts(retry_max=n,
-                         attempts=tuple(np.bincount(attempt - 1, minlength=n).tolist()),
-                         successes=tuple(np.bincount(attempt[success] - 1, minlength=n).tolist()))
+        malformed(attempt > n, lambda *_: f"{max_seen} attempts exceed retry_max={n}")
+    if (short := head[1:] & ~success & (attempt < n)).any():  # a slot's last row, failed
+        malformed(short, lambda rank, found: f"slot ended after failed attempt {found} of {n}")
+    attempts, successes = (tuple(np.bincount(a, minlength=n + 1)[1:].tolist())
+                           for a in (attempt, attempt[success]))
+    return AttemptCounts(retry_max=n, attempts=attempts, successes=successes)

@@ -161,19 +161,14 @@ def generate_timeline(process: OutageProcess, horizon_s: float, seed: int) -> Ti
     if process.network_burst is not None:
         burst = process.network_burst
         count = int(rng.poisson(burst.rate_per_day * horizon_s / DAY_S))
-        merged: list[list[float]] = []
-        for s in sorted(float(s) for s in rng.uniform(0.0, horizon_s, size=count)):
-            e = min(s + burst.duration_s, horizon_s)
-            if e <= s:
-                continue
-            if merged and s < merged[-1][1]:
-                merged[-1][1] = max(merged[-1][1], e)
-            else:
-                merged.append([s, e])
-        for s, e in merged:
-            starts.append(s)
-            durations.append(e - s)
-        causes += [CAUSES.index(NETWORK)] * len(merged)
+        s = np.sort(rng.uniform(0.0, horizon_s, size=count))
+        e = np.minimum(s + burst.duration_s, horizon_s)
+        s, e = s[e > s], e[e > s]  # none where s + duration_s rounds back to s
+        first = s >= np.append(-math.inf, e[:-1])  # else it starts in the one before: merged
+        last = np.roll(first, -1)  # ends never fall, so merged bursts end at their last's end
+        starts += s[first].tolist()
+        durations += (e[last] - s[first]).tolist()
+        causes += [CAUSES.index(NETWORK)] * int(first.sum())
 
     return Timeline(horizon_s, starts, durations, causes)
 
@@ -213,28 +208,29 @@ def sample_campaign(timeline: Timeline, config: CampaignConfig,
     free_counts = np.full(slots, retry_max)
     free_counts[touched] = free.sum(axis=1)
     # a failure is network_fail unless a touched slot's attempt is in a cloud outage
-    fail = np.where(cloud, OUTCOMES.index(CLOUD_FAIL), OUTCOMES.index(NETWORK_FAIL))
-    parts = []
-    for vantage in range(config.vantage_points):
+    codes = np.full((slots, retry_max), OUTCOMES.index(NETWORK_FAIL), np.int8)
+    codes[touched] = np.where(cloud, OUTCOMES.index(CLOUD_FAIL), OUTCOMES.index(NETWORK_FAIL))
+    vantages = config.vantage_points
+    made, ok = np.empty((slots, vantages), np.int64), np.empty((slots, vantages), bool)
+    for vantage in range(vantages):
         draws = None if network_fail_prob == 0.0 else (  # q = 0 draws nothing
             _rng(config.seed, _TAG_VANTAGE, vantage).random(slots * retry_max) >= network_fail_prob)
-        made, ok = _retry_schedule(free_counts, touched, free, draws)
-        slot, ends = np.repeat(np.arange(slots), made), np.cumsum(made)
-        attempt = np.arange(len(slot)) - np.repeat(ends - made, made)
-        outcome = np.full(len(slot), OUTCOMES.index(NETWORK_FAIL))
-        outcome[np.repeat(touched, made)] = fail[np.arange(retry_max) < made[touched, None]]
-        outcome[ends[ok] - 1] = OUTCOMES.index(SUCCESS)
-        parts.append(AttemptLog(  # ts_s: the float sum a grid of every attempt would hold
-            ts_s=first[slot] + steps[attempt], vantage=np.full(len(slot), vantage), slot=slot,
-            attempt=attempt + 1, outcome=outcome, latency_ms=np.full(len(slot), np.nan),
-            reason=np.full(len(slot), -1)))
-    if len(parts) == 1:  # already in ts_s order
-        return parts[0]
-    log = AttemptLog.concat(parts)
-    # each part is in (slot, attempt) order, which is ts_s order because a
-    # slot's retries end before the next slot, so a stable sort on ts_s of the
-    # vantage-major parts breaks ties by vantage, then attempt
-    return log[np.argsort(log.ts_s, kind="stable")]
+        made[:, vantage], ok[:, vantage] = _retry_schedule(free_counts, touched, free, draws)
+    # each (slot, vantage)'s attempts in turn: the log's order for one vantage or tied attempts
+    made, ok, ends = made.ravel(), ok.ravel(), np.cumsum(made)
+    slot, vantage = np.divmod(np.repeat(np.arange(len(made)), made), vantages)
+    attempt = np.arange(len(slot)) - np.repeat(ends - made, made)  # 0-based
+    outcome = codes.ravel()[slot * retry_max + attempt]
+    outcome[ends[ok] - 1] = OUTCOMES.index(SUCCESS)
+    del made, ends  # 8 bytes a (slot, vantage) each: freed before ts_s and the sort
+    ts_s = first[slot] + steps[attempt]  # the float sum a grid of every attempt would hold
+    attempt += 1
+    if vantages > 1 and config.retry_gap_s:  # else in ts_s order already
+        order = np.argsort(ts_s, kind="stable")  # tied rows stay by vantage, then attempt
+        for column in (ts_s, slot, vantage, attempt, outcome):
+            column[...] = column[order]
+    return AttemptLog(ts_s=ts_s, vantage=vantage, slot=slot, attempt=attempt, outcome=outcome,
+                      latency_ms=np.full(len(slot), np.nan), reason=np.full_like(outcome, -1))
 
 
 def _retry_schedule(free_counts: np.ndarray, touched: np.ndarray, free: np.ndarray,

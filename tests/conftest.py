@@ -13,9 +13,11 @@ import numpy as np
 import pytest
 
 from cloudprobe import report
-from cloudprobe.model import (CAUSES, CLOUD, CLOUD_FAIL, FAIL, FAIL_REASONS, NETWORK_FAIL,
-                              OUTCOMES, SUCCESS, AttemptLog, Timeline)
-from cloudprobe.simulate import _DURATION_RULES, DurationDistribution, _retry_schedule, _rng
+from cloudprobe.model import (CAUSES, CLOUD, CLOUD_FAIL, FAIL, FAIL_REASONS, NETWORK, NETWORK_FAIL,
+                              OUTCOMES, SUCCESS, AttemptCounts, AttemptLog, CampaignConfig,
+                              MalformedLogError, Timeline)
+from cloudprobe.simulate import (_DURATION_RULES, _TAG_VANTAGE, DurationDistribution,
+                                 OutageProcess, _retry_schedule, _rng, generate_timeline)
 
 BODY = b"cloudprobe test object\n"
 # target URLs that ProbeTarget rejects: no host, an unreadable port or port 0, a
@@ -129,6 +131,96 @@ def loop_retry_schedule(free: np.ndarray, draws: np.ndarray | None):
     ok = ok_slot[:, None] & (np.arange(retry_max) == success_at[:, None])
     made = np.arange(retry_max) < np.where(ok_slot, success_at + 1, retry_max)[:, None]
     return made, ok
+
+
+def reference_sample_campaign(timeline: Timeline, config, network_fail_prob=0.0) -> AttemptLog:
+    """Reference for simulate.sample_campaign: the sampler as it was before it held
+    the log once. Each vantage builds a whole seven-column log from its walk of the
+    schedule; the logs are concatenated, then reordered by a stable sort on ts_s,
+    so rows of one ts_s go by vantage, then by (slot, attempt)."""
+    slots, retry_max = config.slots, config.retry_max
+    steps = np.arange(retry_max) * config.retry_gap_s
+    first = np.arange(slots) * config.probe_interval_s
+    lo = np.searchsorted(first + steps[-1], timeline.start_s)
+    hi = np.searchsorted(first, timeline.start_s + timeline.duration_s)
+    touched = np.cumsum(np.bincount(lo, minlength=slots + 1)
+                        - np.bincount(hi, minlength=slots + 1))[:-1] > 0
+    ts = first[touched, None] + steps
+    cloud = timeline.in_outage(ts, CLOUD)
+    free = ~(cloud | timeline.in_outage(ts, NETWORK))
+    free_counts = np.full(slots, retry_max)
+    free_counts[touched] = free.sum(axis=1)
+    fail = np.where(cloud, OUTCOMES.index(CLOUD_FAIL), OUTCOMES.index(NETWORK_FAIL))
+    parts = []
+    for vantage in range(config.vantage_points):
+        draws = None if network_fail_prob == 0.0 else (
+            _rng(config.seed, _TAG_VANTAGE, vantage).random(slots * retry_max) >= network_fail_prob)
+        made, ok = _retry_schedule(free_counts, touched, free, draws)
+        slot, ends = np.repeat(np.arange(slots), made), np.cumsum(made)
+        attempt = np.arange(len(slot)) - np.repeat(ends - made, made)
+        outcome = np.full(len(slot), OUTCOMES.index(NETWORK_FAIL))
+        outcome[np.repeat(touched, made)] = fail[np.arange(retry_max) < made[touched, None]]
+        outcome[ends[ok] - 1] = OUTCOMES.index(SUCCESS)
+        parts.append(AttemptLog(
+            ts_s=first[slot] + steps[attempt], vantage=np.full(len(slot), vantage), slot=slot,
+            attempt=attempt + 1, outcome=outcome, latency_ms=np.full(len(slot), np.nan),
+            reason=np.full(len(slot), -1)))
+    log = AttemptLog.concat(parts)
+    return log[np.argsort(log.ts_s, kind="stable")]
+
+
+def reference_aggregate_counts(log: AttemptLog, retry_max=None, path=None) -> AttemptCounts:
+    """Reference for model.aggregate_counts: the tally as it was before it checked
+    its rules row to row, with a rank, a slot size and a first-seen row for every
+    row, and its own (vantage, slot) grouping rather than AttemptLog.by_slot."""
+    order = np.lexsort((log.slot, log.vantage))
+    vantage, slot = log.vantage[order], log.slot[order]
+    starts = np.flatnonzero(np.diff(vantage, prepend=vantage[:1] - 1) | np.diff(slot, prepend=-1))
+    attempt, success = log.attempt[order], log.outcome[order] == OUTCOMES.index(SUCCESS)
+    succeeded = np.logical_or.reduceat(success, starts)
+    rows = len(order)
+    sizes = np.diff(starts, append=rows)
+    size = np.repeat(sizes, sizes)
+    rank = np.arange(1, rows + 1) - np.repeat(starts, sizes)
+    seen = np.repeat(order[starts], sizes)
+
+    def malformed(bad_rows, reason):
+        i = bad_rows[np.argmin(seen[bad_rows])]
+        raise MalformedLogError(int(log.vantage[seen[i]]), int(log.slot[seen[i]]), reason(i), path)
+
+    bad = np.flatnonzero((attempt != rank) | (success & (rank < size)))
+    if len(bad):
+        malformed(bad, lambda i: f"expected attempt {rank[i]}, found {attempt[i]}"
+                  if attempt[i] != rank[i] else f"attempt after success at attempt {rank[i]}")
+    if retry_max is not None and retry_max < 1:
+        raise ValueError("retry_max must be >= 1")
+    max_seen = int(sizes.max(initial=0))
+    n = max(max_seen, 1) if retry_max is None else retry_max
+    if max_seen > n:
+        malformed(starts[sizes > n], lambda i: f"{max_seen} attempts exceed retry_max={n}")
+    short = ~succeeded & (sizes < n)
+    if short.any():
+        malformed(starts[short], lambda i: f"slot ended after failed attempt {size[i]} of {n}")
+    return AttemptCounts(retry_max=n,
+                         attempts=tuple(np.bincount(attempt - 1, minlength=n).tolist()),
+                         successes=tuple(np.bincount(attempt[success] - 1, minlength=n).tolist()))
+
+
+def column_bytes(log: AttemptLog) -> int:
+    """The bytes of the log's seven columns."""
+    return sum(getattr(log, name).nbytes for name in Row._fields)
+
+
+def first_campaign(horizon_days: float):
+    """sample_campaign's arguments (timeline, config, network_fail_prob) for the
+    paper's first campaign (23 vantages, 600 s slots, 9 attempts 1 s apart) and
+    the benchmark's outage process, over horizon_days, at seed 1."""
+    config = CampaignConfig(probe_interval_s=600.0, horizon_days=horizon_days, vantage_points=23,
+                            retry_max=9, retry_gap_s=1.0, seed=1)
+    process = OutageProcess(up_mean_s=30000.0,
+                            duration_dist=DurationDistribution.exponential(120.0),
+                            network_fail_prob=0.002)
+    return generate_timeline(process, config.horizon_s, 1), config, process.network_fail_prob
 
 
 def make_random_log(rng: np.random.Generator, retry_max=None, slots=None, vantages=None):

@@ -1,3 +1,5 @@
+import csv
+import io
 import math
 
 import numpy as np
@@ -114,6 +116,18 @@ class TestUndetectedCurve:
         assert lines[0] == "l_over_t,p_nodet"
         ratio, p = lines[1].split(",")
         assert float(ratio) > 0 and 0.0 <= float(p) <= 1.0
+
+
+    def test_csv_bytes_are_csv_writers(self, tmp_path):
+        # each line, the header too, as csv.writer writes it: ended by \r\n
+        path = tmp_path / "curve.csv"
+        rows = undetected_curve(7.3)
+        write_undetected_curve(path, rows)
+        want = io.StringIO(newline="")
+        writer = csv.writer(want)
+        writer.writerow(["l_over_t", "p_nodet"])
+        writer.writerows([f"{ratio:.6g}", f"{p:.6g}"] for ratio, p in rows)
+        assert path.read_bytes() == want.getvalue().encode()
 
 
 class TestDetectOutages:

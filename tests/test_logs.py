@@ -23,7 +23,7 @@ from hypothesis import strategies as st
 
 from cloudprobe import logs
 from cloudprobe.model import (_COLUMNS, FAIL, FAIL_REASONS, OUTCOMES, AttemptLog,
-                              CampaignConfig, DataError, MalformedLogError)
+                              CampaignConfig, DataError, MalformedLogError, Timeline)
 from cloudprobe.simulate import DurationDistribution, OutageProcess, generate_timeline, \
     sample_campaign
 
@@ -690,6 +690,28 @@ def test_failed_write_leaves_no_new_log_or_sidecar(tmp_path, monkeypatch, fail, 
     fail(monkeypatch)
     with pytest.raises((OSError, TypeError)):
         logs.write_attempt_log(path, SIDECAR_LOG)
+    assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == files
+
+
+@pytest.mark.parametrize("before", ["none", "old"])
+def test_failed_truth_write_leaves_the_old_file(tmp_path, monkeypatch, before):
+    path = tmp_path / "truth.jsonl"
+    if before == "old":
+        logs.write_truth(path, Timeline(1000.0, [100.0], [5.0]))
+    files = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
+    dumps, rows = json.dumps, []
+
+    def third_row_fails(obj, **kwargs):  # after two rows are written
+        rows.append(obj)
+        if len(rows) == 3:
+            raise OSError("disk gone")
+        return dumps(obj, **kwargs)
+
+    monkeypatch.setattr(logs.json, "dumps", third_row_fails)
+    with pytest.raises(OSError, match="disk gone"):
+        logs.write_truth(path, Timeline(1000.0, [10.0, 200.0, 300.0, 400.0], [1.0, 2.0, 3.0, 4.0]))
+    assert len(rows) == 3
+    # the old file byte for byte, or none, and no temporary file
     assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == files
 
 

@@ -2,6 +2,7 @@ import dataclasses
 import json
 import math
 import os
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -30,7 +31,8 @@ from cloudprobe.estimators import SlaClaim, sla_test
 from cloudprobe.report import merge_fragments
 from cloudprobe.simulate import sample_campaign
 
-from conftest import Outage, Row, log_of, make_random_log, outages_of, rows_of, timeline_of
+from conftest import (Outage, Row, column_bytes, first_campaign, log_of, make_random_log,
+                      outages_of, reference_aggregate_counts, rows_of, timeline_of)
 
 
 def rec(slot, attempt, outcome, vantage=0, gap=1.0, interval=60.0):
@@ -168,6 +170,35 @@ class TestAggregateCounts:
             assert outcome_of(lambda: aggregate_counts(log_of(records), retry_max=cap)) == want
             raised += isinstance(want, tuple)
         assert 0 < raised < 300  # both outcomes are exercised
+
+    @settings(max_examples=400, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), faults=st.integers(0, 3),
+           retry_max=st.sampled_from([None, "n", 1, 2, 4]))
+    def test_equals_reference_on_corrupted_logs(self, seed, faults, retry_max):
+        # the tally that checked its rules through per-row rank, size and first-seen
+        # arrays: equal counts, or the same slot named with the same text
+        rng = np.random.default_rng(seed)
+        log, n = make_random_log(rng)
+        records = rows_of(log)
+        for _ in range(faults):
+            records = corrupt(log_of(records), rng)
+        cap = n if retry_max == "n" else retry_max
+        want = outcome_of(lambda: reference_aggregate_counts(log_of(records), cap, "x.jsonl"))
+        assert outcome_of(lambda: aggregate_counts(log_of(records), cap, "x.jsonl")) == want
+
+    def test_peak_memory_above_the_log(self):
+        # the peak above the log includes the slot table by_slot leaves cached on it
+        timeline, config, q = first_campaign(5.0)
+        log = sample_campaign(timeline, config, q)
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            counts = aggregate_counts(log, retry_max=config.retry_max)
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        assert counts.first_attempts == 23 * config.slots
+        assert peak <= 1.25 * column_bytes(log)
 
     def test_recurrence_identity_randomized(self):
         rng = np.random.default_rng(20240817)

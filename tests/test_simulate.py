@@ -1,6 +1,7 @@
 import bisect
 import math
 import statistics
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -26,15 +27,18 @@ from cloudprobe.estimators import (
 from cloudprobe.simulate import (
     DurationDistribution,
     NetworkBurst,
+    _TAG_TIMELINE,
     OutageProcess,
     _retry_schedule,
+    _rng,
     generate_timeline,
     sample_campaign,
     true_unavailability,
 )
 
-from conftest import (Outage, Row, attempt_line, iid_attempt_log, loop_retry_schedule, outages_of,
-                      rows_of, timeline_of)
+from conftest import (Outage, Row, attempt_line, column_bytes, first_campaign, iid_attempt_log,
+                      loop_retry_schedule, outages_of, reference_sample_campaign, rows_of,
+                      timeline_of)
 
 DAY = 86400.0
 
@@ -171,6 +175,24 @@ class TestGenerateTimeline:
         assert bursts
         for a, b in zip(bursts, bursts[1:]):
             assert a.start_s + a.duration_s <= b.start_s
+
+    def test_bursts_merge_as_a_loop_over_their_starts_does(self):
+        # the draws: no cloud outage before the horizon, a Poisson count, the starts
+        rng = _rng(5, _TAG_TIMELINE)
+        assert rng.exponential(1e12) > DAY
+        starts = sorted(rng.uniform(0.0, DAY, size=rng.poisson(2000.0)).tolist())
+        merged = []
+        for s in starts:
+            e = min(s + 120.0, DAY)
+            if merged and s < merged[-1][1]:
+                merged[-1][1] = max(merged[-1][1], e)
+            else:
+                merged.append([s, e])
+        proc = OutageProcess(up_mean_s=1e12, duration_dist=DurationDistribution.fixed(1),
+                             network_burst=NetworkBurst(rate_per_day=2000.0, duration_s=120.0))
+        assert 1 < len(merged) < len(starts)
+        assert outages_of(generate_timeline(proc, DAY, 5)) == [
+            Outage(s, e - s, NETWORK) for s, e in merged]
 
 
 class TestSampleCampaign:
@@ -335,6 +357,53 @@ class TestMatchesPerRecordReference:
     def test_iid_hook_equal(self, p, retry_max):
         assert rows_of(iid_attempt_log(p, 500, retry_max, seed=4, vantage=2)) == \
             per_record_iid(p, 500, retry_max, seed=4, vantage=2)
+
+
+class TestMatchesReferenceSampler:
+    """The sampler, which builds the seven columns once, against the sampler that
+    built a log per vantage, concatenated them and sorted the result by ts_s."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(vantages=st.integers(1, 5), retry_max=st.integers(1, 9),
+           gap=st.sampled_from([0.0, 1.0]), q=st.sampled_from([0.0, 0.3]),
+           seed=st.integers(0, 2**32 - 1), slots=st.integers(0, 300))
+    def test_equal_columns_in_equal_order(self, vantages, retry_max, gap, q, seed, slots):
+        process = OutageProcess(up_mean_s=3000.0,
+                                duration_dist=DurationDistribution.exponential(400.0),
+                                network_burst=NetworkBurst(rate_per_day=40.0, duration_s=150.0))
+        config = small_config(probe_interval_s=60.0, horizon_days=max(slots, 1) * 60.0 / DAY,
+                              vantage_points=vantages, retry_max=retry_max, retry_gap_s=gap,
+                              seed=seed)
+        tl = generate_timeline(process, config.horizon_s, seed)
+        got, want = sample_campaign(tl, config, q), reference_sample_campaign(tl, config, q)
+        for name in Row._fields:
+            column, expected = getattr(got, name), getattr(want, name)
+            assert column.dtype == expected.dtype, name
+            assert np.array_equal(column, expected, equal_nan=True), name
+
+    @pytest.mark.parametrize("q", [0.3, 0.6])
+    def test_attempts_tied_as_floats_go_by_vantage(self, q):
+        # at k * 2**24 s a 1 ns gap is under half a float step, so some attempts of
+        # slots 1 and 2 share a ts_s: those rows go by vantage, then attempt
+        config = small_config(probe_interval_s=2.0**24, horizon_days=3 * 2**24 / DAY,
+                              vantage_points=3, retry_max=4, retry_gap_s=1e-9, seed=2)
+        tl = Timeline(config.horizon_s, [], [])
+        got, want = sample_campaign(tl, config, q), reference_sample_campaign(tl, config, q)
+        assert len(np.unique(got.ts_s)) < len(set(zip(got.slot.tolist(), got.attempt.tolist())))
+        assert rows_of(got) == rows_of(want)
+
+    def test_peak_memory_within_twice_the_log(self):
+        # numpy reports each buffer it allocates to tracemalloc
+        timeline, config, q = first_campaign(5.0)
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            log = sample_campaign(timeline, config, q)
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        assert len(log) > 23 * config.slots
+        assert peak <= 2.0 * column_bytes(log)
 
 
 # the kinds of hand-placed outage, each at attempt a of slot k, time t = kT + a*g
