@@ -13,11 +13,11 @@ __version__ = "0.1.0"  # pyproject.toml's version; a test keeps the two equal
 # each public name -> the submodule that defines it; a submodule maps to itself
 _HOME = {name: module for module, names in (
     ("errors", "ConfigError InsufficientDataError MalformedLogError"),
-    ("model", "model AttemptCounts AttemptLog CampaignConfig EstimateSet Timeline "
+    ("model", "model AttemptCounts AttemptLog CampaignConfig Timeline "
               "aggregate_counts expected_tries"),
     ("simulate", "simulate DurationDistribution NetworkBurst OutageProcess generate_timeline "
                  "sample_campaign true_unavailability"),
-    ("estimators", "estimators SlaClaim SlaTestResult build_estimate_set "
+    ("estimators", "estimators EstimateSet SlaClaim SlaTestResult build_estimate_set "
                    "clopper_pearson_interval first_try_availability from_nines nines "
                    "overestimation_factor overestimation_factor_from_nines "
                    "per_attempt_availability retry_filtered_availability sla_test "

@@ -123,7 +123,7 @@ def _load_campaign(args, need_process: bool = False) -> configfile.ParsedConfig:
     parsed = configfile.read_config(args.config)
     if getattr(args, "seed", None) is not None:  # probe takes no --seed
         from dataclasses import replace  # model, which read_config loads, has imported it
-        parsed = replace(parsed, campaign=replace(parsed.campaign, seed=args.seed))
+        parsed = parsed._replace(campaign=replace(parsed.campaign, seed=args.seed))
     if need_process and parsed.process is None:
         raise ConfigError("config needs [process] and [duration] sections for simulation")
     return parsed
@@ -240,7 +240,6 @@ def cmd_detect(args) -> int:
         detection=rep,
         detected_metrics=detected,
         true_metrics=truth_metrics,
-        threshold_s=args.threshold_s,
     )
     _emit(args, frag, "detect.json")
     print(f"curve: {curve_path}", file=sys.stderr)

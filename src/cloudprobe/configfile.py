@@ -1,12 +1,13 @@
 """INI campaign config. Each section's keys are the fields of one dataclass,
 absent keys taking the field defaults: [campaign] CampaignConfig, [probe]
 ProbeTarget (its url is the campaign target), [process] OutageProcess with
-NetworkBurst's fields as burst_ keys, and [duration] DurationDistribution."""
+NetworkBurst's fields as burst_ keys, and [duration] DurationDistribution. Any other
+section, and any [DEFAULT] key, is an error."""
 from __future__ import annotations
 
 import configparser
-from dataclasses import MISSING, dataclass, fields
-from typing import TYPE_CHECKING
+from dataclasses import MISSING, fields
+from typing import TYPE_CHECKING, NamedTuple
 
 from .model import CampaignConfig, ConfigError
 from .simulate import DurationDistribution, NetworkBurst, OutageProcess
@@ -27,8 +28,7 @@ _PARSE = {
 }
 
 
-@dataclass(frozen=True)
-class ParsedConfig:
+class ParsedConfig(NamedTuple):
     """Everything a config file can carry; process/target present per mode."""
 
     campaign: CampaignConfig
@@ -73,6 +73,11 @@ def read_config(path) -> ParsedConfig:
             parser.read_file(f)
     except (configparser.Error, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot parse config {path}: {exc}") from exc
+    # configparser would give [DEFAULT]'s keys to every section
+    if parser.defaults():
+        raise ConfigError(f"[DEFAULT] keys are not allowed: {', '.join(parser.defaults())}")
+    if unknown := set(parser) - {"DEFAULT", "campaign", "probe", "process", "duration"}:
+        raise ConfigError(f"unknown sections: {', '.join(f'[{s}]' for s in sorted(unknown))}")
 
     if "campaign" not in parser:
         raise ConfigError("config must have a [campaign] section")

@@ -9,7 +9,7 @@ harness that drives the real sampler and scores its log with detection_report.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -49,8 +49,9 @@ def write_undetected_curve(path, rows) -> None:
         f.writelines(f"{ratio:.6g},{p:.6g}\r\n" for ratio, p in rows)
 
 
-@dataclass(frozen=True)
-class DurationBin:
+class DurationBin(NamedTuple):
+    """An item of the report's per_duration_bins: outages with true duration in [lo_s, hi_s)."""
+
     lo_s: float
     hi_s: float
     analytic_p_nodet: float
@@ -58,30 +59,24 @@ class DurationBin:
     outages: int
 
 
-@dataclass(frozen=True)
-class DetectionReport:
+class DetectionReport(NamedTuple):
+    """The report's detection section; detected + undetected = total_true_outages."""
+
     total_true_outages: int
     detected: int
     undetected: int
     per_duration_bins: tuple[DurationBin, ...]
     duration_estimates: tuple[tuple[float, float], ...]  # (true_s, estimated_s)
 
-    def __post_init__(self):
-        if self.detected + self.undetected != self.total_true_outages:
-            raise ValueError("detected + undetected must equal total_true_outages")
 
-
-@dataclass(frozen=True)
-class SlaMetrics:
-    """The insurance-relevant triple: how many outages, how many long, how much downtime."""
+class SlaMetrics(NamedTuple):
+    """The insurance-relevant triple: how many outages, how many longer than
+    threshold_s, how much downtime; a report's sla_metrics entry."""
 
     failure_count: int
     long_outage_count: int
     cumulative_outage_s: float
-
-    def __post_init__(self):
-        if self.long_outage_count > self.failure_count:
-            raise ValueError("long_outage_count cannot exceed failure_count")
+    threshold_s: float
 
 
 def detect_outages(log: AttemptLog) -> np.ndarray:
@@ -164,14 +159,15 @@ def _duration_estimates(starts, ends, durations, flags, runs, interval):
 
 def sla_metrics(durations_s, threshold_s: float) -> SlaMetrics:
     """Counts and cumulative downtime over outages of the given durations."""
-    if threshold_s < 0:
-        raise ValueError("threshold_s must be >= 0")
+    if not 0 <= threshold_s < math.inf:
+        raise ValueError("threshold_s must be finite and >= 0")
     # Python's sum, in order, so the total does not depend on numpy's summation
     durations = np.asarray(durations_s, dtype=np.float64).tolist()
     return SlaMetrics(
         failure_count=len(durations),
         long_outage_count=sum(1 for d in durations if d > threshold_s),
         cumulative_outage_s=float(sum(durations)),
+        threshold_s=threshold_s,
     )
 
 

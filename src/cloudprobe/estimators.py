@@ -8,8 +8,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
-from .model import AttemptCounts, EstimateSet, InsufficientDataError
+from .model import AttemptCounts, InsufficientDataError
 
 _Z95 = 1.9599639845400536  # the standard normal's 0.975 quantile, for 95% intervals
 
@@ -161,8 +162,9 @@ class SlaClaim:
             raise ValueError("alpha must be in (0, 1)")
 
 
-@dataclass(frozen=True)
-class SlaTestResult:
+class SlaTestResult(NamedTuple):
+    """One SLA test, an item of the report's sla_tests section; reject is p_value < alpha."""
+
     claimed_availability: float
     alpha: float
     observed: float
@@ -171,10 +173,6 @@ class SlaTestResult:
     p_value: float
     reject: bool
     method: str
-
-    def __post_init__(self):
-        if self.reject != (self.p_value < self.alpha):
-            raise ValueError("reject must equal (p_value < alpha)")
 
 
 def sla_test(counts: AttemptCounts, claim: SlaClaim, method: str = "auto") -> SlaTestResult:
@@ -208,6 +206,28 @@ def sla_test(counts: AttemptCounts, claim: SlaClaim, method: str = "auto") -> Sl
                          method=method)
 
 
+class EstimateSet(NamedTuple):
+    """Availability estimates for one campaign log, the report's estimates section.
+
+    first_try      fraction of slots whose first attempt succeeded
+    per_attempt    pooled per-attempt success fraction (all ranks)
+    retry_filtered fraction of slots with any successful attempt
+    std_error      binomial standard error of first_try
+    nines          -log10(1 - first_try); inf when first_try == 1
+    ci_low/ci_high confidence bounds on first_try
+    first_attempts the first attempts behind first_try, one a slot
+    """
+
+    first_try: float
+    per_attempt: float
+    retry_filtered: float
+    std_error: float
+    nines: float
+    ci_low: float
+    ci_high: float
+    first_attempts: int
+
+
 def build_estimate_set(counts: AttemptCounts) -> EstimateSet:
     """Bundle the three availability estimates with 95% Wald error bars on first_try."""
     p1 = first_try_availability(counts)
@@ -221,4 +241,5 @@ def build_estimate_set(counts: AttemptCounts) -> EstimateSet:
         nines=0.0 if p1 <= 0.0 else math.inf if p1 >= 1.0 else nines(p1),
         ci_low=ci_low,
         ci_high=ci_high,
+        first_attempts=trials,
     )

@@ -281,35 +281,6 @@ class AttemptCounts:
         return sum(self.successes)
 
 
-@dataclass(frozen=True)
-class EstimateSet:
-    """Availability estimates for one campaign log.
-
-    first_try      fraction of slots whose first attempt succeeded
-    per_attempt    pooled per-attempt success fraction (all ranks)
-    retry_filtered fraction of slots with any successful attempt
-    std_error      binomial standard error of first_try
-    nines          -log10(1 - first_try); inf when first_try == 1
-    ci_low/ci_high confidence bounds on first_try
-    """
-
-    first_try: float
-    per_attempt: float
-    retry_filtered: float
-    std_error: float
-    nines: float
-    ci_low: float
-    ci_high: float
-
-    def __post_init__(self):
-        if not 0.0 <= self.first_try <= self.retry_filtered <= 1.0:
-            raise ValueError("need 0 <= first_try <= retry_filtered <= 1")
-        if not 0.0 <= self.per_attempt <= 1.0:
-            raise ValueError("per_attempt outside [0, 1]")
-        if not self.ci_low <= self.first_try <= self.ci_high:
-            raise ValueError("confidence interval must bracket first_try")
-
-
 def aggregate_counts(log: AttemptLog, retry_max: int | None = None, path=None) -> AttemptCounts:
     """Tally per-rank attempt and success counts from an attempt log.
 

@@ -20,7 +20,8 @@ from .errors import ReportError  # re-exported
 
 if TYPE_CHECKING:  # annotations only: the report command loads no numpy
     from .detection import DetectionReport, SlaMetrics
-    from .model import AttemptCounts, EstimateSet
+    from .estimators import EstimateSet
+    from .model import AttemptCounts
 
 SCHEMA_VERSION = "1"
 _TYPES = {"array": list, "boolean": bool, "integer": int, "null": type(None),
@@ -55,8 +56,10 @@ _KEYWORDS = {
 
 
 def _to_json(obj):
-    """Dataclass fields as JSON values: tuples become lists, non-finite floats null."""
-    names = getattr(type(obj), "__dataclass_fields__", None)  # no field is a ClassVar
+    """Dataclass or named-tuple fields as JSON values: other tuples become lists,
+    non-finite floats null."""
+    # no dataclass field is a ClassVar; a named tuple is a tuple, so its _fields come first
+    names = getattr(type(obj), "__dataclass_fields__", None) or getattr(type(obj), "_fields", None)
     if names is not None:
         return {name: _to_json(getattr(obj, name)) for name in names}
     if isinstance(obj, tuple):
@@ -84,25 +87,21 @@ def estimate_fragment(log_sha256: str, counts: AttemptCounts,
     frag["insufficient_data"] = estimates is None
     frag["counts"] = _to_json(counts)
     if estimates is not None:
-        frag["estimates"] = {**_to_json(estimates), "first_attempts": counts.attempts[0]}
+        frag["estimates"] = _to_json(estimates)
     frag["sla_tests"] = [_to_json(r) for r in sla_results]
     return frag
 
 
 def detect_fragment(log_sha256: str, truth_sha256: str, config_sha256: str,
                     config_echo: dict, detection: DetectionReport,
-                    detected_metrics: SlaMetrics, true_metrics: SlaMetrics,
-                    threshold_s: float) -> dict:
+                    detected_metrics: SlaMetrics, true_metrics: SlaMetrics) -> dict:
     frag = _base("detect", {
         "log_sha256": log_sha256,
         "truth_sha256": truth_sha256,
         "config_sha256": config_sha256,
     }, config_echo)
     frag["detection"] = _to_json(detection)
-    frag["sla_metrics"] = {
-        "detected": {**_to_json(detected_metrics), "threshold_s": threshold_s},
-        "true": {**_to_json(true_metrics), "threshold_s": threshold_s},
-    }
+    frag["sla_metrics"] = {"detected": _to_json(detected_metrics), "true": _to_json(true_metrics)}
     return frag
 
 

@@ -106,9 +106,15 @@ class TestConfigFile:
          "burst_rate_per_day = 2\n[duration]\nkind = fixed\nvalue_s = 1\n", "burst_duration_s"),
         ("probe_interval_s = 600\nhorizon_days = 1\n[process]\nup_mean_s = 3600\n"
          "[duration]\nkind = fixed\nvalue_s = 1\nmean_s = 99\n", "mean_s"),
+        # a section or [DEFAULT] key that no field reads, which configparser would accept
+        (LIVE + "[prob]\ntimeout_ms = 250\n", "[prob]"),
+        ("probe_interval_s = 600\nhorizon_days = 1\n[campain]\nseed = 4\n", "[campain]"),
+        ("probe_interval_s = 600\nhorizon_days = 1\n[process]\nup_mean_s = 3600\n"
+         "[duration]\nkind = fixed\nvalue_s = 1\n[DEFAULT]\nseed = 3\n", "[DEFAULT]"),
     ], ids=["missing-interval", "nan-interval", "inf-horizon", "empty-seed", "nan-up-mean",
             "bad-statuses", "nan-timeout", "url-in-probe", "missing-up-mean",
-            "one-burst-key", "key-of-another-kind"])
+            "one-burst-key", "key-of-another-kind", "misspelled-probe-section",
+            "misspelled-campaign-section", "default-key"])
     def test_bad_value_names_key_and_exits_one(self, tmp_path, capsys, body, key):
         path = tmp_path / "c.ini"
         path.write_text("[campaign]\n" + body)

@@ -216,12 +216,12 @@ class TestDetectOutages:
 
 class TestSlaMetrics:
     def test_empty(self):
-        assert sla_metrics([], 3600.0) == SlaMetrics(0, 0, 0.0)
+        assert sla_metrics([], 3600.0) == SlaMetrics(0, 0, 0.0, 3600.0)
 
     def test_hand_count(self):
         metrics = sla_metrics(np.array([1800.0, 600.0, 7200.0]), 3600.0)
         assert metrics == SlaMetrics(failure_count=3, long_outage_count=1,
-                                     cumulative_outage_s=9600.0)
+                                     cumulative_outage_s=9600.0, threshold_s=3600.0)
 
     def test_zero_threshold_counts_everything_long(self):
         metrics = sla_metrics([120.0, 60.0], 0.0)
@@ -240,9 +240,12 @@ class TestSlaMetrics:
         assert metrics.failure_count == 1
         assert metrics.cumulative_outage_s == 1800.0
 
-    def test_invariant(self):
-        with pytest.raises(ValueError):
-            SlaMetrics(failure_count=1, long_outage_count=2, cumulative_outage_s=0.0)
+    @settings(max_examples=200, deadline=None)
+    @given(durations=st.lists(st.floats(0.0, 1e7), max_size=20), threshold=st.floats(0.0, 1e7))
+    def test_long_outages_are_among_all(self, durations, threshold):
+        metrics = sla_metrics(durations, threshold)
+        assert 0 <= metrics.long_outage_count <= metrics.failure_count == len(durations)
+        assert metrics.threshold_s == threshold
 
 
 class TestDetectionReport:
@@ -328,10 +331,14 @@ class TestDetectionReport:
         assert rep.undetected == 1
         assert rep.duration_estimates == ()
 
-    def test_partition_invariant_enforced(self):
-        with pytest.raises(ValueError):
-            DetectionReport(total_true_outages=2, detected=2, undetected=1,
-                            per_duration_bins=(), duration_estimates=())
+    # deferred: scored_campaigns is defined with the oracle tests, further down
+    @settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(campaign=st.deferred(lambda: scored_campaigns()))
+    def test_detected_and_undetected_partition_random_campaigns(self, campaign):
+        truth, log, cfg = campaign
+        rep = report(truth, log, cfg)
+        assert 0 <= rep.detected <= rep.total_true_outages == len(truth.intervals(CLOUD)[0])
+        assert rep.detected + rep.undetected == rep.total_true_outages
 
 
 def per_trial_monte_carlo(duration_s, interval_s, trials, seed=0, retry_max=9,

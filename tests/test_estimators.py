@@ -3,10 +3,11 @@ import statistics
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cloudprobe.estimators import (
     SlaClaim,
-    SlaTestResult,
     binom_cdf,
     binom_sf,
     build_estimate_set,
@@ -33,6 +34,17 @@ EMPTY = AttemptCounts(retry_max=1, attempts=(0,), successes=(0,))
 AMAZON = {"fail_prob": 0.00435, "availability": 0.99565, "sigma": 8.2e-5}
 GOOGLE = {"fail_prob": 0.00217, "availability": 0.99783, "sigma": 5.8e-5}
 TRIALS = 639478
+
+
+@st.composite
+def attempt_counts(draw) -> AttemptCounts:
+    """Valid tallies with at least one slot: each rank's attempts are the rank
+    before's less its successes."""
+    attempts, successes = [draw(st.integers(1, 5000))], []
+    for _ in range(draw(st.integers(1, 9))):
+        successes.append(draw(st.integers(0, attempts[-1])))
+        attempts.append(attempts[-1] - successes[-1])
+    return AttemptCounts(len(successes), tuple(attempts[:-1]), tuple(successes))
 
 
 def proportion_counts(trials: int, p: float) -> AttemptCounts:
@@ -335,10 +347,14 @@ class TestSlaTest:
         with pytest.raises(InsufficientDataError):
             sla_test(EMPTY, SlaClaim(0.999))
 
-    def test_result_invariant_enforced(self):
-        with pytest.raises(ValueError):
-            SlaTestResult(claimed_availability=0.999, alpha=0.05, observed=0.9,
-                          trials=10, z=None, p_value=0.5, reject=True, method="exact")
+    @settings(max_examples=200, deadline=None)
+    @given(counts=attempt_counts(), claim=st.floats(1e-3, 1 - 1e-6),
+           alpha=st.floats(1e-4, 0.5), method=st.sampled_from(["normal", "exact"]))
+    def test_reject_is_p_below_alpha_for_random_counts(self, counts, claim, alpha, method):
+        res = sla_test(counts, SlaClaim(claim, alpha=alpha), method=method)
+        assert res.reject is (res.p_value < alpha)
+        assert 0.0 <= res.p_value <= 1.0 and res.method == method
+        assert res.trials == counts.attempts[0]
 
     def test_claim_validation(self):
         with pytest.raises(ValueError):
@@ -369,3 +385,12 @@ class TestEstimateSet:
     def test_empty_counts_raise(self):
         with pytest.raises(InsufficientDataError):
             build_estimate_set(EMPTY)
+
+    @settings(max_examples=300, deadline=None)
+    @given(counts=attempt_counts())
+    def test_estimates_ordered_for_random_counts(self, counts):
+        est = build_estimate_set(counts)
+        assert 0.0 <= est.first_try <= est.retry_filtered <= 1.0
+        assert 0.0 <= est.per_attempt <= 1.0
+        assert est.ci_low <= est.first_try <= est.ci_high
+        assert est.first_attempts == counts.attempts[0] and type(est.first_attempts) is int

@@ -624,7 +624,11 @@ LIBRARY_REFUSALS = {
     "aggregate-retry-max-0": (lambda: aggregate_counts(log_of([rec(0, 1, SUCCESS)]), retry_max=0),
                               "retry_max must be >= 1"),
     "sla-metrics-negative-threshold": (lambda: sla_metrics([60.0], -1),
-                                       "threshold_s must be >= 0"),
+                                       "threshold_s must be finite and >= 0"),
+    "sla-metrics-nan-threshold": (lambda: sla_metrics([60.0], math.nan),
+                                  "threshold_s must be finite and >= 0"),
+    "sla-metrics-infinite-threshold": (lambda: sla_metrics([60.0], math.inf),
+                                       "threshold_s must be finite and >= 0"),
     "sla-test-unknown-method": (lambda: sla_test(
         aggregate_counts(log_of([rec(0, 1, SUCCESS)])), SlaClaim(0.99), method="bogus"),
         "method must be auto, normal, or exact"),

@@ -5,11 +5,13 @@ report, so it must decide exactly as jsonschema does, and these tests compare
 both ways. A document it rejects is named by the place and keyword that
 jsonschema also reports.
 """
+import ast
 import copy
 import functools
 import json
 import math
 import operator
+from pathlib import Path
 
 import jsonschema
 import pytest
@@ -18,7 +20,9 @@ from hypothesis import strategies as st
 
 from cloudprobe import report
 from cloudprobe.cli import main
-from cloudprobe.model import CampaignConfig
+from cloudprobe.detection import DetectionReport, DurationBin, SlaMetrics
+from cloudprobe.estimators import EstimateSet, SlaTestResult
+from cloudprobe.model import AttemptCounts, CampaignConfig
 from cloudprobe.simulate import DurationDistribution, OutageProcess
 
 from conftest import write_config
@@ -280,3 +284,36 @@ def test_valid_report_skips_jsonschema(merged, monkeypatch):
     report.validate_report(copy.deepcopy(merged))
     with pytest.raises(report.ReportError, match=r"counts.retry_max \(-1\) fails minimum"):
         report.validate_report(place(copy.deepcopy(merged), ("counts", "retry_max"), -1))
+
+
+@pytest.mark.parametrize("cls, section", [
+    (AttemptCounts, ("properties", "counts")),
+    (EstimateSet, ("properties", "estimates")),
+    (SlaTestResult, ("properties", "sla_tests", "items")),
+    (DetectionReport, ("properties", "detection")),
+    (DurationBin, ("properties", "detection", "properties", "per_duration_bins", "items")),
+    (SlaMetrics, ("$defs", "sla_metrics")),
+    (CampaignConfig, ("properties", "config", "oneOf", 1)),
+], ids=lambda v: v.__name__ if isinstance(v, type) else None)
+def test_each_result_type_is_its_schema_section(cls, section):
+    # a section is written as _to_json(value), so the value's fields are its keys
+    schema = functools.reduce(operator.getitem, section, SCHEMA)
+    names = getattr(cls, "_fields", None) or tuple(cls.__dataclass_fields__)
+    assert set(names) == set(schema["properties"]) >= set(schema["required"])
+    if hasattr(cls, "_fields"):  # a named tuple becomes an object, not an array
+        assert report._to_json(cls._make(range(len(names)))) == dict(zip(names, range(len(names))))
+
+
+def test_dataclasses_are_the_input_checks():
+    # a dataclass is kept where __post_init__ checks values from outside; a value
+    # that only carries results to the report is a named tuple
+    found = {}
+    for path in Path(report.__file__).parent.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.ClassDef) and any(
+                    "dataclass" in ast.unparse(d) for d in node.decorator_list):
+                found[node.name] = {f.name for f in node.body if isinstance(f, ast.FunctionDef)}
+    assert sorted(found) == ["AttemptCounts", "AttemptLog", "CampaignConfig",
+                             "DurationDistribution", "NetworkBurst", "OutageProcess",
+                             "ProbeTarget", "SlaClaim", "Timeline"]
+    assert all("__post_init__" in methods for methods in found.values())
